@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import RatMatrix, kernel_basis, rref, solve
+from .linalg import Span, kernel_basis, rref, solve, stack_columns, vadd_into
 from .graded import (
     GradedSuperalgebra,
     LocalSuperalgebra,
@@ -54,16 +54,6 @@ _HALF = Fraction(1, 2)
 # tuple of letters, () being the scalar 1; an element maps words to
 # coefficients.  Canonical words have all degree-0 letters first, sorted by
 # index, followed by letters of a single nonzero degree.
-
-
-def _acc(out: dict, terms: dict, scale=_ONE) -> dict:
-    for w, c in terms.items():
-        s = out.get(w, 0) + scale * c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
 
 
 class LocAlgebra:
@@ -151,14 +141,14 @@ class LocAlgebra:
                 br = self.local.bracket(da, ia, db, ib)
                 for k, c in br.items():
                     rep = word[:i] + ((da, k),) + word[i + 2:]
-                    out = _acc(out, self._norm(rep), c)
+                    vadd_into(out, self._norm(rep), c)
                 break
             if da == 0 == db and ia == ib and self.letter_parity(word[i]):
                 out = {}
                 br = self.local.bracket(0, ia, 0, ia)
                 for k, c in br.items():
                     rep = word[:i] + ((0, k),) + word[i + 2:]
-                    out = _acc(out, self._norm(rep), c * _HALF)
+                    vadd_into(out, self._norm(rep), c * _HALF)
                 break
         if out is None:
             signs = {deg for deg, _ in word if deg != 0}
@@ -185,7 +175,7 @@ class LocAlgebra:
                 br = self.local.bracket(da, ia, db, ib)
                 for k, c in br.items():
                     rep = word[:i] + ((db, k),) + word[i + 2:]
-                    out = _acc(out, self._tu(rep), c)
+                    vadd_into(out, self._tu(rep), c)
                 return out
         return {word: _ONE}
 
@@ -198,18 +188,18 @@ class LocAlgebra:
         if dx == -1:
             br = self.local.bracket(1, iy, -1, ix)
             for k, c in br.items():
-                out = _acc(out, {((0, k),): -c})
+                vadd_into(out, {((0, k),): -c})
             pv = self._pair_np(ix, iy)
         else:
             br = self.local.bracket(-1, iy, 1, ix)
             for k, c in br.items():
-                out = _acc(out, {((0, k),): c})
+                vadd_into(out, {((0, k),): c})
             pv = self._pair_pn(ix, iy)
             if pv:
-                out = _acc(out, {(): pv})
+                vadd_into(out, {(): pv})
         if pv:
             for k, c in self.local.grading.items():
-                out = _acc(out, {((0, k),): pv * c})
+                vadd_into(out, {((0, k),): pv * c})
         return out
 
     def _wprod(self, w1, w2) -> dict:
@@ -229,15 +219,15 @@ class LocAlgebra:
             head = w1[:-1]
             for tu_word, c in self._tu(w2).items():
                 if not tu_word or tu_word[0][0] == 0:
-                    out = _acc(out, self._norm(w1 + tu_word), c)
+                    vadd_into(out, self._norm(w1 + tu_word), c)
                     continue
                 y = tu_word[0]
                 rest = self._norm(tu_word[1:])
                 for cw, cc in self._core(x, y).items():
                     for hw, hc in self._norm(head + cw).items():
                         for rw, rc in rest.items():
-                            out = _acc(out, self._wprod(hw, rw),
-                                       c * cc * hc * rc)
+                            vadd_into(out, self._wprod(hw, rw),
+                                      c * cc * hc * rc)
         self._prod_cache[key] = out
         return out
 
@@ -247,7 +237,7 @@ class LocAlgebra:
             for w2, c2 in b.items():
                 c = c1 * c2
                 if c:
-                    out = _acc(out, self._wprod(w1, w2), c)
+                    vadd_into(out, self._wprod(w1, w2), c)
         return out
 
     def commutator(self, a: dict, b: dict) -> dict:
@@ -258,14 +248,14 @@ class LocAlgebra:
                 c = c1 * c2
                 if not c:
                     continue
-                out = _acc(out, self._wprod(w1, w2), c)
+                vadd_into(out, self._wprod(w1, w2), c)
                 sign = -_ONE if p1 and self.word_parity(w2) else _ONE
-                out = _acc(out, self._wprod(w2, w1), -sign * c)
+                vadd_into(out, self._wprod(w2, w1), -sign * c)
         return out
 
     def associator(self, x: dict, z: dict, y: dict) -> dict:
         left = self.product(self.product(x, z), y)
-        return _acc(left, self.product(x, self.product(z, y)), -_ONE)
+        return vadd_into(left, self.product(x, self.product(z, y)), -_ONE)
 
     # -- degree-0 values ---------------------------------------------------
 
@@ -307,12 +297,7 @@ class WeightedSolver:
         hit = self._mats.get(w)
         if hit is None:
             cols = self.blocks.get(w, [])
-            rows = sorted({r for j in cols for r in self.columns[j]})
-            rindex = {r: i for i, r in enumerate(rows)}
-            mat = RatMatrix(max(len(rows), 1), len(cols),
-                            {(rindex[r], jj): c
-                             for jj, j in enumerate(cols)
-                             for r, c in self.columns[j].items()})
+            mat, rindex = stack_columns([self.columns[j] for j in cols])
             hit = (cols, rindex, mat)
             self._mats[w] = hit
         return hit
@@ -335,29 +320,8 @@ class WeightedSolver:
         return {cols[jj]: c for jj, c in enumerate(sol) if c}
 
 
-def _grow_span(span: list, vec: dict) -> dict | None:
-    """Reduce vec against leading-index-reduced sparse vectors; append and
-    return the reduced vector if independent, else None."""
-    v = dict(vec)
-    for b in span:
-        lead = min(b)
-        if v.get(lead):
-            c = v[lead] / b[lead]
-            for i, x in b.items():
-                s = v.get(i, 0) - c * x
-                if s:
-                    v[i] = s
-                else:
-                    v.pop(i, None)
-    if not v:
-        return None
-    span.append(v)
-    span.sort(key=min)
-    return v
-
-
 class WeightedSpan:
-    """Per-weight Gaussian span of sparse vectors."""
+    """Per-weight span of sparse vectors: one ``Span`` per weight."""
 
     def __init__(self):
         self.by_weight: dict = {}
@@ -365,21 +329,16 @@ class WeightedSpan:
     def add(self, vec: dict, weight) -> bool:
         if not vec:
             return False
-        span = self.by_weight.setdefault(tuple(weight), [])
-        return _grow_span(span, vec) is not None
+        return self.by_weight.setdefault(tuple(weight), Span()).add(vec)
 
     def dim(self) -> int:
-        return sum(len(sp) for sp in self.by_weight.values())
+        return sum(sp.rank for sp in self.by_weight.values())
 
     def basis(self) -> list:
         """(weight, vector) pairs in deterministic order, scaled to unit
         leading coefficient."""
-        out = []
-        for w in sorted(self.by_weight):
-            for v in self.by_weight[w]:
-                lead = min(v)
-                out.append((w, {i: c / v[lead] for i, c in v.items()}))
-        return out
+        return [(w, v) for w in sorted(self.by_weight)
+                for v in self.by_weight[w].basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +437,18 @@ class Cartanification:
 
     def zero_class(self, vec: dict) -> dict:
         """Quotient degree-0 coordinates of an original degree-0 vector."""
-        vec = {i: Fraction(c) for i, c in vec.items() if c}
-        if not vec:
-            return {}
-        sol = self._zero_solver.express(
-            vec, _vec_weight(self.engine.local, vec))
+        sol = self._zero_coords(vec)
         if sol is None:
             raise ValueError("vector lies outside the degree-0 image span")
         return sol
+
+    def _zero_coords(self, vec: dict) -> dict | None:
+        """As ``zero_class``, but None for a vector outside the span."""
+        vec = {i: Fraction(c) for i, c in vec.items() if c}
+        if not vec:
+            return {}
+        return self._zero_solver.express(
+            vec, _vec_weight(self.engine.local, vec))
 
 
 def local_cartanification(local: LocalSuperalgebra, restriction=None,
@@ -541,11 +504,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     kernel: list = []   # (weight, sparse dict over candidate indices)
     for w in sorted(blocks):
         blk = blocks[w]
-        rows = sorted({r for j in blk for r in cand_actions[j]})
-        rindex = {r: i for i, r in enumerate(rows)}
-        mat = RatMatrix(max(len(rows), 1), len(blk),
-                        {(rindex[r], jj): c for jj, j in enumerate(blk)
-                         for r, c in cand_actions[j].items()})
+        mat, _ = stack_columns([cand_actions[j] for j in blk])
         _, piv = rref(mat)
         pivots.extend(blk[jj] for jj in piv)
         for kv in kernel_basis(mat):
@@ -557,7 +516,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     for w, kv in kernel:
         el: dict = {}
         for j, c in kv.items():
-            el = _acc(el, cands[j], c)
+            vadd_into(el, cands[j], c)
         for u in range(nzero):
             moved = eng.commutator(eng.from_vec(0, {u: _ONE}), el)
             if moved and shell.action_coords(moved):
@@ -571,7 +530,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     def weak_element(cls: dict) -> dict:
         el: dict = {}
         for t, c in cls.items():
-            el = _acc(el, cands[pivots[t]], c)
+            vadd_into(el, cands[pivots[t]], c)
         return el
 
     if restriction is None:
@@ -632,7 +591,8 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     for act in minus_actions:
         per_q: dict = {}
         for (q, k), c in act.items():
-            assert k > 0, "pairing leaks into the action image"
+            if k == 0:
+                raise ValueError("pairing leaks into the action image")
             per_q.setdefault(q, {})[k - 1] = c
         for vec in per_q.values():
             w = _vec_weight(local, vec)
@@ -640,7 +600,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                 zqueue.append((w, dict(vec)))
     while zqueue:
         w, vec = zqueue.pop()
-        others = [v for sp in zspan.by_weight.values() for v in sp]
+        others = [v for sp in zspan.by_weight.values() for v in sp.rows]
         for vec2 in others:
             br = local.bracket_vec(0, vec, 0, vec2)
             if br:
@@ -711,21 +671,19 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
         engine=eng, zero_basis=zero_basis, minus_words=minus_els,
         _class_solver=class_solver, _zero_solver=zero_solver)
 
+    # The grading element and named elements outside the degree-0 span
+    # are dropped; any other fault propagates.
     grading = None
     if local.grading:
-        try:
-            grading = result.zero_class(dict(local.grading))
-        except ValueError:
-            grading = None
+        grading = result._zero_coords(local.grading)
 
     embedding = None
     if local.embedding:
         embedding = {}
         for name, vec in local.embedding.items():
-            try:
-                embedding[name] = result.zero_class(dict(vec))
-            except ValueError:
-                continue
+            coords = result._zero_coords(vec)
+            if coords is not None:
+                embedding[name] = coords
 
     result.local = LocalSuperalgebra(
         neg_names=neg_names, neg_weights=neg_weights,

@@ -639,9 +639,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the spec's restriction nodes")
     common.add_argument("--no-cache", action="store_true",
                         help="bypass the component cache")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker bound; the exact engines run "
-                             "in-process, so any N gives identical reports")
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact graded Lie superalgebras from Cartan data.",
@@ -655,8 +652,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise SpecError(["--jobs: must be at least 1"])
         spec = _apply_overrides(parse_spec(args.spec), args)
     except SpecError as exc:
         for line in exc.diagnostics:

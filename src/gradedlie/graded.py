@@ -30,7 +30,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import RatMatrix, kernel_basis, rref
+from .linalg import (
+    kernel_basis,
+    mat_apply,
+    rref,
+    stack_columns,
+    vadd,
+    vadd_into,
+    vscale,
+)
+from .rootsys import root_action, weyl_dimension
 
 __all__ = [
     "LocalSuperalgebra",
@@ -48,23 +57,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Vec = dict  # sparse coefficient vector: index -> Fraction
-
-
-def vadd(a: Vec, b: Vec, scale: Fraction = _ONE) -> Vec:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, _ZERO) + scale * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vscale(a: Vec, c: Fraction) -> Vec:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
 
 
 def wsum(wa: tuple, wb: tuple) -> tuple:
@@ -161,7 +153,7 @@ class LocalSuperalgebra:
         out: Vec = {}
         for a, ca in va.items():
             for b, cb in vb.items():
-                out = vadd(out, self.bracket(da, a, db, b), ca * cb)
+                vadd_into(out, self.bracket(da, a, db, b), ca * cb)
         return out
 
     def pair(self, x: int, z: int) -> Fraction:
@@ -313,7 +305,7 @@ class GradedSuperalgebra:
         out: Vec = {}
         for i, ci in va.items():
             for j, cj in vb.items():
-                out = vadd(out, self._bb(da, i, db, j), ci * cj)
+                vadd_into(out, self._bb(da, i, db, j), ci * cj)
         return da + db, out
 
     def _anti(self, da: int, i: int, db: int, j: int) -> Vec:
@@ -340,10 +332,12 @@ class GradedSuperalgebra:
         if da == 0:
             mat = self.layers[db].act0[i]
             return dict(mat.get(j, {}))
-        if db == 0:
+        if db == 0 or da < 0 < db:
             return self._anti(da, i, db, j)
 
-        if da > 0 and db < 0:
+        # s is the sign of da; layer da is spanned by tensors [u, x_s]
+        s = 1 if da > 0 else -1
+        if db < 0 < da:
             if da == 1:
                 if db == -1:
                     return dict(loc.bpm.get((i, j), {}))
@@ -353,68 +347,32 @@ class GradedSuperalgebra:
                 sign = -_ONE if (self.parity(da, i)
                                  and loc.neg_parities[j]) else _ONE
                 return vscale(self.layers[da].opp_map[j].get(i, {}), -sign)
-            # expand a = [u, z] via its tensor definition:
-            # [[u,z],b] = [u,[z,b]] - (-1)^{|u||z|} [z,[u,b]]
-            u, z = self.layers[da].tensor_parent[i]
-            pu = self.parity(da - 1, u)
-            pz = loc.pos_parities[z]
-            t1 = self._bb(1, z, db, j)
-            out = self._bracket_vec_left(da - 1, u, db + 1, t1)
-            t2 = self._bb(da - 1, u, db, j)
-            out2 = self._bracket_vec_left(1, z, da - 1 + db, t2)
-            sgn = -_ONE if (pu and pz) else _ONE
-            return vadd(out, out2, -sgn)
-
-        if da < 0 and db > 0:
-            return self._anti(da, i, db, j)
-
-        if da < 0 and db < 0:
-            if da == -1:
-                if db == -1:
-                    return dict(self.layers[-2].reduce[(i, j)])
-                # [x_{-1}, v_q] = -(-1)^{|x||v|} [v_q, x]
-                sign = -_ONE if (loc.neg_parities[i]
+        else:
+            if da == s:
+                if db == s:
+                    return dict(self.layers[2 * s].reduce[(i, j)])
+                # [x_s, v_q] = -(-1)^{|x||v|} [v_q, x_s]
+                sign = -_ONE if (self.parity(s, i)
                                  and self.parity(db, j)) else _ONE
-                red = self.layers[db - 1].reduce[(j, i)]
-                return vscale(red, -sign)
-            if db == -1:
-                # [u, x_{-1}] is the tensor definition of the next layer
-                return dict(self.layers[da - 1].reduce[(i, j)])
-            # [[u,x],b] = [u,[x,b]] - (-1)^{|u||x|} [x,[u,b]]
-            u, x = self.layers[da].tensor_parent[i]
-            pu = self.parity(da + 1, u)
-            px = loc.neg_parities[x]
-            t1 = self._bb(-1, x, db, j)
-            out = self._bracket_vec_left(da + 1, u, db - 1, t1)
-            t2 = self._bb(da + 1, u, db, j)
-            out2 = self._bracket_vec_left(-1, x, da + 1 + db, t2)
-            sgn = -_ONE if (pu and px) else _ONE
-            return vadd(out, out2, -sgn)
-
-        # da > 0 and db > 0
-        if da == 1:
-            if db == 1:
-                return dict(self.layers[2].reduce[(i, j)])
-            sign = -_ONE if (loc.pos_parities[i]
-                             and self.parity(db, j)) else _ONE
-            red = self.layers[db + 1].reduce[(j, i)]
-            return vscale(red, -sign)
-        if db == 1:
-            return dict(self.layers[da + 1].reduce[(i, j)])
-        u, z = self.layers[da].tensor_parent[i]
-        pu = self.parity(da - 1, u)
-        pz = loc.pos_parities[z]
-        t1 = self._bb(1, z, db, j)
-        out = self._bracket_vec_left(da - 1, u, db + 1, t1)
-        t2 = self._bb(da - 1, u, db, j)
-        out2 = self._bracket_vec_left(1, z, da - 1 + db, t2)
-        sgn = -_ONE if (pu and pz) else _ONE
-        return vadd(out, out2, -sgn)
+                return vscale(self.layers[db + s].reduce[(j, i)], -sign)
+            if db == s:
+                # [u, x_s] is the tensor definition of the next layer
+                return dict(self.layers[da + s].reduce[(i, j)])
+        # expand a = [u, x] with x at degree s via its tensor definition:
+        # [[u,x],b] = [u,[x,b]] - (-1)^{|u||x|} [x,[u,b]]
+        u, x = self.layers[da].tensor_parent[i]
+        pu = self.parity(da - s, u)
+        px = self.parity(s, x)
+        out = self._bracket_vec_left(da - s, u, db + s, self._bb(s, x, db, j))
+        out2 = self._bracket_vec_left(s, x, da - s + db,
+                                      self._bb(da - s, u, db, j))
+        sgn = -_ONE if (pu and px) else _ONE
+        return vadd_into(out, out2, -sgn)
 
     def _bracket_vec_left(self, da: int, i: int, db: int, vb: Vec) -> Vec:
         out: Vec = {}
         for j, c in vb.items():
-            out = vadd(out, self._bb(da, i, db, j), c)
+            vadd_into(out, self._bb(da, i, db, j), c)
         return out
 
 
@@ -482,9 +440,9 @@ def _extend_one(local: LocalSuperalgebra, layers: dict[int, Layer],
                 # v at degree 0 acting on the degree +-1 unit
                 t = local.b0m.get((p, unit), {}) if side < 0 \
                     else local.b0p.get((p, unit), {})
-                out = vadd(out, t, c)
+                vadd_into(out, t, c)
             else:
-                out = vadd(out, prev.reduce[(p, unit)], c)
+                vadd_into(out, prev.reduce[(p, unit)], c)
         return out
 
     def act0_right(u: int, vec0: Vec) -> Vec:
@@ -494,7 +452,7 @@ def _extend_one(local: LocalSuperalgebra, layers: dict[int, Layer],
         for a, c in vec0.items():
             t = prev.act0[a].get(u, {})
             sign = -_ONE if (pu and local.zero_parities[a]) else _ONE
-            out = vadd(out, t, -sign * c)
+            vadd_into(out, t, -sign * c)
         return out
 
     # candidates grouped by weight, deterministic order
@@ -529,23 +487,10 @@ def _extend_one(local: LocalSuperalgebra, layers: dict[int, Layer],
     reduce_map: dict = {}
     new_deg = side * (k + 1)
 
-    pivots_per_block: list[tuple[tuple, list[tuple], list[int], RatMatrix, list[int]]] = []
     for w in sorted(blocks):
         blk = blocks[w]
-        # stack the T-values of the block into one matrix
-        row_index: dict[tuple, int] = {}
-        entries = {}
-        for col, cand in enumerate(blk):
-            for zi, vec in enumerate(t_vals[cand]):
-                for tgt, c in vec.items():
-                    rk = (zi, tgt)
-                    r = row_index.setdefault(rk, len(row_index))
-                    entries[(r, col)] = c
-        mat = RatMatrix(max(len(row_index), 1), len(blk), entries)
+        mat, _ = stack_columns([_flatten(t_vals[cand]) for cand in blk])
         red, piv = rref(mat)
-        pivots_per_block.append((w, blk, piv, red, []))
-
-    for w, blk, piv, red, _ in pivots_per_block:
         base = len(names)
         for pi in piv:
             u, x = blk[pi]
@@ -583,16 +528,21 @@ def _extend_one(local: LocalSuperalgebra, layers: dict[int, Layer],
             au = prev.act0[a].get(u, {})
             vec: Vec = {}
             for v, c in au.items():
-                vec = vadd(vec, reduce_map[(v, x)], c)
+                vadd_into(vec, reduce_map[(v, x)], c)
             ax = local.b0m.get((a, x), {}) if side < 0 \
                 else local.b0p.get((a, x), {})
             sgn = -_ONE if (local.zero_parities[a] and pu) else _ONE
             for y, c in ax.items():
-                vec = vadd(vec, reduce_map[(u, y)], sgn * c)
+                vadd_into(vec, reduce_map[(u, y)], sgn * c)
             if vec:
                 act0[a][idx] = vec
     layer.act0 = act0
     return layer
+
+
+def _flatten(vecs: list) -> dict:
+    """The vectors of a list as one column keyed (list position, index)."""
+    return {(n, tgt): c for n, vec in enumerate(vecs) for tgt, c in vec.items()}
 
 
 def minimal_extension(local: LocalSuperalgebra,
@@ -629,8 +579,6 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     dimensions from the Weyl formula; their weighted sum must equal the
     module dimension (checked).
     """
-    from . import rootsys  # deferred to avoid a module cycle
-
     blocks: dict[tuple, list[int]] = {}
     for idx, w in enumerate(weights):
         blocks.setdefault(tuple(w), []).append(idx)
@@ -638,17 +586,12 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     found = []
     for w in sorted(blocks):
         blk = blocks[w]
-        row_index: dict[tuple, int] = {}
-        entries = {}
-        for col, src in enumerate(blk):
-            for ri, mat in enumerate(raisers):
-                for tgt, c in mat.get(src, {}).items():
-                    r = row_index.setdefault((ri, tgt), len(row_index))
-                    entries[(r, col)] = c
-        mat = RatMatrix(max(len(row_index), 1), len(blk), entries)
+        mat, _ = stack_columns(
+            [_flatten([raiser.get(src, {}) for raiser in raisers])
+             for src in blk])
         mult = len(kernel_basis(mat))
         if mult:
-            dim = rootsys.weyl_dimension(data, w)
+            dim = weyl_dimension(data, w)
             found.append((w, mult, dim))
     total = sum(m * d for _, m, d in found)
     if total != len(weights):
@@ -684,13 +627,7 @@ def decompose_at_degree(g_alg: GradedSuperalgebra, d: int, data,
         mat: dict = {}
         for a, c in coords.items():
             for src, vec in g_alg.layers[d].act0[a].items():
-                cur = mat.setdefault(src, {})
-                for tgt, v in vec.items():
-                    s = cur.get(tgt, _ZERO) + c * v
-                    if s:
-                        cur[tgt] = s
-                    else:
-                        cur.pop(tgt, None)
+                vadd_into(mat.setdefault(src, {}), vec, c)
         raisers.append(mat)
 
     proj_weights = [tuple(w[i] for i in nodes) for w in layer.weights]
@@ -718,48 +655,7 @@ class ModuleRep:
         return len(self.weights)
 
     def apply(self, i: int, vec: Vec) -> Vec:
-        out: Vec = {}
-        mat = self.act[i]
-        for src, c in vec.items():
-            for tgt, v in mat.get(src, {}).items():
-                s = out.get(tgt, _ZERO) + c * v
-                if s:
-                    out[tgt] = s
-                else:
-                    out.pop(tgt, None)
-        return out
-
-
-def _compose(ma: dict, mb: dict) -> dict:
-    """Column composition (ma after mb) of {src: {tgt: c}} matrices."""
-    out: dict = {}
-    for src, vec in mb.items():
-        acc: Vec = {}
-        for mid, c in vec.items():
-            for tgt, v in ma.get(mid, {}).items():
-                s = acc.get(tgt, _ZERO) + c * v
-                if s:
-                    acc[tgt] = s
-                else:
-                    acc.pop(tgt, None)
-        if acc:
-            out[src] = acc
-    return out
-
-
-def _msub(ma: dict, mb: dict) -> dict:
-    out = {k: dict(v) for k, v in ma.items()}
-    for src, vec in mb.items():
-        cur = out.setdefault(src, {})
-        for tgt, v in vec.items():
-            s = cur.get(tgt, _ZERO) - v
-            if s:
-                cur[tgt] = s
-            else:
-                cur.pop(tgt, None)
-        if not cur:
-            out.pop(src)
-    return out
+        return mat_apply(self.act[i], vec)
 
 
 def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
@@ -793,16 +689,9 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
             vals = []
             for j in range(r):
                 # f_j (e_i u) = e_i (f_j u) + delta_ij (alpha_i^vee, w_u) u
-                vec: Vec = {}
-                for v, c in lower_m[j].get(u, {}).items():
-                    for tgt, s in raise_m[i].get(v, {}).items():
-                        val = vec.get(tgt, _ZERO) + c * s
-                        if val:
-                            vec[tgt] = val
-                        else:
-                            vec.pop(tgt, None)
+                vec = mat_apply(raise_m[i], lower_m[j].get(u, {}))
                 if i == j and weights[u][i]:
-                    vec = vadd(vec, {u: -weights[u][i]})
+                    vadd_into(vec, {u: -weights[u][i]})
                 vals.append(vec)
             t_vals[(i, u)] = vals
 
@@ -814,14 +703,7 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
         new_level: list[int] = []
         for w in sorted(blocks):
             blk = blocks[w]
-            row_index: dict[tuple, int] = {}
-            entries = {}
-            for col, cand in enumerate(blk):
-                for j, vec in enumerate(t_vals[cand]):
-                    for tgt, c in vec.items():
-                        rk = row_index.setdefault((j, tgt), len(row_index))
-                        entries[(rk, col)] = c
-            mat = RatMatrix(max(len(row_index), 1), len(blk), entries)
+            mat, _ = stack_columns([_flatten(t_vals[cand]) for cand in blk])
             red, piv = rref(mat)
             base = len(weights)
             for _ in piv:
@@ -847,10 +729,6 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
     dim = len(weights)
     # assemble the action of every Chevalley basis element
     act: list[dict] = [dict() for _ in range(g.dim)]
-    for node in range(r):
-        si = g.simple_root_index(node)
-        act[g.index[("e", si)]] = raise_m[node]
-        act[g.index[("f", si)]] = lower_m[node]
     for i in range(r):
         hmat = {}
         for src in range(dim):
@@ -858,32 +736,10 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
             if c:
                 hmat[src] = {src: Fraction(c)}
         act[g.index[("h", i)]] = hmat
-    # compound root vectors: gamma = alpha_node + beta with beta positive,
-    # action from the already-built lower-height actions and the structure
-    # constants of g (positive roots are stored by increasing height)
-    pr_index = {rt.coords: k for k, rt in enumerate(g.pos_roots)}
-    for k, rt in enumerate(g.pos_roots):
-        if rt.height == 1:
-            continue
-        for node in range(r):
-            beta = list(rt.coords)
-            beta[node] -= 1
-            if beta[node] >= 0 and tuple(beta) in pr_index:
-                break
-        else:
-            raise AssertionError("no simple summand for root %s"
-                                 % (rt.coords,))
-        si = g.simple_root_index(node)
-        bidx = pr_index[tuple(beta)]
+    simple = {"e": raise_m, "f": lower_m}
+    memo: dict = {}
+    for k in range(len(g.pos_roots)):
         for kind in ("e", "f"):
-            tab = g.bracket(g.index[(kind, si)], g.index[(kind, bidx)])
-            ((tgt, const),) = tuple(tab.items())
-            assert g.names[tgt] == (kind, k)
-            ma = act[g.index[(kind, si)]]
-            mb = act[g.index[(kind, bidx)]]
-            comm = _msub(_compose(ma, mb), _compose(mb, ma))
-            act[g.index[(kind, k)]] = {
-                src: vscale(vec, 1 / const) for src, vec in comm.items()
-                if vec}
+            act[g.index[(kind, k)]] = root_action(g, simple, kind, k, memo)
 
     return ModuleRep(weights=weights, act=act, lowest=0)

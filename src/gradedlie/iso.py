@@ -62,7 +62,8 @@ from fractions import Fraction
 from . import tha
 from .cartan import Cartanification, cartanify
 from .contragredient import build_graded, build_local
-from .graded import Vec, decompose_at_degree
+from .graded import decompose_at_degree
+from .linalg import Span, vadd
 from .rootsys import (
     CartanData,
     chevalley_realization,
@@ -71,48 +72,6 @@ from .rootsys import (
 )
 
 _ONE = Fraction(1)
-
-
-def _element_sum(a: dict, b: dict, scale: Fraction = _ONE) -> dict:
-    """Sum of two word-algebra elements (word -> coefficient maps)."""
-    out = dict(a)
-    for word, coeff in b.items():
-        value = out.get(word, Fraction(0)) + scale * coeff
-        if value:
-            out[word] = value
-        else:
-            out.pop(word, None)
-    return out
-
-
-class _Span:
-    """Incremental row reduction over the rationals."""
-
-    def __init__(self) -> None:
-        self.rows: list[Vec] = []
-
-    def add(self, vec: Vec) -> bool:
-        work = dict(vec)
-        for row in self.rows:
-            if not work:
-                return False
-            pivot = max(row)
-            if pivot in work:
-                c = work[pivot] / row[pivot]
-                for key, value in row.items():
-                    s = work.get(key, Fraction(0)) - c * value
-                    if s:
-                        work[key] = s
-                    else:
-                        work.pop(key, None)
-        if work:
-            self.rows.append(work)
-            return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def require_pseudo_minuscule(data: CartanData) -> None:
@@ -210,7 +169,7 @@ def pseudo_minuscule_identities(
     f0 = engine.from_vec(-1, {0: -_ONE})
     checks = []
 
-    h0_plus_l = _element_sum(
+    h0_plus_l = vadd(
         engine.from_vec(0, {h0_index: _ONE}), engine.grading_element()
     )
     residual = cart.minus1_class(engine.product(f0, h0_plus_l))
@@ -243,7 +202,7 @@ def pseudo_minuscule_identities(
             p = g.simple_root_index(j)
             f_j = engine.from_vec(0, {g.index[("f", p)]: _ONE})
             h_j = engine.from_vec(0, {g.index[("h", j)]: _ONE})
-            diff = _element_sum(
+            diff = vadd(
                 engine.product(f0, f_j),
                 engine.product(engine.commutator(f0, f_j), h_j),
                 Fraction(-1),
@@ -313,7 +272,7 @@ def _normalize_decomposition(entries) -> list:
 def _generation_rank(phi: PhiAssignment) -> int:
     """Rank of the span of the family images under the degree-0 action."""
     cart = phi.cartanification
-    span = _Span()
+    span = Span()
     frontier = [v for v in phi.family_images.values() if span.add(v)]
     actions = [
         phi.assignment[(kind, i)][1]

@@ -1,4 +1,4 @@
-"""Exact rational sparse matrices and the linear algebra used by every engine.
+"""Exact rational sparse linear algebra shared by every engine.
 
 A matrix is a mapping ``(row, col) -> Fraction`` with no explicit zeros;
 iteration over entries is always in sorted ``(row, col)`` order, so every
@@ -6,6 +6,14 @@ derived object (echelon forms, kernel bases, solved coordinates) is
 reproducible run to run.  All arithmetic is exact: values are
 ``fractions.Fraction`` throughout, reduced by construction, and no
 floating-point path exists anywhere in the package.
+
+The engines also share the helpers below on sparse objects without a
+fixed shape: sparse vectors ``{index: Fraction}`` (``vadd_into``,
+``vadd``, ``vscale``), column-sparse matrices ``{src: {tgt: Fraction}}``
+(``mat_apply``, ``mat_compose``, ``mat_sub``, ``mat_scale``), the
+incremental ``Span`` of sparse vectors, and ``stack_columns``, which
+turns one weight block of sparse columns into a ``RatMatrix``.  None of
+them stores a zero.
 """
 
 from __future__ import annotations
@@ -24,6 +32,15 @@ __all__ = [
     "solve",
     "inverse",
     "dot",
+    "vadd_into",
+    "vadd",
+    "vscale",
+    "mat_apply",
+    "mat_compose",
+    "mat_sub",
+    "mat_scale",
+    "Span",
+    "stack_columns",
 ]
 
 _ZERO = Fraction(0)
@@ -43,6 +60,72 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
         if a and b:
             total += _frac(a) * _frac(b)
     return total
+
+
+# -- sparse vectors {index: Fraction} -----------------------------------------
+
+
+def vadd_into(out: dict, b: Mapping, scale=_ONE) -> dict:
+    """out += scale * b, in place, dropping entries that cancel; returns out."""
+    for k, v in b.items():
+        s = out.get(k, _ZERO) + scale * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def vadd(a: Mapping, b: Mapping, scale=_ONE) -> dict:
+    """a + scale * b as a new vector."""
+    return vadd_into(dict(a), b, scale)
+
+
+def vscale(a: Mapping, c) -> dict:
+    """c * a as a new vector."""
+    if not c:
+        return {}
+    return {k: c * v for k, v in a.items()}
+
+
+# -- column-sparse matrices {src: {tgt: Fraction}} ----------------------------
+
+
+def mat_apply(mat: Mapping, vec: Mapping) -> dict:
+    """The image of a sparse vector under a column-sparse matrix."""
+    out: dict = {}
+    for src, c in vec.items():
+        col = mat.get(src)
+        if col:
+            vadd_into(out, col, c)
+    return out
+
+
+def mat_compose(ma: Mapping, mb: Mapping) -> dict:
+    """ma after mb."""
+    out: dict = {}
+    for src, vec in mb.items():
+        col = mat_apply(ma, vec)
+        if col:
+            out[src] = col
+    return out
+
+
+def mat_sub(ma: Mapping, mb: Mapping) -> dict:
+    """ma - mb."""
+    out = {src: dict(vec) for src, vec in ma.items()}
+    for src, vec in mb.items():
+        if not vadd_into(out.setdefault(src, {}), vec, -_ONE):
+            del out[src]
+    return out
+
+
+def mat_scale(mat: Mapping, c) -> dict:
+    """c * mat."""
+    if not c:
+        return {}
+    return {src: {tgt: v * c for tgt, v in vec.items()}
+            for src, vec in mat.items()}
 
 
 class RatMatrix:
@@ -337,6 +420,59 @@ def solve(m: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     for i, c in enumerate(pivots):
         x[c] = rows[i].get(m.cols, _ZERO)
     return tuple(x)
+
+
+def stack_columns(columns: Sequence[Mapping]) -> tuple[RatMatrix, dict]:
+    """One weight block of sparse columns ``{row key: value}`` as a matrix.
+
+    Returns the matrix and the row index ``{row key: row}``, rows numbered
+    in first-seen order.  The matrix has at least one row, so a block of
+    zero columns keeps its columns.  Row order changes no result read off
+    the unique RREF: pivots, reduced columns, kernel bases and solutions.
+    """
+    row_index: dict = {}
+    entries = {}
+    for col, vec in enumerate(columns):
+        for key, c in vec.items():
+            entries[(row_index.setdefault(key, len(row_index)), col)] = c
+    return (RatMatrix(max(len(row_index), 1), len(columns), entries),
+            row_index)
+
+
+class Span:
+    """Incremental span of sparse vectors, in echelon form.
+
+    Each row is reduced on its minimum index against the rows held, which
+    stay sorted by that index; a vector that reduces to zero is dependent.
+    """
+
+    def __init__(self):
+        self.rows: list[dict] = []
+
+    def add(self, vec: Mapping) -> bool:
+        """Add vec if it is independent of the rows; report whether it was."""
+        v = dict(vec)
+        for b in self.rows:
+            lead = min(b)
+            if v.get(lead):
+                vadd_into(v, b, -(v[lead] / b[lead]))
+        if not v:
+            return False
+        self.rows.append(v)
+        self.rows.sort(key=min)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> list[dict]:
+        """The rows scaled to unit leading coefficient."""
+        out = []
+        for v in self.rows:
+            lead = v[min(v)]
+            out.append({i: c / lead for i, c in v.items()})
+        return out
 
 
 def inverse(m: RatMatrix) -> RatMatrix:

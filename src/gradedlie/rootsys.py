@@ -24,7 +24,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .linalg import RatMatrix, dot, inverse, rank
+from .linalg import (
+    RatMatrix,
+    dot,
+    inverse,
+    mat_compose,
+    mat_scale,
+    mat_sub,
+    rank,
+    vadd_into,
+)
 
 __all__ = [
     "CartanData",
@@ -40,6 +49,7 @@ __all__ = [
     "weyl_dimension",
     "jk_partition",
     "chevalley_realization",
+    "root_action",
 ]
 
 _ZERO = Fraction(0)
@@ -615,12 +625,7 @@ class ChevalleyAlgebra:
         out: dict[int, Fraction] = {}
         for i, ca in va.items():
             for j, cb in vb.items():
-                for k, s in self._table.get((i, j), {}).items():
-                    val = out.get(k, _ZERO) + ca * cb * s
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
+                vadd_into(out, self._table.get((i, j), {}), ca * cb)
         return out
 
     def ad_matrix(self, i: int) -> dict[tuple[int, int], Fraction]:
@@ -648,6 +653,51 @@ class ChevalleyAlgebra:
             if c:
                 out[self.index[("h", i)]] = (2 / rt.norm) * c / self.data.epsilon[i]
         return out
+
+
+def root_action(g: ChevalleyAlgebra, simple: dict, kind: str,
+                root_index: int, memo: dict) -> dict:
+    """Column-sparse action {src: {tgt: c}} of e_gamma (``kind`` "e") or
+    f_gamma ("f") on a g-module, gamma the positive root ``root_index``.
+
+    ``simple[kind][node]`` is the action of the simple root vector of a
+    node.  A compound root gamma = alpha_node + beta, with node the first
+    for which beta is a positive root, acts by the commutator of the
+    actions of x_node and x_beta divided by the structure constant of
+    [x_node, x_beta] = c x_gamma in g.  Actions are built on demand and
+    memoized in ``memo`` under (kind, root_index).
+    """
+    key = (kind, root_index)
+    op = memo.get(key)
+    if op is not None:
+        return op
+    rt = g.pos_roots[root_index]
+    if rt.height == 1:
+        op = simple[kind][rt.coords.index(1)]
+    else:
+        roots = {s.coords: p for p, s in enumerate(g.pos_roots)}
+        for node in range(g.data.r):
+            below = list(rt.coords)
+            below[node] -= 1
+            bidx = roots.get(tuple(below))
+            if bidx is not None:
+                break
+        else:
+            raise ValueError("root %s has no simple summand" % (rt.coords,))
+        a = g.index[(kind, g.simple_root_index(node))]
+        b = g.index[(kind, bidx)]
+        tgt = g.index[(kind, root_index)]
+        prod = g.bracket(a, b)
+        if set(prod) != {tgt} or not prod[tgt]:
+            raise ValueError(
+                "structure constants of g: [%s, %s] is not a nonzero "
+                "multiple of %s" % (g.names[a], g.names[b], g.names[tgt]))
+        x = simple[kind][node]
+        y = root_action(g, simple, kind, bidx, memo)
+        op = mat_scale(mat_sub(mat_compose(x, y), mat_compose(y, x)),
+                       _ONE / prod[tgt])
+    memo[key] = op
+    return op
 
 
 def _extraspecial_pair(root_set: set, gamma: tuple[int, ...], r: int):

@@ -65,11 +65,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .graded import GradedSuperalgebra, Vec, vadd, vscale
+from .graded import GradedSuperalgebra, Vec
 from .graded import decompose_module
-from .linalg import RatMatrix, solve
+from .linalg import RatMatrix, mat_apply, solve, vadd, vadd_into, vscale
 from .rootsys import (CartanData, ChevalleyAlgebra, chevalley_realization,
-                      highest_roots, jk_partition, weyl_dimension)
+                      highest_roots, jk_partition, root_action,
+                      weyl_dimension)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -352,7 +353,7 @@ def _eval_terms(target, assignment, terms, degree):
         if v and d != degree:
             raise ValueError("term lands at degree %d, expected %d"
                              % (d, degree))
-        vec = vadd(vec, v, coeff)
+        vadd_into(vec, v, coeff)
     return vec
 
 
@@ -429,19 +430,7 @@ class _Enumeration:
         while any(c in self.rw for c in vec):
             out: Vec = {}
             for c, co in vec.items():
-                if c in self.rw:
-                    for t, v in self.rw[c].items():
-                        s = out.get(t, _ZERO) + co * v
-                        if s:
-                            out[t] = s
-                        else:
-                            out.pop(t, None)
-                else:
-                    s = out.get(c, _ZERO) + co
-                    if s:
-                        out[c] = s
-                    else:
-                        out.pop(c, None)
+                vadd_into(out, self.rw[c] if c in self.rw else {c: _ONE}, co)
             vec = out
         return vec
 
@@ -460,12 +449,7 @@ class _Enumeration:
                 w2 = tuple(a + sign * b for a, b in zip(self.wt[c], shift))
                 ent = {self.new_cell(w2, self.depth[c] + 1): _ONE}
                 table[c] = ent
-            for t, v in ent.items():
-                s = out.get(t, _ZERO) + co * v
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+            vadd_into(out, ent, co)
         return self.nf(out)
 
     def word(self, ops: list, vec: Vec, create: bool) -> Vec | None:
@@ -550,7 +534,7 @@ class MinusOneModule:
     k_nodes: tuple
     certificate: dict
     g: ChevalleyAlgebra = field(repr=False, default=None)
-    _root_ops: dict = field(repr=False, default=None)
+    _root_ops: dict = field(repr=False, default_factory=dict)
     _sharp: object = field(repr=False, default=None)
 
     @property
@@ -573,62 +557,13 @@ class MinusOneModule:
         return decompose_module(self.weights, self.e_act, self.data)
 
     def apply(self, kind: str, i: int, vec: Vec) -> Vec:
-        mat = (self.e_act if kind == "e" else self.f_act)[i]
-        out: Vec = {}
-        for src, co in vec.items():
-            for tgt, v in mat.get(src, {}).items():
-                s = out.get(tgt, _ZERO) + co * v
-                if s:
-                    out[tgt] = s
-                else:
-                    out.pop(tgt, None)
-        return out
-
-    # -- actions of full root vectors ------------------------------------
-
-    def _matrix(self, kind: str, i: int) -> dict:
-        return (self.e_act if kind == "e" else self.f_act)[i]
+        return mat_apply((self.e_act if kind == "e" else self.f_act)[i], vec)
 
     def root_op(self, kind: str, root_index: int) -> dict:
         """Column-sparse action of e_alpha (kind 'e') or f_alpha ('f')."""
-        if self._root_ops is None:
-            self._root_ops = {}
-        key = (kind, root_index)
-        if key in self._root_ops:
-            return self._root_ops[key]
-        g = self.realization()
-        rt = g.pos_roots[root_index]
-        if rt.height == 1:
-            node = rt.coords.index(1)
-            op = self._matrix(kind, node)
-        else:
-            for node in range(self.data.r):
-                below = list(rt.coords)
-                below[node] -= 1
-                if min(below) < 0:
-                    continue
-                bidx = next((p for p, s in enumerate(g.pos_roots)
-                             if s.coords == tuple(below)), None)
-                if bidx is None:
-                    continue
-                ai = g.index[(kind, g.simple_root_index(node))]
-                bi = g.index[(kind, bidx)]
-                prod = g.bracket(ai, bi)
-                tgt = g.index[(kind, root_index)]
-                if tgt not in prod:
-                    continue
-                coeff = prod[tgt]
-                simple = self._matrix(kind, node)
-                lower = self.root_op(kind, bidx)
-                op = _mat_scale(_mat_sub(_mat_compose(simple, lower),
-                                         _mat_compose(lower, simple)),
-                                _ONE / coeff)
-                break
-            else:
-                raise AssertionError("root %s has no simple summand"
-                                     % (rt.coords,))
-        self._root_ops[key] = op
-        return op
+        return root_action(self.realization(),
+                           {"e": self.e_act, "f": self.f_act},
+                           kind, root_index, self._root_ops)
 
     def apply_element(self, x: dict, vec: Vec) -> Vec:
         """Action of a g element given over the realization basis."""
@@ -640,55 +575,14 @@ class MinusOneModule:
                 part = {c: v * self.weights[c][arg]
                         for c, v in vec.items() if self.weights[c][arg]}
             else:
-                part = _mat_apply(self.root_op(kind, arg), vec)
-            out = vadd(out, part, co)
+                part = mat_apply(self.root_op(kind, arg), vec)
+            vadd_into(out, part, co)
         return out
 
     def realization(self) -> ChevalleyAlgebra:
         if self.g is None:
             self.g = chevalley_realization(self.data)
         return self.g
-
-
-def _mat_apply(mat: dict, vec: Vec) -> Vec:
-    out: Vec = {}
-    for src, co in vec.items():
-        for tgt, v in mat.get(src, {}).items():
-            s = out.get(tgt, _ZERO) + co * v
-            if s:
-                out[tgt] = s
-            else:
-                out.pop(tgt, None)
-    return out
-
-
-def _mat_compose(ma: dict, mb: dict) -> dict:
-    out: dict = {}
-    for src, vec in mb.items():
-        acc = _mat_apply(ma, vec)
-        if acc:
-            out[src] = acc
-    return out
-
-
-def _mat_sub(ma: dict, mb: dict) -> dict:
-    out = {src: dict(vec) for src, vec in ma.items()}
-    for src, vec in mb.items():
-        cur = out.setdefault(src, {})
-        for tgt, v in vec.items():
-            s = cur.get(tgt, _ZERO) - v
-            if s:
-                cur[tgt] = s
-            else:
-                cur.pop(tgt, None)
-        if not cur:
-            out.pop(src)
-    return out
-
-
-def _mat_scale(mat: dict, c: Fraction) -> dict:
-    return {src: {tgt: v * c for tgt, v in vec.items()}
-            for src, vec in mat.items()}
 
 
 def build_minus1(pres: Presentation, g: ChevalleyAlgebra | None = None,
@@ -805,7 +699,7 @@ def _sweep(enum: _Enumeration, seeds: dict, seed_rels: list,
                 if vec is None:
                     ok = False
                     break
-                acc = vadd(acc, vec, coeff)
+                vadd_into(acc, vec, coeff)
             if ok:
                 enum.impose(acc)
     _dead_entry_consequences(enum)
@@ -868,7 +762,7 @@ def f0_weight_combination(module: MinusOneModule, mu) -> Vec:
     coeffs = f0_combination_coeffs(module.data, module.k_nodes, mu)
     out: Vec = {}
     for node, c in coeffs.items():
-        out = vadd(out, module.seed_vecs[("f0", node)], c)
+        vadd_into(out, module.seed_vecs[("f0", node)], c)
     return out
 
 
@@ -892,7 +786,7 @@ class SharpImage:
             if idx not in self.entries:
                 raise ValueError("element is not supported on the zero-label "
                                  "subalgebra")
-            out = vadd(out, self.entries[idx], co)
+            vadd_into(out, self.entries[idx], co)
         return out
 
 
@@ -934,7 +828,7 @@ def sharp_image(module: MinusOneModule) -> SharpImage:
                 pairing = sign * sub.bilinear(mu, labels_k)
                 if not pairing:
                     continue
-                vals.append(vscale(_mat_apply(
+                vals.append(vscale(mat_apply(
                     op, f0_weight_combination(module, mu)), _ONE / pairing))
                 if len(vals) == 2:
                     break

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -18,6 +19,7 @@ from gradedlie.cartan import (
 )
 from gradedlie.contragredient import build_local
 from gradedlie.graded import check_local_axioms, decompose_at_degree
+from gradedlie.linalg import vadd
 from gradedlie.rootsys import CartanData
 
 from fixtures_gl import gl2form_local, glvec_local, sl_block
@@ -155,7 +157,7 @@ def test_sandwich_associator_identity():
             y = eng.from_vec(s, {c: 1})
             lhs = eng.associator(x, z, y)
             rhs = eng.product(eng.product(y, x), z)
-            rhs = cartan._acc(dict(rhs), eng.product(eng.product(x, y), z))
+            rhs = vadd(rhs, eng.product(eng.product(x, y), z))
             assert lhs == rhs
             if lhs:
                 hits += 1
@@ -250,6 +252,22 @@ def test_strong_quotient_has_no_grading_element():
     assert rep["passed"], rep["checks"]
     with pytest.raises(ValueError, match="outside the degree-0 image"):
         res.zero_class(dict(loc.grading))
+
+
+def test_embedding_carry_over_drops_outside_and_raises_on_faults():
+    data = CartanData(A2, lam=[1, 0])
+    loc = build_local(data)
+    restr = root_subalgebra(data, loc, gminus_nodes(data))
+    res = local_cartanification(loc, restriction=restr)
+    # h0 lies outside the restricted degree-0 span: dropped, not an error
+    assert ("h0",) in loc.embedding
+    assert ("h0",) not in res.local.embedding
+    assert ("e", 1) in res.local.embedding
+    # a named vector mixing two weights is a fault in the local part
+    mixed = {**loc.embedding[("e", 1)], **loc.embedding[("h", 1)]}
+    bad = replace(loc, embedding={**loc.embedding, "mixed": mixed})
+    with pytest.raises(ValueError, match="not weight-homogeneous"):
+        local_cartanification(bad, restriction=restr)
 
 
 def test_strong_minus1_is_single_module_a2():

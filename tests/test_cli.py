@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -229,14 +230,13 @@ class TestMain:
             ["cartanify", "--spec", A2_SPEC, "--restrict", "7"]) == 2
         assert "restriction" in capsys.readouterr().err
 
-    def test_jobs_validation_and_determinism(self, cache_env, capsys):
-        assert cli.main(["build-b", "--spec", A2_SPEC, "--jobs", "0"]) == 2
-        capsys.readouterr()
-        assert cli.main(["build-b", "--spec", A2_SPEC, "--jobs", "4"]) == 0
-        four = capsys.readouterr().out
-        assert cli.main(["build-b", "--spec", A2_SPEC, "--jobs", "1"]) == 0
-        one = capsys.readouterr().out
-        assert _strip_timing(four) == _strip_timing(one)
+    def test_reports_are_deterministic(self, cache_env, capsys):
+        args = ["build-b", "--spec", A2_SPEC, "--no-cache"]
+        assert cli.main(args) == 0
+        first = capsys.readouterr().out
+        assert cli.main(args) == 0
+        second = capsys.readouterr().out
+        assert _strip_timing(first) == _strip_timing(second)
 
     def test_check_all_records_errors_and_fails(self, cache_env, capsys):
         spec = '{"cartan_matrix": [[2]], "lambda": [1], "variant": "B"}'
@@ -256,6 +256,26 @@ class TestMain:
         assert all("error" not in value for value in commands.values())
         assert commands["check-iso"]["verdict"] == "isomorphic"
         assert commands["decompose"]["total_dim"] == 24
+
+
+class TestGoldenReports:
+    """sha256 of timing-stripped reports: any byte change to a report on
+    these cases, simply- and non-simply-laced, fails here."""
+
+    @pytest.mark.parametrize("command, spec, digest", [
+        ("check-all", A2_SPEC,
+         "1515cf10c43ac65fb276217ee3f877a14feaafc96a06a6198cb868170eebe2fa"),
+        ("check-all", '{"cartan_matrix": [[2, -1], [-2, 2]], '
+                      '"epsilon": ["1", "2"], "lambda": [1, 0]}',
+         "4c60c577944b3bec23df7388da60eb1e8eacc10e4f23d1e517e564a9a8f730b0"),
+        ("check-iso", '{"cartan_matrix": [[2, -2], [-1, 2]], '
+                      '"epsilon": ["2", "1"], "lambda": [0, 1]}',
+         "dfea4cef1cf6346d8f3ed3f801bb8dd515dd4c4963f9045801e67401f4f02048"),
+    ], ids=["check-all-A2w1", "check-all-C2w1", "check-iso-B2w2"])
+    def test_report_digest(self, cache_env, capsys, command, spec, digest):
+        assert cli.main([command, "--spec", spec, "--no-cache"]) == 0
+        text = _strip_timing(capsys.readouterr().out)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCache:

@@ -2,15 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedlie.linalg import (
     RatMatrix,
+    Span,
     dot,
     inverse,
     kernel_basis,
+    mat_apply,
+    mat_compose,
+    mat_scale,
+    mat_sub,
     rank,
     rref,
     solve,
+    stack_columns,
+    vadd,
+    vscale,
 )
 
 
@@ -149,3 +159,118 @@ def test_matmul_vstack_hstack_transpose():
 def test_no_stored_zeros():
     m = RatMatrix(2, 2, {(0, 0): Fraction(0), (0, 1): Fraction(5)})
     assert (0, 0) not in m.entries and m[0, 0] == 0 and m[0, 1] == 5
+
+
+# -- the sparse helpers against RatMatrix -------------------------------------
+
+# small rationals, half of them zero, so that sums cancel often
+_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(1, 4)) if rows is None else rows
+    cols = draw(st.integers(1, 4)) if cols is None else cols
+    return RatMatrix.from_rows(
+        [[draw(_RATIONALS) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _matrix_pairs(draw, chained=False):
+    """Two matrices; for ``chained`` the second has as many rows as the
+    first has columns, else both have one shape."""
+    a = draw(_matrices())
+    b = draw(_matrices(rows=a.cols) if chained
+             else _matrices(rows=a.rows, cols=a.cols))
+    return a, b
+
+
+def _columns(m):
+    """A RatMatrix as a column-sparse matrix {col: {row: c}}."""
+    out = {}
+    for (i, j), v in m.entries.items():
+        out.setdefault(j, {})[i] = v
+    return out
+
+
+def _sparse(values):
+    return {i: v for i, v in enumerate(values) if v}
+
+
+def _no_zeros(mat):
+    return all(v for vec in mat.values() for v in vec.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), st.data())
+def test_mat_apply_matches_mul_vec(m, data):
+    vec = [data.draw(_RATIONALS) for _ in range(m.cols)]
+    got = mat_apply(_columns(m), _sparse(vec))
+    assert got == _sparse(m.mul_vec(vec))
+    assert all(got.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pairs(chained=True))
+def test_mat_compose_matches_matmul(pair):
+    a, b = pair
+    got = mat_compose(_columns(a), _columns(b))
+    assert got == _columns(a @ b)
+    assert _no_zeros(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pairs(), _RATIONALS)
+def test_mat_sub_and_scale_match_ratmatrix(pair, c):
+    a, b = pair
+    diff = mat_sub(_columns(a), _columns(b))
+    assert diff == _columns(a - b)
+    scaled = mat_scale(_columns(a), c)
+    assert scaled == _columns(a.scale(c))
+    assert _no_zeros(diff) and _no_zeros(scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(rows=2), _RATIONALS)
+def test_vadd_and_vscale_match_dense(m, c):
+    u, v = m.row(0), m.row(1)
+    total = vadd(_sparse(u), _sparse(v), c)
+    assert total == _sparse([x + c * y for x, y in zip(u, v)])
+    assert vscale(_sparse(u), c) == _sparse([c * x for x in u])
+    assert all(total.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_span_rank_matches_rank(m):
+    span = Span()
+    for i in range(m.rows):
+        span.add(_sparse(m.row(i)))
+    assert span.rank == rank(m)
+    leads = [min(v) for v in span.basis()]
+    assert leads == sorted(set(leads))
+    assert all(v[lead] == 1 for v, lead in zip(span.basis(), leads))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), st.randoms(use_true_random=False))
+def test_stacked_block_rref_ignores_row_key_order(m, rng):
+    """Row keys numbered in a shuffled first-seen order give the same
+    pivots and reduced columns."""
+    keys = ["r%d" % i for i in range(m.rows)]
+    cols = [{keys[i]: v for i, v in enumerate(m.col(j)) if v}
+            for j in range(m.cols)]
+    order = list(keys)
+    rng.shuffle(order)
+    shuffled = [{k: col[k] for k in order if k in col} for col in cols]
+
+    def reduced(columns):
+        mat, row_index = stack_columns(columns)
+        assert set(row_index) <= set(keys) and mat.rows >= 1
+        red, piv = rref(mat)
+        return piv, [[red[r, c] for r in range(len(piv))]
+                     for c in range(mat.cols)]
+
+    assert reduced(cols) == reduced(shuffled)

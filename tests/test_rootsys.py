@@ -13,6 +13,7 @@ from gradedlie.rootsys import (
     is_pseudo_minuscule,
     jk_partition,
     pseudo_minuscule_failure,
+    root_action,
     validate_cartan,
     weyl_dimension,
     weyl_reflect,
@@ -269,6 +270,25 @@ def test_chevalley_corrupted_table_fails_jacobi():
     g._table[key] = dict(g._table[key])
     g._table[key][tgt] = -g._table[key][tgt]
     assert _jacobi_failure(g) is not None
+
+
+@pytest.mark.parametrize("corrupt", ["wrong-target", "zero"])
+def test_root_action_rejects_corrupted_constant(corrupt):
+    """The action of e_{a1+a2} divides by the constant of [e_a1, e_a2];
+    a table where that bracket is no nonzero multiple of e_{a1+a2} is
+    refused with an error, not an assert that python -O would strip."""
+    g = chevalley_realization(CartanData(A2))
+    s0, s1 = g.simple_root_index(0), g.simple_root_index(1)
+    (top,) = [k for k, rt in enumerate(g.pos_roots) if rt.height == 2]
+    key = (g.index[("e", s0)], g.index[("e", s1)])
+    g._table[key] = ({g.index[("h", 0)]: Fraction(1)}
+                     if corrupt == "wrong-target"
+                     else {g.index[("e", top)]: Fraction(0)})
+    simple = {"e": [{0: {1: Fraction(1)}}, {1: {0: Fraction(1)}}],
+              "f": [{}, {}]}
+    assert root_action(g, simple, "f", top, {}) == {}
+    with pytest.raises(ValueError, match="structure constants of g"):
+        root_action(g, simple, "e", top, {})
 
 
 def test_chevalley_kappa_epsilon():
