@@ -39,11 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Span, kernel_basis, rref, solve, stack_columns, vadd_into
+# rref and kernel_basis stay bound here for tracers that wrap them by name.
+from .linalg import (
+    Span, kernel_basis, rref, solve, stack_columns, vadd, vadd_into)
 from .graded import (
     GradedSuperalgebra,
     LocalSuperalgebra,
     minimal_extension,
+    weight_block_quotient,
     wsum,
 )
 
@@ -152,7 +155,8 @@ class LocAlgebra:
                 break
         if out is None:
             signs = {deg for deg, _ in word if deg != 0}
-            assert len(signs) <= 1, "mixed wings in a canonical word"
+            if len(signs) > 1:
+                raise ValueError("mixed wings in a canonical word")
             out = {word: _ONE}
         self._norm_cache[word] = out
         return out
@@ -496,27 +500,25 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                                      local.zero_weights[j]))
             cand_actions.append(shell.action_coords(el))
 
-    blocks: dict = {}
-    for idx, w in enumerate(cand_weights):
-        blocks.setdefault(w, []).append(idx)
+    kept, classes = weight_block_quotient(
+        range(len(cands)), cand_weights, [[act] for act in cand_actions])
+    pivots = [j for _, j in kept]
+    kept_set = set(pivots)
 
-    pivots: list = []
-    kernel: list = []   # (weight, sparse dict over candidate indices)
-    for w in sorted(blocks):
-        blk = blocks[w]
-        mat, _ = stack_columns([cand_actions[j] for j in blk])
-        _, piv = rref(mat)
-        pivots.extend(blk[jj] for jj in piv)
-        for kv in kernel_basis(mat):
-            kernel.append((w, {blk[jj]: c for jj, c in enumerate(kv) if c}))
-
-    # The kernel is the peripheral ideal; it must be stable under the
-    # degree-0 action for the quotient to close, so check that each
-    # bracket of a kernel element still acts by zero.
-    for w, kv in kernel:
+    def weak_element(cls: dict) -> dict:
         el: dict = {}
-        for j, c in kv.items():
-            vadd_into(el, cands[j], c)
+        for t, c in cls.items():
+            vadd_into(el, cands[pivots[t]], c)
+        return el
+
+    # The kernel is the peripheral ideal, spanned by each non-pivot
+    # candidate minus its class; it must be stable under the degree-0
+    # action for the quotient to close, so check that each bracket of a
+    # kernel element still acts by zero.
+    for j, cls in classes.items():
+        if j in kept_set:
+            continue
+        el = vadd(cands[j], weak_element(cls), -_ONE)
         for u in range(nzero):
             moved = eng.commutator(eng.from_vec(0, {u: _ONE}), el)
             if moved and shell.action_coords(moved):
@@ -526,12 +528,6 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     shell._class_solver = WeightedSolver(
         [cand_actions[j] for j in pivots],
         [cand_weights[j] for j in pivots])
-
-    def weak_element(cls: dict) -> dict:
-        el: dict = {}
-        for t, c in cls.items():
-            vadd_into(el, cands[pivots[t]], c)
-        return el
 
     if restriction is None:
         minus_basis = [({t: _ONE}, cand_weights[pivots[t]])
@@ -667,7 +663,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
         local=None, provenance=provenance,
         restriction=tuple(tuple(sorted(v.items())) for v in rbasis)
         if rbasis is not None else None,
-        candidate_count=len(cands), kernel_dim=len(kernel),
+        candidate_count=len(cands), kernel_dim=len(cands) - len(pivots),
         engine=eng, zero_basis=zero_basis, minus_words=minus_els,
         _class_solver=class_solver, _zero_solver=zero_solver)
 

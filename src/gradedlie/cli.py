@@ -40,7 +40,9 @@ byte-identical apart from the timing field) and conform to
 
 Computed per-degree components are cached, content-addressed by the hash
 of the spec (minus the degree range) and the command, one self-describing
-JSON file per degree, so reruns and range extensions reuse work.  The
+JSON file per degree, so reruns and range extensions reuse work.  Each
+file records a hash of the package's sources and schemas, and a file
+written by any other engine is treated as absent.  The
 cache directory is ``$GRADEDLIE_CACHE_DIR`` when set, otherwise
 ``~/.cache/gradedlie``; writes are atomic (write to a temporary file in
 the same directory, then rename); ``--no-cache`` bypasses reads and
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -312,11 +315,29 @@ def _cache_path(spec: AlgebraSpec, command: str, entry: str) -> str:
                         entry + ".json")
 
 
+@functools.cache
+def engine_hash() -> str:
+    """sha256 over the package's ``*.py`` and ``schemas/*.json`` files;
+    computed on first cache use, once per process."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for sub, suffix in (("", ".py"), ("schemas", ".json")):
+        for name in sorted(os.listdir(os.path.join(root, sub))):
+            if not name.endswith(suffix):
+                continue
+            with open(os.path.join(root, sub, name), "rb") as handle:
+                content = handle.read()
+            digest.update(b"%s %d\n" % (
+                os.path.join(sub, name).encode(), len(content)))
+            digest.update(content)
+    return digest.hexdigest()
+
+
 def _cache_read(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             envelope = json.load(handle)
-        if envelope.get("tool_version") != __version__:
+        if envelope.get("engine") != engine_hash():
             return None
         return envelope["payload"]
     except (OSError, ValueError, KeyError):
@@ -326,6 +347,7 @@ def _cache_read(path: str):
 def _cache_write(path: str, payload, spec: AlgebraSpec, command: str) -> None:
     envelope = {
         "tool_version": __version__,
+        "engine": engine_hash(),
         "command": command,
         "spec": spec.canonical(),
         "payload": payload,

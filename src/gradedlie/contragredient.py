@@ -78,7 +78,9 @@ def extend_matrix(data: CartanData) -> ExtendedMatrix:
                      {(i, j): b[j, i] * eps[i]
                       for i in range(r + 1) for j in range(r + 1)
                       if b[j, i]})
-    assert form.to_rows() == form.transpose().to_rows()
+    if form != form.transpose():
+        raise ValueError("invariant form of the extended matrix is not "
+                         "symmetric")
     grading = {i: b_inv[0, i] for i in range(r + 1) if b_inv[0, i]}
     return ExtendedMatrix(data, b, b_inv, eps, form, grading)
 

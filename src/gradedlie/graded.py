@@ -20,6 +20,13 @@ annihilated by every z and lands in the kernel automatically.  Kernels
 are computed per weight block; bases are ordered by (weight, candidate),
 so outputs are deterministic.
 
+That quotient step -- candidates modulo the kernel of their T-values, one
+weight block at a time -- is the one function ``weight_block_quotient``.
+It also builds the irreducible module R(-lambda) level by level
+(``lowest_weight_module``) and the degree -1 part of the cartanification
+(``cartan.local_cartanification``).  The extension reads only the
+``Layer`` tables; ``_local_layers`` turns the local brackets into them.
+
 A zero layer stops the side: further layers are generated by bracketing
 the zero layer with degree -+1, hence zero as well.
 """
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     kernel_basis,
@@ -326,12 +333,8 @@ class GradedSuperalgebra:
         return dict(val)
 
     def _bb_raw(self, da: int, i: int, db: int, j: int) -> Vec:
-        loc = self.local
-        if da == 0 and db == 0:
-            return dict(loc.b00.get((i, j), {}))
         if da == 0:
-            mat = self.layers[db].act0[i]
-            return dict(mat.get(j, {}))
+            return dict(self.layers[db].act0[i].get(j, {}))
         if db == 0 or da < 0 < db:
             return self._anti(da, i, db, j)
 
@@ -339,13 +342,11 @@ class GradedSuperalgebra:
         s = 1 if da > 0 else -1
         if db < 0 < da:
             if da == 1:
-                if db == -1:
-                    return dict(loc.bpm.get((i, j), {}))
                 return dict(self.layers[db].opp_map[i].get(j, {}))
             if db == -1:
                 # positive layers store [x_{-1}, u] directly
                 sign = -_ONE if (self.parity(da, i)
-                                 and loc.neg_parities[j]) else _ONE
+                                 and self.parity(-1, j)) else _ONE
                 return vscale(self.layers[da].opp_map[j].get(i, {}), -sign)
         else:
             if da == s:
@@ -415,34 +416,47 @@ def _local_layers(local: LocalSuperalgebra) -> dict[int, Layer]:
     }
 
 
-def _extend_one(local: LocalSuperalgebra, layers: dict[int, Layer],
-                side: int, k: int) -> Layer:
+def weight_block_quotient(cands: Iterable, weights: Iterable,
+                          t_vals: Iterable) -> tuple[list, dict]:
+    """Candidates modulo the kernel of their T-values, one weight block at
+    a time.
+
+    ``weights`` and ``t_vals`` run parallel to ``cands``: each candidate's
+    weight and its T-values, one sparse vector per acting element.  Returns
+    the kept ``(weight, candidate)`` pairs, the rref pivots of each weight
+    block in sorted weight order, and the class of every candidate over
+    them, ``{kept position: coefficient}``, read off the unique RREF, so a
+    kept candidate's class is its unit vector.
+    """
+    blocks: dict = {}
+    for cand, w, vals in zip(cands, weights, t_vals):
+        blocks.setdefault(w, []).append((cand, vals))
+    kept: list = []
+    classes: dict = {}
+    for w in sorted(blocks):
+        blk = blocks[w]
+        red, piv = rref(stack_columns([_flatten(v) for _, v in blk])[0])
+        base = len(kept)
+        kept.extend((w, blk[col][0]) for col in piv)
+        for col, (cand, _) in enumerate(blk):
+            classes[cand] = {base + r: red[r, col] for r in range(len(piv))
+                             if red[r, col]}
+    return kept, classes
+
+
+def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
     """Build the layer at degree side*(k+1) from the one at side*k."""
     prev = layers[side * k]
-    inner = layers[side * (k - 1)] if k >= 2 else None
-    if side < 0:
-        unit_w = local.neg_weights
-        unit_p = local.neg_parities
-        acting = range(local.npos)
-        act_p = local.pos_parities
-    else:
-        unit_w = local.pos_weights
-        unit_p = local.pos_parities
-        acting = range(local.nneg)
-        act_p = local.neg_parities
-    nunit = len(unit_w)
+    unit = layers[side]         # degree +-1: [z, x] and [a, x] for its x
+    acting = layers[-side]
+    zero = layers[0]
 
-    def inner_mul(vec: Vec, unit: int) -> Vec:
-        """[v, unit] for v one step inside the previous layer."""
+    def inner_mul(vec: Vec, x: int) -> Vec:
+        """[v, x] for v one step inside the previous layer."""
         out: Vec = {}
         for p, c in vec.items():
-            if k == 1:
-                # v at degree 0 acting on the degree +-1 unit
-                t = local.b0m.get((p, unit), {}) if side < 0 \
-                    else local.b0p.get((p, unit), {})
-                vadd_into(out, t, c)
-            else:
-                vadd_into(out, prev.reduce[(p, unit)], c)
+            t = unit.act0[p].get(x, {}) if k == 1 else prev.reduce[(p, x)]
+            vadd_into(out, t, c)
         return out
 
     def act0_right(u: int, vec0: Vec) -> Vec:
@@ -451,69 +465,35 @@ def _extend_one(local: LocalSuperalgebra, layers: dict[int, Layer],
         pu = prev.parities[u]
         for a, c in vec0.items():
             t = prev.act0[a].get(u, {})
-            sign = -_ONE if (pu and local.zero_parities[a]) else _ONE
+            sign = -_ONE if (pu and zero.parities[a]) else _ONE
             vadd_into(out, t, -sign * c)
         return out
 
-    # candidates grouped by weight, deterministic order
-    cands = [(u, x) for u in range(prev.dim) for x in range(nunit)]
+    cands = [(u, x) for u in range(prev.dim) for x in range(unit.dim)]
     t_vals: dict[tuple, list[Vec]] = {}
     for (u, x) in cands:
         vals = []
         pu = prev.parities[u]
-        for z in acting:
-            if side < 0:
-                zu = prev.opp_map[z].get(u, {})
-                zx = local.bpm.get((z, x), {})
-            else:
-                zu = prev.opp_map[z].get(u, {})
-                sign = -_ONE if (act_p[z] and local.pos_parities[x]) else _ONE
-                zx = vscale(local.bpm.get((x, z), {}), -sign)
-            term1 = inner_mul(zu, x)
-            term2 = act0_right(u, zx)
-            sgn = -_ONE if (act_p[z] and pu) else _ONE
+        for z in range(acting.dim):
+            term1 = inner_mul(prev.opp_map[z].get(u, {}), x)
+            term2 = act0_right(u, unit.opp_map[z].get(x, {}))
+            sgn = -_ONE if (acting.parities[z] and pu) else _ONE
             vals.append(vadd(term1, term2, sgn))
         t_vals[(u, x)] = vals
 
-    blocks: dict[tuple, list[tuple]] = {}
-    for (u, x) in cands:
-        w = wsum(prev.weights[u], unit_w[x])
-        blocks.setdefault(w, []).append((u, x))
-
-    names: list = []
-    weights: list = []
-    parities: list = []
-    tensor_parent: list = []
-    reduce_map: dict = {}
+    kept, reduce_map = weight_block_quotient(
+        cands, (wsum(prev.weights[u], unit.weights[x]) for u, x in cands),
+        (t_vals[cand] for cand in cands))
     new_deg = side * (k + 1)
-
-    for w in sorted(blocks):
-        blk = blocks[w]
-        mat, _ = stack_columns([_flatten(t_vals[cand]) for cand in blk])
-        red, piv = rref(mat)
-        base = len(names)
-        for pi in piv:
-            u, x = blk[pi]
-            names.append(("w", new_deg, len(names)))
-            weights.append(w)
-            parities.append((prev.parities[u] + unit_p[x]) % 2)
-            tensor_parent.append((u, x))
-        for col, cand in enumerate(blk):
-            if col in piv:
-                reduce_map[cand] = {base + piv.index(col): _ONE}
-            else:
-                vec = {}
-                for r, pc in enumerate(piv):
-                    c = red[r, col]
-                    if c:
-                        vec[base + r] = c
-                reduce_map[cand] = vec
-
-    layer = Layer(new_deg, names, weights, parities,
+    tensor_parent = [cand for _, cand in kept]
+    layer = Layer(new_deg, [("w", new_deg, t) for t in range(len(kept))],
+                  [w for w, _ in kept],
+                  [(prev.parities[u] + unit.parities[x]) % 2
+                   for u, x in tensor_parent],
                   tensor_parent=tensor_parent, reduce=reduce_map)
 
     # opposite action on the new basis: the stored T-values of the pivots
-    opp = [dict() for _ in acting]
+    opp = [dict() for _ in range(acting.dim)]
     for idx, cand in enumerate(tensor_parent):
         for zi, vec in enumerate(t_vals[cand]):
             if vec:
@@ -521,18 +501,16 @@ def _extend_one(local: LocalSuperalgebra, layers: dict[int, Layer],
     layer.opp_map = opp
 
     # degree-0 action: [a, [u,x]] = [[a,u],x] + (-1)^{|a||u|}[u,[a,x]]
-    act0 = [dict() for _ in range(local.nzero)]
+    act0 = [dict() for _ in range(zero.dim)]
     for idx, (u, x) in enumerate(tensor_parent):
         pu = prev.parities[u]
-        for a in range(local.nzero):
+        for a in range(zero.dim):
             au = prev.act0[a].get(u, {})
             vec: Vec = {}
             for v, c in au.items():
                 vadd_into(vec, reduce_map[(v, x)], c)
-            ax = local.b0m.get((a, x), {}) if side < 0 \
-                else local.b0p.get((a, x), {})
-            sgn = -_ONE if (local.zero_parities[a] and pu) else _ONE
-            for y, c in ax.items():
+            sgn = -_ONE if (zero.parities[a] and pu) else _ONE
+            for y, c in unit.act0[a].get(x, {}).items():
                 vadd_into(vec, reduce_map[(u, y)], sgn * c)
             if vec:
                 act0[a][idx] = vec
@@ -554,16 +532,7 @@ def minimal_extension(local: LocalSuperalgebra,
     layers = _local_layers(local)
     for side, stop in ((-1, -d_min), (1, d_max)):
         for k in range(1, stop):
-            if layers[side * k].dim == 0:
-                layers[side * (k + 1)] = Layer(side * (k + 1), [], [], [],
-                                               tensor_parent=[], reduce={},
-                                               opp_map=[dict() for _ in range(
-                                                   local.npos if side < 0
-                                                   else local.nneg)],
-                                               act0=[dict() for _ in range(
-                                                   local.nzero)])
-                continue
-            layers[side * (k + 1)] = _extend_one(local, layers, side, k)
+            layers[side * (k + 1)] = _extend_one(layers, side, k)
     return GradedSuperalgebra(local, layers)
 
 
@@ -695,36 +664,19 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
                 vals.append(vec)
             t_vals[(i, u)] = vals
 
-        blocks: dict[tuple, list[tuple]] = {}
-        for (i, u) in cands:
-            w = wsum(weights[u], alpha[i])
-            blocks.setdefault(w, []).append((i, u))
-
-        new_level: list[int] = []
-        for w in sorted(blocks):
-            blk = blocks[w]
-            mat, _ = stack_columns([_flatten(t_vals[cand]) for cand in blk])
-            red, piv = rref(mat)
-            base = len(weights)
-            for _ in piv:
-                new_level.append(len(weights))
-                weights.append(w)
-            for col, cand in enumerate(blk):
-                i, u = cand
-                if col in piv:
-                    cls: Vec = {base + piv.index(col): _ONE}
-                else:
-                    cls = {base + ri: red[ri, col] for ri in range(len(piv))
-                           if red[ri, col]}
-                if cls:
-                    raise_m[i][u] = cls
-            for col, cand in enumerate(blk):
-                if col in piv:
-                    idx = base + piv.index(col)
-                    for j, vec in enumerate(t_vals[cand]):
-                        if vec:
-                            lower_m[j][idx] = vec
-        level = new_level
+        kept, classes = weight_block_quotient(
+            cands, (wsum(weights[u], alpha[i]) for i, u in cands),
+            (t_vals[cand] for cand in cands))
+        base = len(weights)
+        for (i, u), cls in classes.items():
+            if cls:
+                raise_m[i][u] = {base + t: c for t, c in cls.items()}
+        for t, (w, cand) in enumerate(kept):
+            weights.append(w)
+            for j, vec in enumerate(t_vals[cand]):
+                if vec:
+                    lower_m[j][base + t] = vec
+        level = list(range(base, len(weights)))
 
     dim = len(weights)
     # assemble the action of every Chevalley basis element

@@ -79,9 +79,16 @@ def require_pseudo_minuscule(data: CartanData) -> None:
 
     The completed weight pairs with a root beta to ``(lambda, beta)``, so
     the condition is that this number lies in {0, 1} for every root.  The
-    error names the first offending root.
+    error names the completed weight's labels when they are not dominant
+    integral, and the first offending root otherwise.
     """
-    failure = pseudo_minuscule_failure(data, data.wedge(data.lam))
+    mu = data.wedge(data.lam)
+    if not data.is_dominant_integral(mu):
+        raise ValueError(
+            "pseudo-minuscule precondition fails: the completed weight has "
+            "labels (%s), which are not dominant integral"
+            % ", ".join(str(m) for m in mu))
+    failure = pseudo_minuscule_failure(data, mu)
     if failure is not None:
         root, value = failure
         raise ValueError(

@@ -510,7 +510,9 @@ def highest_roots(data: CartanData, nodes: Sequence[int] | None = None) -> list[
         positives = [rt for rt in roots if rt.height > 0]
         top_height = max(rt.height for rt in positives)
         top = [rt for rt in positives if rt.height == top_height]
-        assert len(top) == 1, "finite component must have a unique highest root"
+        if len(top) != 1:
+            raise ValueError(
+                "finite component must have a unique highest root")
         coords = [0] * data.r
         for local, node in enumerate(comp_nodes):
             coords[node] = top[0].coords[local]
@@ -566,7 +568,9 @@ def weyl_dimension(data: CartanData, mu: Sequence) -> int:
         num *= top
         den *= bot
     val = num / den
-    assert val.denominator == 1 and val > 0
+    if val.denominator != 1 or val <= 0:
+        raise ValueError("Weyl dimension formula gives %s, not a positive "
+                         "integer" % val)
     return int(val)
 
 
@@ -772,7 +776,8 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
         want = sorted(rt.labels for rt in by_height.get(h, []))
         got_pos = sorted(ext.layer(h).weights)
         got_neg = sorted(tuple(-x for x in w) for w in ext.layer(-h).weights)
-        assert want == got_pos == got_neg, "layer/root mismatch at height %d" % h
+        if not want == got_pos == got_neg:
+            raise ValueError("layer/root mismatch at height %d" % h)
 
     # engine coordinates of the normalized e_gamma / f_gamma
     pr_index = {rt.coords: k for k, rt in enumerate(positives)}
@@ -794,13 +799,17 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
         layer = ext.layer(-h)
         target_w = tuple(-x for x in rt.labels)
         cand = {p: _ONE for p, w in enumerate(layer.weights) if w == target_w}
-        assert len(cand) == 1
+        if len(cand) != 1:
+            raise ValueError("root space of %s is not one-dimensional"
+                             % (rt.coords,))
         _, hv = ext.bracket((h, e_vec[k]), (-h, cand))
         h_g = {i2: (2 / rt.norm) * c / data.epsilon[i2]
                for i2, c in enumerate(rt.coords) if c}
         ratios = {i2: hv[i2] / v for i2, v in h_g.items()}
         t = next(iter(ratios.values()))
-        assert all(v == t for v in ratios.values()) and set(hv) == set(h_g)
+        if any(v != t for v in ratios.values()) or set(hv) != set(h_g):
+            raise ValueError("[e, f] of root %s is not a multiple of its "
+                             "coroot" % (rt.coords,))
         f_vec[k] = {p: c / t for p, c in cand.items()}
 
     # assemble the full structure-constant table in the Chevalley basis

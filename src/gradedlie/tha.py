@@ -497,18 +497,21 @@ def _seed_relations(pres: Presentation) -> list:
         if rel.tag not in module_tags:
             continue
         (coeff, tree), = rel.lhs
-        assert coeff == 1, "module relation with a scaled left side"
+        if coeff != 1:
+            raise ValueError("module relation with a scaled left side")
         ops = []
         t = tree
         while not _is_name(t):
             actor, t = t
-            assert _is_name(actor) and actor[0] in ("e", "f"), \
-                "module relation actor must be a simple raising or lowering"
+            if not (_is_name(actor) and actor[0] in ("e", "f")):
+                raise ValueError("module relation actor must be a simple "
+                                 "raising or lowering")
             ops.append(actor)
         rhs = []
         for c, name in rel.rhs:
-            assert _is_name(name) and name[0] == "f0", \
-                "module relation right side must live on the family"
+            if not (_is_name(name) and name[0] == "f0"):
+                raise ValueError(
+                    "module relation right side must live on the family")
             rhs.append((c, name))
         out.append((rel.tag, rel.indices, ops, t, rhs))
     return out

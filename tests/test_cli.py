@@ -296,7 +296,9 @@ class TestCache:
         files = sorted((cache_env / "cache").rglob("*.json"))
         assert files, "cache should contain entries"
         envelope = json.loads(files[0].read_text())
-        assert set(envelope) == {"tool_version", "command", "spec", "payload"}
+        assert set(envelope) == {"tool_version", "engine", "command", "spec",
+                                 "payload"}
+        assert envelope["engine"] == cli.engine_hash()
         assert envelope["command"] == "tha-minus1"
         assert envelope["spec"]["lambda"] == [1, 0]
 
@@ -317,6 +319,22 @@ class TestCache:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["total_dim"] == 15
         assert report["result"]["dims"] == {"-2": 0, "-1": 3, "0": 9, "1": 3}
+
+    def test_entry_from_another_engine_is_recomputed(self, cache_env,
+                                                      capsys):
+        args = ["build-b", "--spec", A2_SPEC, "--degrees=-2..1"]
+        assert cli.main(args) == 0
+        clean = _strip_timing(capsys.readouterr().out)
+        planted = 0
+        for path in (cache_env / "cache").rglob("*.json"):
+            envelope = json.loads(path.read_text())
+            envelope["engine"] = "0" * 64
+            envelope["payload"]["dim"] = 999
+            path.write_text(json.dumps(envelope))
+            planted += 1
+        assert planted == 4
+        assert cli.main(args) == 0
+        assert _strip_timing(capsys.readouterr().out) == clean
 
     def test_corrupt_entry_is_recomputed(self, cache_env, capsys):
         assert cli.main(["roots", "--spec", A2_SPEC]) == 0

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedlie import graded
-from gradedlie.linalg import RatMatrix, kernel_basis
+from gradedlie.linalg import (
+    RatMatrix, kernel_basis, rref, stack_columns, vadd_into)
 from gradedlie.rootsys import CartanData, chevalley_realization, weyl_dimension
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -390,3 +393,69 @@ def test_decompose_module_mismatch_raises():
     # a lone non-highest weight vector cannot be a module
     with pytest.raises(ValueError):
         graded.decompose_module([(-1, -1)], [dict(), dict()], data)
+
+
+# -- the weight-block quotient on random sparse T-values ---------------------
+
+# small rationals, half of them zero, so that blocks are often dependent
+_RATIONALS = st.one_of(
+    st.just(F0), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _weight_blocks(draw):
+    """Candidates ("c", n), each with a weight in {(0,), (1,), (2,)} and
+    T-values under two acting elements, sparse over the keys 0..2."""
+    n = draw(st.integers(1, 8))
+    cands = [("c", i) for i in range(n)]
+    weights = [(draw(st.integers(0, 2)),) for _ in cands]
+    t_vals = []
+    for _ in cands:
+        vals = []
+        for _ in range(2):
+            entries = [draw(_RATIONALS) for _ in range(3)]
+            vals.append({k: v for k, v in enumerate(entries) if v})
+        t_vals.append(vals)
+    return cands, weights, t_vals
+
+
+def _column(vals):
+    return {(z, k): c for z, vec in enumerate(vals) for k, c in vec.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weight_blocks())
+def test_weight_block_quotient(case):
+    cands, weights, t_vals = case
+    kept, classes = graded.weight_block_quotient(cands, weights, t_vals)
+    t_of = {c: _column(vals) for c, vals in zip(cands, t_vals)}
+    kept_cands = {c for _, c in kept}
+
+    expected_kept = []
+    for w in sorted(set(weights)):
+        blk = [c for c, cw in zip(cands, weights) if cw == w]
+        mat, _ = stack_columns([t_of[c] for c in blk])
+        _, piv = rref(mat)
+        expected_kept += [(w, blk[p]) for p in piv]
+        # the kernel vector of each free column is the candidate minus its
+        # class over the kept candidates, written over the block
+        pos = {c: i for i, c in enumerate(blk)}
+        got = []
+        for c in blk:
+            if c in kept_cands:
+                continue
+            vec = [F0] * len(blk)
+            vec[pos[c]] = F1
+            for t, coeff in classes[c].items():
+                vec[pos[kept[t][1]]] -= coeff
+            got.append(tuple(vec))
+        assert got == kernel_basis(mat)
+    assert kept == expected_kept
+
+    # each class reproduces its candidate's T-values from the kept ones
+    assert set(classes) == set(cands)
+    for c in cands:
+        rebuilt: dict = {}
+        for t, coeff in classes[c].items():
+            vadd_into(rebuilt, t_of[kept[t][1]], coeff)
+        assert rebuilt == t_of[c]

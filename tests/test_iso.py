@@ -104,6 +104,17 @@ class TestPrecondition:
         with pytest.raises(ValueError, match=r"\(1, 1\) to 2"):
             iso.check_isomorphism(data)
 
+    def test_error_names_non_integral_completed_weight(self):
+        # B3 with lambda = omega_1: the completion omega_1 / 2 is not integral
+        data = CartanData([[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+                          epsilon=(2, 2, 1), lam=(1, 0, 0))
+        with pytest.raises(ValueError) as err:
+            iso.require_pseudo_minuscule(data)
+        message = str(err.value)
+        assert message.startswith("pseudo-minuscule precondition fails")
+        assert "labels (1/2, 0, 0), which are not dominant integral" in message
+        assert "root" not in message
+
     def test_require_helper_passes_quietly(self):
         iso.require_pseudo_minuscule(_DATA["a2"]())
 
