@@ -20,9 +20,14 @@ superalgebra on the words of degrees -1, 0, 1.
 
 The cartanification quotients the degree -1 words x_{-1} y_0 by the kernel
 of their action on degree +1 (the maximal peripheral ideal) and takes the
-minimal graded extension of the result.  The degree-0 part of the quotient
-is the bracket closure of the image of the action map; the grading element
-survives exactly when it lies in that span.
+minimal graded extension of the result.  The word engine evaluates only the
+candidate words x_p u_j of basis letters, each once, for its action on the
+plus wing; the quotient keeps pivot candidates and writes every degree -1
+element as a class over them.  Degree 0 moves classes by the derivation rule
+[u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j], which needs only
+the local brackets and the candidates' classes.  The degree-0 part of the
+quotient is the bracket closure of the image of the action map; the grading
+element survives exactly when it lies in that span.
 
 A restriction to a degree-0 subalgebra keeps, in place of all classes, only
 the submodule generated by the classes of the words f_0 y_0 with y_0 in the
@@ -36,6 +41,7 @@ complementary to the weight labels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -78,9 +84,6 @@ class LocAlgebra:
 
     def word_parity(self, word) -> int:
         return sum(self.letter_parity(l) for l in word) % 2
-
-    def word_degree(self, word) -> int:
-        return sum(deg for deg, _ in word)
 
     def word_weight(self, word) -> tuple | None:
         acc = None
@@ -432,13 +435,6 @@ class Cartanification:
             raise ValueError("element acts outside the cartanification")
         return sol
 
-    def solve_action(self, action: dict, weight) -> dict | None:
-        """Class coordinates whose action on the plus wing equals
-        ``action`` (keys (plus index, 1 + zero index)), or None."""
-        if not action:
-            return {}
-        return self._class_solver.express(action, tuple(weight))
-
     def zero_class(self, vec: dict) -> dict:
         """Quotient degree-0 coordinates of an original degree-0 vector."""
         sol = self._zero_coords(vec)
@@ -480,13 +476,16 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                         br, _vec_weight(local, br)) is None:
                     raise ValueError("restriction is not a subalgebra")
 
-    # Candidate words x_p u_j over the full degree-0 part, grouped by
-    # weight; the action matrix, its kernel and its pivots all decompose
-    # by weight because every map in sight is weight-homogeneous.
-    shell = Cartanification(local=None, provenance="", restriction=None,
-                            candidate_count=nneg * nzero, kernel_dim=0,
-                            engine=eng)
-    pairs = []
+    result = Cartanification(
+        local=None,
+        provenance=provenance or ("weak" if rbasis is None else "custom"),
+        restriction=tuple(tuple(sorted(v.items())) for v in rbasis)
+        if rbasis is not None else None,
+        candidate_count=nneg * nzero, kernel_dim=0, engine=eng)
+
+    # The engine evaluates each candidate word x_p u_j (index p * nzero + j)
+    # once; the action matrix, its kernel and its pivots all decompose by
+    # weight because every map in sight is weight-homogeneous.
     cands = []
     cand_weights = []
     cand_actions = []
@@ -494,45 +493,54 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
         for j in range(nzero):
             el = eng.product(eng.from_vec(-1, {p: _ONE}),
                              eng.from_vec(0, {j: _ONE}))
-            pairs.append((p, j))
             cands.append(el)
             cand_weights.append(wsum(local.neg_weights[p],
                                      local.zero_weights[j]))
-            cand_actions.append(shell.action_coords(el))
+            cand_actions.append(result.action_coords(el))
 
     kept, classes = weight_block_quotient(
         range(len(cands)), cand_weights, [[act] for act in cand_actions])
     pivots = [j for _, j in kept]
-    kept_set = set(pivots)
+    result.kernel_dim = len(cands) - len(pivots)
+    result._class_solver = WeightedSolver(
+        [cand_actions[j] for j in pivots], [cand_weights[j] for j in pivots])
 
-    def weak_element(cls: dict) -> dict:
-        el: dict = {}
-        for t, c in cls.items():
-            vadd_into(el, cands[pivots[t]], c)
-        return el
+    # From here on a degree -1 element is its class over the pivots, and
+    # degree 0 moves classes by the derivation rule
+    #   [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j].
+    @functools.cache
+    def moved(u: int, c: int) -> dict:
+        """Class of [u_u, candidate c]."""
+        p, j = divmod(c, nzero)
+        out: dict = {}
+        for k, a in local.bracket(0, u, -1, p).items():
+            vadd_into(out, classes[k * nzero + j], a)
+        sign = -_ONE if local.zero_parities[u] and local.neg_parities[p] \
+            else _ONE
+        for m, a in local.bracket(0, u, 0, j).items():
+            vadd_into(out, classes[p * nzero + m], sign * a)
+        return out
 
-    # The kernel is the peripheral ideal, spanned by each non-pivot
-    # candidate minus its class; it must be stable under the degree-0
-    # action for the quotient to close, so check that each bracket of a
-    # kernel element still acts by zero.
-    for j, cls in classes.items():
-        if j in kept_set:
-            continue
-        el = vadd(cands[j], weak_element(cls), -_ONE)
+    def move(uvec: dict, cls: dict) -> dict:
+        """Class of [u, el] for a degree-0 vector u and el of class cls."""
+        out: dict = {}
+        for u, a in uvec.items():
+            for t, c in cls.items():
+                vadd_into(out, moved(u, pivots[t]), a * c)
+        return out
+
+    # The kernel is the peripheral ideal, spanned by each candidate minus
+    # its class; it must be stable under the degree-0 action for the
+    # quotient to close, so each candidate must move as its class does.
+    for c, cls in classes.items():
         for u in range(nzero):
-            moved = eng.commutator(eng.from_vec(0, {u: _ONE}), el)
-            if moved and shell.action_coords(moved):
+            if vadd(moved(u, c), move({u: _ONE}, cls), -_ONE):
                 raise ValueError("peripheral kernel is not invariant "
                                  "under degree-0 brackets")
 
-    shell._class_solver = WeightedSolver(
-        [cand_actions[j] for j in pivots],
-        [cand_weights[j] for j in pivots])
-
-    if restriction is None:
+    if rbasis is None:
         minus_basis = [({t: _ONE}, cand_weights[pivots[t]])
                        for t in range(len(pivots))]
-        provenance = provenance or "weak"
     else:
         # Seed with f_0 y_0 and close under the degree-0 action inside the
         # weak quotient.
@@ -541,7 +549,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
         queue = []
         for y in rbasis:
             el = eng.product(f0, eng.from_vec(0, y))
-            cls = shell.minus1_class(el)
+            cls = result.minus1_class(el)
             if not cls:
                 continue
             w = eng.element_weight(el)
@@ -549,47 +557,45 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                 queue.append((w, cls))
         while queue:
             w, cls = queue.pop()
-            el = weak_element(cls)
             for u in range(nzero):
-                moved = eng.commutator(eng.from_vec(0, {u: _ONE}), el)
-                if not moved:
-                    continue
-                mcls = shell.minus1_class(moved)
+                mcls = move({u: _ONE}, cls)
                 if not mcls:
                     continue
                 mw = wsum(local.zero_weights[u], w)
                 if span.add(mcls, mw):
                     queue.append((mw, mcls))
         minus_basis = [(v, w) for w, v in span.basis()]
-        provenance = provenance or "custom"
 
-    # Quotient minus wing.
-    minus_els = []
-    minus_actions = []
-    neg_names = []
-    neg_weights = []
+    def combine(cls: dict, vecs: list) -> dict:
+        out: dict = {}
+        for t, c in cls.items():
+            vadd_into(out, vecs[pivots[t]], c)
+        return out
+
+    # Quotient minus wing, its words and actions combined from the pivots'.
+    minus_actions = [combine(v, cand_actions) for v, _ in minus_basis]
+    result.minus_words = [combine(v, cands) for v, _ in minus_basis]
+    neg_names = [("w", t) for t in range(len(minus_basis))]
+    neg_weights = [tuple(w) for _, w in minus_basis]
     neg_parities = []
-    for t, (v, w) in enumerate(minus_basis):
-        el = weak_element(v)
-        minus_els.append(el)
-        minus_actions.append(shell.action_coords(el))
-        p, j = pairs[pivots[min(v)]]
-        neg_names.append(("w", t))
-        neg_weights.append(tuple(w))
+    for v, _ in minus_basis:
+        p, j = divmod(pivots[min(v)], nzero)
         neg_parities.append(
             (local.neg_parities[p] + local.zero_parities[j]) % 2)
 
-    class_solver = WeightedSolver(minus_actions, neg_weights)
-
-    # Degree-0 part: bracket closure of the action image.
-    zspan = WeightedSpan()
-    zqueue = []
+    # Degree-0 part: bracket closure of the action image, [w_t, z_q] being
+    # images[t][q] over the original degree-0 basis.
+    images = []
     for act in minus_actions:
         per_q: dict = {}
         for (q, k), c in act.items():
             if k == 0:
                 raise ValueError("pairing leaks into the action image")
             per_q.setdefault(q, {})[k - 1] = c
+        images.append(per_q)
+    zspan = WeightedSpan()
+    zqueue = []
+    for per_q in images:
         for vec in per_q.values():
             w = _vec_weight(local, vec)
             if zspan.add(vec, w):
@@ -627,17 +633,15 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
             br = local.bracket_vec(0, us, 1, {q: _ONE})
             if br:
                 b0p[(s, q)] = br
+    minus_solver = WeightedSolver([v for v, _ in minus_basis], neg_weights)
     b0m = {}
     for s, us in enumerate(zero_basis):
-        for t, el in enumerate(minus_els):
-            moved = eng.commutator(eng.from_vec(0, us), el)
-            if not moved:
-                continue
-            target = shell.action_coords(moved)
+        for t, (v, _) in enumerate(minus_basis):
+            target = move(us, v)
             if not target:
                 continue
             w = wsum(zero_wts[s], neg_weights[t])
-            cls = class_solver.express(target, w)
+            cls = minus_solver.express(target, w)
             if cls is None:
                 raise ValueError("degree -1 classes are not closed under "
                                  "the degree-0 action")
@@ -645,10 +649,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                 b0m[(s, t)] = cls
     # [z_q, w_t] from the stored action [w_t, z_q] by super-antisymmetry.
     bpm = {}
-    for t, act in enumerate(minus_actions):
-        per_q: dict = {}
-        for (q, k), c in act.items():
-            per_q.setdefault(q, {})[k - 1] = c
+    for t, per_q in enumerate(images):
         for q, vec in per_q.items():
             cls = in_zero(vec, _vec_weight(local, vec))
             if cls:
@@ -656,16 +657,9 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                                  and neg_parities[t]) else _ONE
                 bpm[(q, t)] = {k: -sign * c for k, c in cls.items()}
 
-    zero_names = [("u", t) for t in range(len(zero_basis))]
-    zero_pars = [local.zero_parities[min(v)] for v in zero_basis]
-
-    result = Cartanification(
-        local=None, provenance=provenance,
-        restriction=tuple(tuple(sorted(v.items())) for v in rbasis)
-        if rbasis is not None else None,
-        candidate_count=len(cands), kernel_dim=len(cands) - len(pivots),
-        engine=eng, zero_basis=zero_basis, minus_words=minus_els,
-        _class_solver=class_solver, _zero_solver=zero_solver)
+    result.zero_basis = zero_basis
+    result._class_solver = WeightedSolver(minus_actions, neg_weights)
+    result._zero_solver = zero_solver
 
     # The grading element and named elements outside the degree-0 span
     # are dropped; any other fault propagates.
@@ -684,8 +678,9 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     result.local = LocalSuperalgebra(
         neg_names=neg_names, neg_weights=neg_weights,
         neg_parities=neg_parities,
-        zero_names=zero_names, zero_weights=zero_wts,
-        zero_parities=zero_pars,
+        zero_names=[("u", t) for t in range(len(zero_basis))],
+        zero_weights=zero_wts,
+        zero_parities=[local.zero_parities[min(v)] for v in zero_basis],
         pos_names=list(local.pos_names),
         pos_weights=[tuple(w) for w in local.pos_weights],
         pos_parities=list(local.pos_parities),

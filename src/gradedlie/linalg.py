@@ -229,9 +229,6 @@ class RatMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)

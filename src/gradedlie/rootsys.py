@@ -68,11 +68,6 @@ class Root:
     def height(self) -> int:
         return sum(self.coords)
 
-    @property
-    def coscale(self) -> Fraction:
-        """Factor s with alpha^vee = s * alpha, i.e. 2/(alpha,alpha)."""
-        return 2 / self.norm
-
     def __neg__(self) -> Root:
         return Root(tuple(-c for c in self.coords),
                     tuple(-l for l in self.labels), self.norm)
@@ -173,12 +168,6 @@ class CartanData:
     def root_pairing(self, mu: Sequence, root: Root) -> Fraction:
         """(mu^veecheck, alpha) = sum_k c_k mu_k for a root alpha."""
         return sum((Fraction(m) * c for m, c in zip(mu, root.coords)), _ZERO)
-
-    def coroot_pairing(self, root: Root, mu: Sequence) -> Fraction:
-        """(alpha^vee, mu) = 2 (alpha, mu) / (alpha, alpha)."""
-        pair = sum((Fraction(m) / e * c for m, e, c in
-                    zip(mu, self.epsilon, root.coords)), _ZERO)
-        return 2 * pair / root.norm
 
     # -- diagram structure ------------------------------------------------
 
@@ -632,14 +621,6 @@ class ChevalleyAlgebra:
                 vadd_into(out, self._table.get((i, j), {}), ca * cb)
         return out
 
-    def ad_matrix(self, i: int) -> dict[tuple[int, int], Fraction]:
-        """Sparse matrix of ad(basis_i) on the algebra."""
-        out = {}
-        for j in range(self.dim):
-            for k, c in self._table.get((i, j), {}).items():
-                out[(k, j)] = c
-        return out
-
     def kappa(self, i: int, j: int) -> Fraction:
         """Invariant form with kappa(e_i, f_i) = epsilon_i."""
         na, nb = self.names[i], self.names[j]
@@ -723,7 +704,8 @@ def _extraspecial_pair(root_set: set, gamma: tuple[int, ...], r: int):
                 else:
                     break
             return i, tuple(beta), p + 1
-    raise AssertionError("positive non-simple root with no simple summand")
+    raise ValueError("positive non-simple root %s has no simple summand"
+                     % (gamma,))
 
 
 def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:

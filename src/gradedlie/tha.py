@@ -836,8 +836,8 @@ def sharp_image(module: MinusOneModule) -> SharpImage:
                 if len(vals) == 2:
                     break
             if not vals:
-                raise AssertionError("no weight pairs with root %s"
-                                     % (g.pos_roots[p].coords,))
+                raise ValueError("no weight pairs with root %s"
+                                 % (g.pos_roots[p].coords,))
             if len(vals) == 2 and vadd(vals[0], vals[1], -_ONE):
                 raise ValueError("sharp image differs between admissible "
                                  "weights for root %s"
@@ -845,11 +845,6 @@ def sharp_image(module: MinusOneModule) -> SharpImage:
             entries[g.index[(kind, p)]] = vals[0]
     module._sharp = SharpImage(module=module, entries=entries)
     return module._sharp
-
-
-def sharp_map(module: MinusOneModule, x: dict) -> Vec:
-    """Image of a K-subalgebra element (realization coordinates)."""
-    return sharp_image(module).sharp(x)
 
 
 # -- reflection automorphisms -------------------------------------------------

@@ -354,6 +354,49 @@ def test_unquotiented_candidates_fail_kernel_triviality():
     assert count - span.dim() == res.kernel_dim
 
 
+def _a2_local():
+    return build_local(CartanData(A2, lam=[1, 0]))
+
+
+def _strong_a3():
+    data = CartanData(A3, lam=[1, 0, 0])
+    loc = build_local(data)
+    return local_cartanification(
+        loc, restriction=root_subalgebra(data, loc, gminus_nodes(data)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: local_cartanification(_a2_local()),
+    lambda: local_cartanification(build_local(
+        CartanData([[2, -1], [-2, 2]], epsilon=[1, 2], lam=[1, 0]))),
+    _strong_a3,
+    lambda: local_cartanification(gl2form_local(5),
+                                  restriction=sl_block(5, (2, 3, 4))),
+], ids=["weak-A2w1", "weak-C2w1", "strong-A3w1", "two-form-restricted"])
+def test_degree0_action_matches_word_engine(make):
+    """The quotient's [u_s, w_t], taken from the derivation rule on
+    classes, is the class of the word engine's commutator."""
+    res = make()
+    eng = res.engine
+    for s, us in enumerate(res.zero_basis):
+        u = eng.from_vec(0, us)
+        for t, word in enumerate(res.minus_words):
+            assert res.minus1_class(eng.commutator(u, word)) == \
+                res.local.b0m.get((s, t), {}), (s, t)
+
+
+@pytest.mark.parametrize("key", sorted(_a2_local().b0m))
+def test_kernel_invariance_catches_corrupted_degree0_action(key):
+    """Doubling one [u, x] entry breaks the derivation rule's agreement
+    with the candidates' actions."""
+    loc = _a2_local()
+    bad = dict(loc.b0m)
+    bad[key] = {k: 2 * c for k, c in bad[key].items()}
+    with pytest.raises(ValueError, match="peripheral kernel is not "
+                       "invariant under degree-0 brackets"):
+        local_cartanification(replace(loc, b0m=bad))
+
+
 def test_corrupted_constant_caught_by_axioms():
     loc = glvec_local(2)
     bad = dict(loc.b00)

@@ -29,6 +29,8 @@ _DATA = {
     "a4": lambda: CartanData(_a(4), lam=(1, 0, 0, 0)),
     "a4l2": lambda: CartanData(_a(4), lam=(0, 1, 0, 0)),
     "d4": lambda: CartanData(_D4, lam=(1, 0, 0, 0)),
+    "c3": lambda: CartanData([[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+                             epsilon=(1, 1, 2), lam=(1, 0, 0)),
 }
 
 _VERDICTS: dict = {}
@@ -41,7 +43,8 @@ def _verdict(name):
 
 
 class TestVerdicts:
-    @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4", "a4l2", "d4"])
+    @pytest.mark.parametrize("name",
+                             ["a1", "a2", "a3", "a4", "a4l2", "d4", "c3"])
     def test_isomorphic(self, name):
         verdict = _verdict(name)
         assert verdict.verdict == "isomorphic"
@@ -50,7 +53,8 @@ class TestVerdicts:
         assert verdict.homomorphism["passed"]
         assert verdict.identities["passed"]
 
-    @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4", "a4l2", "d4"])
+    @pytest.mark.parametrize("name",
+                             ["a1", "a2", "a3", "a4", "a4l2", "d4", "c3"])
     def test_no_homomorphism_violations(self, name):
         verdict = _verdict(name)
         for check in verdict.homomorphism["checks"]:
