@@ -20,9 +20,18 @@ superalgebra on the words of degrees -1, 0, 1.
 
 The cartanification quotients the degree -1 words x_{-1} y_0 by the kernel
 of their action on degree +1 (the maximal peripheral ideal) and takes the
-minimal graded extension of the result.  The word engine evaluates only the
-candidate words x_p u_j of basis letters, each once, for its action on the
-plus wing; the quotient keeps pivot candidates and writes every degree -1
+minimal graded extension of the result.  A degree -1 element is a sum of
+candidates x_p u_j of basis letters, held as candidate coordinates
+{(p, j): c} (``products``).  A candidate's action on the plus wing has the
+closed form
+
+    [x u, z] = x [u, z] - (-1)^{|u||z|} <x|z> u ,
+    x z'     = -[[z', x]] + <x|z'> L ,
+
+the second being the two-letter reduction above, so the cartanification
+reads only the local brackets, the pairing and L, and builds no words; the
+word engine ``LocAlgebra`` remains the model the closed form is checked
+against.  The quotient keeps pivot candidates and writes every degree -1
 element as a class over them.  Degree 0 moves classes by the derivation rule
 [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j], which needs only
 the local brackets and the candidates' classes.  The degree-0 part of the
@@ -84,26 +93,6 @@ class LocAlgebra:
 
     def word_parity(self, word) -> int:
         return sum(self.letter_parity(l) for l in word) % 2
-
-    def word_weight(self, word) -> tuple | None:
-        acc = None
-        for deg, idx in word:
-            w = self.local.weights_at(deg)[idx]
-            acc = tuple(w) if acc is None else wsum(acc, w)
-        return acc
-
-    def element_weight(self, el: dict) -> tuple | None:
-        """Common weight of the words of an element (None for scalars)."""
-        weight = None
-        for w in el:
-            ww = self.word_weight(w)
-            if ww is None:
-                continue
-            if weight is None:
-                weight = ww
-            elif weight != ww:
-                raise ValueError("element is not weight-homogeneous")
-        return weight
 
     def from_vec(self, deg: int, vec) -> dict:
         return {((deg, i),): Fraction(c) for i, c in vec.items() if c}
@@ -389,13 +378,21 @@ def _vec_weight(local: LocalSuperalgebra, vec: dict) -> tuple:
 # Cartanification
 
 
+def products(xvec: dict, uvec: dict) -> dict:
+    """Candidate coordinates ``{(p, j): c}`` of x u for a degree -1 vector
+    x and a degree-0 vector u, meaning the sum of c x_p u_j."""
+    return {(p, j): Fraction(a) * b for p, a in xvec.items() if a
+            for j, b in uvec.items() if b}
+
+
 @dataclass
 class Cartanification:
     """A local cartanification: quotient local part plus class maps.
 
-    ``minus1_class`` sends a degree -1 word element to its coordinates over
-    the quotient minus basis, ``zero_class`` a degree-0 vector of the
-    original local part to the quotient's degree-0 coordinates.
+    ``minus1_class`` sends a degree -1 element, given by its candidate
+    coordinates (see ``products``), to its coordinates over the quotient
+    minus basis; ``zero_class`` a degree-0 vector of ``source``, the
+    original local part, to the quotient's degree-0 coordinates.
     """
 
     local: LocalSuperalgebra | None
@@ -403,34 +400,59 @@ class Cartanification:
     restriction: tuple | None
     candidate_count: int
     kernel_dim: int
+    source: LocalSuperalgebra = field(repr=False)
     graded: GradedSuperalgebra | None = None
-    engine: LocAlgebra | None = field(repr=False, default=None)
     zero_basis: list | None = field(repr=False, default=None)
-    minus_words: list | None = field(repr=False, default=None)
-    _class_solver: WeightedSolver | None = field(repr=False, default=None)
+    _classes: dict | None = field(repr=False, default=None)
+    _minus_solver: WeightedSolver | None = field(repr=False, default=None)
     _zero_solver: WeightedSolver | None = field(repr=False, default=None)
 
-    def action_coords(self, el: dict) -> dict:
-        """Sparse action of a degree -1 element on the plus wing: keys
-        (plus index, slot) with slot 1 + k the k-th degree-0 coordinate and
-        slot 0 the scalar."""
-        eng = self.engine
+    def action_coords(self, p: int, j: int) -> dict:
+        """Action of the candidate x_p u_j on the plus wing, in the closed
+        form of the module docstring: keys (plus index q, 1 + k) for the
+        k-th degree-0 coordinate of [x_p u_j, z_q]."""
+        local = self.source
+        pairing = local.pairing or {}
         out: dict = {}
-        for q in range(eng.local.npos):
-            z = eng.from_vec(1, {q: _ONE})
-            for k, c in eng.zero_coords(eng.commutator(el, z)).items():
-                out[(q, k)] = c
+        for q in range(local.npos):
+            val: dict = {}
+            for q2, c in local.bracket(0, j, 1, q).items():
+                vadd_into(val, local.bracket(1, q2, -1, p), -c)
+                pv = pairing.get((p, q2))
+                if pv:
+                    vadd_into(val, local.grading, c * pv)
+            pv = pairing.get((p, q))
+            if pv:
+                odd = local.zero_parities[j] and local.pos_parities[q]
+                vadd_into(val, {j: pv if odd else -pv})
+            for k, c in val.items():
+                out[(q, 1 + k)] = c
         return out
 
-    def minus1_class(self, el: dict) -> dict:
-        """Class of a degree -1 element over the quotient minus basis."""
-        if not el:
+    def _pivot_class(self, coords: dict) -> tuple[dict, tuple | None]:
+        """Class over the pivot candidates of an element given by its
+        candidate coordinates, and the element's weight (None for the
+        zero class); a nonzero class needs a weight-homogeneous element."""
+        local = self.source
+        cls: dict = {}
+        weights = set()
+        for (p, j), c in coords.items():
+            if c:
+                weights.add(wsum(local.neg_weights[p], local.zero_weights[j]))
+                vadd_into(cls, self._classes[(p, j)], c)
+        if not cls:
+            return {}, None
+        if len(weights) != 1:
+            raise ValueError("element is not weight-homogeneous")
+        return cls, weights.pop()
+
+    def minus1_class(self, coords: dict) -> dict:
+        """Class of a degree -1 element, given by its candidate coordinates,
+        over the quotient minus basis."""
+        cls, weight = self._pivot_class(coords)
+        if not cls:
             return {}
-        target = self.action_coords(el)
-        if not target:
-            return {}
-        weight = self.engine.element_weight(el)
-        sol = self._class_solver.express(target, weight)
+        sol = self._minus_solver.express(cls, weight)
         if sol is None:
             raise ValueError("element acts outside the cartanification")
         return sol
@@ -447,8 +469,7 @@ class Cartanification:
         vec = {i: Fraction(c) for i, c in vec.items() if c}
         if not vec:
             return {}
-        return self._zero_solver.express(
-            vec, _vec_weight(self.engine.local, vec))
+        return self._zero_solver.express(vec, _vec_weight(self.source, vec))
 
 
 def local_cartanification(local: LocalSuperalgebra, restriction=None,
@@ -460,7 +481,8 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     submodule generated by the classes of f_0 y_0 over it.  ``seed``
     overrides the minus vector playing the role of f_0 (default: index 0).
     """
-    eng = LocAlgebra(local)
+    if local.grading is None:
+        raise ValueError("local part has no grading element")
     nneg, nzero, npos = local.nneg, local.nzero, local.npos
 
     rbasis = None
@@ -481,44 +503,34 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
         provenance=provenance or ("weak" if rbasis is None else "custom"),
         restriction=tuple(tuple(sorted(v.items())) for v in rbasis)
         if rbasis is not None else None,
-        candidate_count=nneg * nzero, kernel_dim=0, engine=eng)
+        candidate_count=nneg * nzero, kernel_dim=0, source=local)
 
-    # The engine evaluates each candidate word x_p u_j (index p * nzero + j)
-    # once; the action matrix, its kernel and its pivots all decompose by
-    # weight because every map in sight is weight-homogeneous.
-    cands = []
-    cand_weights = []
-    cand_actions = []
-    for p in range(nneg):
-        for j in range(nzero):
-            el = eng.product(eng.from_vec(-1, {p: _ONE}),
-                             eng.from_vec(0, {j: _ONE}))
-            cands.append(el)
-            cand_weights.append(wsum(local.neg_weights[p],
-                                     local.zero_weights[j]))
-            cand_actions.append(result.action_coords(el))
-
+    # Each candidate x_p u_j gets its action once; the action matrix, its
+    # kernel and its pivots all decompose by weight because every map in
+    # sight is weight-homogeneous.
+    cands = [(p, j) for p in range(nneg) for j in range(nzero)]
+    actions = {c: result.action_coords(*c) for c in cands}
     kept, classes = weight_block_quotient(
-        range(len(cands)), cand_weights, [[act] for act in cand_actions])
-    pivots = [j for _, j in kept]
+        cands, [wsum(local.neg_weights[p], local.zero_weights[j])
+                for p, j in cands], [[actions[c]] for c in cands])
+    pivots = [c for _, c in kept]
     result.kernel_dim = len(cands) - len(pivots)
-    result._class_solver = WeightedSolver(
-        [cand_actions[j] for j in pivots], [cand_weights[j] for j in pivots])
+    result._classes = classes
 
     # From here on a degree -1 element is its class over the pivots, and
     # degree 0 moves classes by the derivation rule
     #   [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j].
     @functools.cache
-    def moved(u: int, c: int) -> dict:
+    def moved(u: int, c: tuple) -> dict:
         """Class of [u_u, candidate c]."""
-        p, j = divmod(c, nzero)
+        p, j = c
         out: dict = {}
         for k, a in local.bracket(0, u, -1, p).items():
-            vadd_into(out, classes[k * nzero + j], a)
+            vadd_into(out, classes[(k, j)], a)
         sign = -_ONE if local.zero_parities[u] and local.neg_parities[p] \
             else _ONE
         for m, a in local.bracket(0, u, 0, j).items():
-            vadd_into(out, classes[p * nzero + m], sign * a)
+            vadd_into(out, classes[(p, m)], sign * a)
         return out
 
     def move(uvec: dict, cls: dict) -> dict:
@@ -539,21 +551,16 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                                  "under degree-0 brackets")
 
     if rbasis is None:
-        minus_basis = [({t: _ONE}, cand_weights[pivots[t]])
-                       for t in range(len(pivots))]
+        minus_basis = [({t: _ONE}, w) for t, (w, _) in enumerate(kept)]
     else:
         # Seed with f_0 y_0 and close under the degree-0 action inside the
         # weak quotient.
-        f0 = eng.from_vec(-1, dict(seed) if seed else {0: _ONE})
+        f0 = dict(seed) if seed else {0: _ONE}
         span = WeightedSpan()
         queue = []
         for y in rbasis:
-            el = eng.product(f0, eng.from_vec(0, y))
-            cls = result.minus1_class(el)
-            if not cls:
-                continue
-            w = eng.element_weight(el)
-            if span.add(cls, w):
+            cls, w = result._pivot_class(products(f0, y))
+            if cls and span.add(cls, w):
                 queue.append((w, cls))
         while queue:
             w, cls = queue.pop()
@@ -566,31 +573,24 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                     queue.append((mw, mcls))
         minus_basis = [(v, w) for w, v in span.basis()]
 
-    def combine(cls: dict, vecs: list) -> dict:
-        out: dict = {}
-        for t, c in cls.items():
-            vadd_into(out, vecs[pivots[t]], c)
-        return out
-
-    # Quotient minus wing, its words and actions combined from the pivots'.
-    minus_actions = [combine(v, cand_actions) for v, _ in minus_basis]
-    result.minus_words = [combine(v, cands) for v, _ in minus_basis]
     neg_names = [("w", t) for t in range(len(minus_basis))]
     neg_weights = [tuple(w) for _, w in minus_basis]
     neg_parities = []
     for v, _ in minus_basis:
-        p, j = divmod(pivots[min(v)], nzero)
+        p, j = pivots[min(v)]
         neg_parities.append(
             (local.neg_parities[p] + local.zero_parities[j]) % 2)
 
     # Degree-0 part: bracket closure of the action image, [w_t, z_q] being
-    # images[t][q] over the original degree-0 basis.
+    # images[t][q] over the original degree-0 basis; w_t acts as the same
+    # combination of the pivots' actions.
     images = []
-    for act in minus_actions:
+    for v, _ in minus_basis:
+        act: dict = {}
+        for t, c in v.items():
+            vadd_into(act, actions[pivots[t]], c)
         per_q: dict = {}
         for (q, k), c in act.items():
-            if k == 0:
-                raise ValueError("pairing leaks into the action image")
             per_q.setdefault(q, {})[k - 1] = c
         images.append(per_q)
     zspan = WeightedSpan()
@@ -658,7 +658,7 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                 bpm[(q, t)] = {k: -sign * c for k, c in cls.items()}
 
     result.zero_basis = zero_basis
-    result._class_solver = WeightedSolver(minus_actions, neg_weights)
+    result._minus_solver = minus_solver
     result._zero_solver = zero_solver
 
     # The grading element and named elements outside the degree-0 span

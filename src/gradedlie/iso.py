@@ -60,10 +60,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tha
-from .cartan import Cartanification, cartanify
-from .contragredient import build_graded, build_local
-from .graded import decompose_at_degree
+from .cartan import Cartanification, cartanify, products
+from .contragredient import build_local
+from .graded import decompose_at_degree, minimal_extension
 from .linalg import Span, vadd
+# chevalley_realization stays bound here for tracers that wrap it by name.
 from .rootsys import (
     CartanData,
     chevalley_realization,
@@ -129,26 +130,21 @@ def phi_assignment(
     pres = tha.presentation(data, "W")
     if cart is None:
         cart = cartanify(build_local(data), degree_range=degree_range)
-    g = chevalley_realization(data)
-    engine = cart.engine
-    # degree-0 basis of the local algebra: Chevalley basis, then h0
-    h0_index = g.dim
+    local = cart.source
 
     assignment: dict = {}
     for i in range(data.r):
-        p = g.simple_root_index(i)
-        assignment[("e", i)] = (0, cart.zero_class({g.index[("e", p)]: _ONE}))
-        assignment[("f", i)] = (0, cart.zero_class({g.index[("f", p)]: _ONE}))
-        assignment[("h", i)] = (0, cart.zero_class({g.index[("h", i)]: _ONE}))
-    assignment[("h0",)] = (0, cart.zero_class({h0_index: _ONE}))
+        for kind in ("e", "f", "h"):
+            assignment[(kind, i)] = (
+                0, cart.zero_class(local.zero_coords_of((kind, i))))
+    assignment[("h0",)] = (0, cart.zero_class(local.zero_coords_of(("h0",))))
     assignment[("e0",)] = (1, {0: _ONE})
 
-    f0 = engine.from_vec(-1, {0: -_ONE})
+    f0 = {0: -_ONE}
     family_images: dict = {}
     for i in pres.family:
-        h_index = h0_index if i == tha.EXT else g.index[("h", i)]
-        product = engine.product(f0, engine.from_vec(0, {h_index: _ONE}))
-        image = cart.minus1_class(product)
+        h_i = local.zero_coords_of(("h0",) if i == tha.EXT else ("h", i))
+        image = cart.minus1_class(products(f0, h_i))
         family_images[i] = image
         assignment[("f0", i)] = (-1, image)
     return PhiAssignment(data, pres, cart, assignment, family_images)
@@ -159,9 +155,8 @@ def pseudo_minuscule_identities(
 ) -> dict:
     """Verify the identities that make the comparison map well defined.
 
-    All products are formed in the word algebra of the cartanification and
-    tested for membership in the defining submodule via the degree-(-1)
-    class map.  Checks:
+    Each product x u is a sum of candidates (``cartan.products``) whose
+    class in the cartanification must vanish.  Checks:
 
     * ``f0 (h0 + L) = 0`` with ``L`` the grading element;
     * ``f0 e_beta = 0`` for every positive root beta with
@@ -170,16 +165,12 @@ def pseudo_minuscule_identities(
     * when lambda equals its completion, ``f0 f_j - [f0, f_j] h_j = 0``
       for every node j with lambda_j != 0.
     """
-    g = chevalley_realization(data)
-    engine = cart.engine
-    h0_index = g.dim
-    f0 = engine.from_vec(-1, {0: -_ONE})
+    local = cart.source
+    f0 = {0: -_ONE}
     checks = []
 
-    h0_plus_l = vadd(
-        engine.from_vec(0, {h0_index: _ONE}), engine.grading_element()
-    )
-    residual = cart.minus1_class(engine.product(f0, h0_plus_l))
+    h0_plus_l = vadd(local.zero_coords_of(("h0",)), local.grading)
+    residual = cart.minus1_class(products(f0, h0_plus_l))
     checks.append(
         {"name": "f0-annihilates-h0-plus-grading", "instances": 1,
          "violations": [] if not residual else [{"residual": residual}]}
@@ -187,15 +178,17 @@ def pseudo_minuscule_identities(
 
     raise_violations = []
     instances = 0
-    for p, root in enumerate(g.pos_roots):
-        if data.bilinear(data.lam, root.labels) != 1:
+    for k, name in enumerate(local.zero_names):
+        if name[0] != "e" or data.bilinear(
+                data.lam, local.zero_weights[k]) != 1:
             continue
         instances += 1
-        e_beta = engine.from_vec(0, {g.index[("e", p)]: _ONE})
-        residual = cart.minus1_class(engine.product(f0, e_beta))
+        residual = cart.minus1_class(products(f0, {k: _ONE}))
         if residual:
             raise_violations.append(
-                {"root": tuple(root.coords), "residual": residual}
+                {"root": tuple(int(c) for c in
+                               data.root_coords(local.zero_weights[k])),
+                 "residual": residual}
             )
     checks.append(
         {"name": "f0-annihilates-unit-pairing-raisers",
@@ -206,12 +199,11 @@ def pseudo_minuscule_identities(
         j_nodes, _ = jk_partition(data)
         j_violations = []
         for j in j_nodes:
-            p = g.simple_root_index(j)
-            f_j = engine.from_vec(0, {g.index[("f", p)]: _ONE})
-            h_j = engine.from_vec(0, {g.index[("h", j)]: _ONE})
+            f_j = local.zero_coords_of(("f", j))
+            h_j = local.zero_coords_of(("h", j))
             diff = vadd(
-                engine.product(f0, f_j),
-                engine.product(engine.commutator(f0, f_j), h_j),
+                products(f0, f_j),
+                products(local.bracket_vec(-1, f0, 0, f_j), h_j),
                 Fraction(-1),
             )
             residual = cart.minus1_class(diff)
@@ -384,7 +376,8 @@ def check_isomorphism(
 
     direct = True
     if phi.presentation.k_empty:
-        contragredient_dims = build_graded(data, degree_range).dims()
+        contragredient_dims = minimal_extension(
+            cart.source, degree_range).dims()
         sides["contragredient"] = {"dims": dict(contragredient_dims)}
         direct = contragredient_dims == cart_dims
 

@@ -588,8 +588,8 @@ class MinusOneModule:
         return self.g
 
 
-def build_minus1(pres: Presentation, g: ChevalleyAlgebra | None = None,
-                 word_cap: int = 16, cell_cap: int = 6000) -> MinusOneModule:
+def build_minus1(pres: Presentation, word_cap: int = 16,
+                 cell_cap: int = 6000) -> MinusOneModule:
     """Realize the degree -1 component of the presented algebra.
 
     Words of simple raising/lowering actions applied to the family seeds
@@ -599,8 +599,6 @@ def build_minus1(pres: Presentation, g: ChevalleyAlgebra | None = None,
     that criterion holds -- otherwise "inconclusive", never a guess.
     """
     data = pres.data
-    if g is None:
-        g = chevalley_realization(data)
     enum = _Enumeration(data)
     lam = tuple(int(x) for x in data.lam)
     seeds = {("f0", i): enum.new_cell(lam, 0) for i in pres.family}
@@ -659,7 +657,7 @@ def build_minus1(pres: Presentation, g: ChevalleyAlgebra | None = None,
     return MinusOneModule(data=data, variant=pres.variant, status=status,
                           weights=[enum.wt[c] for c in alive],
                           e_act=e_act, f_act=f_act, seed_vecs=seed_vecs,
-                          k_nodes=pres.k_nodes, certificate=certificate, g=g)
+                          k_nodes=pres.k_nodes, certificate=certificate)
 
 
 def _sweep(enum: _Enumeration, seeds: dict, seed_rels: list,

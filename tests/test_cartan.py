@@ -9,17 +9,18 @@ from itertools import product as iproduct
 
 import pytest
 
-from gradedlie import cartan, graded
+from gradedlie import cartan, graded, iso
 from gradedlie.cartan import (
     LocAlgebra,
     cartanify,
     gminus_nodes,
     local_cartanification,
+    products,
     root_subalgebra,
 )
 from gradedlie.contragredient import build_local
 from gradedlie.graded import check_local_axioms, decompose_at_degree
-from gradedlie.linalg import vadd
+from gradedlie.linalg import vadd, vadd_into
 from gradedlie.rootsys import CartanData
 
 from fixtures_gl import gl2form_local, glvec_local, sl_block
@@ -28,6 +29,8 @@ from oracles import s_model_dims, w_model_dims
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+C2 = [[2, -1], [-2, 2]]
+D4 = [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]
 F1 = Fraction(1)
 
 
@@ -205,16 +208,44 @@ def test_weak_minus1_decomposition_a2():
         [((0, 1), 1, 3)]
 
 
+def _candidates(loc):
+    return [(p, j) for p in range(loc.nneg) for j in range(loc.nzero)]
+
+
 def test_minus1_class_roundtrip():
+    loc = build_local(CartanData(A2, lam=[1, 0]))
+    res = local_cartanification(loc)
+    classes = {c: res.minus1_class(products({c[0]: F1}, {c[1]: F1}))
+               for c in _candidates(loc)}
+    # the weak quotient keeps pivot candidates, so each basis vector is
+    # the class of one of them
+    for t in range(res.local.nneg):
+        assert {t: F1} in classes.values()
+    # classes are linear in the candidate coordinates
+    by_weight: dict = {}
+    for (p, j), cls in classes.items():
+        if cls:
+            w = graded.wsum(loc.neg_weights[p], loc.zero_weights[j])
+            by_weight.setdefault(w, []).append((p, j))
+    a, b = next(cs for cs in by_weight.values() if len(cs) > 1)[:2]
+    el = vadd(products({a[0]: 5}, {a[1]: F1}), products({b[0]: 3}, {b[1]: F1}))
+    assert res.minus1_class(el) == vadd(vadd({}, classes[a], 5), classes[b], 3)
+    assert res.minus1_class({}) == {}
+    # a sum over two weights has no class
+    (c1, *_), (c2, *_) = list(by_weight.values())[:2]
+    with pytest.raises(ValueError, match="not weight-homogeneous"):
+        res.minus1_class({c1: F1, c2: F1})
+
+
+def test_minus1_class_outside_restricted_quotient():
     data = CartanData(A2, lam=[1, 0])
-    res = local_cartanification(build_local(data))
-    eng = res.engine
-    # each stored class representative maps to the matching unit vector
-    for t, el in enumerate(res.minus_words):
-        assert res.minus1_class(el) == {t: F1}
-    # a multiple of a representative scales its class
-    el = {w: 5 * c for w, c in res.minus_words[2].items()}
-    assert res.minus1_class(el) == {2: Fraction(5)}
+    loc = build_local(data)
+    res = local_cartanification(
+        loc, restriction=root_subalgebra(data, loc, gminus_nodes(data)))
+    # the weak quotient is larger than the restricted one
+    with pytest.raises(ValueError, match="acts outside the cartanification"):
+        for c in _candidates(loc):
+            res.minus1_class({c: F1})
 
 
 def test_zero_class_roundtrip():
@@ -323,16 +354,44 @@ def test_custom_seed_selects_other_generator():
 # -- the peripheral kernel ------------------------------------------------
 
 
+def _quotient_action(res, cls: dict) -> dict:
+    """Action on the plus wing, keys (q, 1 + k) over the original degree-0
+    basis, of the quotient minus vector cls, read from the quotient's
+    [w_t, z_q] and its degree-0 basis."""
+    out: dict = {}
+    for t, c in cls.items():
+        for q in range(res.local.npos):
+            for u, a in res.local.bracket(-1, t, 1, q).items():
+                for k, b in res.zero_basis[u].items():
+                    vadd_into(out, {(q, 1 + k): b}, c * a)
+    return out
+
+
+def _engine_action(eng, el: dict) -> dict:
+    """The word engine's action of a degree -1 element on the plus wing."""
+    out: dict = {}
+    for q in range(eng.local.npos):
+        z = eng.from_vec(1, {q: F1})
+        for k, c in eng.zero_coords(eng.commutator(el, z)).items():
+            out[(q, k)] = c
+    return out
+
+
 def test_quotient_action_kernel_is_trivial():
-    """Nonzero classes act nonzero: the defining invariant of the quotient."""
+    """Nonzero classes act nonzero: the defining invariant of the quotient,
+    and each candidate acts as its class does."""
     data = CartanData(A2, lam=[1, 0])
-    res = local_cartanification(build_local(data))
+    loc = build_local(data)
+    res = local_cartanification(loc)
     span = cartan.WeightedSpan()
-    for t, el in enumerate(res.minus_words):
-        act = res.action_coords(el)
+    for t in range(res.local.nneg):
+        act = _quotient_action(res, {t: F1})
         assert act, "class %d acts by zero" % t
         assert span.add(act, res.local.neg_weights[t])
     assert span.dim() == res.local.nneg
+    for p, j in _candidates(loc):
+        cls = res.minus1_class(products({p: F1}, {j: F1}))
+        assert res.action_coords(p, j) == _quotient_action(res, cls)
 
 
 def test_unquotiented_candidates_fail_kernel_triviality():
@@ -340,18 +399,33 @@ def test_unquotiented_candidates_fail_kernel_triviality():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
     res = local_cartanification(loc)
-    eng = res.engine
     span = cartan.WeightedSpan()
     count = 0
-    for p in range(loc.nneg):
-        for j in range(loc.nzero):
-            el = eng.product(eng.from_vec(-1, {p: 1}),
-                             eng.from_vec(0, {j: 1}))
-            w = graded.wsum(loc.neg_weights[p], loc.zero_weights[j])
-            span.add(res.action_coords(el), w)
-            count += 1
+    for p, j in _candidates(loc):
+        w = graded.wsum(loc.neg_weights[p], loc.zero_weights[j])
+        span.add(res.action_coords(p, j), w)
+        count += 1
     assert span.dim() < count          # the invariant catches the defect
     assert count - span.dim() == res.kernel_dim
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_local(CartanData(A2, lam=[1, 0])),
+    lambda: build_local(CartanData(C2, epsilon=[1, 2], lam=[1, 0])),
+    lambda: build_local(CartanData(D4, lam=[1, 0, 0, 0])),
+    lambda: glvec_local(3),
+    lambda: gl2form_local(5),
+], ids=["A2w1", "C2w1", "D4w1", "glvec3", "two-form5"])
+def test_candidate_action_matches_word_engine(make):
+    """The closed-form action of x_p u_j is the word engine's commutator
+    action, on every candidate.  No fixture has odd degree-0 letters, so
+    the sign (-1)^{|u||z|} is not exercised."""
+    loc = make()
+    res = local_cartanification(loc)
+    eng = LocAlgebra(loc)
+    for p, j in _candidates(loc):
+        el = eng.product(eng.from_vec(-1, {p: F1}), eng.from_vec(0, {j: F1}))
+        assert res.action_coords(p, j) == _engine_action(eng, el), (p, j)
 
 
 def _a2_local():
@@ -375,14 +449,45 @@ def _strong_a3():
 ], ids=["weak-A2w1", "weak-C2w1", "strong-A3w1", "two-form-restricted"])
 def test_degree0_action_matches_word_engine(make):
     """The quotient's [u_s, w_t], taken from the derivation rule on
-    classes, is the class of the word engine's commutator."""
+    classes, moves each element as the word engine's commutator does: the
+    engine's action of [u_s, el] is the action of sum_t cls_t [u_s, w_t]."""
     res = make()
-    eng = res.engine
-    for s, us in enumerate(res.zero_basis):
-        u = eng.from_vec(0, us)
-        for t, word in enumerate(res.minus_words):
-            assert res.minus1_class(eng.commutator(u, word)) == \
-                res.local.b0m.get((s, t), {}), (s, t)
+    loc = res.source
+    eng = LocAlgebra(loc)
+    if res.restriction is None:
+        elements = [({p: F1}, {j: F1}) for p, j in _candidates(loc)]
+    else:
+        elements = [({0: F1}, dict(y)) for y in res.restriction]
+    nonzero = 0
+    for x, y in elements:
+        cls = res.minus1_class(products(x, y))
+        word = eng.product(eng.from_vec(-1, x), eng.from_vec(0, y))
+        for s, us in enumerate(res.zero_basis):
+            moved: dict = {}
+            for t, c in cls.items():
+                vadd_into(moved, res.local.b0m.get((s, t), {}), c)
+            got = _engine_action(eng, eng.commutator(eng.from_vec(0, us),
+                                                     word))
+            assert got == _quotient_action(res, moved), (x, y, s)
+            nonzero += bool(got)
+    assert nonzero
+
+
+def test_production_path_builds_no_word_engine(monkeypatch):
+    """check-iso and the restricted cartanification never construct the
+    word engine: a degree -1 element is its candidate coordinates."""
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("word engine constructed")
+
+    monkeypatch.setattr(cartan.LocAlgebra, "__init__", refuse)
+    verdict = iso.check_isomorphism(CartanData(A2, lam=[1, 0]))
+    assert verdict.verdict == "isomorphic"
+    data = CartanData(A3, lam=[1, 0, 0])
+    loc = build_local(data)
+    res = cartanify(loc, degree_range=(-4, 1), provenance="strong",
+                    restriction=root_subalgebra(data, loc, gminus_nodes(data)))
+    assert {d: v for d, v in res.graded.dims().items() if v} == \
+        s_model_dims(4)
 
 
 @pytest.mark.parametrize("key", sorted(_a2_local().b0m))

@@ -8,7 +8,10 @@ from fractions import Fraction
 import pytest
 
 from gradedlie import iso, tha
-from gradedlie.rootsys import CartanData, chevalley_realization
+from gradedlie.cartan import local_cartanification, products
+from gradedlie.contragredient import build_local
+from gradedlie.linalg import vadd
+from gradedlie.rootsys import CartanData, chevalley_realization, jk_partition
 
 F1 = Fraction(1)
 
@@ -190,6 +193,40 @@ class TestIdentities:
         # roots beta of A4 with (Lambda_2, beta) = 1: those whose support
         # contains node 1, i.e. beta = alpha_i + ... + alpha_j with i <= 1 <= j
         assert by_name["f0-annihilates-unit-pairing-raisers"]["instances"] == 6
+
+
+class TestIdentityControls:
+    """The parts each identity compares are nonzero where they should be,
+    so no identity check passes vacuously."""
+
+    @pytest.mark.parametrize("name", ["a2", "a4l2", "c3"])
+    def test_identity_parts_are_nonzero(self, name):
+        data = _DATA[name]()
+        local = build_local(data)
+        cart = local_cartanification(local)
+        f0 = {0: -F1}
+
+        def cls(x, u):
+            return cart.minus1_class(products(x, u))
+
+        raisers = [k for k, n in enumerate(local.zero_names) if n[0] == "e"]
+        assert raisers
+        for k in raisers:
+            pairing = data.bilinear(data.lam, local.zero_weights[k])
+            assert bool(cls(f0, {k: F1})) == (pairing == 0), k
+        h0 = cls(f0, local.zero_coords_of(("h0",)))
+        grading = cls(f0, local.grading)
+        assert h0 and grading
+        assert vadd(h0, grading) == {}
+        j_nodes, _ = jk_partition(data)
+        assert j_nodes
+        for j in j_nodes:
+            f_j = local.zero_coords_of(("f", j))
+            lower = cls(f0, f_j)
+            exchanged = cls(local.bracket_vec(-1, f0, 0, f_j),
+                            local.zero_coords_of(("h", j)))
+            assert lower and exchanged
+            assert vadd(lower, exchanged, -F1) == {}
 
 
 class TestPhiCheck:
