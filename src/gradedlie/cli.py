@@ -49,7 +49,8 @@ the same directory, then rename); ``--no-cache`` bypasses reads and
 writes.  A cache hit and a cold run produce identical reports.
 
 Exit codes: 0 success, 1 engine error (the message is printed verbatim
-with the originating module), 2 spec or usage error.
+with the originating module, and prefixed with the exception class for an
+``ArithmeticError`` or ``LookupError``), 2 spec or usage error.
 """
 
 from __future__ import annotations
@@ -575,6 +576,18 @@ def _run_roots(spec: AlgebraSpec, cache: _Cache) -> dict:
     return payload
 
 
+# Errors an engine raises on data it cannot handle.  A ValueError carries
+# its own explanation; for the others the class is part of the message,
+# since "division by zero" or a bare key does not say what went wrong.
+_ENGINE_ERRORS = (ValueError, ArithmeticError, LookupError)
+
+
+def _error_text(exc: Exception) -> str:
+    if isinstance(exc, ValueError):
+        return str(exc)
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _run_check_all(spec: AlgebraSpec, cache: _Cache) -> dict:
     results = {}
     for command in _COMMANDS:
@@ -584,9 +597,9 @@ def _run_check_all(spec: AlgebraSpec, cache: _Cache) -> dict:
         try:
             results[command] = runner(
                 spec, _Cache(spec, command, cache.use))
-        except ValueError as exc:
+        except _ENGINE_ERRORS as exc:
             results[command] = {
-                "error": str(exc), "module": _MODULE_OF[command]}
+                "error": _error_text(exc), "module": _MODULE_OF[command]}
     return {"commands": results}
 
 
@@ -682,8 +695,9 @@ def main(argv=None) -> int:
     try:
         report = build_report(args.command, spec,
                               use_cache=not args.no_cache)
-    except ValueError as exc:
-        print("error in module %s: %s" % (_MODULE_OF[args.command], exc),
+    except _ENGINE_ERRORS as exc:
+        print("error in module %s: %s"
+              % (_MODULE_OF[args.command], _error_text(exc)),
               file=sys.stderr)
         return 1
     text = render_report(report)

@@ -122,9 +122,6 @@ class LocalSuperalgebra:
     def names_at(self, d: int) -> list:
         return {-1: self.neg_names, 0: self.zero_names, 1: self.pos_names}[d]
 
-    def weights_at(self, d: int) -> list:
-        return {-1: self.neg_weights, 0: self.zero_weights, 1: self.pos_weights}[d]
-
     def parities_at(self, d: int) -> list:
         return {-1: self.neg_parities, 0: self.zero_parities, 1: self.pos_parities}[d]
 

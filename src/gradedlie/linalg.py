@@ -67,8 +67,9 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 
 def vadd_into(out: dict, b: Mapping, scale=_ONE) -> dict:
     """out += scale * b, in place, dropping entries that cancel; returns out."""
+    unit = scale == 1
     for k, v in b.items():
-        s = out.get(k, _ZERO) + scale * v
+        s = out.get(k, _ZERO) + (v if unit else scale * v)
         if s:
             out[k] = s
         else:

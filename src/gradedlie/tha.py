@@ -41,15 +41,26 @@ actions, and relation instances -- the presentation's own at the seeds,
 the commutator axioms [e_i, f_j] = delta_ij h_j on every cell, and the
 Serre operators of g as operator identities on every cell -- are imposed
 as exact linear algebra, each new consequence rewriting the newest cell
-involved into older ones.  When every action is defined on every
-surviving cell and a full pass imposes nothing new, the span *is* the
-presented module: any module generated by the seeds in which the seed
-relations hold is a quotient of it, and every rewrite performed lies in
-the relation submodule, so nothing was collapsed beyond it.  That state
-is the stabilization certificate (in particular two consecutive word
-caps leave every per-weight dimension unchanged).  If the word cap or
-the cell budget is exhausted first, the result is explicitly marked
-inconclusive -- dimensions are reported, but nothing is certified.
+involved into older ones.  Rewrites are kept fully reduced, so a normal
+form is one substitution pass.  Deductions are driven by a queue, as in
+Felsch-style coset enumeration (Havas, ISSAC 1991): a cell's instance
+group records the cells whose table entries it looked up, and runs again
+only when one of them is rewritten or gains an entry; the seed relations
+and the transfer of entries off rewritten cells are re-imposed on every
+pass until a pass changes nothing.  The fixpoint at each depth depends
+only on the span of the imposed relations, not on their order.
+
+When every action is defined on every surviving cell, one certifying
+pass runs every seed relation and every cell's group; if it imposes
+anything the queue missed a deduction and ``ValueError`` names the
+instance.  After a clean pass the span *is* the presented module: any
+module generated by the seeds in which the seed relations hold is a
+quotient of it, and every rewrite performed lies in the relation
+submodule, so nothing was collapsed beyond it.  That state is the
+stabilization certificate (in particular two consecutive word caps leave
+every per-weight dimension unchanged).  If the word cap or the cell
+budget is exhausted first, the result is explicitly marked inconclusive
+-- dimensions are reported, but nothing is certified.
 
 The sharp assignment sends h_k to -f0_k and a root vector e_alpha of the
 subalgebra generated by the K-nodes to [e_alpha, f0_{mu vee}]/(mu, alpha)
@@ -402,7 +413,14 @@ def check_relations(pres: Presentation, target, assignment: dict) -> dict:
 
 
 class _Enumeration:
-    """Cells, partial action tables, and rewrite-based linear algebra."""
+    """Cells, partial action tables, fully reduced rewrites, and the queue
+    of instance groups that a new deduction can affect.
+
+    Every rewrite names alive cells only: ``impose`` substitutes each new
+    rewrite into the older ones that name its pivot, found through
+    ``users``.  ``readers`` maps a cell to the cells whose instance group
+    looked its table entries up; ``touch`` puts them back on ``queue``.
+    """
 
     def __init__(self, data: CartanData):
         self.data = data
@@ -416,26 +434,48 @@ class _Enumeration:
                     + [("f", i) for i in range(data.r)])
         self.tab: dict[tuple, dict[int, Vec]] = {op: {} for op in self.ops}
         self.rw: dict[int, Vec] = {}
+        self.users: dict[int, set] = {}
+        self.readers: dict[int, set] = {}
+        self.queue: set = set()
+        self.running: int | None = None   # cell whose group is running
+        self.reads: set | None = None     # cells that group looked up
+        self.certifying = False
         self.changed = False
 
     def new_cell(self, weight: tuple, depth: int) -> int:
         self.wt.append(weight)
         self.depth.append(depth)
-        return len(self.wt) - 1
+        cell = len(self.wt) - 1
+        self.queue.add(cell)
+        return cell
 
     def alive(self, c: int) -> bool:
         return c not in self.rw
 
     def nf(self, vec: Vec) -> Vec:
-        while any(c in self.rw for c in vec):
-            out: Vec = {}
-            for c, co in vec.items():
-                vadd_into(out, self.rw[c] if c in self.rw else {c: _ONE}, co)
-            vec = out
-        return vec
+        """One substitution pass; the result may be ``vec`` itself."""
+        rw = self.rw
+        dead = [c for c in vec if c in rw]
+        if not dead:
+            return vec
+        out = {c: co for c, co in vec.items() if c not in rw}
+        for c in dead:
+            vadd_into(out, rw[c], vec[c])
+        return out
+
+    def touch(self, c: int) -> None:
+        """Queue the groups that looked cell c up: it died or gained an
+        entry."""
+        group = self.readers.pop(c, None)
+        if group:
+            self.queue.update(group)
+        if self.reads is not None and c in self.reads:
+            self.queue.add(self.running)
 
     def act(self, op: tuple, vec: Vec, create: bool) -> Vec | None:
         vec = self.nf(vec)
+        if self.reads is not None:
+            self.reads.update(vec)
         table = self.tab[op]
         out: Vec = {}
         for c, co in vec.items():
@@ -449,6 +489,7 @@ class _Enumeration:
                 w2 = tuple(a + sign * b for a, b in zip(self.wt[c], shift))
                 ent = {self.new_cell(w2, self.depth[c] + 1): _ONE}
                 table[c] = ent
+                self.touch(c)
             vadd_into(out, ent, co)
         return self.nf(out)
 
@@ -459,17 +500,37 @@ class _Enumeration:
                 return None
         return vec
 
-    def impose(self, vec: Vec | None) -> bool:
-        """Assert vec == 0; rewrite its newest cell when it is not."""
+    def impose(self, vec: Vec | None, instance: tuple) -> bool:
+        """Assert vec == 0; rewrite its newest cell when it is not.
+
+        In the certifying pass a nonzero normal form is an error: the
+        queue missed the deduction ``instance`` names.
+        """
         if vec is None:
             return False
         vec = self.nf(vec)
         if not vec:
             return False
+        if self.certifying:
+            raise ValueError("certifying pass imposed a new relation: "
+                             "instance %s" % (instance,))
         piv = max(vec)
         inv = -_ONE / vec[piv]
-        self.rw[piv] = {c: co * inv for c, co in vec.items() if c != piv}
+        new = {c: co * inv for c, co in vec.items() if c != piv}
+        users = self.users
+        for y in users.pop(piv, ()):
+            old = self.rw[y]
+            co = old.pop(piv, None)
+            if co is None:
+                continue
+            vadd_into(old, new, co)
+            for c in new:
+                users.setdefault(c, set()).add(y)
+        self.rw[piv] = new
+        for c in new:
+            users.setdefault(c, set()).add(piv)
         self.changed = True
+        self.touch(piv)
         return True
 
 
@@ -593,10 +654,16 @@ def build_minus1(pres: Presentation, word_cap: int = 16,
     """Realize the degree -1 component of the presented algebra.
 
     Words of simple raising/lowering actions applied to the family seeds
-    are enumerated breadth-first up to ``word_cap`` letters while every
-    relation instance is imposed; see the module docstring for the
-    completeness criterion.  The result is marked "complete" only when
-    that criterion holds -- otherwise "inconclusive", never a guess.
+    are enumerated breadth-first up to ``word_cap`` letters.  At each
+    depth the deduction queue is drained: the instance group of a cell
+    runs again only when a cell it looked up was rewritten or gained a
+    table entry, and the seed relations and the transfer of entries off
+    rewritten cells are re-imposed on every pass until nothing changes.
+    When the tables are total, one certifying pass runs every seed
+    relation and every alive cell's group; if it imposes anything it
+    raises ``ValueError`` naming the instance.  The result is marked
+    "complete" only after that pass came out clean -- otherwise
+    "inconclusive", never a guess.
     """
     data = pres.data
     enum = _Enumeration(data)
@@ -618,17 +685,14 @@ def build_minus1(pres: Presentation, word_cap: int = 16,
         if len(enum.wt) > cell_cap:
             reason = "cell budget %d exceeded" % cell_cap
             break
-        while True:
-            enum.changed = False
-            _sweep(enum, seeds, seed_rels, serres)
-            if not enum.changed:
-                break
+        _drain(enum, seeds, seed_rels, serres)
         dims: dict = {}
         for c in range(len(enum.wt)):
             if enum.alive(c):
                 dims[enum.wt[c]] = dims.get(enum.wt[c], 0) + 1
         history.append(dims)
         if _tables_total(enum):
+            _certify(enum, seeds, seed_rels, serres)
             status = "complete"
             reason = "action tables total and every instance clean"
             break
@@ -660,50 +724,94 @@ def build_minus1(pres: Presentation, word_cap: int = 16,
                           k_nodes=pres.k_nodes, certificate=certificate)
 
 
-def _sweep(enum: _Enumeration, seeds: dict, seed_rels: list,
+def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
            serres: list) -> None:
-    """One full pass of every relation instance over the current cells."""
+    """Run queued instance groups, then the seed relations and the dead
+    entries, until a pass of the latter two imposes nothing (only an
+    imposition queues a group, so the queue is then empty)."""
+    while True:
+        while enum.queue:
+            batch = sorted(enum.queue)
+            enum.queue.clear()
+            for c in batch:
+                if enum.alive(c):
+                    _cell_instances(enum, c, serres)
+        enum.changed = False
+        _seed_instances(enum, seeds, seed_rels)
+        _dead_entry_consequences(enum)
+        if not enum.changed:
+            return
+
+
+def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,
+             serres: list) -> None:
+    """One full pass of every instance; raises if it imposes anything."""
+    enum.certifying = True
+    _seed_instances(enum, seeds, seed_rels)
+    for c in range(len(enum.wt)):
+        if enum.alive(c):
+            _cell_instances(enum, c, serres)
+    _dead_entry_consequences(enum)
+
+
+def _seed_instances(enum: _Enumeration, seeds: dict,
+                    seed_rels: list) -> None:
     for tag, indices, ops, seed_name, rhs in seed_rels:
         vec = enum.word(ops, {seeds[seed_name]: _ONE}, False)
         if vec is None:
             continue
         for c, name in rhs:
             vec = vadd(vec, {seeds[name]: _ONE}, -c)
-        enum.impose(vec)
-    r = enum.r
-    for c in range(len(enum.wt)):
-        if not enum.alive(c):
-            continue
-        unit = {c: _ONE}
-        for i in range(r):
-            ei = enum.act(("e", i), unit, False)
-            for j in range(r):
-                fj = enum.act(("f", j), unit, False)
-                if fj is None:
-                    continue
-                a = enum.act(("e", i), fj, False)
-                if a is None or ei is None:
-                    continue
-                b = enum.act(("f", j), ei, False)
-                if b is None:
-                    continue
-                res = vadd(a, b, -_ONE)
-                if i == j and enum.wt[c][i]:
-                    res = vadd(res, unit, -Fraction(enum.wt[c][i]))
-                enum.impose(res)
-        for kind, i, j, terms in serres:
-            acc: Vec = {}
-            ok = True
-            for coeff, left, right in terms:
-                vec = enum.word([(kind, i)] * left + [(kind, j)]
-                                + [(kind, i)] * right, unit, False)
-                if vec is None:
-                    ok = False
-                    break
-                vadd_into(acc, vec, coeff)
-            if ok:
-                enum.impose(acc)
-    _dead_entry_consequences(enum)
+        enum.impose(vec, (tag, indices))
+
+
+def _cell_instances(enum: _Enumeration, c: int, serres: list) -> None:
+    """Impose the commutator axioms [e_i, f_j] = delta_ij h_j and the
+    Serre operators on cell c, recording the cells the group looked up
+    as its reads."""
+    enum.running, enum.reads = c, set()
+    unit = {c: _ONE}
+    images: dict = {(): unit}
+    for i in range(enum.r):
+        for j in range(enum.r):
+            a = _image(enum, images, (("e", i), ("f", j)))
+            if a is None:
+                continue
+            b = _image(enum, images, (("f", j), ("e", i)))
+            if b is None:
+                continue
+            res = vadd(a, b, -_ONE)
+            if i == j and enum.wt[c][i]:
+                res = vadd(res, unit, -Fraction(enum.wt[c][i]))
+            enum.impose(res, ("commutator", c, i, j))
+    for kind, i, j, terms in serres:
+        acc: Vec = {}
+        for coeff, left, right in terms:
+            vec = _image(enum, images, ((kind, i),) * left + ((kind, j),)
+                         + ((kind, i),) * right)
+            if vec is None:
+                break
+            vadd_into(acc, vec, coeff)
+        else:
+            enum.impose(acc, ("serre-" + kind, c, i, j))
+    readers = enum.readers
+    for x in enum.reads:
+        readers.setdefault(x, set()).add(c)
+    enum.running = enum.reads = None
+
+
+def _image(enum: _Enumeration, images: dict, word: tuple) -> Vec | None:
+    """The word applied to the group's cell, or None when a table entry is
+    missing; ``images`` holds every suffix computed so far."""
+    k = 0
+    while word[k:] not in images:
+        k += 1
+    vec = images[word[k:]]
+    for t in range(k - 1, -1, -1):
+        if vec is not None:
+            vec = enum.act(word[t], vec, False)
+        images[word[t:]] = vec
+    return vec
 
 
 def _dead_entry_consequences(enum: _Enumeration) -> None:
@@ -715,7 +823,8 @@ def _dead_entry_consequences(enum: _Enumeration) -> None:
             target = enum.act(op, enum.rw[c], False)
             if target is None:
                 continue
-            enum.impose(vadd(enum.nf(table.pop(c)), target, -_ONE))
+            enum.impose(vadd(enum.nf(table.pop(c)), target, -_ONE),
+                        ("dead entry", op, c))
 
 
 def _tables_total(enum: _Enumeration) -> bool:

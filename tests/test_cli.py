@@ -204,6 +204,20 @@ class TestMain:
         assert "error in module iso" in err
         assert "pseudo-minuscule precondition fails" in err
 
+    @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),
+                                     KeyError(("f0", 7))])
+    def test_engine_error_names_its_class(self, cache_env, capsys,
+                                          monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.tha, "build_minus1", fail)
+        code = cli.main(["tha-minus1", "--spec", A2_SPEC, "--no-cache"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error in module tha: %s: %s\n" % (
+            type(exc).__name__, exc)
+
     def test_spec_error_exit_2(self, cache_env, capsys):
         code = cli.main(
             ["build-b", "--spec",
@@ -247,6 +261,21 @@ class TestMain:
         assert commands["cartanify"]["module"] == "cartan"
         assert "use build-b" in commands["cartanify"]["error"]
         assert commands["tha-minus1"]["module"] == "tha"
+
+    def test_check_all_records_engine_errors_by_class(
+            self, cache_env, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli.tha, "build_minus1", fail)
+        spec = '{"cartan_matrix": [[2]], "lambda": [1]}'
+        assert cli.main(["check-all", "--spec", spec, "--no-cache"]) == 1
+        commands = json.loads(capsys.readouterr().out)["result"]["commands"]
+        assert commands["tha-minus1"] == {
+            "error": "ZeroDivisionError: division by zero", "module": "tha"}
+        assert commands["check-iso"] == {
+            "error": "ZeroDivisionError: division by zero", "module": "iso"}
+        assert "error" not in commands["build-b"]
 
     def test_check_all_green(self, cache_env, capsys):
         assert cli.main(

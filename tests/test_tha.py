@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,12 +21,19 @@ A2 = [[2, -1], [-1, 2]]
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 G2 = [[2, -1], [-3, 2]]
+C3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+      [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
 F1 = Fraction(1)
 
 _DATA = {
     "a2": lambda: CartanData(A2, lam=(1, 0)),
     "a4": lambda: CartanData(A4, lam=(0, 1, 0, 0)),
     "d4": lambda: CartanData(D4, lam=(1, 0, 0, 0)),
+    "d4w4": lambda: CartanData(D4, lam=(0, 0, 0, 1)),
+    "c3": lambda: CartanData(C3, epsilon=(1, 1, 2), lam=(1, 0, 0)),
+    "g2": lambda: CartanData(G2, epsilon=(1, 3), lam=(1, 0)),
+    "d5": lambda: CartanData(D5, lam=(0, 0, 0, 0, 1)),
 }
 _CACHE: dict = {}
 
@@ -32,7 +42,7 @@ def _mod(name, variant="W", **kw):
     key = (name, variant, tuple(sorted(kw.items())))
     if key not in _CACHE:
         pres = tha.presentation(_DATA[name](), variant)
-        _CACHE[key] = tha.build_minus1(pres, word_cap=16, **kw)
+        _CACHE[key] = tha.build_minus1(pres, **{"word_cap": 16, **kw})
     return _CACHE[key]
 
 
@@ -277,11 +287,115 @@ def test_minus1_inconclusive_on_small_cap():
         mod.decompose()
 
 
+def test_minus1_d5_spinor_matches_weyl_formula():
+    for variant in ("W", "S"):
+        mod = _mod("d5", variant)
+        assert mod.status == "complete"
+        assert mod.decompose() == tha.expected_minus1_decomposition(
+            mod.data, variant)
+    assert (_mod("d5").dim, _mod("d5", "S").dim) == (160, 144)
+
+
 def test_minus1_dimension_history_stabilizes():
     mod = _mod("a2")
     hist = mod.certificate["dims_by_depth"]
     assert len(hist) >= 2 and hist[-1] == hist[-2]
     assert sum(hist[-1].values()) == mod.dim
+
+
+def _plain(x):
+    """JSON-ready copy with dict entries in key order."""
+    if isinstance(x, dict):
+        return [[_plain(k), _plain(v)]
+                for k, v in sorted(x.items(), key=lambda kv: repr(kv[0]))]
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, Fraction):
+        return str(x)
+    return x
+
+
+# sha256 of the certificate, weights, action tables and seed vectors as
+# the enumeration by full sweeps produced them; the deduction queue must
+# reproduce them bit for bit, inconclusive runs included.
+_DIGESTS = {
+    ("d4w4", "W"): "28dbe9f0143a93066d7d2e0ca0b96b2f"
+                   "6b147f6ba3979da1fc9ec6cee94aaa8b",
+    ("d4w4", "S"): "db2a07a55606bc44d9bdeaa7e4560083"
+                   "9708e50d48e714356dcd8a00b818f89c",
+    ("a4", "W"): "aa978055b3c96a78adf830b39e3654ea"
+                 "f0bad6c0cf7bf86c89b55ba4e679c8d5",
+    ("d4", "W"): "0c1f048af7022d82f8712a4e45a1236c"
+                 "67b78aa3960074496f20362d703ed9fa",
+    ("d4", "S"): "bffe3eb0fd0d285728e6e1a70f733833"
+                 "f6695e283ab6b57e8cc2553b42b3ffad",
+    ("c3", "W"): "57e1f277a26fa5041bf4a8b373d4b4ae"
+                 "6010a92298d91e50476f4a35e504680b",
+    ("g2", "W"): "a3938da78bd642e90fa490b63b8d2501"
+                 "4aa8be453d62eba7d6a7f980ec555340",
+    ("d5", "W"): "2c76450597a16f9b8ca6fc28e1d3b85e"
+                 "1e76bd0ac1db64a311caf411b4fb2ed3",
+    ("d5", "S"): "f9227edc40b3e384affa1d2f0d51bf15"
+                 "e30c0445536e790a216ff6b562e16df4",
+    ("a4", "W", "word_cap", 2): "05d3e668538394837ef792354c084ab2"
+                                "c148daecf569bf38005987f0ca441f86",
+    ("a4", "W", "cell_cap", 300): "bbc1175e059bcca4a4d97bccfaaceaa6"
+                                  "47822cdd2f9d84ed4aa7381983dc71c1",
+    ("a2", "squares dropped", "word_cap", 8):
+        "34a8f5dd3d887fcb551f6669fcb4caa9"
+        "e75d5a73e2dfd1cd0ddcecc21e877408",
+}
+
+
+@pytest.mark.parametrize("case", list(_DIGESTS),
+                         ids=["-".join(map(str, c)) for c in _DIGESTS])
+def test_certificate_digests(case):
+    name, variant, *kw = case
+    kw = dict(zip(kw[::2], kw[1::2]))
+    if variant == "squares dropped":
+        pres = tha.reduced_presentation(
+            tha.presentation(_DATA[name](), "W"),
+            drop=("f0-raise-kk", "f0-lower-kk"))
+        mod = tha.build_minus1(pres, **kw)
+    else:
+        mod = _mod(name, variant, **kw)
+    payload = {"certificate": mod.certificate, "weights": mod.weights,
+               "e_act": mod.e_act, "f_act": mod.f_act,
+               "seed_vecs": mod.seed_vecs}
+    text = json.dumps(_plain(payload))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DIGESTS[case]
+
+
+def test_queue_without_requeueing_never_completes(monkeypatch):
+    # negative control: with rewritten cells and new table entries not
+    # sending their readers back to the queue, deductions are missed; the
+    # run must then stay inconclusive or fail its certifying pass
+    monkeypatch.setattr(tha._Enumeration, "touch", lambda self, c: None)
+    for name in ("a2", "d4"):
+        try:
+            mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
+        except ValueError as exc:
+            assert "certifying pass" in str(exc)
+        else:
+            assert mod.status == "inconclusive"
+
+
+def test_certifying_pass_catches_a_missed_deduction(monkeypatch):
+    # the drain never imposes one seed instance; the tables still close,
+    # and the full pass that certifies them must find it
+    missed = ("f0-raise-lower", (1, 1, 1))
+    impose = tha._Enumeration.impose
+
+    def skip_one(self, vec, instance):
+        if instance == missed and not self.certifying:
+            return False
+        return impose(self, vec, instance)
+
+    monkeypatch.setattr(tha._Enumeration, "impose", skip_one)
+    with pytest.raises(ValueError, match=re.escape(
+            "certifying pass imposed a new relation: instance %s"
+            % (missed,))):
+        tha.build_minus1(tha.presentation(_DATA["a2"](), "W"))
 
 
 # -- derived identities in the module -------------------------------------
