@@ -40,13 +40,14 @@ byte-identical apart from the timing field) and conform to
 
 Computed per-degree components are cached, content-addressed by the hash
 of the spec (minus the degree range) and the command, one self-describing
-JSON file per degree, so reruns and range extensions reuse work.  Each
-file records a hash of the package's sources and schemas, and a file
-written by any other engine is treated as absent.  The
-cache directory is ``$GRADEDLIE_CACHE_DIR`` when set, otherwise
-``~/.cache/gradedlie``; writes are atomic (write to a temporary file in
-the same directory, then rename); ``--no-cache`` bypasses reads and
-writes.  A cache hit and a cold run produce identical reports.
+JSON file per degree.  A rerun, or a window inside a cached one, is served
+from the cache; a window that reaches any degree not cached recomputes
+every degree of the window.  Each file records a hash of the package's
+sources and schemas, and a file written by any other engine is treated
+as absent.  The cache directory is ``$GRADEDLIE_CACHE_DIR`` when set,
+otherwise ``~/.cache/gradedlie``; writes are atomic (write to a temporary
+file in the same directory, then rename); ``--no-cache`` bypasses reads
+and writes.  A cache hit and a cold run produce identical reports.
 
 Exit codes: 0 success, 1 engine error (the message is printed verbatim
 with the originating module, and prefixed with the exception class for an

@@ -27,7 +27,7 @@ value; no verdict is guessed.
 Verification is split into independent checks:
 
 * homomorphism -- every defining relation of the relations model evaluates
-  to zero in the cartanification under the assignment (``phi_check``);
+  to zero in the cartanification under the assignment;
 * pseudo-minuscule identities -- the auxiliary identities that make the
   map well defined hold as stated: ``f0 (h0 + L) = 0``, ``f0 e_beta = 0``
   for every positive root beta with ``(lambda, beta) = 1``, and, when
@@ -46,8 +46,8 @@ pseudo-minuscule lambda, lambda equal to its completion) hold;
 "hypotheses not met" when the checks are reported as data but the
 hypotheses fail, so no isomorphism claim is made; "mismatch" when the
 hypotheses hold but a check fails; "inconclusive" when the enumeration of
-the relations model did not stabilize, in which case no boolean is
-invented for injectivity.
+the relations model did not stabilize within its cell budget, in which
+case no boolean is invented for injectivity.
 
 When K is empty the relations model coincides with the contragredient
 model, and the comparison additionally checks the full degree range of
@@ -219,28 +219,6 @@ def pseudo_minuscule_identities(
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def phi_check(data: CartanData, degree_range: tuple[int, int] = (-2, 1)) -> dict:
-    """Check that the comparison assignment is a homomorphism.
-
-    Raises ``ValueError`` naming the failing root when the
-    pseudo-minuscule precondition does not hold.  Otherwise evaluates
-    every defining relation of the relations model in the cartanification
-    under the assignment, together with the pseudo-minuscule identities,
-    and reports the outcome.
-    """
-    phi = phi_assignment(data, degree_range=degree_range)
-    relations = tha.check_relations(
-        phi.presentation, phi.cartanification.graded, phi.assignment
-    )
-    identities = pseudo_minuscule_identities(data, phi.cartanification)
-    return {
-        "passed": relations["passed"] and identities["passed"],
-        "relations": relations,
-        "identities": identities,
-        "assignment": phi,
-    }
-
-
 def hypothesis_record(data: CartanData) -> dict:
     """Record the structural hypotheses of the comparison theorem.
 
@@ -314,7 +292,6 @@ class IsoVerdict:
 def check_isomorphism(
     data: CartanData,
     degree_range: tuple[int, int] = (-2, 1),
-    word_cap: int = 16,
 ) -> IsoVerdict:
     """Decide whether the comparison map is an isomorphism in degree -1.
 
@@ -349,7 +326,7 @@ def check_isomorphism(
         },
     }
 
-    module = tha.build_minus1(phi.presentation, word_cap=word_cap)
+    module = tha.build_minus1(phi.presentation)
     if module.status != "complete":
         sides["relations_model"] = {"status": module.status}
         return IsoVerdict(

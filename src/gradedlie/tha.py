@@ -57,10 +57,10 @@ instance.  After a clean pass the span *is* the presented module: any
 module generated by the seeds in which the seed relations hold is a
 quotient of it, and every rewrite performed lies in the relation
 submodule, so nothing was collapsed beyond it.  That state is the
-stabilization certificate (in particular two consecutive word caps leave
-every per-weight dimension unchanged).  If the word cap or the cell
-budget is exhausted first, the result is explicitly marked inconclusive
--- dimensions are reported, but nothing is certified.
+stabilization certificate, and the enumeration stops on it.  The only
+budget is the number of cells: the next cell past ``cell_cap`` is never
+created, and the result is then explicitly marked inconclusive --
+dimensions are reported, but nothing is certified.
 
 The sharp assignment sends h_k to -f0_k and a root vector e_alpha of the
 subalgebra generated by the K-nodes to [e_alpha, f0_{mu vee}]/(mu, alpha)
@@ -412,6 +412,10 @@ def check_relations(pres: Presentation, target, assignment: dict) -> dict:
 # -- the degree -1 module by vector enumeration ------------------------------
 
 
+class _CellBudgetExhausted(Exception):
+    """The enumeration needs a cell beyond its budget."""
+
+
 class _Enumeration:
     """Cells, partial action tables, fully reduced rewrites, and the queue
     of instance groups that a new deduction can affect.
@@ -422,14 +426,14 @@ class _Enumeration:
     looked its table entries up; ``touch`` puts them back on ``queue``.
     """
 
-    def __init__(self, data: CartanData):
+    def __init__(self, data: CartanData, cell_cap: int):
         self.data = data
         self.r = data.r
+        self.cell_cap = cell_cap
         # labels of alpha_j as an integer tuple (column j of A)
         self.alpha = [tuple(data.a[t][j] for t in range(data.r))
                       for j in range(data.r)]
         self.wt: list[tuple] = []
-        self.depth: list[int] = []
         self.ops = ([("e", i) for i in range(data.r)]
                     + [("f", i) for i in range(data.r)])
         self.tab: dict[tuple, dict[int, Vec]] = {op: {} for op in self.ops}
@@ -442,9 +446,10 @@ class _Enumeration:
         self.certifying = False
         self.changed = False
 
-    def new_cell(self, weight: tuple, depth: int) -> int:
+    def new_cell(self, weight: tuple) -> int:
+        if len(self.wt) == self.cell_cap:
+            raise _CellBudgetExhausted
         self.wt.append(weight)
-        self.depth.append(depth)
         cell = len(self.wt) - 1
         self.queue.add(cell)
         return cell
@@ -487,7 +492,7 @@ class _Enumeration:
                 shift = self.alpha[i]
                 sign = 1 if kind == "e" else -1
                 w2 = tuple(a + sign * b for a, b in zip(self.wt[c], shift))
-                ent = {self.new_cell(w2, self.depth[c] + 1): _ONE}
+                ent = {self.new_cell(w2): _ONE}
                 table[c] = ent
                 self.touch(c)
             vadd_into(out, ent, co)
@@ -614,7 +619,7 @@ class MinusOneModule:
     def require_complete(self) -> None:
         if self.status != "complete":
             raise ValueError("the enumeration did not stabilize within the "
-                             "word cap; nothing is certified")
+                             "cell budget; nothing is certified")
 
     def decompose(self) -> list:
         self.require_complete()
@@ -649,53 +654,57 @@ class MinusOneModule:
         return self.g
 
 
-def build_minus1(pres: Presentation, word_cap: int = 16,
-                 cell_cap: int = 6000) -> MinusOneModule:
+def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     """Realize the degree -1 component of the presented algebra.
 
     Words of simple raising/lowering actions applied to the family seeds
-    are enumerated breadth-first up to ``word_cap`` letters.  At each
-    depth the deduction queue is drained: the instance group of a cell
+    are enumerated breadth-first, one letter longer per round.  After each
+    round the deduction queue is drained: the instance group of a cell
     runs again only when a cell it looked up was rewritten or gained a
     table entry, and the seed relations and the transfer of entries off
     rewritten cells are re-imposed on every pass until nothing changes.
     When the tables are total, one certifying pass runs every seed
     relation and every alive cell's group; if it imposes anything it
     raises ``ValueError`` naming the instance.  The result is marked
-    "complete" only after that pass came out clean -- otherwise
-    "inconclusive", never a guess.
+    "complete" only after that pass came out clean.  If a round would
+    create a cell beyond ``cell_cap`` the run stops there, "inconclusive",
+    never a guess, with at most ``cell_cap`` cells created.
     """
     data = pres.data
-    enum = _Enumeration(data)
+    if cell_cap < len(pres.family):
+        raise ValueError("cell budget %d is smaller than the %d family seeds"
+                         % (cell_cap, len(pres.family)))
+    enum = _Enumeration(data, cell_cap)
     lam = tuple(int(x) for x in data.lam)
-    seeds = {("f0", i): enum.new_cell(lam, 0) for i in pres.family}
+    seeds = {("f0", i): enum.new_cell(lam) for i in pres.family}
     seed_rels = _seed_relations(pres)
     serres = _serre_instances(data)
     history = []
     status = "inconclusive"
-    reason = "word cap %d exhausted" % word_cap
+    reason = "cell budget %d exhausted" % cell_cap
     depth_used = 0
 
-    for depth in range(1, word_cap + 1):
-        depth_used = depth
-        for c in range(len(enum.wt)):
-            if enum.alive(c) and enum.depth[c] < depth:
-                for op in enum.ops:
-                    enum.act(op, {c: _ONE}, True)
-        if len(enum.wt) > cell_cap:
-            reason = "cell budget %d exceeded" % cell_cap
-            break
-        _drain(enum, seeds, seed_rels, serres)
-        dims: dict = {}
-        for c in range(len(enum.wt)):
-            if enum.alive(c):
-                dims[enum.wt[c]] = dims.get(enum.wt[c], 0) + 1
-        history.append(dims)
-        if _tables_total(enum):
-            _certify(enum, seeds, seed_rels, serres)
-            status = "complete"
-            reason = "action tables total and every instance clean"
-            break
+    try:
+        while True:
+            depth_used += 1
+            # the range is fixed here: this round's new cells wait for the next
+            for c in range(len(enum.wt)):
+                if enum.alive(c):
+                    for op in enum.ops:
+                        enum.act(op, {c: _ONE}, True)
+            _drain(enum, seeds, seed_rels, serres)
+            dims: dict = {}
+            for c in range(len(enum.wt)):
+                if enum.alive(c):
+                    dims[enum.wt[c]] = dims.get(enum.wt[c], 0) + 1
+            history.append(dims)
+            if _tables_total(enum):
+                _certify(enum, seeds, seed_rels, serres)
+                status = "complete"
+                reason = "action tables total and every instance clean"
+                break
+    except _CellBudgetExhausted:
+        pass
 
     alive = [c for c in range(len(enum.wt)) if enum.alive(c)]
     index = {c: t for t, c in enumerate(alive)}
@@ -715,7 +724,7 @@ def build_minus1(pres: Presentation, word_cap: int = 16,
                 mats[i][index[c]] = img
     seed_vecs = {name: compact({cell: _ONE}) for name, cell in seeds.items()}
     certificate = {"complete": status == "complete", "reason": reason,
-                   "word_cap": word_cap, "depth_used": depth_used,
+                   "cell_cap": cell_cap, "depth_used": depth_used,
                    "cells_created": len(enum.wt),
                    "dims_by_depth": history}
     return MinusOneModule(data=data, variant=pres.variant, status=status,

@@ -47,6 +47,8 @@ def _a(n):
 
 
 _D4 = [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]
+_E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+       [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
 
 _DATA = {
     "a1": lambda: CartanData(_a(1), lam=(1,)),
@@ -318,6 +320,20 @@ def test_criterion_5_relations_model_isomorphic_to_cartanification():
         assert {c["name"] for c in verdict.homomorphism["checks"]} == tags
         for check in verdict.homomorphism["checks"]:
             assert check["violations"] == [], (name, check["name"])
+
+
+@pytest.mark.slow
+def test_criterion_5_e6_first_fundamental_isomorphic():
+    # minuscule, so inside the hypotheses; 27 + 351 by the Weyl formula
+    data = CartanData(_E6, lam=(1, 0, 0, 0, 0, 0))
+    verdict = iso.check_isomorphism(data)
+    assert verdict.verdict == "isomorphic"
+    assert verdict.sides["relations_model"]["dim"] == 378
+    assert verdict.sides["cartanification"]["minus1_dim"] == 378
+    expected = sorted(tha.expected_minus1_decomposition(data, "W"))
+    assert sorted(d for _, _, d in expected) == [27, 351]
+    for side in ("relations_model", "cartanification"):
+        assert verdict.sides[side]["decomposition"] == expected, side
 
 
 # -- criterion 6: contragredient sanity --------------------------------------

@@ -293,13 +293,13 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("command, spec, digest", [
         ("check-all", A2_SPEC,
-         "1515cf10c43ac65fb276217ee3f877a14feaafc96a06a6198cb868170eebe2fa"),
+         "0fa9a9e2108dde26aee0d2b07b73c8b95a11725200d1e6e1dd4ecab95a0bff90"),
         ("check-all", '{"cartan_matrix": [[2, -1], [-2, 2]], '
                       '"epsilon": ["1", "2"], "lambda": [1, 0]}',
-         "4c60c577944b3bec23df7388da60eb1e8eacc10e4f23d1e517e564a9a8f730b0"),
+         "8dbfc9c94ca2780aee0119da9769ff93ac0dda1283623be7088702fc391aee92"),
         ("check-iso", '{"cartan_matrix": [[2, -2], [-1, 2]], '
                       '"epsilon": ["2", "1"], "lambda": [0, 1]}',
-         "dfea4cef1cf6346d8f3ed3f801bb8dd515dd4c4963f9045801e67401f4f02048"),
+         "9b1f3d02786f7914e734a586bb3020aa9ac96d9be85901ae81d0994a7e58aad6"),
     ], ids=["check-all-A2w1", "check-all-C2w1", "check-iso-B2w2"])
     def test_report_digest(self, cache_env, capsys, command, spec, digest):
         assert cli.main([command, "--spec", spec, "--no-cache"]) == 0

@@ -3,6 +3,7 @@ cartanification."""
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -102,7 +103,7 @@ class TestPrecondition:
     def test_error_names_failing_root(self):
         data = CartanData(_a(1), lam=(2,))
         with pytest.raises(ValueError, match="pseudo-minuscule precondition"):
-            iso.phi_check(data)
+            iso.phi_assignment(data)
         with pytest.raises(ValueError, match=r"\(1,\) to 2"):
             iso.check_isomorphism(data)
 
@@ -230,17 +231,22 @@ class TestIdentityControls:
 
 
 class TestPhiCheck:
+    """The homomorphism check of phi, as ``check_isomorphism`` reports it."""
+
     def test_passes_and_covers_all_tags(self):
-        data = _DATA["a2"]()
-        pres = tha.presentation(data, "W")
-        report = iso.phi_check(data)
+        pres = tha.presentation(_DATA["a2"](), "W")
+        report = _verdict("a2").homomorphism
         assert report["passed"]
-        names = {check["name"] for check in report["relations"]["checks"]}
+        names = {check["name"] for check in report["checks"]}
         assert names == set(pres.tags)
 
     def test_returns_assignment(self):
-        report = iso.phi_check(_DATA["a1"]())
-        assert isinstance(report["assignment"], iso.PhiAssignment)
+        data = _DATA["a1"]()
+        phi = iso.phi_assignment(data)
+        assert isinstance(phi, iso.PhiAssignment)
+        report = tha.check_relations(
+            phi.presentation, phi.cartanification.graded, phi.assignment)
+        assert report == _verdict("a1").homomorphism
 
 
 class TestOutsideHypotheses:
@@ -253,11 +259,14 @@ class TestOutsideHypotheses:
         assert verdict.sides["relations_model"]["dim"] == 8
         assert verdict.sides["cartanification"]["minus1_dim"] == 8
 
-    def test_inconclusive_when_enumeration_capped(self):
-        verdict = iso.check_isomorphism(_DATA["a4l2"](), word_cap=2)
+    def test_inconclusive_when_enumeration_capped(self, monkeypatch):
+        monkeypatch.setattr(tha, "build_minus1", functools.partial(
+            tha.build_minus1, cell_cap=50))
+        verdict = iso.check_isomorphism(_DATA["a4l2"]())
         assert verdict.verdict == "inconclusive"
         assert verdict.injective is None
         assert verdict.certificate["complete"] is False
+        assert verdict.certificate["cells_created"] <= 50
         assert verdict.sides["relations_model"]["status"] != "complete"
 
 

@@ -24,6 +24,8 @@ G2 = [[2, -1], [-3, 2]]
 C3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 D5 = [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
       [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]]
+E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
+      [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
 F1 = Fraction(1)
 
 _DATA = {
@@ -34,6 +36,7 @@ _DATA = {
     "c3": lambda: CartanData(C3, epsilon=(1, 1, 2), lam=(1, 0, 0)),
     "g2": lambda: CartanData(G2, epsilon=(1, 3), lam=(1, 0)),
     "d5": lambda: CartanData(D5, lam=(0, 0, 0, 0, 1)),
+    "e6": lambda: CartanData(E6, lam=(1, 0, 0, 0, 0, 0)),
 }
 _CACHE: dict = {}
 
@@ -42,7 +45,7 @@ def _mod(name, variant="W", **kw):
     key = (name, variant, tuple(sorted(kw.items())))
     if key not in _CACHE:
         pres = tha.presentation(_DATA[name](), variant)
-        _CACHE[key] = tha.build_minus1(pres, **{"word_cap": 16, **kw})
+        _CACHE[key] = tha.build_minus1(pres, **kw)
     return _CACHE[key]
 
 
@@ -243,7 +246,7 @@ def test_minus1_k_empty_is_the_lambda_module():
     data = CartanData(A2, lam=(1, 1))
     pres = tha.presentation(data, "W")
     assert pres.k_empty
-    mod = tha.build_minus1(pres, word_cap=12)
+    mod = tha.build_minus1(pres)
     assert mod.status == "complete"
     assert mod.decompose() == [((1, 1), 1, 8)]
 
@@ -279,12 +282,39 @@ def test_minus1_extension_seed_generates_lambda_module():
 
 
 def test_minus1_inconclusive_on_small_cap():
-    pres = tha.presentation(_DATA["a4"](), "W")
-    mod = tha.build_minus1(pres, word_cap=2)
+    mod = _mod("a4", cell_cap=50)
     assert mod.status == "inconclusive"
-    assert "word cap" in mod.certificate["reason"]
+    assert "cell budget" in mod.certificate["reason"]
     with pytest.raises(ValueError, match="did not stabilize"):
         mod.decompose()
+
+
+@pytest.mark.parametrize("cell_cap", [50, 300])
+def test_cell_cap_is_a_hard_bound(cell_cap):
+    # the budget is checked where cells are created, not once per round
+    mod = _mod("a4", cell_cap=cell_cap)
+    cert = mod.certificate
+    assert mod.status == "inconclusive"
+    assert cert["cells_created"] <= cell_cap
+    assert cert["reason"] == "cell budget %d exhausted" % cell_cap
+    assert cert["cell_cap"] == cell_cap
+
+
+def test_cell_cap_below_the_family_is_rejected():
+    pres = tha.presentation(_DATA["a4"](), "W")
+    with pytest.raises(ValueError, match="smaller than the 4 family seeds"):
+        tha.build_minus1(pres, cell_cap=3)
+
+
+def test_minus1_e6_omega1_completes_under_defaults():
+    mod = tha.build_minus1(tha.presentation(_DATA["e6"](), "W"))
+    assert mod.status == "complete"
+    assert mod.certificate["cells_created"] <= 6000
+    assert mod.dim == 378
+    expected = tha.expected_minus1_decomposition(mod.data, "W")
+    assert mod.decompose() == expected
+    # L(omega_1) + L(theta_K + omega_1), dimensions by the Weyl formula
+    assert [(m, d) for _, m, d in expected] == [(1, 27), (1, 351)]
 
 
 def test_minus1_d5_spinor_matches_weyl_formula():
@@ -315,35 +345,36 @@ def _plain(x):
     return x
 
 
-# sha256 of the certificate, weights, action tables and seed vectors as
-# the enumeration by full sweeps produced them; the deduction queue must
-# reproduce them bit for bit, inconclusive runs included.
+# sha256 of the certificate, weights, action tables and seed vectors.  On
+# the complete cases everything but the certificate's budget key is as the
+# enumeration by full sweeps produced it; the inconclusive cases stop on
+# the cell budget, which is never overrun.
 _DIGESTS = {
-    ("d4w4", "W"): "28dbe9f0143a93066d7d2e0ca0b96b2f"
-                   "6b147f6ba3979da1fc9ec6cee94aaa8b",
-    ("d4w4", "S"): "db2a07a55606bc44d9bdeaa7e4560083"
-                   "9708e50d48e714356dcd8a00b818f89c",
-    ("a4", "W"): "aa978055b3c96a78adf830b39e3654ea"
-                 "f0bad6c0cf7bf86c89b55ba4e679c8d5",
-    ("d4", "W"): "0c1f048af7022d82f8712a4e45a1236c"
-                 "67b78aa3960074496f20362d703ed9fa",
-    ("d4", "S"): "bffe3eb0fd0d285728e6e1a70f733833"
-                 "f6695e283ab6b57e8cc2553b42b3ffad",
-    ("c3", "W"): "57e1f277a26fa5041bf4a8b373d4b4ae"
-                 "6010a92298d91e50476f4a35e504680b",
-    ("g2", "W"): "a3938da78bd642e90fa490b63b8d2501"
-                 "4aa8be453d62eba7d6a7f980ec555340",
-    ("d5", "W"): "2c76450597a16f9b8ca6fc28e1d3b85e"
-                 "1e76bd0ac1db64a311caf411b4fb2ed3",
-    ("d5", "S"): "f9227edc40b3e384affa1d2f0d51bf15"
-                 "e30c0445536e790a216ff6b562e16df4",
-    ("a4", "W", "word_cap", 2): "05d3e668538394837ef792354c084ab2"
-                                "c148daecf569bf38005987f0ca441f86",
-    ("a4", "W", "cell_cap", 300): "bbc1175e059bcca4a4d97bccfaaceaa6"
-                                  "47822cdd2f9d84ed4aa7381983dc71c1",
-    ("a2", "squares dropped", "word_cap", 8):
-        "34a8f5dd3d887fcb551f6669fcb4caa9"
-        "e75d5a73e2dfd1cd0ddcecc21e877408",
+    ("d4w4", "W"): "6dfdd000a58395935b5ba0d4694664cd"
+                   "b381e59bb8598953a964cdd070a8484b",
+    ("d4w4", "S"): "7ae4e6f52c13af09812cc5ab6fce9e7f"
+                   "bd8cb33421c52034d24bfcc49e4a4f4b",
+    ("a4", "W"): "b6e6a3d15c2ec59554a7a13cffc39e24"
+                 "910cae9429b5e0b1a919572126eeea34",
+    ("d4", "W"): "b58c637b71d9d712eb7bee6fb0603f76"
+                 "4c1bcf5369ccf95927979b47f6b40bf6",
+    ("d4", "S"): "33e32f67cd3e70aa247bcb9d75da8ccc"
+                 "6abf3c14691c2efea1970dae5eee8266",
+    ("c3", "W"): "48e33a1f7798ddc0bc239a60bca5c6f8"
+                 "f64b01de57d92a7988d7c4d7e7742772",
+    ("g2", "W"): "fe7d43b4e509b32575644c1a50402452"
+                 "1a9433774fc95b029af6dca711b785b9",
+    ("d5", "W"): "cc6113b80a317ce20051865cc698c994"
+                 "071baf7b20a3a5ccf47b70fe3898b61d",
+    ("d5", "S"): "7f1f911fbd1b2081b40f70e82f946918"
+                 "3f733246dbb0bdebedc13187c3c1d82c",
+    ("a4", "W", "cell_cap", 50): "24bd2b60ba0f63e2b441fe9591631bf8"
+                                 "85dd48054dbb7b711e4e706ccb6cdfaa",
+    ("a4", "W", "cell_cap", 300): "d4cc3fc6c1572fe13b939c3e15de741b"
+                                  "923e3bd0be0cad87fc8bd61ba6b39a2a",
+    ("a2", "squares dropped", "cell_cap", 300):
+        "ab4087965886db3e8a9691b00385c8cf"
+        "e26c4ce20d633cd7388d025196f4f749",
 }
 
 
@@ -378,6 +409,7 @@ def test_queue_without_requeueing_never_completes(monkeypatch):
             assert "certifying pass" in str(exc)
         else:
             assert mod.status == "inconclusive"
+            assert mod.certificate["cells_created"] <= 6000
 
 
 def test_certifying_pass_catches_a_missed_deduction(monkeypatch):
@@ -551,8 +583,7 @@ def test_sharp_rejects_unsupported_elements():
 
 
 def test_sharp_requires_a_complete_module():
-    pres = tha.presentation(_DATA["a4"](), "W")
-    mod = tha.build_minus1(pres, word_cap=2)
+    mod = _mod("a4", cell_cap=50)
     with pytest.raises(ValueError, match="did not stabilize"):
         tha.sharp_image(mod)
 
@@ -633,7 +664,7 @@ def test_mixed_raising_relations_are_redundant_simply_laced():
     for name in ("a2", "a4"):
         pres = tha.presentation(_DATA[name](), "W")
         red = tha.reduced_presentation(pres)
-        mod = tha.build_minus1(red, word_cap=16)
+        mod = tha.build_minus1(red)
         assert mod.status == "complete"
         assert mod.decompose() == _mod(name).decompose()
         # the dropped instances already evaluate to zero
@@ -651,7 +682,7 @@ def test_square_relations_are_independent_at_module_level():
     pres = tha.presentation(_DATA["a2"](), "W")
     red = tha.reduced_presentation(pres,
                                    drop=("f0-raise-kk", "f0-lower-kk"))
-    mod = tha.build_minus1(red, word_cap=8)
+    mod = tha.build_minus1(red, cell_cap=300)
     assert mod.status == "inconclusive"
     hist = mod.certificate["dims_by_depth"]
     assert sum(hist[-1].values()) > sum(hist[-2].values())
