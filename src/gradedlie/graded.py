@@ -20,6 +20,13 @@ annihilated by every z and lands in the kernel automatically.  Kernels
 are computed per weight block; bases are ordered by (weight, candidate),
 so outputs are deterministic.
 
+At degree -2 (k = 1) both factors sit at degree -1, and a candidate
+u (x) x with u > x has T-values -(-1)^{|u||x|} times those of x (x) u,
+which comes earlier in its block: it is never a pivot, and dropping it
+changes no pivot and no class.  So only u <= x are candidates there, and
+the bracket [u, x] for u > x is filled in from [x, u] with that sign.
+The diagonal u = x stays, since [x, x] need not vanish for odd x.
+
 That quotient step -- candidates modulo the kernel of their T-values, one
 weight block at a time -- is the one function ``weight_block_quotient``.
 It also builds the irreducible module R(-lambda) level by level
@@ -466,7 +473,9 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
             vadd_into(out, t, -sign * c)
         return out
 
-    cands = [(u, x) for u in range(prev.dim) for x in range(unit.dim)]
+    # at k = 1, [u, x] with u > x is a multiple of [x, u]: never a pivot
+    cands = [(u, x) for u in range(prev.dim)
+             for x in range(u if k == 1 else 0, unit.dim)]
     t_vals: dict[tuple, list[Vec]] = {}
     for (u, x) in cands:
         vals = []
@@ -478,9 +487,27 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
             vals.append(vadd(term1, term2, sgn))
         t_vals[(u, x)] = vals
 
+    # one weight sum per pair of distinct weights, not one per candidate
+    prev_wid = _weight_ids(prev.weights)
+    unit_wid = _weight_ids(unit.weights)
+    sums: dict = {}
+
+    def weight(u: int, x: int) -> tuple:
+        key = (prev_wid[u], unit_wid[x])
+        w = sums.get(key)
+        if w is None:
+            w = sums[key] = wsum(prev.weights[u], unit.weights[x])
+        return w
+
     kept, reduce_map = weight_block_quotient(
-        cands, (wsum(prev.weights[u], unit.weights[x]) for u, x in cands),
+        cands, (weight(u, x) for u, x in cands),
         (t_vals[cand] for cand in cands))
+    if k == 1:
+        for u in range(prev.dim):
+            for x in range(u):
+                sign = -_ONE if (prev.parities[u]
+                                 and unit.parities[x]) else _ONE
+                reduce_map[(u, x)] = vscale(reduce_map[(x, u)], -sign)
     new_deg = side * (k + 1)
     tensor_parent = [cand for _, cand in kept]
     layer = Layer(new_deg, [("w", new_deg, t) for t in range(len(kept))],
@@ -513,6 +540,12 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
                 act0[a][idx] = vec
     layer.act0 = act0
     return layer
+
+
+def _weight_ids(weights: list) -> list[int]:
+    """Per basis element, the index of its weight among the distinct ones."""
+    ids: dict = {}
+    return [ids.setdefault(w, len(ids)) for w in weights]
 
 
 def _flatten(vecs: list) -> dict:

@@ -5,7 +5,9 @@ iteration over entries is always in sorted ``(row, col)`` order, so every
 derived object (echelon forms, kernel bases, solved coordinates) is
 reproducible run to run.  All arithmetic is exact: values are
 ``fractions.Fraction`` throughout, reduced by construction, and no
-floating-point path exists anywhere in the package.
+floating-point path exists anywhere in the package.  The one elimination
+kernel behind ``rref``, ``rank``, ``kernel_basis`` and ``solve`` clears
+denominators and works on integer rows, returning ``Fraction``s.
 
 The engines also share the helpers below on sparse objects without a
 fixed shape: sparse vectors ``{index: Fraction}`` (``vadd_into``,
@@ -19,6 +21,7 @@ them stores a zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -69,11 +72,18 @@ def vadd_into(out: dict, b: Mapping, scale=_ONE) -> dict:
     """out += scale * b, in place, dropping entries that cancel; returns out."""
     unit = scale == 1
     for k, v in b.items():
-        s = out.get(k, _ZERO) + (v if unit else scale * v)
-        if s:
-            out[k] = s
+        if not unit:
+            v = scale * v
+        s = out.get(k)
+        if s is None:
+            if v:
+                out[k] = _frac(v)
         else:
-            out.pop(k, None)
+            s += v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
     return out
 
 
@@ -323,43 +333,72 @@ def _reduce(rows: list[dict[int, Fraction]], cols: int) -> list[int]:
     first not-yet-used row with a nonzero entry.  Rows are fully reduced
     (eliminated above and below, pivots scaled to 1), so the result is the
     unique RREF of the row space.
+
+    The elimination runs over ``int``.  Each row is first scaled by the
+    lcm of its denominators, which leaves the row space and hence the RREF
+    unchanged.  A row with entry ``f`` in the column of a pivot ``p``
+    becomes ``(p * row - f * pivot_row) / gcd(p, f)`` and is then divided
+    by the gcd of its entries, so every row stays primitive and its
+    integers stay small.  Only the returned rows are turned back into
+    ``Fraction``s, each divided by its pivot entry.
     """
     nrows = len(rows)
+    irows: list[dict[int, int]] = []
+    for row in rows:
+        den = lcm(*[v.denominator for v in row.values()])
+        irows.append(_primitive(
+            {k: v.numerator * (den // v.denominator) for k, v in row.items()}))
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         sel = -1
         for i in range(r, nrows):
-            if c in rows[i]:
+            if c in irows[i]:
                 sel = i
                 break
         if sel < 0:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r]
+        irows[r], irows[sel] = irows[sel], irows[r]
+        piv = irows[r]
         pc = piv[c]
-        if pc != 1:
-            inv = _ONE / pc
-            for k in piv:
-                piv[k] *= inv
         for i in range(nrows):
             if i == r:
                 continue
-            row = rows[i]
+            row = irows[i]
             f = row.get(c)
             if f is None:
                 continue
+            g = gcd(pc, f)
+            a, b = pc // g, f // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in piv.items():
-                s = row.get(k, _ZERO) - f * v
+                s = row.get(k, 0) - b * v
                 if s:
                     row[k] = s
                 else:
-                    row.pop(k, None)
+                    del row[k]
+            irows[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    for i, row in enumerate(irows):
+        if i < r:
+            pc = row[pivots[i]]
+            rows[i] = {k: Fraction(v, pc) for k, v in row.items()}
+        else:
+            rows[i] = {}
     return pivots
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {k: v // g for k, v in row.items()}
+    return row
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:

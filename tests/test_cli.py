@@ -300,7 +300,13 @@ class TestGoldenReports:
         ("check-iso", '{"cartan_matrix": [[2, -2], [-1, 2]], '
                       '"epsilon": ["2", "1"], "lambda": [0, 1]}',
          "9b1f3d02786f7914e734a586bb3020aa9ac96d9be85901ae81d0994a7e58aad6"),
-    ], ids=["check-all-A2w1", "check-all-C2w1", "check-iso-B2w2"])
+        # epsilon (2, 2, 1) puts non-integral weight blocks in the extension
+        ("check-iso", '{"cartan_matrix": [[2, -1, 0], [-1, 2, -2], '
+                      '[0, -1, 2]], "epsilon": ["2", "2", "1"], '
+                      '"lambda": [0, 0, 1]}',
+         "367b5ef1f91e88576ab0de859394dda614b23890e435affc0b3e8ed5adc256ae"),
+    ], ids=["check-all-A2w1", "check-all-C2w1", "check-iso-B2w2",
+            "check-iso-B3w3"])
     def test_report_digest(self, cache_env, capsys, command, spec, digest):
         assert cli.main([command, "--spec", spec, "--no-cache"]) == 0
         text = _strip_timing(capsys.readouterr().out)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures_gl import glvec_local
 from gradedlie import graded
+from gradedlie.cartan import cartanify
 from gradedlie.linalg import (
     RatMatrix, kernel_basis, rref, stack_columns, vadd_into)
 from gradedlie.rootsys import CartanData, chevalley_realization, weyl_dimension
@@ -73,22 +75,24 @@ def gl_local(n):
     )
 
 
-def principal_local(data):
-    """h_i at degree 0, simple e_i/f_i at degrees +-1 (all even)."""
+def principal_local(data, odd=()):
+    """h_i at degree 0, simple e_i/f_i at degrees +-1, odd for the nodes
+    in ``odd`` and even otherwise."""
     r = data.r
+    parities = [int(i in odd) for i in range(r)]
     zero_w = (F0,) * r
     labels = [tuple(Fraction(data.a[j][i]) for j in range(r))
               for i in range(r)]
     return graded.LocalSuperalgebra(
         neg_names=[("f", i) for i in range(r)],
         neg_weights=[tuple(-x for x in labels[i]) for i in range(r)],
-        neg_parities=[0] * r,
+        neg_parities=parities,
         zero_names=[("h", i) for i in range(r)],
         zero_weights=[zero_w] * r,
         zero_parities=[0] * r,
         pos_names=[("e", i) for i in range(r)],
         pos_weights=labels,
-        pos_parities=[0] * r,
+        pos_parities=list(parities),
         b00={},
         b0m={(i, j): {j: Fraction(-data.a[i][j])} for i in range(r)
              for j in range(r) if data.a[i][j]},
@@ -97,6 +101,12 @@ def principal_local(data):
         bpm={(i, i): {i: F1} for i in range(r)},
         pairing={(i, i): data.epsilon[i] for i in range(r)},
     )
+
+
+def osp14_local():
+    """osp(1|4) in its principal grading: node 0 even, node 1 odd with
+    [f_1, f_1] != 0, so degree -1 mixes parities."""
+    return principal_local(CartanData([[2, -1], [-2, 2]], [1, 2]), odd=(1,))
 
 
 def test_gl_local_axioms():
@@ -161,6 +171,7 @@ def test_engine_jacobi_sampled():
         graded.minimal_extension(principal_local(CartanData(G2, [1, 3])),
                                  (-5, 5)),
         graded.minimal_extension(gl_local(3), (-2, 2)),
+        graded.minimal_extension(osp14_local(), (-4, 4)),
     ]
     for ext in exts:
         degs = ext.degrees()
@@ -282,6 +293,50 @@ def test_extension_local_roundtrip():
     assert ext2.dims() == ext.dims()
     for d in ext.degrees():
         assert ext2.layer(d).weights == ext.layer(d).weights
+
+
+def test_mixed_parity_extension_dims():
+    # osp(1|4): positive roots d1-d2, d2 (odd) | d1 (odd), 2 d2 | d1+d2 | 2 d1;
+    # degree -2 is spanned by [f_0, f_1] and the odd square [f_1, f_1]
+    ext = graded.minimal_extension(osp14_local(), (-5, 5))
+    assert ext.dims() == {-5: 0, -4: 1, -3: 1, -2: 2, -1: 2, 0: 2,
+                          1: 2, 2: 2, 3: 1, 4: 1, 5: 0}
+    assert graded.check_local_axioms(osp14_local())["passed"]
+
+
+@pytest.mark.parametrize("make_local, parities", [
+    (lambda: cartanify(glvec_local(3), degree_range=(-2, 1)).local, {1}),
+    (osp14_local, {0, 1}),
+], ids=["W3", "osp14"])
+def test_degree_two_candidates_are_super_antisymmetric(make_local, parities,
+                                                       monkeypatch):
+    """The extension to degree -2 takes the candidates (u, x) with u <= x
+    only, and fills [u, x] for u > x as -(-1)^{|u||x|} [x, u]."""
+    loc = make_local()
+    assert set(loc.neg_parities) == parities
+    calls = []
+    quotient = graded.weight_block_quotient
+
+    def spy(cands, weights, t_vals):
+        cands = list(cands)
+        calls.append(cands)
+        return quotient(cands, weights, t_vals)
+
+    monkeypatch.setattr(graded, "weight_block_quotient", spy)
+    ext = graded.minimal_extension(loc, (-2, 1))
+    n = loc.nneg
+    assert [len(c) for c in calls] == [n * (n + 1) // 2]
+    assert all(u <= x for u, x in calls[0])
+
+    layer = ext.layer(-2)
+    assert layer.dim
+    assert set(layer.reduce) == {(u, x) for u in range(n) for x in range(n)}
+    for u in range(n):
+        for x in range(u):
+            odd = loc.neg_parities[u] and loc.neg_parities[x]
+            sign = F1 if odd else -F1
+            assert layer.reduce[(u, x)] == \
+                {t: sign * c for t, c in layer.reduce[(x, u)].items()}
 
 
 # -- modules and decompositions ---------------------------------------------

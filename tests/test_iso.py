@@ -35,6 +35,9 @@ _DATA = {
     "d4": lambda: CartanData(_D4, lam=(1, 0, 0, 0)),
     "c3": lambda: CartanData([[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
                              epsilon=(1, 1, 2), lam=(1, 0, 0)),
+    # non-integral weight blocks in the extension to degree -2
+    "b3": lambda: CartanData([[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+                             epsilon=(2, 2, 1), lam=(0, 0, 1)),
 }
 
 _VERDICTS: dict = {}
@@ -48,7 +51,8 @@ def _verdict(name):
 
 class TestVerdicts:
     @pytest.mark.parametrize("name",
-                             ["a1", "a2", "a3", "a4", "a4l2", "d4", "c3"])
+                             ["a1", "a2", "a3", "a4", "a4l2", "d4", "c3",
+                              "b3"])
     def test_isomorphic(self, name):
         verdict = _verdict(name)
         assert verdict.verdict == "isomorphic"
@@ -58,7 +62,8 @@ class TestVerdicts:
         assert verdict.identities["passed"]
 
     @pytest.mark.parametrize("name",
-                             ["a1", "a2", "a3", "a4", "a4l2", "d4", "c3"])
+                             ["a1", "a2", "a3", "a4", "a4l2", "d4", "c3",
+                              "b3"])
     def test_no_homomorphism_violations(self, name):
         verdict = _verdict(name)
         for check in verdict.homomorphism["checks"]:

@@ -274,3 +274,79 @@ def test_stacked_block_rref_ignores_row_key_order(m, rng):
                      for c in range(mat.cols)]
 
     assert reduced(cols) == reduced(shuffled)
+
+
+# -- the integer elimination kernel against a dense Fraction oracle -----------
+
+# mixed signs and denominators up to 12, so that the rows are scaled to
+# integers and the row contents are divided out
+_FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@st.composite
+def _dependent_matrices(draw):
+    """Matrices up to 6 x 7 whose later rows are often combinations of the
+    earlier ones, so that ranks below full are common."""
+    cols = draw(st.integers(1, 7))
+    rows = [[draw(_FRACTIONS) for _ in range(cols)]
+            for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        ca, cb = draw(_FRACTIONS), draw(_FRACTIONS)
+        rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    return RatMatrix.from_rows(rows)
+
+
+def dense_rref(rows, ncols):
+    """Textbook Gauss-Jordan on dense Fraction rows: (RREF rows, pivots)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dependent_matrices(), st.data())
+def test_elimination_matches_dense_fraction_oracle(m, data):
+    want, pivots = dense_rref(m.to_rows(), m.cols)
+
+    red, got_pivots = rref(m)
+    assert got_pivots == pivots
+    assert red.to_rows() == want
+    assert all(type(v) is Fraction for v in red.entries.values())
+
+    kernel = []
+    for fc in range(m.cols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -want[i][fc]
+        kernel.append(tuple(v))
+    assert kernel_basis(m) == kernel
+
+    b = [data.draw(_FRACTIONS) for _ in range(m.rows)]
+    aug, aug_pivots = dense_rref(
+        [row + [rhs] for row, rhs in zip(m.to_rows(), b)], m.cols + 1)
+    if aug_pivots and aug_pivots[-1] == m.cols:
+        assert solve(m, b) is None
+    else:
+        x = [Fraction(0)] * m.cols
+        for i, c in enumerate(aug_pivots):
+            x[c] = aug[i][m.cols]
+        assert solve(m, b) == tuple(x)
