@@ -27,6 +27,18 @@ changes no pivot and no class.  So only u <= x are candidates there, and
 the bracket [u, x] for u > x is filled in from [x, u] with that sign.
 The diagonal u = x stays, since [x, x] need not vanish for odd x.
 
+The T-values are built per u, not per (u, x, z).  The second term needs
+[u, [z, x]], and [u, a] = -(-1)^{|u||a|} [a, u] for a at degree 0, so the
+images [a, u] of the previous layer's degree-0 action are gathered once
+per u, each with a flag: whether it enters T negated, which with the sign
+(-1)^{|z||u|} depends only on |u|, |a| and |z|.  A term then adds the
+image scaled by c or by -c, so a sign costs no multiplication.  Only the
+z with [z, u] != 0 or [z, x] != 0 are visited, and zero T-values are not
+stored.  The weight blocks are keyed by integer tuples, the weights scaled
+once by the lcm of all their denominators, which keeps the sorted block
+order; the ``Fraction`` weight of a new basis element is summed only for
+the kept candidates.
+
 That quotient step -- candidates modulo the kernel of their T-values, one
 weight block at a time -- is the one function ``weight_block_quotient``.
 It also builds the irreducible module R(-lambda) level by level
@@ -42,6 +54,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -426,7 +440,9 @@ def weight_block_quotient(cands: Iterable, weights: Iterable,
     a time.
 
     ``weights`` and ``t_vals`` run parallel to ``cands``: each candidate's
-    weight and its T-values, one sparse vector per acting element.  Returns
+    weight, any hashable ordered key, and its T-values, one sparse vector
+    per acting element, as a list or as a dict that may leave out the zero
+    vectors.  Returns
     the kept ``(weight, candidate)`` pairs, the rref pivots of each weight
     block in sorted weight order, and the class of every candidate over
     them, ``{kept position: coefficient}``, read off the unique RREF, so a
@@ -455,63 +471,82 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
     acting = layers[-side]
     zero = layers[0]
 
-    def inner_mul(vec: Vec, x: int) -> Vec:
-        """[v, x] for v one step inside the previous layer."""
-        out: Vec = {}
-        for p, c in vec.items():
-            t = unit.act0[p].get(x, {}) if k == 1 else prev.reduce[(p, x)]
-            vadd_into(out, t, c)
-        return out
-
-    def act0_right(u: int, vec0: Vec) -> Vec:
-        """[u, v0] = -(-1)^{|u||v0|} [v0, u] inside the previous layer."""
-        out: Vec = {}
-        pu = prev.parities[u]
-        for a, c in vec0.items():
-            t = prev.act0[a].get(u, {})
-            sign = -_ONE if (pu and zero.parities[a]) else _ONE
-            vadd_into(out, t, -sign * c)
-        return out
+    # [v, x] for v one step inside the previous layer, per x and v
+    inner: list[dict] = [dict() for _ in range(unit.dim)]
+    if k == 1:
+        for p, col in enumerate(unit.act0):
+            for x, vec in col.items():
+                inner[x][p] = vec
+    else:
+        for (p, x), vec in prev.reduce.items():
+            if vec:
+                inner[x][p] = vec
+    # the acting z with [z, u] != 0, per u, and with [z, x] != 0, per x
+    opp_u = _by_source(prev.opp_map, prev.dim)
+    opp_x = _by_source(unit.opp_map, unit.dim)
+    z_odd = acting.parities
+    # the degree-0 a with [a, u] != 0, per u, and with [a, x] != 0, per x
+    act_u = _by_source(prev.act0, prev.dim)
+    act_x = _by_source(unit.act0, unit.dim)
 
     # at k = 1, [u, x] with u > x is a multiple of [x, u]: never a pivot
-    cands = [(u, x) for u in range(prev.dim)
-             for x in range(u if k == 1 else 0, unit.dim)]
-    t_vals: dict[tuple, list[Vec]] = {}
-    for (u, x) in cands:
-        vals = []
+    cands = []
+    t_vals: dict[tuple, dict] = {}
+    for u in range(prev.dim):
+        # [u, a] = -(-1)^{|u||a|} [a, u]; with the sign (-1)^{|z||u|} of
+        # T the image enters negated unless |u| = 1 and |a| != |z|
         pu = prev.parities[u]
-        for z in range(acting.dim):
-            term1 = inner_mul(prev.opp_map[z].get(u, {}), x)
-            term2 = act0_right(u, unit.opp_map[z].get(x, {}))
-            sgn = -_ONE if (acting.parities[z] and pu) else _ONE
-            vals.append(vadd(term1, term2, sgn))
-        t_vals[(u, x)] = vals
+        images = [{}, {}]           # per parity of z: a -> (vec, negated)
+        for a, vec in act_u[u]:
+            pa = zero.parities[a]
+            images[0][a] = (vec, not pu or not pa)
+            images[1][a] = (vec, not pu or bool(pa))
+        for x in range(u if k == 1 else 0, unit.dim):
+            cand = (u, x)
+            cands.append(cand)
+            ix = inner[x]
+            vals: dict = {}
+            # [[z, u], x]
+            for z, vec in opp_u[u]:
+                out: dict = {}
+                for p, c in vec.items():
+                    t = ix.get(p)
+                    if t:
+                        vadd_into(out, t, c)
+                vals[z] = out
+            # (-1)^{|z||u|} [u, [z, x]]
+            for z, vec in opp_x[x]:
+                out = vals.get(z)
+                if out is None:
+                    out = vals[z] = {}
+                imgs = images[z_odd[z]]
+                for a, c in vec.items():
+                    hit = imgs.get(a)
+                    if hit:
+                        vadd_into(out, hit[0], -c if hit[1] else c)
+            t_vals[cand] = {z: vec for z, vec in vals.items() if vec}
 
-    # one weight sum per pair of distinct weights, not one per candidate
-    prev_wid = _weight_ids(prev.weights)
-    unit_wid = _weight_ids(unit.weights)
-    sums: dict = {}
-
-    def weight(u: int, x: int) -> tuple:
-        key = (prev_wid[u], unit_wid[x])
-        w = sums.get(key)
-        if w is None:
-            w = sums[key] = wsum(prev.weights[u], unit.weights[x])
-        return w
-
+    # block keys: the weights over one common denominator, as integers;
+    # scaling by a positive integer keeps the sorted block order
+    den = lcm(*(Fraction(c).denominator
+                for w in (*prev.weights, *unit.weights) for c in w))
+    prev_key, unit_key = ([tuple(int(c * den) for c in w) for w in weights]
+                          for weights in (prev.weights, unit.weights))
     kept, reduce_map = weight_block_quotient(
-        cands, (weight(u, x) for u, x in cands),
+        cands, (tuple(map(add, prev_key[u], unit_key[x])) for u, x in cands),
         (t_vals[cand] for cand in cands))
     if k == 1:
         for u in range(prev.dim):
             for x in range(u):
-                sign = -_ONE if (prev.parities[u]
-                                 and unit.parities[x]) else _ONE
-                reduce_map[(u, x)] = vscale(reduce_map[(x, u)], -sign)
+                vec = reduce_map[(x, u)]
+                reduce_map[(u, x)] = dict(vec) if (
+                    prev.parities[u] and unit.parities[x]) \
+                    else {t: -c for t, c in vec.items()}
     new_deg = side * (k + 1)
     tensor_parent = [cand for _, cand in kept]
     layer = Layer(new_deg, [("w", new_deg, t) for t in range(len(kept))],
-                  [w for w, _ in kept],
+                  [wsum(prev.weights[u], unit.weights[x])
+                   for u, x in tensor_parent],
                   [(prev.parities[u] + unit.parities[x]) % 2
                    for u, x in tensor_parent],
                   tensor_parent=tensor_parent, reduce=reduce_map)
@@ -519,38 +554,49 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
     # opposite action on the new basis: the stored T-values of the pivots
     opp = [dict() for _ in range(acting.dim)]
     for idx, cand in enumerate(tensor_parent):
-        for zi, vec in enumerate(t_vals[cand]):
-            if vec:
-                opp[zi][idx] = vec
+        for z, vec in t_vals[cand].items():
+            opp[z][idx] = vec
     layer.opp_map = opp
 
     # degree-0 action: [a, [u,x]] = [[a,u],x] + (-1)^{|a||u|}[u,[a,x]]
     act0 = [dict() for _ in range(zero.dim)]
     for idx, (u, x) in enumerate(tensor_parent):
         pu = prev.parities[u]
-        for a in range(zero.dim):
-            au = prev.act0[a].get(u, {})
-            vec: Vec = {}
+        rows: dict = {}
+        for a, au in act_u[u]:
+            vec = rows[a] = {}
             for v, c in au.items():
                 vadd_into(vec, reduce_map[(v, x)], c)
-            sgn = -_ONE if (zero.parities[a] and pu) else _ONE
-            for y, c in unit.act0[a].get(x, {}).items():
-                vadd_into(vec, reduce_map[(u, y)], sgn * c)
+        for a, ax in act_x[x]:
+            vec = rows.get(a)
+            if vec is None:
+                vec = rows[a] = {}
+            odd = zero.parities[a] and pu
+            for y, c in ax.items():
+                vadd_into(vec, reduce_map[(u, y)], -c if odd else c)
+        for a, vec in rows.items():
             if vec:
                 act0[a][idx] = vec
     layer.act0 = act0
     return layer
 
 
-def _weight_ids(weights: list) -> list[int]:
-    """Per basis element, the index of its weight among the distinct ones."""
-    ids: dict = {}
-    return [ids.setdefault(w, len(ids)) for w in weights]
+def _by_source(action: list, dim: int) -> list[list]:
+    """Per source element, the (acting index, image) pairs of an action
+    stored as ``action[acting][source]``, in acting order."""
+    out: list[list] = [[] for _ in range(dim)]
+    for z, col in enumerate(action):
+        for src, vec in col.items():
+            if vec:
+                out[src].append((z, vec))
+    return out
 
 
-def _flatten(vecs: list) -> dict:
-    """The vectors of a list as one column keyed (list position, index)."""
-    return {(n, tgt): c for n, vec in enumerate(vecs) for tgt, c in vec.items()}
+def _flatten(vecs) -> dict:
+    """The vectors of a list, or of a dict keyed by acting element, as one
+    column keyed (list position or key, index)."""
+    items = vecs.items() if isinstance(vecs, dict) else enumerate(vecs)
+    return {(n, tgt): c for n, vec in items for tgt, c in vec.items()}
 
 
 def minimal_extension(local: LocalSuperalgebra,

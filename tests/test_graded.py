@@ -1,15 +1,18 @@
 """Local superalgebras, minimal graded extensions, modules, decompositions."""
 
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures_gl import glvec_local
+from fixtures_gl import glvec_local, glvec_super_local, graded_gl_local
 from gradedlie import graded
 from gradedlie.cartan import cartanify
+from gradedlie.contragredient import build_local
 from gradedlie.linalg import (
     RatMatrix, kernel_basis, rref, stack_columns, vadd_into)
 from gradedlie.rootsys import CartanData, chevalley_realization, weyl_dimension
@@ -17,6 +20,7 @@ from gradedlie.rootsys import CartanData, chevalley_realization, weyl_dimension
 F0, F1 = Fraction(0), Fraction(1)
 
 A2 = [[2, -1], [-1, 2]]
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
 G2 = [[2, -1], [-3, 2]]
@@ -103,6 +107,13 @@ def principal_local(data, odd=()):
     )
 
 
+def pgl_local():
+    """pgl(3|2) graded by the degrees 0, 1, 1, 2, 2 of its vector basis,
+    which is even, odd, even, odd, even: degree 0 has odd letters and the
+    minimal extension reaches degree +-2."""
+    return graded_gl_local((0, 1, 0, 1, 0), (0, 1, 1, 2, 2))
+
+
 def osp14_local():
     """osp(1|4) in its principal grading: node 0 even, node 1 odd with
     [f_1, f_1] != 0, so degree -1 mixes parities."""
@@ -115,6 +126,28 @@ def test_gl_local_axioms():
     names = [c["name"] for c in rep["checks"]]
     assert names == ["jacobi_in_range", "grading_element",
                      "pairing_homogeneity", "pairing_invariance"]
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (0, 2)])
+def test_gl_super_local_axioms(m, n):
+    loc = glvec_super_local(m, n)
+    assert set(loc.zero_parities) == ({0, 1} if m and n else {0})
+    rep = graded.check_local_axioms(loc)
+    assert rep["passed"], rep["checks"]
+
+
+def test_gl_super_local_without_odd_indices_is_glvec():
+    assert glvec_super_local(3, 0) == glvec_local(3)
+
+
+def test_pgl_extension_is_pgl():
+    """The minimal extension of the slice of pgl(V) is pgl(V): degree d
+    is spanned by the e_ij with deg(i) - deg(j) = d, less the identity."""
+    loc = pgl_local()
+    assert graded.check_local_axioms(loc)["passed"]
+    assert set(loc.zero_parities) == set(loc.neg_parities) == {0, 1}
+    ext = graded.minimal_extension(loc, (-3, 3))
+    assert ext.dims() == {-3: 0, -2: 2, -1: 6, 0: 8, 1: 6, 2: 2, 3: 0}
 
 
 def test_corrupted_local_fails():
@@ -172,6 +205,8 @@ def test_engine_jacobi_sampled():
                                  (-5, 5)),
         graded.minimal_extension(gl_local(3), (-2, 2)),
         graded.minimal_extension(osp14_local(), (-4, 4)),
+        graded.minimal_extension(glvec_super_local(2, 1), (-3, 3)),
+        graded.minimal_extension(pgl_local(), (-3, 3)),
     ]
     for ext in exts:
         degs = ext.degrees()
@@ -204,25 +239,31 @@ def test_engine_jacobi_sampled():
 
 def test_engine_antisymmetry_sampled():
     rng = random.Random(7)
-    ext = graded.minimal_extension(principal_local(CartanData(G2, [1, 3])),
-                                   (-5, 5))
-    degs = ext.degrees()
-    checked = 0
-    while checked < 200:
-        d1, d2 = rng.choice(degs), rng.choice(degs)
-        if d1 + d2 not in ext.layers:
-            continue
-        if not (ext.layer(d1).dim and ext.layer(d2).dim):
-            continue
-        i, j = rng.randrange(ext.layer(d1).dim), rng.randrange(ext.layer(d2).dim)
-        ab = ext.bracket((d1, {i: F1}), (d2, {j: F1}))[1]
-        ba = ext.bracket((d2, {j: F1}), (d1, {i: F1}))[1]
-        sgn = -F1 if (ext.parity(d1, i) and ext.parity(d2, j)) else F1
-        diff = dict(ab)
-        for t, c in ba.items():
-            diff[t] = diff.get(t, F0) + sgn * c
-        assert not any(diff.values())
-        checked += 1
+    exts = [
+        graded.minimal_extension(principal_local(CartanData(G2, [1, 3])),
+                                 (-5, 5)),
+        graded.minimal_extension(glvec_super_local(2, 1), (-3, 3)),
+        graded.minimal_extension(pgl_local(), (-3, 3)),
+    ]
+    for ext in exts:
+        degs = ext.degrees()
+        checked = 0
+        while checked < 200:
+            d1, d2 = rng.choice(degs), rng.choice(degs)
+            if d1 + d2 not in ext.layers:
+                continue
+            if not (ext.layer(d1).dim and ext.layer(d2).dim):
+                continue
+            i = rng.randrange(ext.layer(d1).dim)
+            j = rng.randrange(ext.layer(d2).dim)
+            ab = ext.bracket((d1, {i: F1}), (d2, {j: F1}))[1]
+            ba = ext.bracket((d2, {j: F1}), (d1, {i: F1}))[1]
+            sgn = -F1 if (ext.parity(d1, i) and ext.parity(d2, j)) else F1
+            diff = dict(ab)
+            for t, c in ba.items():
+                diff[t] = diff.get(t, F0) + sgn * c
+            assert not any(diff.values())
+            checked += 1
 
 
 def test_raising_kernel_trivial():
@@ -304,14 +345,19 @@ def test_mixed_parity_extension_dims():
     assert graded.check_local_axioms(osp14_local())["passed"]
 
 
-@pytest.mark.parametrize("make_local, parities", [
-    (lambda: cartanify(glvec_local(3), degree_range=(-2, 1)).local, {1}),
-    (osp14_local, {0, 1}),
-], ids=["W3", "osp14"])
+@pytest.mark.parametrize("make_local, parities, dim2", [
+    (lambda: cartanify(glvec_local(3), degree_range=(-2, 1)).local, {1}, 3),
+    (osp14_local, {0, 1}, 2),
+    (lambda: glvec_super_local(2, 1), {0, 1}, 0),
+    (pgl_local, {0, 1}, 2),
+], ids=["W3", "osp14", "gl21", "pgl32"])
 def test_degree_two_candidates_are_super_antisymmetric(make_local, parities,
-                                                       monkeypatch):
+                                                       dim2, monkeypatch):
     """The extension to degree -2 takes the candidates (u, x) with u <= x
-    only, and fills [u, x] for u > x as -(-1)^{|u||x|} [x, u]."""
+    only, and fills [u, x] for u > x as -(-1)^{|u||x|} [x, u].  On gl(2|1)
+    and pgl(2|3) degree 0 has odd letters, and degree -2 has the right
+    dimension only if the T-values carry the sign (-1)^{|u||a|} of
+    [u, a] = -(-1)^{|u||a|} [a, u]."""
     loc = make_local()
     assert set(loc.neg_parities) == parities
     calls = []
@@ -329,7 +375,7 @@ def test_degree_two_candidates_are_super_antisymmetric(make_local, parities,
     assert all(u <= x for u, x in calls[0])
 
     layer = ext.layer(-2)
-    assert layer.dim
+    assert layer.dim == dim2
     assert set(layer.reduce) == {(u, x) for u in range(n) for x in range(n)}
     for u in range(n):
         for x in range(u):
@@ -337,6 +383,85 @@ def test_degree_two_candidates_are_super_antisymmetric(make_local, parities,
             sign = F1 if odd else -F1
             assert layer.reduce[(u, x)] == \
                 {t: sign * c for t, c in layer.reduce[(x, u)].items()}
+
+
+def _canon(obj):
+    """Tables as plain nested lists: dict items sorted by key, Fractions as
+    strings, so that equal values give equal text."""
+    if isinstance(obj, dict):
+        return [(k, _canon(obj[k])) for k in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [_canon(x) for x in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj
+
+
+def _tables(ext):
+    return [[d, lay.names, lay.weights, lay.parities, lay.tensor_parent,
+             lay.reduce, lay.opp_map, lay.act0]
+            for d, lay in sorted(ext.layers.items())]
+
+
+def _table_digest(ext):
+    return hashlib.sha256(repr(_canon(_tables(ext))).encode()).hexdigest()
+
+
+_TABLE_CASES = {
+    "glvec4": lambda: graded.minimal_extension(glvec_local(4), (-4, 4)),
+    "osp14": lambda: graded.minimal_extension(osp14_local(), (-4, 4)),
+    "G2": lambda: graded.minimal_extension(
+        principal_local(CartanData(G2, [1, 3])), (-5, 5)),
+    "A3w1": lambda: cartanify(build_local(CartanData(A3, lam=[1, 0, 0])),
+                              degree_range=(-3, 1)).graded,
+    "gl21": lambda: graded.minimal_extension(glvec_super_local(2, 1),
+                                             (-3, 3)),
+    "pgl32": lambda: graded.minimal_extension(pgl_local(), (-3, 3)),
+}
+
+_TABLE_DIGESTS = {
+    "glvec4": "a09d5a75bdaeedda2673473db7475a849de8574f5b8403b90e65586f0d4b9cad",
+    "osp14": "efa573341a66215cd76ad06291cbc396d0bb493875fc43ee279c2c1bd828abcb",
+    "G2": "a85bcdb92b2b46ef5f02ed09f03de3e6084ac3c75390c1f5ceabe5ea8e41569f",
+    "A3w1": "b5872230091241259e8ee106035a79d164c74da073c6a2f69665628c0e6dffb9",
+    "gl21": "f7d7057fa9b651d98ad328652123cb8e9a0afcd5679a1ebb0b09f70c9834de48",
+    "pgl32": "1e9a5a2475b18839f9c471035dff5c9145bc53567e83db555803f10bba78f074",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CASES))
+def test_extension_table_digests(name):
+    """Every layer table of the extension -- names, weights, parities,
+    tensor definitions and the reduce, opposite and degree-0 action maps --
+    pinned by value, so that no class moves unnoticed."""
+    assert _table_digest(_TABLE_CASES[name]()) == _TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("make_local", [
+    osp14_local,
+    lambda: glvec_local(3),
+    lambda: cartanify(glvec_local(3), degree_range=(-1, 1)).local,
+], ids=["osp14", "glvec3", "W3"])
+def test_non_integral_weights(make_local):
+    """Scaling every weight of the local part by 1/3 scales the weights of
+    the extension by 1/3 and changes nothing else: block keys and block
+    order do not depend on the weights being integral."""
+    loc = make_local()
+    third = Fraction(1, 3)
+
+    def scaled(weights):
+        return [tuple(third * c for c in w) for w in weights]
+
+    loc3 = replace(loc, neg_weights=scaled(loc.neg_weights),
+                   zero_weights=scaled(loc.zero_weights),
+                   pos_weights=scaled(loc.pos_weights))
+    ext = graded.minimal_extension(loc, (-4, 4))
+    ext3 = graded.minimal_extension(loc3, (-4, 4))
+    for d, lay in ext.layers.items():
+        lay3 = ext3.layer(d)
+        assert lay3.weights == scaled(lay.weights)
+        lay3 = replace(lay3, weights=lay.weights)
+        assert _canon(lay3.__dict__) == _canon(lay.__dict__)
 
 
 # -- modules and decompositions ---------------------------------------------
