@@ -31,7 +31,11 @@ Commands (``gradedlie <command> --spec <path>``):
   computes inside the window [-2, 1] regardless of the requested range;
 * ``roots``       -- root system of the Cartan matrix with norms;
 * ``check-all``   -- every command above on one spec, errors recorded
-  per command.
+  per command.  It builds each model once and hands it to every command
+  that needs it (the cartanification of the window to ``cartanify`` and
+  ``decompose``, the relations module to ``tha-minus1`` and
+  ``check-iso``), with results byte-identical to running each command
+  alone.
 
 Reports are deterministic JSON (sorted keys; identical runs are
 byte-identical apart from the timing field) and conform to
@@ -70,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, iso, tha
-from .cartan import cartanify, gminus_nodes, root_subalgebra
+from .cartan import Cartanification, cartanify, gminus_nodes, root_subalgebra
 from .contragredient import build_graded, build_local
 from .graded import decompose_at_degree
 from .rootsys import CartanData, enumerate_roots
@@ -398,6 +402,51 @@ class _Cache:
 
 
 # ---------------------------------------------------------------------------
+# Models
+
+
+class _Models:
+    """The models built for one report, each at most once.
+
+    Holds the spec's cartanification per window and the relations module
+    per variant, so the commands of ``check-all`` share one copy of each.
+    A model is built on first request, so a command served from the disk
+    cache builds nothing; a build that raises keeps nothing, and the next
+    request retries it.
+    """
+
+    def __init__(self, spec: AlgebraSpec):
+        self.spec = spec
+        self._carts: dict = {}
+        self._modules: dict = {}
+
+    @functools.cached_property
+    def data(self) -> CartanData:
+        return self.spec.cartan_data()
+
+    def cartanification(self, window) -> Cartanification:
+        """The spec's cartanification (weak, strong or restricted) over
+        ``window``."""
+        if window not in self._carts:
+            local = build_local(self.data)
+            restriction, construction = _restriction_basis(
+                self.spec, self.data, local)
+            self._carts[window] = cartanify(
+                local, degree_range=window, restriction=restriction,
+                provenance=construction)
+        return self._carts[window]
+
+    def module(self, variant: str) -> tha.MinusOneModule:
+        if variant not in self._modules:
+            self._modules[variant] = tha.build_minus1(
+                tha.presentation(self.data, variant))
+        return self._modules[variant]
+
+    def built_module(self, variant: str):
+        return self._modules.get(variant)
+
+
+# ---------------------------------------------------------------------------
 # Commands
 
 
@@ -412,12 +461,12 @@ def _per_degree_table(dims: dict) -> dict:
     }
 
 
-def _run_build_b(spec: AlgebraSpec, cache: _Cache) -> dict:
+def _run_build_b(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     lo, hi = spec.degree_range
     entries = ["deg%d" % d for d in range(lo, hi + 1)]
     payloads = cache.read_all(entries)
     if payloads is None:
-        algebra = build_graded(spec.cartan_data(), (lo, hi))
+        algebra = build_graded(models.data, (lo, hi))
         dims = algebra.dims()
         payloads = {}
         for d in range(lo, hi + 1):
@@ -436,7 +485,7 @@ def _restriction_basis(spec: AlgebraSpec, data, local):
     return None, "weak"
 
 
-def _run_cartanify(spec: AlgebraSpec, cache: _Cache) -> dict:
+def _run_cartanify(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     if spec.variant == "B":
         raise ValueError(
             'variant "B" is the contragredient algebra; use build-b')
@@ -444,12 +493,7 @@ def _run_cartanify(spec: AlgebraSpec, cache: _Cache) -> dict:
     entries = ["deg%d" % d for d in range(lo, hi + 1)] + ["meta"]
     payloads = cache.read_all(entries)
     if payloads is None:
-        data = spec.cartan_data()
-        local = build_local(data)
-        restriction, construction = _restriction_basis(spec, data, local)
-        result = cartanify(local, degree_range=(lo, hi),
-                           restriction=restriction,
-                           provenance=construction)
+        result = models.cartanification((lo, hi))
         dims = result.graded.dims()
         payloads = {}
         for d in range(lo, hi + 1):
@@ -457,7 +501,7 @@ def _run_cartanify(spec: AlgebraSpec, cache: _Cache) -> dict:
             payloads["deg%d" % d] = payload
             cache.write("deg%d" % d, payload)
         meta = {
-            "construction": construction,
+            "construction": result.provenance,
             "kernel_dim": int(result.kernel_dim),
             "candidate_count": int(result.candidate_count),
         }
@@ -469,14 +513,13 @@ def _run_cartanify(spec: AlgebraSpec, cache: _Cache) -> dict:
     return out
 
 
-def _run_tha_minus1(spec: AlgebraSpec, cache: _Cache) -> dict:
+def _run_tha_minus1(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     if spec.variant == "B":
         raise ValueError(
             'variant "B" has no relations model; use variant "W" or "S"')
     payload = cache.read("result")
     if payload is None:
-        pres = tha.presentation(spec.cartan_data(), spec.variant)
-        module = tha.build_minus1(pres)
+        module = models.module(spec.variant)
         payload = {
             "status": module.status,
             "certificate": _jsonable(module.certificate),
@@ -492,22 +535,19 @@ def _run_tha_minus1(spec: AlgebraSpec, cache: _Cache) -> dict:
     return payload
 
 
-def _graded_model(spec: AlgebraSpec, window):
-    data = spec.cartan_data()
+def _graded_model(spec: AlgebraSpec, models: _Models, window):
     if spec.variant == "B":
-        return data, build_graded(data, window)
-    local = build_local(data)
-    restriction, _ = _restriction_basis(spec, data, local)
-    return data, cartanify(local, degree_range=window,
-                           restriction=restriction).graded
+        return build_graded(models.data, window)
+    return models.cartanification(window).graded
 
 
-def _run_decompose(spec: AlgebraSpec, cache: _Cache) -> dict:
+def _run_decompose(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     lo, hi = spec.degree_range
     entries = ["deg%d" % d for d in range(lo, hi + 1)]
     payloads = cache.read_all(entries)
     if payloads is None:
-        data, graded = _graded_model(spec, (lo, hi))
+        data = models.data
+        graded = _graded_model(spec, models, (lo, hi))
         dims = graded.dims()
         payloads = {}
         for d in range(lo, hi + 1):
@@ -535,13 +575,16 @@ def _iso_window(spec: AlgebraSpec):
     return (max(lo, -2), min(hi, 1))
 
 
-def _run_check_iso(spec: AlgebraSpec, cache: _Cache) -> dict:
+def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     lo, hi = _iso_window(spec)
     entry = "window%d_%d" % (lo, hi)
     payload = cache.read(entry)
     if payload is None:
-        verdict = iso.check_isomorphism(spec.cartan_data(),
-                                        degree_range=(lo, hi))
+        # Only a module another command already built is handed over:
+        # building one here would precede the precondition check.
+        verdict = iso.check_isomorphism(
+            models.data, degree_range=(lo, hi),
+            module=models.built_module("W"))
         payload = _jsonable({
             "verdict": verdict.verdict,
             "surjective": verdict.surjective,
@@ -556,12 +599,11 @@ def _run_check_iso(spec: AlgebraSpec, cache: _Cache) -> dict:
     return payload
 
 
-def _run_roots(spec: AlgebraSpec, cache: _Cache) -> dict:
+def _run_roots(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     payload = cache.read("result")
     if payload is None:
-        data = spec.cartan_data()
         roots = sorted(
-            enumerate_roots(data),
+            enumerate_roots(models.data),
             key=lambda root: (root.height, tuple(root.coords)),
         )
         payload = {
@@ -589,7 +631,7 @@ def _error_text(exc: Exception) -> str:
     return "%s: %s" % (type(exc).__name__, exc)
 
 
-def _run_check_all(spec: AlgebraSpec, cache: _Cache) -> dict:
+def _run_check_all(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     results = {}
     for command in _COMMANDS:
         if command == "check-all":
@@ -597,7 +639,7 @@ def _run_check_all(spec: AlgebraSpec, cache: _Cache) -> dict:
         runner = _RUNNERS[command]
         try:
             results[command] = runner(
-                spec, _Cache(spec, command, cache.use))
+                spec, _Cache(spec, command, cache.use), models)
         except _ENGINE_ERRORS as exc:
             results[command] = {
                 "error": _error_text(exc), "module": _MODULE_OF[command]}
@@ -620,9 +662,13 @@ _RUNNERS = {
 
 
 def build_report(command: str, spec: AlgebraSpec, use_cache: bool = True) -> dict:
-    """Run one command on a validated spec and assemble its report."""
+    """Run one command on a validated spec and assemble its report.
+
+    The models the command builds live in a store made for this call
+    only, so nothing built outlives the report."""
     start = time.perf_counter()
-    result = _RUNNERS[command](spec, _Cache(spec, command, use_cache))
+    result = _RUNNERS[command](spec, _Cache(spec, command, use_cache),
+                               _Models(spec))
     return {
         "schema": _SCHEMA,
         "command": command,

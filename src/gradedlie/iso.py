@@ -292,6 +292,8 @@ class IsoVerdict:
 def check_isomorphism(
     data: CartanData,
     degree_range: tuple[int, int] = (-2, 1),
+    *,
+    module: tha.MinusOneModule | None = None,
 ) -> IsoVerdict:
     """Decide whether the comparison map is an isomorphism in degree -1.
 
@@ -302,7 +304,21 @@ def check_isomorphism(
     degree range defaults to the smallest window containing every defining
     relation and the compared layer; widening it only adds layers to the
     cartanification.
+
+    ``module`` hands in the relations module of
+    ``tha.presentation(data, "W")`` when it is already built; omitted, it
+    is built here.  One built from other input raises ``ValueError``
+    naming the mismatch.
     """
+    if module is not None:
+        if module.variant != "W":
+            raise ValueError(
+                "module is the relations model of variant %s; the comparison "
+                "needs variant W" % module.variant)
+        if module.data != data:
+            raise ValueError(
+                "module was built for other Cartan data than the data "
+                "being compared")
     hypotheses = hypothesis_record(data)
     phi = phi_assignment(data, degree_range=degree_range)
     cart = phi.cartanification
@@ -326,7 +342,8 @@ def check_isomorphism(
         },
     }
 
-    module = tha.build_minus1(phi.presentation)
+    if module is None:
+        module = tha.build_minus1(phi.presentation)
     if module.status != "complete":
         sides["relations_model"] = {"status": module.status}
         return IsoVerdict(

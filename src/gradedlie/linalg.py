@@ -69,10 +69,15 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 
 
 def vadd_into(out: dict, b: Mapping, scale=_ONE) -> dict:
-    """out += scale * b, in place, dropping entries that cancel; returns out."""
+    """out += scale * b, in place, dropping entries that cancel; returns out.
+
+    A scale of 1 or -1 adds ``b`` or ``-b`` without a multiplication."""
     unit = scale == 1
+    negate = not unit and scale == -1
     for k, v in b.items():
-        if not unit:
+        if negate:
+            v = -v
+        elif not unit:
             v = scale * v
         s = out.get(k)
         if s is None:

@@ -264,12 +264,17 @@ class TestMain:
 
     def test_check_all_records_engine_errors_by_class(
             self, cache_env, capsys, monkeypatch):
-        def fail(*args, **kwargs):
+        attempts = []
+
+        def fail(pres, *args, **kwargs):
+            attempts.append(pres.variant)
             raise ZeroDivisionError("division by zero")
 
         monkeypatch.setattr(cli.tha, "build_minus1", fail)
         spec = '{"cartan_matrix": [[2]], "lambda": [1]}'
         assert cli.main(["check-all", "--spec", spec, "--no-cache"]) == 1
+        # The build that raised for tha-minus1 is retried by check-iso.
+        assert attempts == ["W", "W"]
         commands = json.loads(capsys.readouterr().out)["result"]["commands"]
         assert commands["tha-minus1"] == {
             "error": "ZeroDivisionError: division by zero", "module": "tha"}
@@ -285,6 +290,92 @@ class TestMain:
         assert all("error" not in value for value in commands.values())
         assert commands["check-iso"]["verdict"] == "isomorphic"
         assert commands["decompose"]["total_dim"] == 24
+
+
+C2_SPEC = ('{"cartan_matrix": [[2, -1], [-2, 2]], "epsilon": ["1", "2"], '
+           '"lambda": [1, 0]}')
+A3_SPEC = ('{"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], '
+           '"lambda": [1, 0, 0]}')
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Record the window of every cartanification built through ``cli``
+    or ``iso`` and the variant of every relations module built."""
+    log = {"windows": [], "variants": []}
+
+    def counted(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            record(*args, **kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (cli, cli.iso):
+        counted(owner, "cartanify", lambda *args, **kwargs:
+                log["windows"].append(kwargs["degree_range"]))
+    counted(cli.tha, "build_minus1", lambda pres, *args, **kwargs:
+            log["variants"].append(pres.variant))
+    return log
+
+
+class TestSharedModels:
+    """check-all builds each model once and hands it to every command
+    that needs it; the report is the one the commands give alone."""
+
+    def test_check_all_builds_each_model_once(self, cache_env, capsys,
+                                              builds):
+        assert cli.main(["check-all", "--spec", C2_SPEC, "--no-cache"]) == 0
+        assert sorted(builds["windows"]) == [(-4, 1), (-2, 1)]
+        assert builds["variants"] == ["W"]
+
+    def test_strong_variant_builds_both_modules(self, cache_env, capsys,
+                                                builds):
+        assert cli.main(["check-all", "--spec", A2_SPEC, "--variant", "S",
+                         "--no-cache"]) == 0
+        assert builds["variants"] == ["S", "W"]
+
+    def test_models_do_not_outlive_a_report(self, cache_env, capsys,
+                                            builds):
+        args = ["check-all", "--spec", A2_SPEC, "--degrees=-2..1",
+                "--no-cache"]
+        assert cli.main(args) == 0
+        assert cli.main(args) == 0
+        # Per report: one for cartanify and decompose, one inside check-iso.
+        assert builds["windows"] == [(-2, 1)] * 4
+        assert builds["variants"] == ["W"] * 2
+
+    @staticmethod
+    def _alone(spec):
+        out = {}
+        for command in cli._COMMANDS:
+            if command == "check-all":
+                continue
+            try:
+                out[command] = cli.build_report(
+                    command, spec, use_cache=False)["result"]
+            except cli._ENGINE_ERRORS as exc:
+                out[command] = {"error": cli._error_text(exc),
+                                "module": cli._MODULE_OF[command]}
+        return out
+
+    @pytest.mark.parametrize("base, overrides", [
+        (A2_SPEC, {"degree_range": [-2, 1]}),
+        (A2_SPEC, {}),
+        (A2_SPEC, {"variant": "S"}),
+        (A2_SPEC, {"variant": "B"}),
+        (C2_SPEC, {}),
+        (A3_SPEC, {"restriction": [1]}),
+    ], ids=["A2w1-W-2..1", "A2w1-W-4..1", "A2w1-S", "A2w1-B", "C2w1-W-4..1",
+            "A3w1-restricted"])
+    def test_check_all_matches_each_command_alone(self, cache_env, base,
+                                                  overrides):
+        spec = cli.parse_spec(json.dumps({**json.loads(base), **overrides}))
+        together = cli.build_report("check-all", spec, use_cache=False)
+        assert (json.dumps(together["result"]["commands"], sort_keys=True)
+                == json.dumps(self._alone(spec), sort_keys=True))
 
 
 class TestGoldenReports:

@@ -275,6 +275,25 @@ class TestOutsideHypotheses:
         assert verdict.sides["relations_model"]["status"] != "complete"
 
 
+class TestSharedModule:
+    def test_shared_module_gives_the_same_verdict(self):
+        data = _DATA["a2"]()
+        module = tha.build_minus1(tha.presentation(data, "W"))
+        shared = iso.check_isomorphism(data, module=module)
+        assert shared == _verdict("a2")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda data: tha.presentation(data, "S"), "variant S"),
+        (lambda data: tha.presentation(_DATA["a1"](), "W"),
+         "other Cartan data"),
+    ], ids=["strong-module", "other-data"])
+    def test_rejects_a_module_built_from_other_input(self, make, message):
+        data = _DATA["a2"]()
+        module = tha.build_minus1(make(data))
+        with pytest.raises(ValueError, match=message):
+            iso.check_isomorphism(data, module=module)
+
+
 class TestHypothesisRecord:
     def test_simple_pm_case(self):
         record = iso.hypothesis_record(_DATA["a2"]())

@@ -20,6 +20,7 @@ from gradedlie.linalg import (
     solve,
     stack_columns,
     vadd,
+    vadd_into,
     vscale,
 )
 
@@ -240,6 +241,15 @@ def test_vadd_and_vscale_match_dense(m, c):
     assert total == _sparse([x + c * y for x, y in zip(u, v)])
     assert vscale(_sparse(u), c) == _sparse([c * x for x in u])
     assert all(total.values())
+
+
+@pytest.mark.parametrize("scale", [1, -1, Fraction(-1), Fraction(-2, 3)])
+def test_vadd_into_unit_scales_store_fractions(scale):
+    out = vadd_into({0: Fraction(1), 1: Fraction(2)},
+                    {0: 1, 1: Fraction(-2), 2: 3}, scale)
+    assert out == {k: v for k, v in {0: 1 + scale, 1: 2 - 2 * scale,
+                                     2: 3 * scale}.items() if v}
+    assert all(type(v) is Fraction and v for v in out.values())
 
 
 @settings(max_examples=60, deadline=None)
