@@ -647,22 +647,17 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     return found
 
 
-def decompose_at_degree(g_alg: GradedSuperalgebra, d: int, data,
-                        nodes: Sequence[int] | None = None) -> list[tuple]:
-    """Decompose the degree-d component under the (sub)algebra action.
+def decompose_at_degree(g_alg: GradedSuperalgebra, d: int,
+                        data) -> list[tuple]:
+    """Decompose the degree-d component under the degree-0 action of the
+    diagram's algebra.
 
-    ``data`` is the CartanData of the full diagram the stored weights
-    refer to; ``nodes`` picks the acting subdiagram (default: all).
-    The simple raising operators are located in the degree-0 basis by
-    their Chevalley names ("e", i) via the local embedding.
+    ``data`` is the CartanData the stored weights refer to.  The simple
+    raising operators are located in the degree-0 basis by their Chevalley
+    names ("e", i) via the local embedding.
     """
-    layer = g_alg.layer(d)
-    if nodes is None:
-        nodes = list(range(data.r))
-    sub = data.restrict(nodes)
-
     raisers = []
-    for node in nodes:
+    for node in range(data.r):
         # simple raising operators are embedded under node-keyed names
         coords = g_alg.zero_coords_of(("e", node))
         if coords is None:
@@ -674,9 +669,7 @@ def decompose_at_degree(g_alg: GradedSuperalgebra, d: int, data,
             for src, vec in g_alg.layers[d].act0[a].items():
                 vadd_into(mat.setdefault(src, {}), vec, c)
         raisers.append(mat)
-
-    proj_weights = [tuple(w[i] for i in nodes) for w in layer.weights]
-    return decompose_module(proj_weights, raisers, sub)
+    return decompose_module(g_alg.layer(d).weights, raisers, data)
 
 
 # -- irreducible lowest-weight modules --------------------------------------

@@ -119,7 +119,6 @@ class PhiAssignment:
 def phi_assignment(
     data: CartanData,
     degree_range: tuple[int, int] = (-2, 1),
-    cart: Cartanification | None = None,
 ) -> PhiAssignment:
     """Construct the comparison assignment into the cartanification.
 
@@ -128,8 +127,7 @@ def phi_assignment(
     """
     require_pseudo_minuscule(data)
     pres = tha.presentation(data, "W")
-    if cart is None:
-        cart = cartanify(build_local(data), degree_range=degree_range)
+    cart = cartanify(build_local(data), degree_range=degree_range)
     local = cart.source
 
     assignment: dict = {}

@@ -201,42 +201,6 @@ class CartanData:
 # -- validation ------------------------------------------------------------
 
 
-def _det(m: RatMatrix) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    det = _ONE
-    for c in range(m.cols):
-        sel = -1
-        for i in range(c, m.rows):
-            if rows[i].get(c):
-                sel = i
-                break
-        if sel < 0:
-            return _ZERO
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            det = -det
-        piv = rows[c][c]
-        det *= piv
-        for i in range(c + 1, m.rows):
-            f = rows[i].get(c)
-            if not f:
-                continue
-            for k, v in rows[c].items():
-                if k < c:
-                    continue
-                s = rows[i].get(k, _ZERO) - f / piv * v
-                if s:
-                    rows[i][k] = s
-                else:
-                    rows[i].pop(k, None)
-    return det
-
-
 def _canonical_symmetrizer(a, nodes) -> list[Fraction] | None:
     """Positive d with d_i A_ij = d_j A_ji on the component, or None."""
     d = {nodes[0]: _ONE}
@@ -261,42 +225,29 @@ def _canonical_symmetrizer(a, nodes) -> list[Fraction] | None:
 
 
 def _component_type(a, nodes) -> str:
-    """'finite' / 'affine' / 'indefinite' for one indecomposable block."""
+    """'finite' / 'affine' / 'indefinite' for one indecomposable block.
+
+    Sylvester's test on the symmetrized matrix: elimination without row
+    exchanges has pivots whose first k multiply to the k-th leading
+    principal minor, so the block is finite when every pivot is positive,
+    and affine (positive semidefinite of corank 1, being indecomposable)
+    when all but the last are positive and the last is zero.
+    """
     d = _canonical_symmetrizer(a, nodes)
     if d is None:
         return "indefinite"
     n = len(nodes)
-    sym = RatMatrix(n, n, {(p, q): Fraction(a[nodes[p]][nodes[q]]) / d[p]
-                           for p in range(n) for q in range(n)
-                           if a[nodes[p]][nodes[q]]})
-    minors = []
-    for k in range(1, n + 1):
-        minors.append(_det(RatMatrix(k, k, {(i, j): sym[i, j]
-                                            for i in range(k)
-                                            for j in range(k)
-                                            if sym[i, j]})))
-    if all(mk > 0 for mk in minors):
-        return "finite"
-    if minors[-1] == 0 and all(mk > 0 for mk in minors[:-1]):
-        # indecomposable symmetrizable with positive leading minors up to
-        # the last and singular overall: positive semidefinite corank 1
-        return "affine"
-    return "indefinite"
-
-
-def _norm_ratios(a, nodes) -> dict[int, Fraction]:
-    """Relative squared lengths within a component, normalized to min 1."""
-    ratio = {nodes[0]: _ONE}
-    queue = [nodes[0]]
-    while queue:
-        i = queue.pop()
-        for j in nodes:
-            if j != i and a[i][j] and j not in ratio:
-                # (alpha_j, alpha_j)/(alpha_i, alpha_i) = A_ij / A_ji
-                ratio[j] = ratio[i] * a[i][j] / a[j][i]
-                queue.append(j)
-    low = min(ratio.values())
-    return {i: v / low for i, v in ratio.items()}
+    rows = [[d[p] * a[i][j] for j in nodes] for p, i in enumerate(nodes)]
+    for k in range(n):
+        piv = rows[k][k]
+        if piv <= 0:
+            return "affine" if piv == 0 and k == n - 1 else "indefinite"
+        for row in rows[k + 1:]:
+            f = row[k] / piv
+            if f:
+                for c in range(k, n):
+                    row[c] -= f * rows[k][c]
+    return "finite"
 
 
 def _component_series(a, nodes) -> str | None:
@@ -321,8 +272,9 @@ def _component_series(a, nodes) -> str | None:
             return "F4"
         if max(deg.values()) > 2:
             return None
-        ratio = _norm_ratios(a, nodes)
-        short = [k for k in nodes if ratio[k] == 1]
+        # d_i is proportional to the squared length of alpha_i
+        d = _canonical_symmetrizer(a, nodes)
+        short = [k for k, dk in zip(nodes, d) if dk == min(d)]
         if len(short) == 1:
             return "B%d" % n
         if len(short) == n - 1:

@@ -20,10 +20,10 @@ import pytest
 
 from fixtures_gl import gl2form_local, glvec_local, sl_block
 from oracles import levi_civita, s_model_dims, w_model_dims
+from wordmodel import LocAlgebra
 
 from gradedlie import iso, tha
 from gradedlie.cartan import (
-    LocAlgebra,
     cartanify,
     gminus_nodes,
     local_cartanification,

@@ -166,13 +166,6 @@ class TestPhiAssignment:
                 expected = cart.zero_class({g.index[("h", i)]: F1})
             assert out == expected
 
-    def test_reuses_supplied_cartanification(self):
-        data = _DATA["a2"]()
-        phi = iso.phi_assignment(data)
-        again = iso.phi_assignment(data, cart=phi.cartanification)
-        assert again.cartanification is phi.cartanification
-        assert again.assignment == phi.assignment
-
 
 class TestIdentities:
     def test_report_shape_a2(self):
