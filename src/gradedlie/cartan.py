@@ -39,8 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 # rref and kernel_basis stay bound here for tracers that wrap them by name.
-from .linalg import (
-    Span, kernel_basis, rref, solve, stack_columns, vadd, vadd_into)
+from .linalg import Span, kernel_basis, rref, vadd, vadd_into
 from .graded import (
     GradedSuperalgebra,
     LocalSuperalgebra,
@@ -57,55 +56,21 @@ _ONE = Fraction(1)
 
 
 class WeightedSolver:
-    """Express sparse vectors over a family of weight-tagged columns.
+    """Per-weight span of sparse vectors, one ``Span`` per weight, that
+    also expresses vectors over its basis.
 
-    Vectors of one weight only ever involve the columns of that weight, so
-    each solve is a small dense system over the rows those columns touch.
+    Vectors of one weight only ever involve the basis vectors of that
+    weight, so each expression reduces against one small span.
     """
-
-    def __init__(self, columns: list, weights: list):
-        self.columns = columns
-        self.blocks: dict = {}
-        for j, w in enumerate(weights):
-            self.blocks.setdefault(tuple(w), []).append(j)
-        self._mats: dict = {}
-
-    def _block(self, w):
-        hit = self._mats.get(w)
-        if hit is None:
-            cols = self.blocks.get(w, [])
-            mat, rindex = stack_columns([self.columns[j] for j in cols])
-            hit = (cols, rindex, mat)
-            self._mats[w] = hit
-        return hit
-
-    def express(self, vec: dict, weight) -> dict | None:
-        """Coefficients over the global column indices, or None."""
-        if not vec:
-            return {}
-        cols, rindex, mat = self._block(tuple(weight))
-        if not cols:
-            return None
-        rhs = [Fraction(0)] * mat.rows
-        for r, c in vec.items():
-            if r not in rindex:
-                return None
-            rhs[rindex[r]] = c
-        sol = solve(mat, rhs)
-        if sol is None:
-            return None
-        return {cols[jj]: c for jj, c in enumerate(sol) if c}
-
-
-class WeightedSpan:
-    """Per-weight span of sparse vectors: one ``Span`` per weight."""
 
     def __init__(self):
         self.by_weight: dict = {}
+        self._offsets: dict | None = None
 
     def add(self, vec: dict, weight) -> bool:
         if not vec:
             return False
+        self._offsets = None
         return self.by_weight.setdefault(tuple(weight), Span()).add(vec)
 
     def dim(self) -> int:
@@ -116,6 +81,23 @@ class WeightedSpan:
         leading coefficient."""
         return [(w, v) for w in sorted(self.by_weight)
                 for v in self.by_weight[w].basis()]
+
+    def express(self, vec: dict, weight) -> dict | None:
+        """Coefficients over the positions in ``basis()``, or None."""
+        if not vec:
+            return {}
+        weight = tuple(weight)
+        span = self.by_weight.get(weight)
+        coords = span.express(vec) if span is not None else None
+        if coords is None:
+            return None
+        if self._offsets is None:
+            self._offsets, base = {}, 0
+            for w in sorted(self.by_weight):
+                self._offsets[w] = base
+                base += self.by_weight[w].rank
+        base = self._offsets[weight]
+        return {base + k: c for k, c in coords.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +122,6 @@ def root_subalgebra(data, local: LocalSuperalgebra, nodes) -> list:
             if all(c == 0 for j, c in enumerate(coords) if j not in nodes):
                 out.append({i: _ONE})
     return out
-
-
-def gminus_nodes(data) -> tuple:
-    """Nodes whose weight labels vanish: the subdiagram left after removing
-    the support of the weight."""
-    return tuple(j for j in range(len(data.lam)) if data.lam[j] == 0)
 
 
 def _vec_weight(local: LocalSuperalgebra, vec: dict) -> tuple:
@@ -270,8 +246,9 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
     if restriction is not None:
         rbasis = [{i: Fraction(c) for i, c in v.items() if c}
                   for v in restriction]
-        rsolver = WeightedSolver(
-            rbasis, [_vec_weight(local, v) for v in rbasis])
+        rsolver = WeightedSolver()
+        for v in rbasis:
+            rsolver.add(v, _vec_weight(local, v))
         for a in rbasis:
             for b in rbasis:
                 br = local.bracket_vec(0, a, 0, b)
@@ -331,16 +308,18 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                 raise ValueError("peripheral kernel is not invariant "
                                  "under degree-0 brackets")
 
+    # kept is sorted by weight, so the unit classes keep their positions
+    minus_solver = WeightedSolver()
     if rbasis is None:
-        minus_basis = [({t: _ONE}, w) for t, (w, _) in enumerate(kept)]
+        for t, (w, _) in enumerate(kept):
+            minus_solver.add({t: _ONE}, w)
     else:
         # Seed with f_0 y_0 and close under the degree-0 action inside the
         # weak quotient.
-        span = WeightedSpan()
         queue = []
         for y in rbasis:
             cls, w = result._pivot_class(products({0: _ONE}, y))
-            if cls and span.add(cls, w):
+            if cls and minus_solver.add(cls, w):
                 queue.append((w, cls))
         while queue:
             w, cls = queue.pop()
@@ -349,9 +328,9 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                 if not mcls:
                     continue
                 mw = wsum(local.zero_weights[u], w)
-                if span.add(mcls, mw):
+                if minus_solver.add(mcls, mw):
                     queue.append((mw, mcls))
-        minus_basis = [(v, w) for w, v in span.basis()]
+    minus_basis = [(v, w) for w, v in minus_solver.basis()]
 
     neg_names = [("w", t) for t in range(len(minus_basis))]
     neg_weights = [tuple(w) for _, w in minus_basis]
@@ -373,26 +352,26 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
         for (q, k), c in act.items():
             per_q.setdefault(q, {})[k - 1] = c
         images.append(per_q)
-    zspan = WeightedSpan()
+    zero_solver = WeightedSolver()
     zqueue = []
     for per_q in images:
         for vec in per_q.values():
             w = _vec_weight(local, vec)
-            if zspan.add(vec, w):
+            if zero_solver.add(vec, w):
                 zqueue.append((w, dict(vec)))
     while zqueue:
         w, vec = zqueue.pop()
-        others = [v for sp in zspan.by_weight.values() for v in sp.rows]
+        others = [v for sp in zero_solver.by_weight.values()
+                  for v in sp.rows]
         for vec2 in others:
             br = local.bracket_vec(0, vec, 0, vec2)
             if br:
                 bw = _vec_weight(local, br)
-                if zspan.add(br, bw):
+                if zero_solver.add(br, bw):
                     zqueue.append((bw, dict(br)))
-    zero_pairs = zspan.basis()
+    zero_pairs = zero_solver.basis()
     zero_basis = [v for _, v in zero_pairs]
     zero_wts = [tuple(w) for w, _ in zero_pairs]
-    zero_solver = WeightedSolver(zero_basis, zero_wts)
 
     def in_zero(vec: dict, weight) -> dict:
         out = zero_solver.express(vec, weight)
@@ -413,7 +392,6 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
             br = local.bracket_vec(0, us, 1, {q: _ONE})
             if br:
                 b0p[(s, q)] = br
-    minus_solver = WeightedSolver([v for v, _ in minus_basis], neg_weights)
     b0m = {}
     for s, us in enumerate(zero_basis):
         for t, (v, _) in enumerate(minus_basis):

@@ -74,10 +74,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, iso, tha
-from .cartan import Cartanification, cartanify, gminus_nodes, root_subalgebra
+from .cartan import Cartanification, cartanify, root_subalgebra
 from .contragredient import build_graded, build_local
 from .graded import decompose_at_degree
-from .rootsys import CartanData, enumerate_roots
+from .rootsys import CartanData, enumerate_roots, jk_partition
 
 _VARIANTS = ("W", "S", "B")
 _COMMANDS = (
@@ -481,7 +481,7 @@ def _restriction_basis(spec: AlgebraSpec, data, local):
     if spec.restriction is not None:
         return root_subalgebra(data, local, spec.restriction), "restricted"
     if spec.variant == "S":
-        return root_subalgebra(data, local, gminus_nodes(data)), "strong"
+        return root_subalgebra(data, local, jk_partition(data)[1]), "strong"
     return None, "weak"
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .graded import GradedSuperalgebra, LocalSuperalgebra, minimal_extension
 from .linalg import RatMatrix, inverse
-from .rootsys import CartanData, chevalley_realization
+from .rootsys import EXT, CartanData, chevalley_realization
 from . import graded
 
 __all__ = ["ExtendedMatrix", "extend_matrix", "build_local", "build_graded"]
@@ -56,18 +56,10 @@ class ExtendedMatrix:
 
 def extend_matrix(data: CartanData) -> ExtendedMatrix:
     r = data.r
-    lam_wedge = data.wedge(data.lam)
-    ent = {}
-    for j in range(r):
-        if lam_wedge[j]:
-            ent[(0, j + 1)] = -lam_wedge[j]
-        if data.lam[j]:
-            ent[(j + 1, 0)] = Fraction(-data.lam[j])
-    for i in range(r):
-        for j in range(r):
-            if data.a[i][j]:
-                ent[(i + 1, j + 1)] = Fraction(data.a[i][j])
-    b = RatMatrix(r + 1, r + 1, ent)
+    # row and column 0 are the odd node EXT = -1, node i is i + 1
+    b = RatMatrix(r + 1, r + 1,
+                  {(i + 1, j + 1): data.extended_entry(i, j)
+                   for i in range(EXT, r) for j in range(EXT, r)})
     try:
         b_inv = inverse(b)
     except ValueError:
@@ -91,9 +83,8 @@ def _h0_eigenvalue(data: CartanData, mu) -> Fraction:
     mu = nu + lambda is a sum of simple roots, mu = sum c_j alpha_j, and
     each raising step along alpha_j contributes B_0j = -lambda_j/eps_j.
     """
-    coords = data.root_coords(mu)
-    return -sum((c * Fraction(l) / e for c, l, e in
-                 zip(coords, data.lam, data.epsilon)), _ZERO)
+    return sum((c * data.extended_entry(EXT, j)
+                for j, c in enumerate(data.root_coords(mu))), _ZERO)
 
 
 def build_local(data: CartanData) -> LocalSuperalgebra:

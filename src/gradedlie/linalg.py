@@ -13,7 +13,8 @@ The engines also share the helpers below on sparse objects without a
 fixed shape: sparse vectors ``{index: Fraction}`` (``vadd_into``,
 ``vadd``, ``vscale``), column-sparse matrices ``{src: {tgt: Fraction}}``
 (``mat_apply``, ``mat_compose``, ``mat_sub``, ``mat_scale``), the
-incremental ``Span`` of sparse vectors, and ``stack_columns``, which
+incremental ``Span`` of sparse vectors, which also gives a vector's
+coordinates over its basis, and ``stack_columns``, which
 turns one weight block of sparse columns into a ``RatMatrix``.  None of
 them stores a zero.
 """
@@ -507,6 +508,19 @@ class Span:
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def express(self, vec: Mapping) -> dict | None:
+        """Coordinates ``{k: c}`` of vec over ``basis()``, or None when vec
+        is outside the span."""
+        v = dict(vec)
+        out = {}
+        for k, b in enumerate(self.rows):
+            lead = min(b)
+            c = v.get(lead)
+            if c:
+                vadd_into(v, b, -(c / b[lead]))
+                out[k] = c
+        return None if v else out
 
     def basis(self) -> list[dict]:
         """The rows scaled to unit leading coefficient."""

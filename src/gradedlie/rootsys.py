@@ -11,6 +11,15 @@ their norm under the invariant form.  Conventions:
 * a weight ``mu`` has root coordinates ``c = A^{-1} m`` for its label
   vector ``m``, and ``(mu, nu) = m^T A^{-T} D^{-1} n``.
 
+``CartanData`` owns the facts derived from one datum.  Its positive roots
+are a cached property: the validation (``validate_cartan``, whose report
+also types each component) and the reflection closure run once per
+datum, and ``enumerate_roots``, ``weyl_dimension``, ``highest_roots``,
+``pseudo_minuscule_failure`` and ``chevalley_realization`` all read them.
+``extended_entry(i, j)`` is the one copy of the matrix extended by an odd
+node, index ``EXT = -1``: B_EXT,j = -lambda_j/epsilon_j, B_i,EXT =
+-lambda_i, B_EXT,EXT = 0 and B_ij = A_ij otherwise.
+
 The Chevalley realization normalizes ``[e_gamma, e_{-gamma}] = h_gamma``
 with ``h_gamma = (2/(gamma,gamma)) phi^{-1}(gamma)``, and fixes signs by
 a deterministic extraspecial-pair convention keyed to the (height, lex)
@@ -37,6 +46,7 @@ from .linalg import (
 
 __all__ = [
     "CartanData",
+    "EXT",
     "Root",
     "ChevalleyAlgebra",
     "validate_cartan",
@@ -54,6 +64,8 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+EXT = -1  # index of the odd node in ``CartanData.extended_entry``
 
 
 @dataclass(frozen=True)
@@ -197,6 +209,47 @@ class CartanData:
         return CartanData(sub, [self.epsilon[i] for i in nodes],
                           [self.lam[i] for i in nodes])
 
+    def extended_entry(self, i: int, j: int) -> Fraction:
+        """Entry B_ij of the matrix extended by one odd node; EXT = -1
+        addresses the new row and column."""
+        if i == EXT and j == EXT:
+            return _ZERO
+        if i == EXT:
+            return -Fraction(self.lam[j]) / self.epsilon[j]
+        if j == EXT:
+            return -Fraction(self.lam[i])
+        return Fraction(self.a[i][j])
+
+    # -- root system ----------------------------------------------------
+
+    @cached_property
+    def positive_roots(self) -> tuple[Root, ...]:
+        """The positive roots sorted by (height, coords), by reflection
+        closure of the simple roots; the datum must be of finite type."""
+        _require_finite(self)
+        r = self.r
+        simple = [tuple(1 if j == i else 0 for j in range(r))
+                  for i in range(r)]
+        seen = set(simple)
+        frontier = list(simple)
+        while frontier:
+            new = []
+            for c in frontier:
+                for k in range(r):
+                    # r_k(beta) = beta - (alpha_k^vee, beta) alpha_k
+                    pair = sum(self.a[k][j] * c[j] for j in range(r))
+                    refl = tuple(c[j] - (pair if j == k else 0)
+                                 for j in range(r))
+                    if refl not in seen and all(x >= 0 for x in refl):
+                        seen.add(refl)
+                        new.append(refl)
+            frontier = new
+        out = []
+        for c in sorted(seen, key=lambda c: (sum(c), c)):
+            labels = self.labels_of_root(c)
+            out.append(Root(c, labels, self.bilinear(labels, labels)))
+        return tuple(out)
+
 
 # -- validation ------------------------------------------------------------
 
@@ -250,70 +303,11 @@ def _component_type(a, nodes) -> str:
     return "finite"
 
 
-def _component_series(a, nodes) -> str | None:
-    """Best-effort series name (A5, D4, E6, B3, C3, F4, G2) for finite type."""
-    n = len(nodes)
-    if n == 1:
-        return "A1"
-    deg = {i: sum(1 for j in nodes if j != i and a[i][j]) for i in nodes}
-    bonds = [(i, j) for i in nodes for j in nodes
-             if i < j and a[i][j] and a[i][j] * a[j][i] > 1]
-    maxbond = max((a[i][j] * a[j][i] for i in nodes for j in nodes if i != j
-                   and a[i][j]), default=1)
-    if maxbond == 3:
-        return "G2" if n == 2 else None
-    if maxbond == 2:
-        if len(bonds) != 1:
-            return None
-        i, j = bonds[0]
-        if n == 2:
-            return "B2"
-        if n == 4 and deg[i] == 2 and deg[j] == 2 and max(deg.values()) == 2:
-            return "F4"
-        if max(deg.values()) > 2:
-            return None
-        # d_i is proportional to the squared length of alpha_i
-        d = _canonical_symmetrizer(a, nodes)
-        short = [k for k, dk in zip(nodes, d) if dk == min(d)]
-        if len(short) == 1:
-            return "B%d" % n
-        if len(short) == n - 1:
-            return "C%d" % n
-        return None
-    # simply laced
-    branch = [i for i in nodes if deg[i] >= 3]
-    if not branch:
-        return "A%d" % n
-    if len(branch) != 1 or deg[branch[0]] != 3:
-        return None
-    b = branch[0]
-    arms = []
-    for start in (j for j in nodes if j != b and a[b][j]):
-        length, prev, cur = 1, b, start
-        while True:
-            nxt = [k for k in nodes if k not in (prev, cur) and a[cur][k]]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return "D%d" % n
-    if arms == [1, 2, 2]:
-        return "E6"
-    if arms == [1, 2, 3]:
-        return "E7"
-    if arms == [1, 2, 4]:
-        return "E8"
-    return None
-
-
 def validate_cartan(data: CartanData) -> dict:
     """Report-style validation of all CartanData invariants.
 
     Returns {"valid": bool, "checks": [{"name", "passed", "detail"}...],
-    "components": [{"nodes", "type", "series"}...]}.
+    "components": [{"nodes", "type"}...]}.
     """
     checks = []
 
@@ -344,15 +338,8 @@ def validate_cartan(data: CartanData) -> dict:
     check("lambda_nonnegative", all(x >= 0 for x in data.lam),
           "lambda_i >= 0")
 
-    components = []
-    for nodes in data.components():
-        ctype = _component_type(a, nodes)
-        entry = {"nodes": list(nodes), "type": ctype}
-        if ctype == "finite":
-            series = _component_series(a, nodes)
-            if series:
-                entry["series"] = series
-        components.append(entry)
+    components = [{"nodes": list(nodes), "type": _component_type(a, nodes)}
+                  for nodes in data.components()]
 
     return {
         "valid": all(c["passed"] for c in checks),
@@ -361,21 +348,20 @@ def validate_cartan(data: CartanData) -> dict:
     }
 
 
-def _require_valid(data: CartanData) -> None:
+def _require_valid(data: CartanData) -> dict:
     report = validate_cartan(data)
     if not report["valid"]:
         bad = [c["name"] for c in report["checks"] if not c["passed"]]
         raise ValueError("invalid Cartan data: %s" % ", ".join(bad))
+    return report
 
 
 def _require_finite(data: CartanData) -> None:
-    _require_valid(data)
-    for nodes in data.components():
-        ctype = _component_type(data.a, nodes)
-        if ctype != "finite":
+    for comp in _require_valid(data)["components"]:
+        if comp["type"] != "finite":
             raise ValueError(
                 "component %s has %s type; finite type required"
-                % (list(nodes), ctype))
+                % (comp["nodes"], comp["type"]))
 
 
 def gram_matrix(data: CartanData) -> RatMatrix:
@@ -388,36 +374,10 @@ def gram_matrix(data: CartanData) -> RatMatrix:
 
 
 def enumerate_roots(data: CartanData) -> list[Root]:
-    """All roots of a finite-type Cartan datum, by reflection closure.
-
-    Positive roots first, sorted by (height, coords); then the negatives
-    in the mirrored order.
-    """
-    _require_finite(data)
-    r = data.r
-    simple = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for c in frontier:
-            for k in range(r):
-                # r_k(beta) = beta - (alpha_k^vee, beta) alpha_k
-                pair = sum(data.a[k][j] * c[j] for j in range(r))
-                refl = tuple(c[j] - (pair if j == k else 0) for j in range(r))
-                if refl not in seen and all(x >= 0 for x in refl):
-                    seen.add(refl)
-                    new.append(refl)
-        frontier = new
-    positives = sorted(seen, key=lambda c: (sum(c), c))
-
-    def mk(c):
-        labels = data.labels_of_root(c)
-        norm = data.bilinear(labels, labels)
-        return Root(c, labels, norm)
-
-    pos_roots = [mk(c) for c in positives]
-    return pos_roots + [-root for root in pos_roots]
+    """All roots of a finite-type Cartan datum: the positive roots sorted
+    by (height, coords), then the negatives in the mirrored order."""
+    pos = data.positive_roots
+    return list(pos) + [-root for root in pos]
 
 
 def weyl_reflect(data: CartanData, k: int, mu: Sequence) -> tuple[Fraction, ...]:
@@ -446,9 +406,7 @@ def highest_roots(data: CartanData, nodes: Sequence[int] | None = None) -> list[
     sub = data.restrict(nodes)
     for comp in sub.components():
         comp_nodes = [nodes[i] for i in comp]
-        comp_data = data.restrict(comp_nodes)
-        roots = enumerate_roots(comp_data)
-        positives = [rt for rt in roots if rt.height > 0]
+        positives = data.restrict(comp_nodes).positive_roots
         top_height = max(rt.height for rt in positives)
         top = [rt for rt in positives if rt.height == top_height]
         if len(top) != 1:
@@ -469,8 +427,7 @@ def pseudo_minuscule_failure(data: CartanData, mu: Sequence) -> tuple[Root, Frac
     Non-dominant or non-integral mu is reported against the first positive
     root as a failure of the dominance requirement (value = the pairing).
     """
-    roots = enumerate_roots(data)
-    positives = [rt for rt in roots if rt.height > 0]
+    positives = data.positive_roots
     if not data.is_dominant_integral(mu):
         rt = positives[0]
         return rt, data.root_pairing(mu, rt)
@@ -492,15 +449,13 @@ def is_pseudo_minuscule(data: CartanData, mu: Sequence) -> bool:
 
 def weyl_dimension(data: CartanData, mu: Sequence) -> int:
     """dim of the irreducible module with highest weight mu (Weyl formula)."""
-    _require_finite(data)
+    positives = data.positive_roots
     m = data.weight(mu)
     if not data.is_dominant_integral(m):
         raise ValueError("weight %s is not dominant integral" % (list(mu),))
     num = _ONE
     den = _ONE
-    for rt in enumerate_roots(data):
-        if rt.height <= 0:
-            continue
+    for rt in positives:
         # (nu, alpha) = sum_k c_k nu_k / epsilon_k
         top = sum((c * (mk + 1) / e for c, mk, e in
                    zip(rt.coords, m, data.epsilon)), _ZERO)
@@ -669,12 +624,10 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
     bases are then rescaled to the Chevalley normalization
     [e_gamma, e_{-gamma}] = h_gamma with positive extraspecial constants.
     """
-    _require_finite(data)
+    positives = list(data.positive_roots)
     from . import graded  # deferred: graded imports rootsys lazily too
 
     r = data.r
-    all_roots = enumerate_roots(data)
-    positives = [rt for rt in all_roots if rt.height > 0]
     root_set = {rt.coords for rt in positives}
     max_h = max(rt.height for rt in positives)
 

@@ -79,14 +79,12 @@ from math import comb
 from .graded import GradedSuperalgebra, Vec
 from .graded import decompose_module
 from .linalg import RatMatrix, mat_apply, solve, vadd, vadd_into, vscale
-from .rootsys import (CartanData, ChevalleyAlgebra, chevalley_realization,
-                      highest_roots, jk_partition, root_action,
-                      weyl_dimension)
+from .rootsys import (EXT, CartanData, ChevalleyAlgebra,
+                      chevalley_realization, highest_roots, jk_partition,
+                      root_action, weyl_dimension)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-EXT = -1  # index of the extension node in family and matrix positions
 
 
 # -- presentation ------------------------------------------------------------
@@ -160,17 +158,6 @@ def _nest(actor, tree, n: int):
     return tree
 
 
-def extended_entry(data: CartanData, i: int, j: int) -> Fraction:
-    """Entry of the extended matrix; EXT = -1 addresses the new row/column."""
-    if i == EXT and j == EXT:
-        return _ZERO
-    if i == EXT:
-        return -Fraction(data.lam[j]) / data.epsilon[j]
-    if j == EXT:
-        return -Fraction(data.lam[i])
-    return Fraction(data.a[i][j])
-
-
 def presentation(data: CartanData, variant: str = "W") -> Presentation:
     """The full enumerated relation list for the given data and variant."""
     if variant not in ("W", "S"):
@@ -193,9 +180,9 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
     gens: list[GenInfo] = []
     for i in range(r):
         col = tuple(data.a[t][i] for t in range(r))
-        wedge = Fraction(data.lam[i]) / data.epsilon[i]
-        gens.append(GenInfo(("e", i), 0, 0, col, -wedge))
-        gens.append(GenInfo(("f", i), 0, 0, tuple(-c for c in col), wedge))
+        b = data.extended_entry(EXT, i)
+        gens.append(GenInfo(("e", i), 0, 0, col, b))
+        gens.append(GenInfo(("f", i), 0, 0, tuple(-c for c in col), -b))
         gens.append(GenInfo(("h", i), 0, 0, zero, _ZERO))
     gens.append(GenInfo(("e0",), 1, 1, tuple(-l for l in lam), _ZERO))
     if has_h0:
@@ -214,12 +201,12 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
                                  ((_ONE, (e_name(i), ("f", j))),), rhs))
     for i in h_range:
         for j in e_range:
-            b = extended_entry(data, i, j)
+            b = data.extended_entry(i, j)
             rhs = ((b, e_name(j)),) if b else ()
             rels.append(Relation("chevalley-he", (i, j),
                                  ((_ONE, (h_name(i), e_name(j))),), rhs))
         for j in range(r):
-            b = extended_entry(data, i, j)
+            b = data.extended_entry(i, j)
             rhs = ((-b, ("f", j)),) if b else ()
             rels.append(Relation("chevalley-hf", (i, j),
                                  ((_ONE, (h_name(i), ("f", j))),), rhs))
@@ -229,7 +216,7 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
                              ((_ONE, h_name(i)),)))
     for i in h_range:
         for j in family:
-            b = extended_entry(data, i, EXT)
+            b = data.extended_entry(i, EXT)
             rhs = ((-b, ("f0", j)),) if b else ()
             rels.append(Relation("h-f0", (i, j),
                                  ((_ONE, (h_name(i), ("f0", j))),), rhs))
@@ -237,7 +224,7 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
         for j in e_range:
             if i == j and i != EXT:
                 continue
-            n = 1 - extended_entry(data, i, j)
+            n = 1 - data.extended_entry(i, j)
             if n < 1 or n != int(n):
                 continue
             rels.append(Relation("serre-e", (i, j),
@@ -255,7 +242,7 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
             for i in family:
                 rhs = ()
                 if k == l:
-                    b = extended_entry(data, i, l)
+                    b = data.extended_entry(i, l)
                     if b:
                         rhs = ((b, ("f0", k)),)
                 rels.append(Relation("f0-raise-lower", (k, l, i),
@@ -263,7 +250,7 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
                                               (("f", l), ("f0", i)))),), rhs))
     for j in j_nodes:
         for i in family:
-            n = int(1 - extended_entry(data, j, EXT))
+            n = int(1 - data.extended_entry(j, EXT))
             rels.append(Relation("f0-lower-j", (j, i),
                                  ((_ONE, _nest(("f", j), ("f0", i), n)),), ()))
             rels.append(Relation("f0-raise-j", (j, i),

@@ -15,7 +15,6 @@ import gradedlie
 from gradedlie import cartan, graded
 from gradedlie.cartan import (
     cartanify,
-    gminus_nodes,
     local_cartanification,
     products,
     root_subalgebra,
@@ -23,7 +22,7 @@ from gradedlie.cartan import (
 from gradedlie.contragredient import build_local
 from gradedlie.graded import check_local_axioms, decompose_at_degree
 from gradedlie.linalg import vadd, vadd_into
-from gradedlie.rootsys import CartanData
+from gradedlie.rootsys import CartanData, jk_partition
 
 from fixtures_gl import gl2form_local, glvec_local, glvec_super_local, sl_block
 from oracles import s_model_dims, w_model_dims
@@ -244,7 +243,7 @@ def test_minus1_class_outside_restricted_quotient():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
     res = local_cartanification(
-        loc, restriction=root_subalgebra(data, loc, gminus_nodes(data)))
+        loc, restriction=root_subalgebra(data, loc, jk_partition(data)[1]))
     # the weak quotient is larger than the restricted one
     with pytest.raises(ValueError, match="acts outside the cartanification"):
         for c in _candidates(loc):
@@ -268,7 +267,7 @@ def test_zero_class_roundtrip():
 def test_strong_matches_divergence_free_model(n):
     data = CartanData(series_a(n), lam=[1] + [0] * (n - 2))
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, gminus_nodes(data))
+    restr = root_subalgebra(data, loc, jk_partition(data)[1])
     res = cartanify(loc, degree_range=(-n, 1), restriction=restr,
                     provenance="strong")
     dims = {d: v for d, v in res.graded.dims().items() if v}
@@ -279,7 +278,7 @@ def test_strong_matches_divergence_free_model(n):
 def test_strong_quotient_has_no_grading_element():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, gminus_nodes(data))
+    restr = root_subalgebra(data, loc, jk_partition(data)[1])
     res = local_cartanification(loc, restriction=restr)
     assert res.local.grading is None
     rep = check_local_axioms(res.local)
@@ -291,7 +290,7 @@ def test_strong_quotient_has_no_grading_element():
 def test_embedding_carry_over_drops_outside_and_raises_on_faults():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, gminus_nodes(data))
+    restr = root_subalgebra(data, loc, jk_partition(data)[1])
     res = local_cartanification(loc, restriction=restr)
     # h0 lies outside the restricted degree-0 span: dropped, not an error
     assert ("h0",) in loc.embedding
@@ -307,7 +306,7 @@ def test_embedding_carry_over_drops_outside_and_raises_on_faults():
 def test_strong_minus1_is_single_module_a2():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, gminus_nodes(data))
+    restr = root_subalgebra(data, loc, jk_partition(data)[1])
     res = cartanify(loc, degree_range=(-2, 1), restriction=restr)
     dec = decompose_at_degree(res.graded, -1, data)
     assert [(tuple(map(int, w)), m, dim) for w, m, dim in dec] == \
@@ -316,7 +315,7 @@ def test_strong_minus1_is_single_module_a2():
 
 def test_gminus_nodes_and_root_subalgebra():
     data = CartanData(series_a(4), lam=[1, 0, 0])
-    assert gminus_nodes(data) == (1, 2)
+    assert jk_partition(data)[1] == (1, 2)
     loc = build_local(data)
     restr = root_subalgebra(data, loc, (1, 2))
     assert len(restr) == 8   # sl(3): 2 Cartan + 6 root vectors
@@ -386,7 +385,7 @@ def test_quotient_action_kernel_is_trivial():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
     res = local_cartanification(loc)
-    span = cartan.WeightedSpan()
+    span = cartan.WeightedSolver()
     for t in range(res.local.nneg):
         act = _quotient_action(res, {t: F1})
         assert act, "class %d acts by zero" % t
@@ -402,7 +401,7 @@ def test_unquotiented_candidates_fail_kernel_triviality():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
     res = local_cartanification(loc)
-    span = cartan.WeightedSpan()
+    span = cartan.WeightedSolver()
     count = 0
     for p, j in _candidates(loc):
         w = graded.wsum(loc.neg_weights[p], loc.zero_weights[j])
@@ -410,6 +409,18 @@ def test_unquotiented_candidates_fail_kernel_triviality():
         count += 1
     assert span.dim() < count          # the invariant catches the defect
     assert count - span.dim() == res.kernel_dim
+
+
+def test_weighted_solver_positions_follow_basis():
+    solver = cartan.WeightedSolver()
+    assert solver.add({2: F1, 3: F1}, (1,))
+    assert solver.add({0: F1}, (0,))
+    assert not solver.add({2: 2 * F1, 3: 2 * F1}, (1,))
+    assert solver.basis() == [((0,), {0: F1}), ((1,), {2: F1, 3: F1})]
+    assert solver.express({2: 3 * F1, 3: 3 * F1}, (1,)) == {1: 3 * F1}
+    assert solver.express({2: F1}, (1,)) is None
+    assert solver.express({0: F1}, (2,)) is None
+    assert solver.express({}, (2,)) == {}
 
 
 # The open FOUND line of CHANGES.md on odd degree-0 letters.
@@ -450,7 +461,7 @@ def _strong_a3():
     data = CartanData(A3, lam=[1, 0, 0])
     loc = build_local(data)
     return local_cartanification(
-        loc, restriction=root_subalgebra(data, loc, gminus_nodes(data)))
+        loc, restriction=root_subalgebra(data, loc, jk_partition(data)[1]))
 
 
 @pytest.mark.parametrize("make", [

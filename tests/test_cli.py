@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -11,6 +14,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+import gradedlie
 from gradedlie import cli
 
 A2_SPEC = '{"cartan_matrix": [[2, -1], [-1, 2]], "lambda": [1, 0]}'
@@ -402,6 +406,23 @@ class TestGoldenReports:
         assert cli.main([command, "--spec", spec, "--no-cache"]) == 0
         text = _strip_timing(capsys.readouterr().out)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
+    """Invariants hold under ``python -O``: no check of the package rests
+    on an ``assert``, so the report is the same without them."""
+    args = ["check-all", "--spec", A2_SPEC, "--degrees=-2..1", "--no-cache"]
+    assert cli.main(args) == 0
+    in_process = _strip_timing(capsys.readouterr().out)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run([sys.executable, "-O", "-m", "gradedlie.cli"] + args,
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert _strip_timing(done.stdout) == in_process
 
 
 class TestCache:

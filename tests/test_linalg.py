@@ -265,6 +265,30 @@ def test_span_rank_matches_rank(m):
 
 
 @settings(max_examples=60, deadline=None)
+@given(_matrices(), st.data())
+def test_span_express_inverts_combinations(m, data):
+    """Coordinates over ``basis()`` for vectors in the span, None for the
+    others; the last row is outside exactly when it raises the rank."""
+    span = Span()
+    for i in range(m.rows - 1):
+        span.add(_sparse(m.row(i)))
+    basis = span.basis()
+    coeffs = [data.draw(_RATIONALS) for _ in basis]
+    combo: dict = {}
+    for c, b in zip(coeffs, basis):
+        vadd_into(combo, b, c)
+    assert span.express(combo) == _sparse(coeffs)
+    last = _sparse(m.row(m.rows - 1))
+    got = span.express(last)
+    assert (got is None) == (span.rank < rank(m))
+    if got is not None:
+        back: dict = {}
+        for k, c in got.items():
+            vadd_into(back, basis[k], c)
+        assert back == last
+
+
+@settings(max_examples=60, deadline=None)
 @given(_matrices(), st.randoms(use_true_random=False))
 def test_stacked_block_rref_ignores_row_key_order(m, rng):
     """Row keys numbered in a shuffled first-seen order give the same

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedlie import rootsys
 from gradedlie.rootsys import (
     CartanData,
     chevalley_realization,
@@ -37,36 +38,62 @@ def chain(n):
 def test_validate_a2():
     rep = validate_cartan(CartanData(A2))
     assert rep["valid"]
-    assert rep["components"] == [{"nodes": [0, 1], "type": "finite",
-                                  "series": "A2"}]
+    assert rep["components"] == [{"nodes": [0, 1], "type": "finite"}]
 
 
-def test_series_names():
-    cases = [
-        (A1, None, "A1"),
-        (G2, [1, 3], "G2"),
-        (B2, [2, 1], "B2"),
-        (D4, None, "D4"),
-        ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [1, 1, 2], "B3"),
-        ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [2, 2, 1], "C3"),
-        ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
-         [2, 2, 1, 1], "F4"),
-    ]
-    # E series: D-type tails of a chain plus the branch node
-    def e_mat(n):
-        a = chain(n - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * n)
-        a[n - 1][n - 1] = 2
-        a[n - 1][2] = a[2][n - 1] = -1
-        return a
-    cases += [(e_mat(6), None, "E6"), (e_mat(7), None, "E7"),
-              (e_mat(8), None, "E8")]
-    for a, eps, want in cases:
-        rep = validate_cartan(CartanData(a, eps))
-        assert rep["valid"], want
-        assert rep["components"][0]["series"] == want
+def e_mat(n):
+    """The E_n Cartan matrix: a chain of n - 1 nodes plus a branch node
+    on the third."""
+    a = chain(n - 1)
+    for row in a:
+        row.append(0)
+    a.append([0] * n)
+    a[n - 1][n - 1] = 2
+    a[n - 1][2] = a[2][n - 1] = -1
+    return a
+
+
+@pytest.mark.parametrize("a, eps, count", [
+    (A1, None, 1),
+    (G2, [1, 3], 6),
+    (B2, [2, 1], 4),
+    (D4, None, 12),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [1, 1, 2], 9),
+    ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [2, 2, 1], 9),
+    ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+     [2, 2, 1, 1], 24),
+    (e_mat(6), None, 36),
+    (e_mat(7), None, 63),
+    (e_mat(8), None, 120),
+], ids=["A1", "G2", "B2", "D4", "B3", "C3", "F4", "E6", "E7", "E8"])
+def test_positive_root_counts(a, eps, count):
+    data = CartanData(a, eps)
+    assert validate_cartan(data)["valid"]
+    assert len(data.positive_roots) == count
+    assert len(enumerate_roots(data)) == 2 * count
+
+
+def test_roots_and_validation_once_per_datum(monkeypatch):
+    calls = []
+    original = rootsys.validate_cartan
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(rootsys, "validate_cartan", counted)
+    data = CartanData(A4, lam=[0, 1, 0, 0])
+    assert [weyl_dimension(data, mu) for mu in
+            [(0, 1, 0, 0), (2, 0, 0, 0), (0, 0, 1, 1)]] == [10, 15, 40]
+    roots = enumerate_roots(data)
+    assert len(calls) == 1
+    assert len(roots) == 20
+    # the list handed out is the caller's own
+    want = list(roots)
+    roots[0] = None
+    roots.clear()
+    assert enumerate_roots(data) == want
+    assert len(calls) == 1
 
 
 def test_affine_and_invertibility():

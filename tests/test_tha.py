@@ -134,10 +134,10 @@ def test_presentation_rejects_unknown_variant():
 
 def test_extended_entries():
     data = CartanData(A2, epsilon=(2, 1), lam=(3, 0))
-    assert tha.extended_entry(data, EXT, EXT) == 0
-    assert tha.extended_entry(data, EXT, 0) == Fraction(-3, 2)
-    assert tha.extended_entry(data, 0, EXT) == -3
-    assert tha.extended_entry(data, 0, 1) == -1
+    assert data.extended_entry(EXT, EXT) == 0
+    assert data.extended_entry(EXT, 0) == Fraction(-3, 2)
+    assert data.extended_entry(0, EXT) == -3
+    assert data.extended_entry(0, 1) == -1
 
 
 # -- relation checking ---------------------------------------------------
@@ -445,10 +445,10 @@ def test_family_proportionality_relations():
                     for kind in ("e", "f"):
                         lhs = vscale(mod.apply(kind, i,
                                                mod.seed_vecs[("f0", k)]),
-                                     tha.extended_entry(data, j, i))
+                                     data.extended_entry(j, i))
                         rhs = vscale(mod.apply(kind, i,
                                                mod.seed_vecs[("f0", j)]),
-                                     tha.extended_entry(data, k, i))
+                                     data.extended_entry(k, i))
                         assert vadd(lhs, rhs, -F1) == {}
 
 
