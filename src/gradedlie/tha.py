@@ -465,6 +465,8 @@ class _Enumeration:
             self.queue.add(self.running)
 
     def act(self, op: tuple, vec: Vec, create: bool) -> Vec | None:
+        if not vec:
+            return {}
         vec = self.nf(vec)
         if self.reads is not None:
             self.reads.update(vec)
@@ -527,18 +529,59 @@ class _Enumeration:
 
 
 def _serre_instances(data: CartanData) -> list:
-    """(kind, i, j, terms) with terms = [(coeff, a, b)]: X_i^a X_j X_i^b."""
+    """(kind, i, j, terms) with terms = [(coeff, a, b)]: X_i^a X_j X_i^b.
+
+    A pair with a_ij = 0 appears once, as i < j: its (j, i) operator is
+    the negation of the (i, j) one on the same words.
+    """
     out = []
     for i in range(data.r):
         for j in range(data.r):
-            if i == j:
+            if i == j or (i > j and data.a[i][j] == 0):
                 continue
             n = 1 - data.a[i][j]
-            terms = [(Fraction((-1) ** t * comb(n, t)), n - t, t)
+            terms = [((-1) ** t * comb(n, t), n - t, t)
                      for t in range(n + 1)]
             out.append(("e", i, j, terms))
             out.append(("f", i, j, terms))
     return out
+
+
+_UNSET = object()    # a word of the plan not yet applied to the cell
+
+
+def _word_plan(r: int, serres: list) -> tuple:
+    """The words of a cell's instance group, each distinct word once.
+
+    Returns (steps, commutators, serres).  Word 0 is the cell itself;
+    word w >= 1 is ``steps[w]`` = (op, s), the letter op applied to word
+    s, where s < w.  ``commutators`` holds (i, j, id of e_i f_j, id of
+    f_j e_i) and ``serres`` (tag, i, j, ((coeff, id), ...)), in the order
+    the group imposes them.
+    """
+    ids: dict = {}
+    steps: list = [None]
+
+    def word_id(word: tuple) -> int:
+        w = 0
+        for op in reversed(word):
+            step = (op, w)
+            if step not in ids:
+                ids[step] = len(steps)
+                steps.append(step)
+            w = ids[step]
+        return w
+
+    commutators = tuple(
+        (i, j, word_id((("e", i), ("f", j))), word_id((("f", j), ("e", i))))
+        for i in range(r) for j in range(r))
+    groups = tuple(
+        ("serre-" + kind, i, j,
+         tuple((coeff, word_id(((kind, i),) * left + ((kind, j),)
+                                + ((kind, i),) * right))
+               for coeff, left, right in terms))
+        for kind, i, j, terms in serres)
+    return tuple(steps), commutators, groups
 
 
 def _seed_relations(pres: Presentation) -> list:
@@ -665,7 +708,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     lam = tuple(int(x) for x in data.lam)
     seeds = {("f0", i): enum.new_cell(lam) for i in pres.family}
     seed_rels = _seed_relations(pres)
-    serres = _serre_instances(data)
+    plan = _word_plan(data.r, _serre_instances(data))
     history = []
     status = "inconclusive"
     reason = "cell budget %d exhausted" % cell_cap
@@ -678,15 +721,16 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
             for c in range(len(enum.wt)):
                 if enum.alive(c):
                     for op in enum.ops:
-                        enum.act(op, {c: _ONE}, True)
-            _drain(enum, seeds, seed_rels, serres)
+                        if c not in enum.tab[op]:
+                            enum.act(op, {c: _ONE}, True)
+            _drain(enum, seeds, seed_rels, plan)
             dims: dict = {}
             for c in range(len(enum.wt)):
                 if enum.alive(c):
                     dims[enum.wt[c]] = dims.get(enum.wt[c], 0) + 1
             history.append(dims)
             if _tables_total(enum):
-                _certify(enum, seeds, seed_rels, serres)
+                _certify(enum, seeds, seed_rels, plan)
                 status = "complete"
                 reason = "action tables total and every instance clean"
                 break
@@ -721,7 +765,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
 
 
 def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
-           serres: list) -> None:
+           plan: tuple) -> None:
     """Run queued instance groups, then the seed relations and the dead
     entries, until a pass of the latter two imposes nothing (only an
     imposition queues a group, so the queue is then empty)."""
@@ -731,7 +775,7 @@ def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
             enum.queue.clear()
             for c in batch:
                 if enum.alive(c):
-                    _cell_instances(enum, c, serres)
+                    _cell_instances(enum, c, plan)
         enum.changed = False
         _seed_instances(enum, seeds, seed_rels)
         _dead_entry_consequences(enum)
@@ -740,13 +784,13 @@ def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
 
 
 def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,
-             serres: list) -> None:
+             plan: tuple) -> None:
     """One full pass of every instance; raises if it imposes anything."""
     enum.certifying = True
     _seed_instances(enum, seeds, seed_rels)
     for c in range(len(enum.wt)):
         if enum.alive(c):
-            _cell_instances(enum, c, serres)
+            _cell_instances(enum, c, plan)
     _dead_entry_consequences(enum)
 
 
@@ -761,52 +805,53 @@ def _seed_instances(enum: _Enumeration, seeds: dict,
         enum.impose(vec, (tag, indices))
 
 
-def _cell_instances(enum: _Enumeration, c: int, serres: list) -> None:
+def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
     """Impose the commutator axioms [e_i, f_j] = delta_ij h_j and the
     Serre operators on cell c, recording the cells the group looked up
-    as its reads."""
+    as its reads.  Each word of the plan is applied to c at most once,
+    when an instance first needs it."""
     enum.running, enum.reads = c, set()
     unit = {c: _ONE}
-    images: dict = {(): unit}
-    for i in range(enum.r):
-        for j in range(enum.r):
-            a = _image(enum, images, (("e", i), ("f", j)))
-            if a is None:
-                continue
-            b = _image(enum, images, (("f", j), ("e", i)))
-            if b is None:
-                continue
-            res = vadd(a, b, -_ONE)
-            if i == j and enum.wt[c][i]:
-                res = vadd(res, unit, -Fraction(enum.wt[c][i]))
-            enum.impose(res, ("commutator", c, i, j))
-    for kind, i, j, terms in serres:
+    steps, commutators, serres = plan
+    images = [unit] + [_UNSET] * (len(steps) - 1)
+    wt = enum.wt[c]
+    for i, j, ef, fe in commutators:
+        a = _word_image(enum, steps, images, ef)
+        if a is None:
+            continue
+        b = _word_image(enum, steps, images, fe)
+        if b is None:
+            continue
+        res = vadd(a, b, -1)
+        if i == j and wt[i]:
+            vadd_into(res, unit, -wt[i])
+        enum.impose(res, ("commutator", c, i, j))
+    for tag, i, j, terms in serres:
         acc: Vec = {}
-        for coeff, left, right in terms:
-            vec = _image(enum, images, ((kind, i),) * left + ((kind, j),)
-                         + ((kind, i),) * right)
+        for coeff, w in terms:
+            vec = _word_image(enum, steps, images, w)
             if vec is None:
                 break
             vadd_into(acc, vec, coeff)
         else:
-            enum.impose(acc, ("serre-" + kind, c, i, j))
+            enum.impose(acc, (tag, c, i, j))
     readers = enum.readers
     for x in enum.reads:
         readers.setdefault(x, set()).add(c)
     enum.running = enum.reads = None
 
 
-def _image(enum: _Enumeration, images: dict, word: tuple) -> Vec | None:
-    """The word applied to the group's cell, or None when a table entry is
-    missing; ``images`` holds every suffix computed so far."""
-    k = 0
-    while word[k:] not in images:
-        k += 1
-    vec = images[word[k:]]
-    for t in range(k - 1, -1, -1):
+def _word_image(enum: _Enumeration, steps: tuple, images: list,
+                w: int) -> Vec | None:
+    """Word w applied to the group's cell, or None when a table entry is
+    missing; ``images`` holds every word computed so far, by id."""
+    vec = images[w]
+    if vec is _UNSET:
+        op, suffix = steps[w]
+        vec = _word_image(enum, steps, images, suffix)
         if vec is not None:
-            vec = enum.act(word[t], vec, False)
-        images[word[t:]] = vec
+            vec = enum.act(op, vec, False)
+        images[w] = vec
     return vec
 
 
@@ -819,7 +864,7 @@ def _dead_entry_consequences(enum: _Enumeration) -> None:
             target = enum.act(op, enum.rw[c], False)
             if target is None:
                 continue
-            enum.impose(vadd(enum.nf(table.pop(c)), target, -_ONE),
+            enum.impose(vadd(enum.nf(table.pop(c)), target, -1),
                         ("dead entry", op, c))
 
 

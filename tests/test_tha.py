@@ -8,8 +8,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedlie import tha
+from gradedlie import iso, tha
 from gradedlie.contragredient import build_graded, build_local
 from gradedlie.linalg import mat_apply, vadd, vscale
 from gradedlie.rootsys import (CartanData, chevalley_realization,
@@ -324,6 +326,110 @@ def test_minus1_d5_spinor_matches_weyl_formula():
         assert mod.decompose() == tha.expected_minus1_decomposition(
             mod.data, variant)
     assert (_mod("d5").dim, _mod("d5", "S").dim) == (160, 144)
+
+
+# finite types of rank <= 3 with their canonical symmetrizers, in the
+# package's convention a[i][j] = <alpha_i^vee, alpha_j>
+_FINITE = {
+    "A1": ([[2]], (1,)),
+    "A2": (A2, (1, 1)),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], (1, 1, 1)),
+    "B2": ([[2, -2], [-1, 2]], (2, 1)),
+    "B3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], (2, 2, 1)),
+    "C3": (C3, (1, 1, 2)),
+    "G2": (G2, (1, 3)),
+}
+
+
+def _pseudo_minuscule(data):
+    try:
+        iso.require_pseudo_minuscule(data)
+    except ValueError:
+        return False
+    return True
+
+
+_GENERATED = st.sampled_from(sorted(_FINITE)).flatmap(
+    lambda name: st.lists(st.integers(0, 1), min_size=len(_FINITE[name][0]),
+                          max_size=len(_FINITE[name][0])).map(
+        lambda lam: CartanData(*_FINITE[name], lam=lam))
+).filter(_pseudo_minuscule)
+
+
+def _zero_label_components(data):
+    """The connected components of the nodes with label 0."""
+    left = [i for i in range(data.r) if data.lam[i] == 0]
+    comps = []
+    while left:
+        comp, frontier = set(), [left[0]]
+        while frontier:
+            i = frontier.pop()
+            if i not in comp:
+                comp.add(i)
+                frontier.extend(j for j in left if data.a[i][j])
+        comps.append(comp)
+        left = [i for i in left if i not in comp]
+    return comps
+
+
+def _structure_dimension(data):
+    """dim L(lambda) + sum over zero-label components C of dim L(theta_C +
+    lambda), theta_C the highest root supported on C."""
+    total = weyl_dimension(data, data.lam)
+    for comp in _zero_label_components(data):
+        theta = max((rt for rt in data.positive_roots
+                     if all(c == 0 or t in comp
+                            for t, c in enumerate(rt.coords))),
+                    key=lambda rt: sum(rt.coords))
+        total += weyl_dimension(
+            data, [a + b for a, b in zip(theta.labels, data.lam)])
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(_GENERATED)
+def test_minus1_generated_data_matches_the_structure_theorem(data):
+    mod = tha.build_minus1(tha.presentation(data, "W"))
+    assert mod.status == "complete"
+    assert mod.dim == _structure_dimension(data)
+    assert mod.decompose() == tha.expected_minus1_decomposition(data, "W")
+
+
+def test_serre_instances_once_per_commuting_pair():
+    # for a_ij = 0 the (j, i) operator is minus the (i, j) one
+    insts = tha._serre_instances(CartanData(D4, lam=(1, 0, 0, 0)))
+    assert len(insts) == 18
+    pairs = {(kind, i, j) for kind, i, j, _ in insts}
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                kept = ("e", i, j) in pairs
+                assert kept == (D4[i][j] != 0 or i < j)
+                assert kept == (("f", i, j) in pairs)
+    insts = tha._serre_instances(CartanData(G2, epsilon=(1, 3)))
+    assert [(i, j, terms) for kind, i, j, terms in insts if kind == "e"] == [
+        (0, 1, [(1, 2, 0), (-2, 1, 1), (1, 0, 2)]),
+        (1, 0, [(1, 4, 0), (-4, 3, 1), (6, 2, 2), (-4, 1, 3), (1, 0, 4)])]
+
+
+def test_word_plan_stores_each_word_once():
+    data = CartanData(G2, epsilon=(1, 3))
+    instances = tha._serre_instances(data)
+    steps, commutators, serres = tha._word_plan(data.r, instances)
+    words = [()]
+    for op, suffix in steps[1:]:
+        assert suffix < len(words)
+        words.append((op,) + words[suffix])
+    assert len(set(words)) == len(words)
+    assert [(i, j, words[ef], words[fe]) for i, j, ef, fe in commutators] \
+        == [(i, j, (("e", i), ("f", j)), (("f", j), ("e", i)))
+            for i in range(2) for j in range(2)]
+    assert [(tag, i, j, [(c, words[w]) for c, w in terms])
+            for tag, i, j, terms in serres] == [
+        ("serre-" + kind, i, j,
+         [(c, ((kind, i),) * left + ((kind, j),) + ((kind, i),) * right)
+          for c, left, right in terms])
+        for kind, i, j, terms in instances]
 
 
 def test_minus1_dimension_history_stabilizes():
