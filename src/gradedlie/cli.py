@@ -45,13 +45,14 @@ byte-identical apart from the timing field) and conform to
 Computed per-degree components are cached, content-addressed by the hash
 of the spec (minus the degree range) and the command, one self-describing
 JSON file per degree.  A rerun, or a window inside a cached one, is served
-from the cache; a window that reaches any degree not cached recomputes
-every degree of the window.  Each file records a hash of the package's
-sources and schemas, and a file written by any other engine is treated
-as absent.  The cache directory is ``$GRADEDLIE_CACHE_DIR`` when set,
-otherwise ``~/.cache/gradedlie``; writes are atomic (write to a temporary
-file in the same directory, then rename); ``--no-cache`` bypasses reads
-and writes.  A cache hit and a cold run produce identical reports.
+from the cache; a window that reaches any degree not cached is computed
+whole, and only the degrees not cached are written.  Each file records a
+hash of the package's sources and schemas, and a file written by any
+other engine is treated as absent.  The cache directory is
+``$GRADEDLIE_CACHE_DIR`` when set, otherwise ``~/.cache/gradedlie``;
+writes are atomic (write to a temporary file in the same directory, then
+rename); ``--no-cache`` bypasses reads and writes.  A cache hit and a cold
+run produce identical reports.
 
 Exit codes: 0 success, 1 engine error (the message is printed verbatim
 with the originating module, and prefixed with the exception class for an
@@ -381,24 +382,25 @@ class _Cache:
         self.command = command
         self.use = use
 
-    def read(self, entry: str):
-        if not self.use:
-            return None
-        return _cache_read(_cache_path(self.spec, self.command, entry))
+    def fetch(self, entries, compute) -> dict:
+        """The payload of every entry, by entry name.
 
-    def read_all(self, entries):
-        payloads = {}
-        for entry in entries:
-            payload = self.read(entry)
-            if payload is None:
-                return None
-            payloads[entry] = payload
-        return payloads
-
-    def write(self, entry: str, payload) -> None:
+        When every entry is cached the payloads are read; otherwise
+        ``compute()`` returns them all, and only the missing entries are
+        written."""
+        paths = {entry: _cache_path(self.spec, self.command, entry)
+                 for entry in entries}
+        found = ({entry: _cache_read(path) for entry, path in paths.items()}
+                 if self.use else {})
+        missing = [entry for entry in entries if found.get(entry) is None]
+        if not missing:
+            return found
+        payloads = compute()
         if self.use:
-            _cache_write(_cache_path(self.spec, self.command, entry),
-                         payload, self.spec, self.command)
+            for entry in missing:
+                _cache_write(paths[entry], payloads[entry], self.spec,
+                             self.command)
+        return payloads
 
 
 # ---------------------------------------------------------------------------
@@ -450,31 +452,37 @@ class _Models:
 # Commands
 
 
-def _per_degree_table(dims: dict) -> dict:
-    degrees = sorted(dims)
+def _degree_entries(spec: AlgebraSpec) -> list:
+    lo, hi = spec.degree_range
+    return ["deg%d" % d for d in range(lo, hi + 1)]
+
+
+def _dim_entries(spec: AlgebraSpec, dims: dict) -> dict:
+    lo, hi = spec.degree_range
+    return {"deg%d" % d: {"dim": int(dims.get(d, 0))}
+            for d in range(lo, hi + 1)}
+
+
+def _per_degree_table(spec: AlgebraSpec, payloads: dict) -> dict:
+    lo, hi = spec.degree_range
+    dims = {d: payloads["deg%d" % d]["dim"] for d in range(lo, hi + 1)}
     return {
-        "dims": {str(d): int(dims[d]) for d in degrees},
-        "per_degree": [
-            {"degree": d, "dim": int(dims[d])} for d in degrees
-        ],
-        "total_dim": int(sum(dims.values())),
+        "dims": {str(d): dims[d] for d in dims},
+        "per_degree": [{"degree": d, "dim": dims[d]} for d in dims],
+        "total_dim": sum(dims.values()),
     }
 
 
+def _module_entries(decomposition) -> list:
+    return [{"highest_weight": [int(l) for l in labels],
+             "multiplicity": int(mult), "dim": int(dim)}
+            for labels, mult, dim in decomposition]
+
+
 def _run_build_b(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
-    lo, hi = spec.degree_range
-    entries = ["deg%d" % d for d in range(lo, hi + 1)]
-    payloads = cache.read_all(entries)
-    if payloads is None:
-        algebra = build_graded(models.data, (lo, hi))
-        dims = algebra.dims()
-        payloads = {}
-        for d in range(lo, hi + 1):
-            payload = {"dim": int(dims.get(d, 0))}
-            payloads["deg%d" % d] = payload
-            cache.write("deg%d" % d, payload)
-    dims = {d: payloads["deg%d" % d]["dim"] for d in range(lo, hi + 1)}
-    return _per_degree_table(dims)
+    payloads = cache.fetch(_degree_entries(spec), lambda: _dim_entries(
+        spec, build_graded(models.data, spec.degree_range).dims()))
+    return _per_degree_table(spec, payloads)
 
 
 def _restriction_basis(spec: AlgebraSpec, data, local):
@@ -489,26 +497,19 @@ def _run_cartanify(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     if spec.variant == "B":
         raise ValueError(
             'variant "B" is the contragredient algebra; use build-b')
-    lo, hi = spec.degree_range
-    entries = ["deg%d" % d for d in range(lo, hi + 1)] + ["meta"]
-    payloads = cache.read_all(entries)
-    if payloads is None:
-        result = models.cartanification((lo, hi))
-        dims = result.graded.dims()
-        payloads = {}
-        for d in range(lo, hi + 1):
-            payload = {"dim": int(dims.get(d, 0))}
-            payloads["deg%d" % d] = payload
-            cache.write("deg%d" % d, payload)
-        meta = {
+
+    def compute():
+        result = models.cartanification(spec.degree_range)
+        payloads = _dim_entries(spec, result.graded.dims())
+        payloads["meta"] = {
             "construction": result.provenance,
             "kernel_dim": int(result.kernel_dim),
             "candidate_count": int(result.candidate_count),
         }
-        payloads["meta"] = meta
-        cache.write("meta", meta)
-    dims = {d: payloads["deg%d" % d]["dim"] for d in range(lo, hi + 1)}
-    out = _per_degree_table(dims)
+        return payloads
+
+    payloads = cache.fetch(_degree_entries(spec) + ["meta"], compute)
+    out = _per_degree_table(spec, payloads)
     out.update(payloads["meta"])
     return out
 
@@ -517,8 +518,8 @@ def _run_tha_minus1(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     if spec.variant == "B":
         raise ValueError(
             'variant "B" has no relations model; use variant "W" or "S"')
-    payload = cache.read("result")
-    if payload is None:
+
+    def compute():
         module = models.module(spec.variant)
         payload = {
             "status": module.status,
@@ -526,43 +527,31 @@ def _run_tha_minus1(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
         }
         if module.status == "complete":
             payload["dim"] = module.dim
-            payload["decomposition"] = [
-                {"highest_weight": [int(l) for l in labels],
-                 "multiplicity": int(mult), "dim": int(dim)}
-                for labels, mult, dim in module.decompose()
-            ]
-        cache.write("result", payload)
-    return payload
+            payload["decomposition"] = _module_entries(module.decompose())
+        return {"result": payload}
 
-
-def _graded_model(spec: AlgebraSpec, models: _Models, window):
-    if spec.variant == "B":
-        return build_graded(models.data, window)
-    return models.cartanification(window).graded
+    return cache.fetch(["result"], compute)["result"]
 
 
 def _run_decompose(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     lo, hi = spec.degree_range
-    entries = ["deg%d" % d for d in range(lo, hi + 1)]
-    payloads = cache.read_all(entries)
-    if payloads is None:
-        data = models.data
-        graded = _graded_model(spec, models, (lo, hi))
+
+    def compute():
+        if spec.variant == "B":
+            graded = build_graded(models.data, (lo, hi))
+        else:
+            graded = models.cartanification((lo, hi)).graded
         dims = graded.dims()
         payloads = {}
         for d in range(lo, hi + 1):
             dim = int(dims.get(d, 0))
-            modules = []
-            if dim:
-                for labels, mult, sub_dim in decompose_at_degree(
-                        graded, d, data):
-                    modules.append(
-                        {"highest_weight": [int(l) for l in labels],
-                         "multiplicity": int(mult), "dim": int(sub_dim)})
-                modules.sort(key=lambda m: (m["dim"], m["highest_weight"]))
-            payload = {"dim": dim, "modules": modules}
-            payloads["deg%d" % d] = payload
-            cache.write("deg%d" % d, payload)
+            modules = _module_entries(
+                decompose_at_degree(graded, d, models.data) if dim else ())
+            modules.sort(key=lambda m: (m["dim"], m["highest_weight"]))
+            payloads["deg%d" % d] = {"dim": dim, "modules": modules}
+        return payloads
+
+    payloads = cache.fetch(_degree_entries(spec), compute)
     degrees = [
         {"degree": d, **payloads["deg%d" % d]} for d in range(lo, hi + 1)
     ]
@@ -570,22 +559,18 @@ def _run_decompose(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
             "total_dim": sum(entry["dim"] for entry in degrees)}
 
 
-def _iso_window(spec: AlgebraSpec):
-    lo, hi = spec.degree_range
-    return (max(lo, -2), min(hi, 1))
-
-
 def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
-    lo, hi = _iso_window(spec)
-    entry = "window%d_%d" % (lo, hi)
-    payload = cache.read(entry)
-    if payload is None:
+    lo, hi = spec.degree_range
+    window = (max(lo, -2), min(hi, 1))
+    entry = "window%d_%d" % window
+
+    def compute():
         # Only a module another command already built is handed over:
         # building one here would precede the precondition check.
         verdict = iso.check_isomorphism(
-            models.data, degree_range=(lo, hi),
+            models.data, degree_range=window,
             module=models.built_module("W"))
-        payload = _jsonable({
+        return {entry: _jsonable({
             "verdict": verdict.verdict,
             "surjective": verdict.surjective,
             "injective": verdict.injective,
@@ -594,19 +579,18 @@ def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
             "identities": verdict.identities,
             "sides": verdict.sides,
             "certificate": verdict.certificate,
-        })
-        cache.write(entry, payload)
-    return payload
+        })}
+
+    return cache.fetch([entry], compute)[entry]
 
 
 def _run_roots(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
-    payload = cache.read("result")
-    if payload is None:
+    def compute():
         roots = sorted(
             enumerate_roots(models.data),
             key=lambda root: (root.height, tuple(root.coords)),
         )
-        payload = {
+        return {"result": {
             "count": len(roots),
             "roots": [
                 {"coords": [int(c) for c in root.coords],
@@ -614,9 +598,9 @@ def _run_roots(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
                  "norm": str(root.norm)}
                 for root in roots
             ],
-        }
-        cache.write("result", payload)
-    return payload
+        }}
+
+    return cache.fetch(["result"], compute)["result"]
 
 
 # Errors an engine raises on data it cannot handle.  A ValueError carries

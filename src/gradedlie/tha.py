@@ -27,6 +27,11 @@ the relations are, over all indices for which the named generators exist:
   f0-lower-kk      [f_k, [f_k, f0_i]] = 0                    (k in K)
   f0-raise-jk      [e_j, [e_k, f0_i]] = 0                    (j in J, k in K)
 
+Every relation has the form (ad x_1 ... ad x_n)(y) = sum c * z with
+generators x_1..x_n, y and z, and a ``Relation`` stores exactly that: the
+word (x_1, ..., x_n), the generator y and the pairs (c, z).  A Serre
+relation (ad e_i)^n e_j is the word (e_i,) * n applied to e_j.
+
 No relation quadratic in the f0 family is imposed.  When K is empty the
 family degenerates to the single extension member and the presentation
 coincides with the contragredient one; the Presentation carries a flag
@@ -72,7 +77,7 @@ a non-nilpotent action surfaces as an error instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 
@@ -107,17 +112,17 @@ class GenInfo:
 
 @dataclass(frozen=True)
 class Relation:
-    """lhs = rhs, both sides sums of nested brackets of generators.
+    """[ops[0], [ops[1], ... [ops[-1], target]]] = sum of c * name.
 
-    Terms are (coefficient, tree) pairs; a tree is a generator name or a
-    pair (tree, tree) meaning the bracket of its parts.  Names are tuples
-    starting with a string, bracket nodes are pairs of tuples, so the two
-    shapes never collide.
+    The left side is a word of generators applied to the generator
+    ``target`` by the adjoint action; ``rhs`` holds (coefficient, name)
+    pairs, empty for a relation whose right side is zero.
     """
 
     tag: str
     indices: tuple
-    lhs: tuple
+    ops: tuple
+    target: tuple
     rhs: tuple
 
 
@@ -150,12 +155,6 @@ class Presentation:
             if rel.tag not in out:
                 out.append(rel.tag)
         return tuple(out)
-
-
-def _nest(actor, tree, n: int):
-    for _ in range(n):
-        tree = (actor, tree)
-    return tree
 
 
 def presentation(data: CartanData, variant: str = "W") -> Presentation:
@@ -197,29 +196,28 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
     for i in e_range:
         for j in range(r):
             rhs = ((_ONE, h_name(j)),) if i == j else ()
-            rels.append(Relation("chevalley-ef", (i, j),
-                                 ((_ONE, (e_name(i), ("f", j))),), rhs))
+            rels.append(Relation("chevalley-ef", (i, j), (e_name(i),),
+                                 ("f", j), rhs))
     for i in h_range:
         for j in e_range:
             b = data.extended_entry(i, j)
             rhs = ((b, e_name(j)),) if b else ()
-            rels.append(Relation("chevalley-he", (i, j),
-                                 ((_ONE, (h_name(i), e_name(j))),), rhs))
+            rels.append(Relation("chevalley-he", (i, j), (h_name(i),),
+                                 e_name(j), rhs))
         for j in range(r):
             b = data.extended_entry(i, j)
             rhs = ((-b, ("f", j)),) if b else ()
-            rels.append(Relation("chevalley-hf", (i, j),
-                                 ((_ONE, (h_name(i), ("f", j))),), rhs))
+            rels.append(Relation("chevalley-hf", (i, j), (h_name(i),),
+                                 ("f", j), rhs))
     for i in family:
-        rels.append(Relation("e0-f0", (i,),
-                             ((_ONE, (("e0",), ("f0", i))),),
+        rels.append(Relation("e0-f0", (i,), (("e0",),), ("f0", i),
                              ((_ONE, h_name(i)),)))
     for i in h_range:
         for j in family:
             b = data.extended_entry(i, EXT)
             rhs = ((-b, ("f0", j)),) if b else ()
-            rels.append(Relation("h-f0", (i, j),
-                                 ((_ONE, (h_name(i), ("f0", j))),), rhs))
+            rels.append(Relation("h-f0", (i, j), (h_name(i),), ("f0", j),
+                                 rhs))
     for i in e_range:
         for j in e_range:
             if i == j and i != EXT:
@@ -227,16 +225,15 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
             n = 1 - data.extended_entry(i, j)
             if n < 1 or n != int(n):
                 continue
-            rels.append(Relation("serre-e", (i, j),
-                                 ((_ONE, _nest(e_name(i), e_name(j), int(n))),),
-                                 ()))
+            rels.append(Relation("serre-e", (i, j), (e_name(i),) * int(n),
+                                 e_name(j), ()))
     for i in range(r):
         for j in range(r):
             if i == j:
                 continue
             n = 1 - data.a[i][j]
-            rels.append(Relation("serre-f", (i, j),
-                                 ((_ONE, _nest(("f", i), ("f", j), n)),), ()))
+            rels.append(Relation("serre-f", (i, j), (("f", i),) * n,
+                                 ("f", j), ()))
     for k in k_nodes:
         for l in k_nodes:
             for i in family:
@@ -246,29 +243,25 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
                     if b:
                         rhs = ((b, ("f0", k)),)
                 rels.append(Relation("f0-raise-lower", (k, l, i),
-                                     ((_ONE, (("e", k),
-                                              (("f", l), ("f0", i)))),), rhs))
+                                     (("e", k), ("f", l)), ("f0", i), rhs))
     for j in j_nodes:
         for i in family:
             n = int(1 - data.extended_entry(j, EXT))
-            rels.append(Relation("f0-lower-j", (j, i),
-                                 ((_ONE, _nest(("f", j), ("f0", i), n)),), ()))
-            rels.append(Relation("f0-raise-j", (j, i),
-                                 ((_ONE, (("e", j), ("f0", i))),), ()))
+            rels.append(Relation("f0-lower-j", (j, i), (("f", j),) * n,
+                                 ("f0", i), ()))
+            rels.append(Relation("f0-raise-j", (j, i), (("e", j),),
+                                 ("f0", i), ()))
     for k in k_nodes:
         for i in family:
-            rels.append(Relation("f0-raise-kk", (k, i),
-                                 ((_ONE, (("e", k),
-                                          (("e", k), ("f0", i)))),), ()))
-            rels.append(Relation("f0-lower-kk", (k, i),
-                                 ((_ONE, (("f", k),
-                                          (("f", k), ("f0", i)))),), ()))
+            rels.append(Relation("f0-raise-kk", (k, i), (("e", k),) * 2,
+                                 ("f0", i), ()))
+            rels.append(Relation("f0-lower-kk", (k, i), (("f", k),) * 2,
+                                 ("f0", i), ()))
     for j in j_nodes:
         for k in k_nodes:
             for i in family:
                 rels.append(Relation("f0-raise-jk", (j, k, i),
-                                     ((_ONE, (("e", j),
-                                              (("e", k), ("f0", i)))),), ()))
+                                     (("e", j), ("e", k)), ("f0", i), ()))
 
     return Presentation(data=data, variant=variant, generators=gens,
                         relations=rels, j_nodes=j_nodes, k_nodes=k_nodes,
@@ -304,95 +297,53 @@ def reduced_presentation(pres: Presentation,
         raise ValueError("reduced relation set requires a simply-laced "
                          "diagram")
     dropped = set(drop)
-    rels = [rel for rel in pres.relations if rel.tag not in dropped]
-    return Presentation(data=pres.data, variant=pres.variant,
-                        generators=list(pres.generators), relations=rels,
-                        j_nodes=pres.j_nodes, k_nodes=pres.k_nodes,
-                        family=pres.family, k_empty=pres.k_empty)
+    return replace(pres, relations=[rel for rel in pres.relations
+                                    if rel.tag not in dropped])
 
 
 # -- relation checking in a realized target ----------------------------------
 
 
-def _is_name(tree) -> bool:
-    return isinstance(tree, tuple) and bool(tree) and isinstance(tree[0], str)
-
-
-def _target_bracket(target, a, b):
-    """Bracket of (degree, vec) pairs, or None when the degree is absent."""
-    da, va = a
-    db, vb = b
-    if isinstance(target, GradedSuperalgebra):
-        if da + db not in target.layers:
-            return None
-        return target.bracket((da, va), (db, vb))
-    if abs(da + db) > 1:
-        return None
-    return da + db, target.bracket_vec(da, va, db, vb)
-
-
-def _eval_tree(target, assignment, tree):
-    if _is_name(tree):
-        return assignment[tree]
-    a = _eval_tree(target, assignment, tree[0])
-    b = _eval_tree(target, assignment, tree[1])
-    if a is None or b is None:
-        return None
-    return _target_bracket(target, a, b)
-
-
-def _eval_terms(target, assignment, terms, degree):
-    vec: Vec = {}
-    for coeff, tree in terms:
-        val = _eval_tree(target, assignment, tree)
-        if val is None:
-            return None
-        d, v = val
-        if v and d != degree:
-            raise ValueError("term lands at degree %d, expected %d"
-                             % (d, degree))
-        vadd_into(vec, v, coeff)
-    return vec
-
-
-def _tree_degree(pres, tree) -> int:
-    if _is_name(tree):
-        return pres.generator(tree).degree
-    return _tree_degree(pres, tree[0]) + _tree_degree(pres, tree[1])
-
-
-def check_relations(pres: Presentation, target, assignment: dict) -> dict:
+def check_relations(pres: Presentation, target: GradedSuperalgebra,
+                    assignment: dict) -> dict:
     """Evaluate every relation under the assignment; list violations.
 
-    ``assignment`` maps generator names to (degree, vec) elements of the
-    target (a LocalSuperalgebra or a GradedSuperalgebra).  Relations whose
-    evaluation leaves the degrees the target carries are counted as
-    skipped.  The report groups the outcome per relation tag.
+    ``assignment`` maps every generator name to a (degree, vec) element
+    of the graded algebra ``target``; a nonzero element must sit at its
+    generator's degree.  A relation's word is applied to its target one
+    bracket at a time, innermost first, and a relation whose evaluation
+    reaches a degree the target does not store is counted as skipped.
+    The report groups the outcome per relation tag.
     """
     for g in pres.generators:
         if g.name not in assignment:
             raise ValueError("generator %s is not assigned" % (g.name,))
+        degree, vec = assignment[g.name]
+        if vec and degree != g.degree:
+            raise ValueError("generator %s is assigned at degree %d, "
+                             "expected %d" % (g.name, degree, g.degree))
     groups: dict[str, dict] = {}
     for rel in pres.relations:
         grp = groups.setdefault(rel.tag, {"name": rel.tag, "instances": 0,
                                           "skipped": 0, "violations": []})
         grp["instances"] += 1
-        degree = _tree_degree(pres, rel.lhs[0][1])
-        lhs = _eval_terms(target, assignment, rel.lhs, degree)
-        rhs = _eval_terms(target, assignment, rel.rhs, degree)
-        if lhs is None or rhs is None:
-            grp["skipped"] += 1
-            continue
-        residual = vadd(lhs, rhs, -_ONE)
-        if residual:
-            grp["violations"].append(
-                {"indices": rel.indices, "residual": residual})
-    checks = []
-    for tag in [r.tag for r in pres.relations]:
-        if tag in groups:
-            grp = groups.pop(tag)
-            grp["passed"] = not grp["violations"]
-            checks.append(grp)
+        value = assignment[rel.target]
+        for op in reversed(rel.ops):
+            x = assignment[op]
+            if x[0] + value[0] not in target.layers:
+                grp["skipped"] += 1
+                break
+            value = target.bracket(x, value)
+        else:
+            residual = value[1]
+            for c, name in rel.rhs:
+                residual = vadd(residual, assignment[name][1], -c)
+            if residual:
+                grp["violations"].append(
+                    {"indices": rel.indices, "residual": residual})
+    checks = list(groups.values())
+    for grp in checks:
+        grp["passed"] = not grp["violations"]
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
@@ -487,7 +438,7 @@ class _Enumeration:
             vadd_into(out, ent, co)
         return self.nf(out)
 
-    def word(self, ops: list, vec: Vec, create: bool) -> Vec | None:
+    def word(self, ops: tuple, vec: Vec, create: bool) -> Vec | None:
         for op in reversed(ops):
             vec = self.act(op, vec, create)
             if vec is None:
@@ -584,35 +535,6 @@ def _word_plan(r: int, serres: list) -> tuple:
     return tuple(steps), commutators, groups
 
 
-def _seed_relations(pres: Presentation) -> list:
-    """Translate the degree -1 relations into (ops, seed, rhs-terms)."""
-    module_tags = {"f0-raise-lower", "f0-lower-j", "f0-raise-j",
-                   "f0-raise-kk", "f0-lower-kk", "f0-raise-jk"}
-    out = []
-    for rel in pres.relations:
-        if rel.tag not in module_tags:
-            continue
-        (coeff, tree), = rel.lhs
-        if coeff != 1:
-            raise ValueError("module relation with a scaled left side")
-        ops = []
-        t = tree
-        while not _is_name(t):
-            actor, t = t
-            if not (_is_name(actor) and actor[0] in ("e", "f")):
-                raise ValueError("module relation actor must be a simple "
-                                 "raising or lowering")
-            ops.append(actor)
-        rhs = []
-        for c, name in rel.rhs:
-            if not (_is_name(name) and name[0] == "f0"):
-                raise ValueError(
-                    "module relation right side must live on the family")
-            rhs.append((c, name))
-        out.append((rel.tag, rel.indices, ops, t, rhs))
-    return out
-
-
 @dataclass
 class MinusOneModule:
     """The realized degree -1 component, as a module over g.
@@ -684,6 +606,12 @@ class MinusOneModule:
         return self.g
 
 
+# the relations among the family seeds: every one is a word of simple
+# raisings and lowerings applied to a seed, equal to a sum of seeds
+_MODULE_TAGS = frozenset({"f0-raise-lower", "f0-lower-j", "f0-raise-j",
+                          "f0-raise-kk", "f0-lower-kk", "f0-raise-jk"})
+
+
 def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     """Realize the degree -1 component of the presented algebra.
 
@@ -707,7 +635,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     enum = _Enumeration(data, cell_cap)
     lam = tuple(int(x) for x in data.lam)
     seeds = {("f0", i): enum.new_cell(lam) for i in pres.family}
-    seed_rels = _seed_relations(pres)
+    seed_rels = [rel for rel in pres.relations if rel.tag in _MODULE_TAGS]
     plan = _word_plan(data.r, _serre_instances(data))
     history = []
     status = "inconclusive"
@@ -796,13 +724,13 @@ def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,
 
 def _seed_instances(enum: _Enumeration, seeds: dict,
                     seed_rels: list) -> None:
-    for tag, indices, ops, seed_name, rhs in seed_rels:
-        vec = enum.word(ops, {seeds[seed_name]: _ONE}, False)
+    for rel in seed_rels:
+        vec = enum.word(rel.ops, {seeds[rel.target]: _ONE}, False)
         if vec is None:
             continue
-        for c, name in rhs:
+        for c, name in rel.rhs:
             vec = vadd(vec, {seeds[name]: _ONE}, -c)
-        enum.impose(vec, (tag, indices))
+        enum.impose(vec, (rel.tag, rel.indices))
 
 
 def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:

@@ -467,6 +467,26 @@ class TestCache:
         assert report["result"]["total_dim"] == 15
         assert report["result"]["dims"] == {"-2": 0, "-1": 3, "0": 9, "1": 3}
 
+    def test_widened_window_writes_only_missing_degrees(self, cache_env,
+                                                         capsys):
+        args = ["build-b", "--spec", A2_SPEC]
+        assert cli.main(args + ["--degrees=-2..1"]) == 0
+        capsys.readouterr()
+        root = cache_env / "cache"
+        for path in root.rglob("*.json"):
+            envelope = json.loads(path.read_text())
+            envelope["kept"] = True     # lost if the file is rewritten
+            path.write_text(json.dumps(envelope))
+        assert cli.main(args + ["--degrees=-3..1"]) == 0
+        widened = _strip_timing(capsys.readouterr().out)
+        names = {path.name for path in root.rglob("*.json")}
+        kept = {path.name for path in root.rglob("*.json")
+                if "kept" in json.loads(path.read_text())}
+        assert kept == {"deg-2.json", "deg-1.json", "deg0.json", "deg1.json"}
+        assert names == kept | {"deg-3.json"}
+        assert cli.main(args + ["--degrees=-3..1", "--no-cache"]) == 0
+        assert _strip_timing(capsys.readouterr().out) == widened
+
     def test_entry_from_another_engine_is_recomputed(self, cache_env,
                                                       capsys):
         args = ["build-b", "--spec", A2_SPEC, "--degrees=-2..1"]

@@ -38,3 +38,34 @@ def test_no_assertion_errors_raised():
     its module and exit code 1 instead of a traceback."""
     found = _nodes(_raises_assertion_error)
     assert not found, "raise AssertionError in the package: %s" % found
+
+
+# Bound in a module without being used there, so that ``perfbench/spans.py``
+# can wrap the calls made through that binding.
+_KEPT_FOR_TRACERS = {
+    ("cartan.py", "rref"),
+    ("cartan.py", "kernel_basis"),
+    ("iso.py", "chevalley_realization"),
+}
+
+
+def test_every_import_is_used():
+    """A name a package module imports is used in that module."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in sorted(imported.items())
+                   if name not in used
+                   and (path.name, name) not in _KEPT_FOR_TRACERS]
+    assert not unused, "imported but unused: %s" % unused

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedlie import iso, tha
-from gradedlie.contragredient import build_graded, build_local
+from gradedlie.contragredient import build_graded
 from gradedlie.linalg import mat_apply, vadd, vscale
 from gradedlie.rootsys import (CartanData, chevalley_realization,
                                weyl_dimension, weyl_reflect)
@@ -108,15 +108,10 @@ def test_presentation_relation_counts():
     squares = [r for r in pres.relations_tagged("serre-e")
                if r.indices == (EXT, EXT)]
     assert len(squares) == 1
-    assert squares[0].lhs[0][1] == (("e0",), ("e0",))
+    assert (squares[0].ops, squares[0].target) == ((("e0",),), ("e0",))
     # lowering by a J node iterates 1 + lambda_j times
     low = pres.relations_tagged("f0-lower-j")[0]
-    tree = low.lhs[0][1]
-    depth = 0
-    while not isinstance(tree[0], str):
-        tree = tree[1]
-        depth += 1
-    assert depth == 2
+    assert (low.ops, low.target) == ((("f", 0),) * 2, ("f0", EXT))
 
 
 def test_presentation_s_variant_drops_extension():
@@ -164,8 +159,9 @@ def test_check_relations_identity_embedding():
     data = CartanData(A1, lam=(1,))
     pres = tha.presentation(data, "W")
     assert pres.k_empty and pres.family == (EXT,)
-    local = build_local(data)
-    report = tha.check_relations(pres, local, _identity_assignment(data, pres))
+    target = build_graded(data, (-1, 1))
+    report = tha.check_relations(pres, target,
+                                 _identity_assignment(data, pres))
     assert report["passed"]
     by_name = {c["name"]: c for c in report["checks"]}
     # the instances leaving degree +1 are skipped, not guessed at
@@ -185,10 +181,10 @@ def test_check_relations_on_graded_target():
 def test_check_relations_flags_corruption():
     data = CartanData(A1, lam=(1,))
     pres = tha.presentation(data, "W")
-    local = build_local(data)
+    target = build_graded(data, (-1, 1))
     assign = _identity_assignment(data, pres)
     assign[("f0", EXT)] = (-1, {0: F1})  # wrong sign
-    report = tha.check_relations(pres, local, assign)
+    report = tha.check_relations(pres, target, assign)
     assert not report["passed"]
     bad = [c for c in report["checks"] if not c["passed"]]
     assert any(c["name"] == "e0-f0" for c in bad)
@@ -199,11 +195,16 @@ def test_check_relations_flags_corruption():
 def test_check_relations_requires_full_assignment():
     data = CartanData(A1, lam=(1,))
     pres = tha.presentation(data, "W")
-    local = build_local(data)
+    target = build_graded(data, (-1, 1))
     assign = _identity_assignment(data, pres)
     del assign[("h0",)]
     with pytest.raises(ValueError, match="not assigned"):
-        tha.check_relations(pres, local, assign)
+        tha.check_relations(pres, target, assign)
+    # a nonzero element at another degree than its generator's
+    assign = _identity_assignment(data, pres)
+    assign[("e0",)] = (0, assign[("e", 0)][1])
+    with pytest.raises(ValueError, match=r"\('e0',\) is assigned at degree 0"):
+        tha.check_relations(pres, target, assign)
 
 
 # -- the enumerated degree -1 module -------------------------------------
@@ -386,9 +387,27 @@ def _structure_dimension(data):
     return total
 
 
+def _assert_relations_well_formed(pres):
+    """Every name is a generator, both sides sit at one degree, and the
+    module relations are words of e/f on a seed equal to seeds."""
+    degree = {g.name: g.degree for g in pres.generators}
+    for rel in pres.relations:
+        rhs_names = [name for _, name in rel.rhs]
+        assert all(name in degree
+                   for name in rel.ops + (rel.target,) + tuple(rhs_names))
+        lhs_degree = sum(degree[op] for op in rel.ops) + degree[rel.target]
+        assert all(degree[name] == lhs_degree for name in rhs_names)
+        if rel.tag in tha._MODULE_TAGS:
+            assert all(op[0] in ("e", "f") for op in rel.ops)
+            assert rel.target[0] == "f0"
+            assert all(name[0] == "f0" for name in rhs_names)
+
+
 @settings(max_examples=25, deadline=None)
 @given(_GENERATED)
 def test_minus1_generated_data_matches_the_structure_theorem(data):
+    for variant in ("W", "S"):
+        _assert_relations_well_formed(tha.presentation(data, variant))
     mod = tha.build_minus1(tha.presentation(data, "W"))
     assert mod.status == "complete"
     assert mod.dim == _structure_dimension(data)
@@ -774,13 +793,11 @@ def test_mixed_raising_relations_are_redundant_simply_laced():
         assert mod.status == "complete"
         assert mod.decompose() == _mod(name).decompose()
         # the dropped instances already evaluate to zero
-        for tag, _, ops, seed_name, rhs in tha._seed_relations(pres):
-            if tag != "f0-raise-jk":
-                continue
-            vec = dict(mod.seed_vecs[seed_name])
-            for op in reversed(ops):
+        for rel in pres.relations_tagged("f0-raise-jk"):
+            vec = dict(mod.seed_vecs[rel.target])
+            for op in reversed(rel.ops):
                 vec = mod.apply(op[0], op[1], vec)
-            assert not rhs and vec == {}
+            assert not rel.rhs and vec == {}
 
 
 def test_square_relations_are_independent_at_module_level():
