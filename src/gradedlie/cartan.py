@@ -153,8 +153,6 @@ class Cartanification:
     """
 
     local: LocalSuperalgebra | None
-    provenance: str
-    restriction: tuple | None
     candidate_count: int
     kernel_dim: int
     source: LocalSuperalgebra = field(repr=False)
@@ -229,8 +227,8 @@ class Cartanification:
         return self._zero_solver.express(vec, _vec_weight(self.source, vec))
 
 
-def local_cartanification(local: LocalSuperalgebra, restriction=None,
-                          provenance=None) -> Cartanification:
+def local_cartanification(local: LocalSuperalgebra,
+                          restriction=None) -> Cartanification:
     """Quotient of the degree -1 words x_{-1} y_0 by the kernel of their
     action on the plus wing, packaged as a local superalgebra.
 
@@ -257,11 +255,8 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
                     raise ValueError("restriction is not a subalgebra")
 
     result = Cartanification(
-        local=None,
-        provenance=provenance or ("weak" if rbasis is None else "custom"),
-        restriction=tuple(tuple(sorted(v.items())) for v in rbasis)
-        if rbasis is not None else None,
-        candidate_count=nneg * nzero, kernel_dim=0, source=local)
+        local=None, candidate_count=nneg * nzero, kernel_dim=0,
+        source=local)
 
     # Each candidate x_p u_j gets its action once; the action matrix, its
     # kernel and its pivots all decompose by weight because every map in
@@ -448,9 +443,8 @@ def local_cartanification(local: LocalSuperalgebra, restriction=None,
 
 
 def cartanify(local: LocalSuperalgebra, degree_range=(-4, 1),
-              restriction=None, provenance=None) -> Cartanification:
+              restriction=None) -> Cartanification:
     """Local cartanification followed by the minimal graded extension."""
-    result = local_cartanification(local, restriction=restriction,
-                                   provenance=provenance)
+    result = local_cartanification(local, restriction=restriction)
     result.graded = minimal_extension(result.local, degree_range)
     return result

@@ -17,6 +17,12 @@ selects the model ("W" weak cartanification, "S" strong, "B"
 contragredient).  Omitted fields default to the all-ones symmetrizer, the
 zero weight, degree range ``[-4, 1]``, and variant ``"W"``.
 
+A spec is validated once, after ``--degrees``, ``--variant`` and
+``--restrict`` have replaced their fields in the loaded JSON: a flag's
+value is checked, the file's value it replaces is not.  The datum (A,
+epsilon, lambda) must be a valid Cartan datum of finite type;
+``rootsys.cartan_failures`` words each failure.
+
 Commands (``gradedlie <command> --spec <path>``):
 
 * ``build-b``     -- contragredient superalgebra, per-degree dimensions;
@@ -54,9 +60,11 @@ writes are atomic (write to a temporary file in the same directory, then
 rename); ``--no-cache`` bypasses reads and writes.  A cache hit and a cold
 run produce identical reports.
 
-Exit codes: 0 success, 1 engine error (the message is printed verbatim
+Exit codes: 0 success; 1 engine error (the message is printed verbatim
 with the originating module, and prefixed with the exception class for an
-``ArithmeticError`` or ``LookupError``), 2 spec or usage error.
+``ArithmeticError`` or ``LookupError``; ``check-all`` reports its commands'
+errors and then exits 1); 2 spec or usage error, one ``spec error:`` line
+per problem, before anything is computed.
 """
 
 from __future__ import annotations
@@ -78,22 +86,9 @@ from . import __version__, iso, tha
 from .cartan import Cartanification, cartanify, root_subalgebra
 from .contragredient import build_graded, build_local
 from .graded import decompose_at_degree
-from .rootsys import CartanData, enumerate_roots, jk_partition
+from .rootsys import CartanData, cartan_failures, enumerate_roots, jk_partition
 
 _VARIANTS = ("W", "S", "B")
-_COMMANDS = (
-    "build-b", "cartanify", "tha-minus1", "decompose",
-    "check-iso", "roots", "check-all",
-)
-_MODULE_OF = {
-    "build-b": "contragredient",
-    "cartanify": "cartan",
-    "tha-minus1": "tha",
-    "decompose": "graded",
-    "check-iso": "iso",
-    "roots": "rootsys",
-    "check-all": "cli",
-}
 _SCHEMA = "gradedlie-report/1"
 
 
@@ -170,15 +165,6 @@ def _spec_from_dict(obj) -> AlgebraSpec:
         matrix = None
     else:
         r = len(matrix)
-        if any(matrix[i][i] != 2 for i in range(r)):
-            diagnostics.append("cartan_matrix: diagonal entries must be 2")
-        if any(matrix[i][j] > 0 for i in range(r) for j in range(r) if i != j):
-            diagnostics.append(
-                "cartan_matrix: off-diagonal entries must be non-positive")
-        if any((matrix[i][j] == 0) != (matrix[j][i] == 0)
-               for i in range(r) for j in range(r)):
-            diagnostics.append(
-                "cartan_matrix: zero pattern must be symmetric")
 
     epsilon_raw = obj.get("epsilon", ["1"] * r)
     epsilon = []
@@ -195,17 +181,7 @@ def _spec_from_dict(obj) -> AlgebraSpec:
                 diagnostics.append(
                     'epsilon[%d]: expected a rational "p/q"' % k)
                 continue
-            if value == 0:
-                diagnostics.append("symmetrizer entries must be nonzero")
-                continue
             epsilon.append(value)
-    if matrix and len(epsilon) == r:
-        for i in range(r):
-            for j in range(i + 1, r):
-                if epsilon[j] * matrix[i][j] != epsilon[i] * matrix[j][i]:
-                    diagnostics.append(
-                        "epsilon: entries do not symmetrize the Cartan "
-                        "matrix at (%d, %d)" % (i, j))
 
     lam_raw = obj.get("lambda", [0] * r)
     if (not isinstance(lam_raw, list)
@@ -215,6 +191,8 @@ def _spec_from_dict(obj) -> AlgebraSpec:
         diagnostics.append(
             "lambda: must list one non-negative integer per node")
         lam_raw = [0] * r
+    elif matrix and len(epsilon) == r:
+        diagnostics += cartan_failures(CartanData(matrix, epsilon, lam_raw))
 
     restriction_raw = obj.get("restriction")
     restriction = None
@@ -244,7 +222,7 @@ def _spec_from_dict(obj) -> AlgebraSpec:
 
     if diagnostics:
         raise SpecError(diagnostics)
-    spec = AlgebraSpec(
+    return AlgebraSpec(
         cartan_matrix=tuple(tuple(row) for row in matrix),
         epsilon=tuple(epsilon),
         lam=tuple(lam_raw),
@@ -252,11 +230,20 @@ def _spec_from_dict(obj) -> AlgebraSpec:
         degree_range=tuple(degree_range_raw),
         variant=variant,
     )
+
+
+def _load_spec(source: str):
+    """The JSON value of a spec given as a file path or a JSON string."""
+    text = source
+    if os.path.isfile(source):
+        with open(source, encoding="utf-8") as handle:
+            text = handle.read()
+    elif not source.lstrip().startswith("{"):
+        raise SpecError(["spec: no such file: %s" % source])
     try:
-        spec.cartan_data()
-    except ValueError as exc:
-        raise SpecError(["cartan_matrix: %s" % exc]) from exc
-    return spec
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(["json: %s" % exc]) from exc
 
 
 def parse_spec(source: str) -> AlgebraSpec:
@@ -265,17 +252,7 @@ def parse_spec(source: str) -> AlgebraSpec:
     Raises ``SpecError`` whose ``diagnostics`` name each problem by field;
     malformed JSON is reported with the line and column from the decoder.
     """
-    text = source
-    if os.path.isfile(source):
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
-    elif not source.lstrip().startswith("{"):
-        raise SpecError(["spec: no such file: %s" % source])
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(["json: %s" % exc]) from exc
-    return _spec_from_dict(obj)
+    return _spec_from_dict(_load_spec(source))
 
 
 def serialize_spec(spec: AlgebraSpec) -> str:
@@ -431,11 +408,11 @@ class _Models:
         ``window``."""
         if window not in self._carts:
             local = build_local(self.data)
-            restriction, construction = _restriction_basis(
-                self.spec, self.data, local)
+            nodes = _restriction(self.spec, self.data)[1]
             self._carts[window] = cartanify(
-                local, degree_range=window, restriction=restriction,
-                provenance=construction)
+                local, degree_range=window,
+                restriction=None if nodes is None
+                else root_subalgebra(self.data, local, nodes))
         return self._carts[window]
 
     def module(self, variant: str) -> tha.MinusOneModule:
@@ -485,12 +462,14 @@ def _run_build_b(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     return _per_degree_table(spec, payloads)
 
 
-def _restriction_basis(spec: AlgebraSpec, data, local):
+def _restriction(spec: AlgebraSpec, data: CartanData):
+    """The cartanification the spec asks for, "weak", "strong" or
+    "restricted", and the nodes of its restriction (None when weak)."""
     if spec.restriction is not None:
-        return root_subalgebra(data, local, spec.restriction), "restricted"
+        return "restricted", spec.restriction
     if spec.variant == "S":
-        return root_subalgebra(data, local, jk_partition(data)[1]), "strong"
-    return None, "weak"
+        return "strong", jk_partition(data)[1]
+    return "weak", None
 
 
 def _run_cartanify(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
@@ -502,7 +481,7 @@ def _run_cartanify(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
         result = models.cartanification(spec.degree_range)
         payloads = _dim_entries(spec, result.graded.dims())
         payloads["meta"] = {
-            "construction": result.provenance,
+            "construction": _restriction(spec, models.data)[0],
             "kernel_dim": int(result.kernel_dim),
             "candidate_count": int(result.candidate_count),
         }
@@ -617,27 +596,28 @@ def _error_text(exc: Exception) -> str:
 
 def _run_check_all(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     results = {}
-    for command in _COMMANDS:
+    for command, (runner, module) in _COMMANDS.items():
         if command == "check-all":
             continue
-        runner = _RUNNERS[command]
         try:
             results[command] = runner(
                 spec, _Cache(spec, command, cache.use), models)
         except _ENGINE_ERRORS as exc:
-            results[command] = {
-                "error": _error_text(exc), "module": _MODULE_OF[command]}
+            results[command] = {"error": _error_text(exc), "module": module}
     return {"commands": results}
 
 
-_RUNNERS = {
-    "build-b": _run_build_b,
-    "cartanify": _run_cartanify,
-    "tha-minus1": _run_tha_minus1,
-    "decompose": _run_decompose,
-    "check-iso": _run_check_iso,
-    "roots": _run_roots,
-    "check-all": _run_check_all,
+# command -> (runner, module its errors are reported against).  check-all
+# runs the others in this order, so tha-minus1 builds the relations
+# module that check-iso then reuses.
+_COMMANDS = {
+    "build-b": (_run_build_b, "contragredient"),
+    "cartanify": (_run_cartanify, "cartan"),
+    "tha-minus1": (_run_tha_minus1, "tha"),
+    "decompose": (_run_decompose, "graded"),
+    "check-iso": (_run_check_iso, "iso"),
+    "roots": (_run_roots, "rootsys"),
+    "check-all": (_run_check_all, "cli"),
 }
 
 
@@ -651,8 +631,8 @@ def build_report(command: str, spec: AlgebraSpec, use_cache: bool = True) -> dic
     The models the command builds live in a store made for this call
     only, so nothing built outlives the report."""
     start = time.perf_counter()
-    result = _RUNNERS[command](spec, _Cache(spec, command, use_cache),
-                               _Models(spec))
+    result = _COMMANDS[command][0](spec, _Cache(spec, command, use_cache),
+                                   _Models(spec))
     return {
         "schema": _SCHEMA,
         "command": command,
@@ -670,8 +650,12 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _apply_overrides(spec: AlgebraSpec, args) -> AlgebraSpec:
-    obj = spec.canonical()
+def _apply_overrides(obj, args):
+    """The loaded spec with the --degrees, --variant and --restrict values
+    in place of its own, before anything is validated."""
+    if not isinstance(obj, dict):
+        return obj
+    obj = dict(obj)
     if args.degrees is not None:
         match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", args.degrees)
         if not match:
@@ -687,7 +671,7 @@ def _apply_overrides(spec: AlgebraSpec, args) -> AlgebraSpec:
         except ValueError:
             raise SpecError(
                 ["--restrict: expected comma-separated node indices"])
-    return _spec_from_dict(obj)
+    return obj
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -718,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        spec = _apply_overrides(parse_spec(args.spec), args)
+        spec = _spec_from_dict(_apply_overrides(_load_spec(args.spec), args))
     except SpecError as exc:
         for line in exc.diagnostics:
             print("spec error: %s" % line, file=sys.stderr)
@@ -728,7 +712,7 @@ def main(argv=None) -> int:
                               use_cache=not args.no_cache)
     except _ENGINE_ERRORS as exc:
         print("error in module %s: %s"
-              % (_MODULE_OF[args.command], _error_text(exc)),
+              % (_COMMANDS[args.command][1], _error_text(exc)),
               file=sys.stderr)
         return 1
     text = render_report(report)

@@ -12,17 +12,19 @@ irreducible g-module generated by e_0 (lowest weight -lambda), degree -1
 its dual.  The local slice determines the rest: the graded algebra is
 the minimal extension of the local part.
 
-The degree -1 basis is dual-orthonormal against degree +1, <x_p|z_q> =
-delta_pq, and the bracket of opposite degree-1 elements is recovered
-from invariance of the (super-symmetric) form: B([x,z], y_0) =
--<x|[y_0,z]> for all y_0, with the degree-0 Gram block assembled from
-<h_i|h_j> = B_ji eps_i (eps_0 = 1) and kappa(e_beta, f_beta) =
-2/(beta,beta).
+The entries of B are ``CartanData.extended_entry``, with the odd node
+at index ``EXT``.  The degree -1 basis is dual-orthonormal against
+degree +1, <x_p|z_q> = delta_pq, and the bracket of opposite degree-1
+elements is recovered from invariance of the (super-symmetric) form:
+B([x,z], y_0) = -<x|[y_0,z]> for all y_0, with the degree-0 Gram block
+assembled from <h_i|h_j> = B_ji eps_i (eps_0 = 1) and kappa(e_beta,
+f_beta) = 2/(beta,beta).  The Gram block is invertible exactly when B
+is, and its inverse also gives the grading element L = sum (B^-1)_0i
+h_i: <L|h_j> = delta_0j, so L is the h_0 column of the inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import GradedSuperalgebra, LocalSuperalgebra, minimal_extension
@@ -30,51 +32,10 @@ from .linalg import RatMatrix, inverse
 from .rootsys import EXT, CartanData, chevalley_realization
 from . import graded
 
-__all__ = ["ExtendedMatrix", "extend_matrix", "build_local", "build_graded"]
+__all__ = ["build_local", "build_graded"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass
-class ExtendedMatrix:
-    """The extended matrix B with its inverse and derived data.
-
-    Rows and columns are indexed 0..r with 0 the new odd node; ``form``
-    is the symmetric matrix <h_i|h_j> = B_ji eps_i, and ``grading``
-    holds the coordinates of the grading element L = sum (B^-1)_0i h_i
-    over (h_0, ..., h_r).
-    """
-
-    data: CartanData
-    b: RatMatrix
-    b_inv: RatMatrix
-    eps: tuple
-    form: RatMatrix
-    grading: dict
-
-
-def extend_matrix(data: CartanData) -> ExtendedMatrix:
-    r = data.r
-    # row and column 0 are the odd node EXT = -1, node i is i + 1
-    b = RatMatrix(r + 1, r + 1,
-                  {(i + 1, j + 1): data.extended_entry(i, j)
-                   for i in range(EXT, r) for j in range(EXT, r)})
-    try:
-        b_inv = inverse(b)
-    except ValueError:
-        raise ValueError("extended matrix is singular; lambda does not "
-                         "extend this Cartan matrix") from None
-    eps = (_ONE,) + tuple(data.epsilon)
-    form = RatMatrix(r + 1, r + 1,
-                     {(i, j): b[j, i] * eps[i]
-                      for i in range(r + 1) for j in range(r + 1)
-                      if b[j, i]})
-    if form != form.transpose():
-        raise ValueError("invariant form of the extended matrix is not "
-                         "symmetric")
-    grading = {i: b_inv[0, i] for i in range(r + 1) if b_inv[0, i]}
-    return ExtendedMatrix(data, b, b_inv, eps, form, grading)
 
 
 def _h0_eigenvalue(data: CartanData, mu) -> Fraction:
@@ -96,7 +57,6 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
     elements of g are also exposed under node-keyed embedding names
     ("e", i) / ("f", i) / ("h", i).
     """
-    ext = extend_matrix(data)
     g = chevalley_realization(data)
     mod = graded.lowest_weight_module(g, data.lam)
     r = data.r
@@ -143,13 +103,16 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
             if v:
                 gram_ent[(i, j)] = v
     for i in range(r):
-        # <h_0|h_i> = B_i0 = -lambda_i (and symmetrically)
-        if data.lam[i]:
+        # <h_0|h_i> = B_i0 eps_0 = <h_i|h_0> = B_0i eps_i
+        border = data.extended_entry(i, EXT)
+        if border:
             hi = g.index[("h", i)]
-            gram_ent[(h0, hi)] = Fraction(-data.lam[i])
-            gram_ent[(hi, h0)] = Fraction(-data.lam[i])
-    gram = RatMatrix(n0, n0, gram_ent)
-    gram_inv = inverse(gram)
+            gram_ent[(h0, hi)] = gram_ent[(hi, h0)] = border
+    try:
+        gram_inv = inverse(RatMatrix(n0, n0, gram_ent))
+    except ValueError:
+        raise ValueError("extended matrix is singular; lambda does not "
+                         "extend this Cartan matrix") from None
 
     # [z_q, x_p] via invariance: B([x_p, z_q], y) = -<x_p|[y, z_q]>
     bpm: dict = {}
@@ -174,8 +137,10 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
         embedding[("h", i)] = {g.index[("h", i)]: _ONE}
 
     grading = {}
-    for i, c in ext.grading.items():
-        grading[h0 if i == 0 else g.index[("h", i - 1)]] = c
+    for k in [h0] + [g.index[("h", i)] for i in range(r)]:
+        c = gram_inv[k, h0]
+        if c:
+            grading[k] = c
 
     return LocalSuperalgebra(
         neg_names=[("x", p) for p in range(nm)],

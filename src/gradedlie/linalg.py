@@ -6,7 +6,7 @@ derived object (echelon forms, kernel bases, solved coordinates) is
 reproducible run to run.  All arithmetic is exact: values are
 ``fractions.Fraction`` throughout, reduced by construction, and no
 floating-point path exists anywhere in the package.  The one elimination
-kernel behind ``rref``, ``rank``, ``kernel_basis`` and ``solve`` clears
+kernel behind ``rref``, ``rank`` and ``kernel_basis`` clears
 denominators and works on integer rows, returning ``Fraction``s.
 
 The engines also share the helpers below on sparse objects without a
@@ -33,7 +33,6 @@ __all__ = [
     "rref",
     "rank",
     "kernel_basis",
-    "solve",
     "inverse",
     "dot",
     "vadd_into",
@@ -446,23 +445,6 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
                 v[c] = -val
         basis.append(tuple(v))
     return basis
-
-
-def solve(m: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
-    """One exact solution of M x = b (free coordinates zero), or None."""
-    if len(b) != m.rows:
-        raise ValueError("solve: rhs length %d != rows %d" % (len(b), m.rows))
-    rows = _row_dicts(m)
-    for i, v in enumerate(b):
-        if v:
-            rows[i][m.cols] = _frac(v)
-    pivots = _reduce(rows, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [_ZERO] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i].get(m.cols, _ZERO)
-    return tuple(x)
 
 
 def stack_columns(columns: Sequence[Mapping]) -> tuple[RatMatrix, dict]:

@@ -11,11 +11,14 @@ their norm under the invariant form.  Conventions:
 * a weight ``mu`` has root coordinates ``c = A^{-1} m`` for its label
   vector ``m``, and ``(mu, nu) = m^T A^{-T} D^{-1} n``.
 
-``CartanData`` owns the facts derived from one datum.  Its positive roots
-are a cached property: the validation (``validate_cartan``, whose report
-also types each component) and the reflection closure run once per
-datum, and ``enumerate_roots``, ``weyl_dimension``, ``highest_roots``,
-``pseudo_minuscule_failure`` and ``chevalley_realization`` all read them.
+``CartanData`` owns the facts derived from one datum.  ``validate_cartan``
+is the one gate for a datum: it checks its seven rules, each worded for
+a user, and types each component; ``cartan_failures`` lists what keeps a
+datum from finite type, for the command line's spec errors and for the
+positive roots.  These are a cached property: the validation and the
+reflection closure run once per datum, and ``enumerate_roots``,
+``weyl_dimension``, ``highest_roots``, ``pseudo_minuscule_failure`` and
+``chevalley_realization`` all read them.
 ``extended_entry(i, j)`` is the one copy of the matrix extended by an odd
 node, index ``EXT = -1``: B_EXT,j = -lambda_j/epsilon_j, B_i,EXT =
 -lambda_i, B_EXT,EXT = 0 and B_ij = A_ij otherwise.
@@ -50,11 +53,10 @@ __all__ = [
     "Root",
     "ChevalleyAlgebra",
     "validate_cartan",
-    "gram_matrix",
+    "cartan_failures",
     "enumerate_roots",
     "weyl_reflect",
     "highest_roots",
-    "is_pseudo_minuscule",
     "pseudo_minuscule_failure",
     "weyl_dimension",
     "jk_partition",
@@ -125,16 +127,6 @@ class CartanData:
         return inverse(self.a_mat)
 
     @cached_property
-    def gram(self) -> RatMatrix:
-        """(alpha_i, alpha_j) = (D^{-1} A)_ij."""
-        ent = {}
-        for i in range(self.r):
-            for j in range(self.r):
-                if self.a[i][j]:
-                    ent[(i, j)] = Fraction(self.a[i][j]) / self.epsilon[i]
-        return RatMatrix(self.r, self.r, ent)
-
-    @cached_property
     def weight_form(self) -> RatMatrix:
         """Matrix of (mu, nu) on label vectors: A^{-T} D^{-1}."""
         dinv = RatMatrix(self.r, self.r,
@@ -184,7 +176,8 @@ class CartanData:
     # -- diagram structure ------------------------------------------------
 
     def components(self) -> list[tuple[int, ...]]:
-        """Connected components of the Dynkin diagram, each sorted."""
+        """Connected components of the Dynkin diagram, each sorted; i and
+        j are linked when A_ij or A_ji is nonzero."""
         seen: set[int] = set()
         comps = []
         for start in range(self.r):
@@ -197,7 +190,7 @@ class CartanData:
                     continue
                 comp.add(i)
                 for j in range(self.r):
-                    if j != i and self.a[i][j] and j not in comp:
+                    if j not in comp and (self.a[i][j] or self.a[j][i]):
                         stack.append(j)
             seen |= comp
             comps.append(tuple(sorted(comp)))
@@ -255,14 +248,17 @@ class CartanData:
 
 
 def _canonical_symmetrizer(a, nodes) -> list[Fraction] | None:
-    """Positive d with d_i A_ij = d_j A_ji on the component, or None."""
+    """Positive d with d_i A_ij = d_j A_ji on the component, or None;
+    None also when A_ij = 0 but A_ji != 0 for some pair."""
     d = {nodes[0]: _ONE}
     queue = [nodes[0]]
     while queue:
         i = queue.pop()
         for j in nodes:
-            if j == i or not a[i][j]:
+            if j == i or not (a[i][j] or a[j][i]):
                 continue
+            if not (a[i][j] and a[j][i]):
+                return None
             val = d[i] * a[i][j] / a[j][i]
             if j in d:
                 if d[j] != val:
@@ -307,36 +303,36 @@ def validate_cartan(data: CartanData) -> dict:
     """Report-style validation of all CartanData invariants.
 
     Returns {"valid": bool, "checks": [{"name", "passed", "detail"}...],
-    "components": [{"nodes", "type"}...]}.
+    "components": [{"nodes", "type"}...]}.  Each ``detail`` says what the
+    check requires, in words fit to show a user when it fails.
     """
     checks = []
 
     def check(name, passed, detail=""):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
-        return passed
 
     a, r = data.a, data.r
+    eps = data.epsilon
     check("diagonal_two", all(a[i][i] == 2 for i in range(r)),
-          "A_ii = 2 for all i")
+          "diagonal entries must be 2")
     check("offdiag_nonpositive",
           all(a[i][j] <= 0 for i in range(r) for j in range(r) if i != j),
-          "A_ij <= 0 for i != j")
+          "off-diagonal entries must be non-positive")
     check("zero_symmetry",
           all((a[i][j] == 0) == (a[j][i] == 0)
               for i in range(r) for j in range(r)),
-          "A_ij = 0 iff A_ji = 0")
-    eps_ok = check("epsilon_nonzero", all(e != 0 for e in data.epsilon),
-                   "symmetrizer entries must be nonzero")
-    if eps_ok:
-        sym = all(Fraction(a[i][j]) / data.epsilon[i]
-                  == Fraction(a[j][i]) / data.epsilon[j]
-                  for i in range(r) for j in range(r))
-        check("symmetrizable", sym, "D^{-1} A is symmetric")
-    else:
-        check("symmetrizable", False, "epsilon has zero entries")
-    check("invertible", rank(data.a_mat) == r, "A is invertible")
+          "zero pattern must be symmetric")
+    check("epsilon_nonzero", all(e != 0 for e in eps),
+          "symmetrizer entries must be nonzero")
+    # A_ij / eps_i = A_ji / eps_j multiplied out: a zero eps divides nothing
+    check("symmetrizable",
+          all(eps[j] * a[i][j] == eps[i] * a[j][i]
+              for i in range(r) for j in range(i + 1, r)),
+          "entries do not symmetrize the Cartan matrix")
+    check("invertible", rank(data.a_mat) == r,
+          "the Cartan matrix is singular")
     check("lambda_nonnegative", all(x >= 0 for x in data.lam),
-          "lambda_i >= 0")
+          "lambda entries must be non-negative")
 
     components = [{"nodes": list(nodes), "type": _component_type(a, nodes)}
                   for nodes in data.components()]
@@ -348,26 +344,21 @@ def validate_cartan(data: CartanData) -> dict:
     }
 
 
-def _require_valid(data: CartanData) -> dict:
+def cartan_failures(data: CartanData) -> list[str]:
+    """Why ``data`` is not a finite-type Cartan datum, one line per cause:
+    the detail of each failed check or, when none fails, each component
+    that is not of finite type.  Empty for a good datum."""
     report = validate_cartan(data)
-    if not report["valid"]:
-        bad = [c["name"] for c in report["checks"] if not c["passed"]]
-        raise ValueError("invalid Cartan data: %s" % ", ".join(bad))
-    return report
+    return [c["detail"] for c in report["checks"] if not c["passed"]] or [
+        "component %s of the Cartan matrix has %s type; finite type "
+        "required" % (comp["nodes"], comp["type"])
+        for comp in report["components"] if comp["type"] != "finite"]
 
 
 def _require_finite(data: CartanData) -> None:
-    for comp in _require_valid(data)["components"]:
-        if comp["type"] != "finite":
-            raise ValueError(
-                "component %s has %s type; finite type required"
-                % (comp["nodes"], comp["type"]))
-
-
-def gram_matrix(data: CartanData) -> RatMatrix:
-    """The symmetric matrix (alpha_i, alpha_j) = (D^{-1} A)_ij."""
-    _require_valid(data)
-    return data.gram
+    failures = cartan_failures(data)
+    if failures:
+        raise ValueError("invalid Cartan data: %s" % "; ".join(failures))
 
 
 # -- root systems ----------------------------------------------------------
@@ -436,15 +427,6 @@ def pseudo_minuscule_failure(data: CartanData, mu: Sequence) -> tuple[Root, Frac
         if val not in (0, 1):
             return rt, val
     return None
-
-
-def is_pseudo_minuscule(data: CartanData, mu: Sequence) -> bool:
-    """True iff mu is dominant integral and (mu^veecheck, alpha) in {0,1}
-    for every root alpha (checked over the positives; negatives give the
-    negated values, so |pairing| <= 1 overall)."""
-    if not data.is_dominant_integral(mu):
-        return False
-    return pseudo_minuscule_failure(data, mu) is None
 
 
 def weyl_dimension(data: CartanData, mu: Sequence) -> int:

@@ -83,7 +83,7 @@ from math import comb
 
 from .graded import GradedSuperalgebra, Vec
 from .graded import decompose_module
-from .linalg import RatMatrix, mat_apply, solve, vadd, vadd_into, vscale
+from .linalg import mat_apply, vadd, vadd_into, vscale
 from .rootsys import (EXT, CartanData, ChevalleyAlgebra,
                       chevalley_realization, highest_roots, jk_partition,
                       root_action, weyl_dimension)
@@ -813,27 +813,24 @@ def f0_combination_coeffs(data: CartanData, k_nodes, mu) -> dict:
     """Coefficients c with mu = sum c_l alpha_l-vee over the K nodes.
 
     ``mu`` is given by its Dynkin labels with respect to the subdiagram
-    on the K nodes, in their order.
+    on the K nodes, in their order.  As alpha_l-vee = eps_l alpha_l, c_l
+    is mu's l-th simple-root coordinate over the subdiagram divided by
+    eps_l.
     """
     k_nodes = tuple(k_nodes)
-    mu = tuple(Fraction(x) for x in mu)
     if len(mu) != len(k_nodes):
         raise ValueError("weight has %d labels, expected %d"
                          % (len(mu), len(k_nodes)))
     if not k_nodes:
         return {}
     sub = data.restrict(k_nodes)
-    ent = {}
-    for t in range(sub.r):
-        for l in range(sub.r):
-            v = Fraction(sub.a[t][l]) * sub.epsilon[l]
-            if v:
-                ent[(t, l)] = v
-    sol = solve(RatMatrix(sub.r, sub.r, ent), mu)
-    if sol is None:
+    try:
+        coords = sub.root_coords(mu)
+    except ValueError:
         raise ValueError("the Cartan matrix of the zero-label subdiagram "
-                         "is singular")
-    return {k_nodes[l]: c for l, c in enumerate(sol) if c}
+                         "is singular") from None
+    return {k_nodes[l]: c / sub.epsilon[l]
+            for l, c in enumerate(coords) if c}
 
 
 def f0_weight_combination(module: MinusOneModule, mu) -> Vec:

@@ -229,6 +229,52 @@ class TestMain:
         assert code == 2
         assert "symmetrizer entries must be nonzero" in capsys.readouterr().err
 
+    def test_singular_datum_is_a_spec_error(self, cache_env, capsys,
+                                            monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a singular datum reached the engine")
+
+        monkeypatch.setattr(cli.tha, "build_minus1", fail)
+        affine = '{"cartan_matrix": [[2, -2], [-2, 2]], "lambda": [1, 0]}'
+        assert cli.main(["tha-minus1", "--spec", affine, "--no-cache"]) == 2
+        assert capsys.readouterr().err == (
+            "spec error: the Cartan matrix is singular\n")
+
+    def test_indefinite_datum_is_a_spec_error(self, cache_env, capsys):
+        spec = '{"cartan_matrix": [[2, -3], [-3, 2]]}'
+        assert cli.main(["roots", "--spec", spec, "--no-cache"]) == 2
+        assert capsys.readouterr().err == (
+            "spec error: component [0, 1] of the Cartan matrix has "
+            "indefinite type; finite type required\n")
+
+    def test_each_failed_check_is_one_line(self, cache_env, capsys):
+        g2 = '{"cartan_matrix": [[2, -1], [-3, 2]], "epsilon": ["0", "1"]}'
+        assert cli.main(["roots", "--spec", g2, "--no-cache"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "spec error: symmetrizer entries must be nonzero",
+            "spec error: entries do not symmetrize the Cartan matrix"]
+
+    def test_overrides_apply_before_the_one_validation(
+            self, cache_env, capsys, monkeypatch):
+        calls = []
+        original = cli.cartan_failures
+
+        def counted(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(cli, "cartan_failures", counted)
+        # the file's degree range is invalid; the flag's value replaces it
+        spec = ('{"cartan_matrix": [[2, -1], [-1, 2]], "lambda": [1, 0], '
+                '"degree_range": [0, 1]}')
+        assert cli.main(["roots", "--spec", spec, "--degrees=-2..1",
+                         "--variant", "S", "--restrict", "1",
+                         "--no-cache"]) == 0
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["spec"]["degree_range"] == [-2, 1]
+        assert report["spec"]["restriction"] == [1]
+
     def test_degrees_and_variant_overrides(self, cache_env, capsys):
         assert cli.main(
             ["cartanify", "--spec", A2_SPEC,
@@ -354,7 +400,7 @@ class TestSharedModels:
     @staticmethod
     def _alone(spec):
         out = {}
-        for command in cli._COMMANDS:
+        for command, (_, module) in cli._COMMANDS.items():
             if command == "check-all":
                 continue
             try:
@@ -362,7 +408,7 @@ class TestSharedModels:
                     command, spec, use_cache=False)["result"]
             except cli._ENGINE_ERRORS as exc:
                 out[command] = {"error": cli._error_text(exc),
-                                "module": cli._MODULE_OF[command]}
+                                "module": module}
         return out
 
     @pytest.mark.parametrize("base, overrides", [

@@ -9,7 +9,7 @@ and (A_4, L_2) has one-parameter wings of dimension 5 at degrees +-2.
 
 from fractions import Fraction
 
-from gradedlie.contragredient import build_graded, build_local, extend_matrix
+from gradedlie.contragredient import build_graded, build_local
 from gradedlie.graded import check_local_axioms, decompose_at_degree
 from gradedlie.rootsys import CartanData
 
@@ -31,30 +31,18 @@ D4 = [
 ONE = Fraction(1)
 
 
-def _fr(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def test_extended_matrix_layout():
-    data = CartanData(A2, lam=[1, 0])
-    em = extend_matrix(data)
-    assert em.b.to_rows() == _fr([[0, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    # <h_i|h_j> is symmetric and restricts to the invariant form on the
-    # Cartan of g; the border row is -lambda.
-    assert em.form.to_rows() == em.form.transpose().to_rows()
-    assert em.form[0, 1] == -1 and em.form[0, 2] == 0
-
-
 def test_extended_matrix_grading_coords():
-    em = extend_matrix(CartanData(A1, lam=[1]))
-    assert em.b.to_rows() == _fr([[0, -1], [-1, 2]])
-    assert em.grading == {0: Fraction(-2), 1: Fraction(-1)}
+    # B = [[0, -1], [-1, 2]] for (A_1, L_1), so L = -2 h_0 - h_1
+    local = build_local(CartanData(A1, lam=[1]))
+    h0 = local.zero_names.index(("h0",))
+    h1 = local.zero_names.index(("h", 0))
+    assert local.grading == {h0: Fraction(-2), h1: Fraction(-1)}
 
 
 def test_extended_matrix_singular():
     # lambda = 0 bordered onto A_1 gives a singular B.
     try:
-        extend_matrix(CartanData(A1, lam=[0]))
+        build_local(CartanData(A1, lam=[0]))
     except ValueError as exc:
         assert "singular" in str(exc)
     else:

@@ -9,9 +9,7 @@ from gradedlie.rootsys import (
     CartanData,
     chevalley_realization,
     enumerate_roots,
-    gram_matrix,
     highest_roots,
-    is_pseudo_minuscule,
     jk_partition,
     pseudo_minuscule_failure,
     root_action,
@@ -119,18 +117,25 @@ def test_nonsymmetrizable_cycle():
     assert rep["components"][0]["type"] == "indefinite"
 
 
+@pytest.mark.parametrize("a", [[[2, 0], [-1, 2]], [[2, -1], [0, 2]]],
+                         ids=["lower", "upper"])
+def test_one_sided_zero_is_reported_not_raised(a):
+    data = CartanData(a)
+    rep = validate_cartan(data)
+    failed = {c["name"] for c in rep["checks"] if not c["passed"]}
+    assert "zero_symmetry" in failed
+    nodes = sorted(i for comp in rep["components"] for i in comp["nodes"])
+    assert nodes == [0, 1]
+    with pytest.raises(ValueError, match="zero pattern must be symmetric"):
+        weyl_dimension(data, (0, 0))
+
+
 def test_wrong_symmetrizer_rejected():
     # epsilon = 1 does not symmetrize B2
     rep = validate_cartan(CartanData(B2))
     assert not rep["valid"]
     with pytest.raises(ValueError):
         weyl_dimension(CartanData(B2), (1, 0))
-
-
-def test_gram_b2():
-    g = gram_matrix(CartanData(B2, [2, 1]))
-    assert g.to_rows() == [[Fraction(1), Fraction(-1)],
-                           [Fraction(-1), Fraction(2)]]
 
 
 def test_bilinear_a2():
@@ -192,18 +197,18 @@ def test_weyl_reflect():
 
 
 def test_pseudo_minuscule():
-    assert is_pseudo_minuscule(CartanData(A1), (1,))
+    assert pseudo_minuscule_failure(CartanData(A1), (1,)) is None
     rt, val = pseudo_minuscule_failure(CartanData(A1), (2,))
     assert rt.coords == (1,) and val == 2
 
     a4 = CartanData(A4)
-    assert is_pseudo_minuscule(a4, (0, 1, 0, 0))
+    assert pseudo_minuscule_failure(a4, (0, 1, 0, 0)) is None
     rt, val = pseudo_minuscule_failure(a4, (2, 0, 0, 0))
     assert rt.coords == (1, 0, 0, 0) and val == 2
     rt, val = pseudo_minuscule_failure(a4, (0, 0, 1, 1))
     assert val == 2
 
-    assert is_pseudo_minuscule(CartanData(D4), (1, 0, 0, 0))
+    assert pseudo_minuscule_failure(CartanData(D4), (1, 0, 0, 0)) is None
     # non-dominant weights are reported against the first positive root
     rt, val = pseudo_minuscule_failure(a4, (-1, 0, 0, 0))
     assert rt.coords == (0, 0, 0, 1)
