@@ -10,10 +10,12 @@ the kernel of the action on the plus wing (the maximal peripheral ideal).
 A candidate's action on the plus wing has the closed form
 
     [x u, z] = x [u, z] - (-1)^{|u||z|} <x|z> u ,
-    x z'     = -[[z', x]] + <x|z'> L ,
+    x z'     = -[[x, z']] + <x|z'> L ,
 
 the second being the word model's reduction of two opposite-wing letters,
-with [[-,-]] the bracket of the local part and L the grading element; so
+with [[-,-]] the bracket of the local part and L the grading element (for
+two odd letters [[x, z']] = [[z', x]], and the rule holds for every
+parity, so degree 0 may have odd letters); so
 the cartanification reads only the local brackets, the pairing and L, and
 builds no words.  The quotient keeps pivot candidates and writes every
 degree -1 element as a class over them.  Degree 0 moves classes by the
@@ -172,7 +174,7 @@ class Cartanification:
         for q in range(local.npos):
             val: dict = {}
             for q2, c in local.bracket(0, j, 1, q).items():
-                vadd_into(val, local.bracket(1, q2, -1, p), -c)
+                vadd_into(val, local.bracket(-1, p, 1, q2), -c)
                 pv = pairing.get((p, q2))
                 if pv:
                     vadd_into(val, local.grading, c * pv)

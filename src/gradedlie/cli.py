@@ -102,28 +102,23 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Validated Cartan data plus build options for one construction."""
+    """Validated Cartan data plus build options for one construction.
 
-    cartan_matrix: tuple
-    epsilon: tuple
-    lam: tuple
+    ``data`` is the datum the spec's gate validated; every model of the
+    spec is built from it, so its validation and its positive roots are
+    computed once."""
+
+    data: CartanData
     restriction: tuple | None
     degree_range: tuple
     variant: str
 
-    def cartan_data(self) -> CartanData:
-        return CartanData(
-            [list(row) for row in self.cartan_matrix],
-            epsilon=self.epsilon,
-            lam=self.lam,
-        )
-
     def canonical(self) -> dict:
         """JSON-ready canonical form; parsing it reproduces this spec."""
         out = {
-            "cartan_matrix": [list(row) for row in self.cartan_matrix],
-            "epsilon": [str(e) for e in self.epsilon],
-            "lambda": [int(l) for l in self.lam],
+            "cartan_matrix": [list(row) for row in self.data.a],
+            "epsilon": [str(e) for e in self.data.epsilon],
+            "lambda": list(self.data.lam),
             "degree_range": list(self.degree_range),
             "variant": self.variant,
         }
@@ -184,6 +179,7 @@ def _spec_from_dict(obj) -> AlgebraSpec:
             epsilon.append(value)
 
     lam_raw = obj.get("lambda", [0] * r)
+    data = None
     if (not isinstance(lam_raw, list)
             or any(not isinstance(x, int) or isinstance(x, bool) or x < 0
                    for x in lam_raw)
@@ -192,7 +188,8 @@ def _spec_from_dict(obj) -> AlgebraSpec:
             "lambda: must list one non-negative integer per node")
         lam_raw = [0] * r
     elif matrix and len(epsilon) == r:
-        diagnostics += cartan_failures(CartanData(matrix, epsilon, lam_raw))
+        data = CartanData(matrix, epsilon, lam_raw)
+        diagnostics += cartan_failures(data)
 
     restriction_raw = obj.get("restriction")
     restriction = None
@@ -223,9 +220,7 @@ def _spec_from_dict(obj) -> AlgebraSpec:
     if diagnostics:
         raise SpecError(diagnostics)
     return AlgebraSpec(
-        cartan_matrix=tuple(tuple(row) for row in matrix),
-        epsilon=tuple(epsilon),
-        lam=tuple(lam_raw),
+        data=data,
         restriction=restriction,
         degree_range=tuple(degree_range_raw),
         variant=variant,
@@ -396,12 +391,9 @@ class _Models:
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
+        self.data = spec.data
         self._carts: dict = {}
         self._modules: dict = {}
-
-    @functools.cached_property
-    def data(self) -> CartanData:
-        return self.spec.cartan_data()
 
     def cartanification(self, window) -> Cartanification:
         """The spec's cartanification (weak, strong or restricted) over

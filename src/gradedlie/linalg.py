@@ -1,13 +1,14 @@
 """Exact rational sparse linear algebra shared by every engine.
 
-A matrix is a mapping ``(row, col) -> Fraction`` with no explicit zeros;
-iteration over entries is always in sorted ``(row, col)`` order, so every
-derived object (echelon forms, kernel bases, solved coordinates) is
-reproducible run to run.  All arithmetic is exact: values are
-``fractions.Fraction`` throughout, reduced by construction, and no
-floating-point path exists anywhere in the package.  The one elimination
-kernel behind ``rref``, ``rank`` and ``kernel_basis`` clears
-denominators and works on integer rows, returning ``Fraction``s.
+A ``RatMatrix`` is a mapping ``(row, col) -> Fraction`` with no
+explicit zeros.  What is derived from it (echelon forms, kernel bases,
+inverses) is read off the unique reduced row-echelon form, so it depends
+on the entries alone and is reproducible run to run.  All arithmetic is
+exact: values are ``fractions.Fraction`` throughout, reduced by
+construction, and no floating-point path exists anywhere in the package.
+The one elimination kernel behind ``rref``, ``rank``, ``kernel_basis``
+and ``inverse`` clears denominators and works on integer rows, returning
+``Fraction``s.
 
 The engines also share the helpers below on sparse objects without a
 fixed shape: sparse vectors ``{index: Fraction}`` (``vadd_into``,
@@ -23,18 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
-
-Rational = Fraction
+from typing import Mapping, Sequence
 
 __all__ = [
-    "Rational",
     "RatMatrix",
     "rref",
     "rank",
     "kernel_basis",
     "inverse",
-    "dot",
     "vadd_into",
     "vadd",
     "vscale",
@@ -52,17 +49,6 @@ _ONE = Fraction(1)
 
 def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    """Exact dot product of two equal-length coefficient vectors."""
-    if len(u) != len(v):
-        raise ValueError("dot: length mismatch %d vs %d" % (len(u), len(v)))
-    total = _ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            total += _frac(a) * _frac(b)
-    return total
 
 
 # -- sparse vectors {index: Fraction} -----------------------------------------
@@ -148,7 +134,10 @@ class RatMatrix:
     """Sparse matrix over the rationals.  Immutable after construction.
 
     Entries are held in a dict keyed by (row, col); zeros are never stored.
-    All public accessors that enumerate entries do so in sorted key order.
+    A matrix is built (``from_rows``, ``identity``, ``stack_columns``),
+    read by entry (``m[i, j]``), applied to a dense vector (``mul_vec``)
+    and reduced (``rref``, ``rank``, ``kernel_basis``, ``inverse``); no
+    engine needs matrix arithmetic beyond that.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -189,40 +178,6 @@ class RatMatrix:
     def identity(cls, n: int) -> RatMatrix:
         return cls(n, n, {(i, i): _ONE for i in range(n)})
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> RatMatrix:
-        return cls(rows, cols)
-
-    @classmethod
-    def vstack(cls, blocks: Sequence[RatMatrix]) -> RatMatrix:
-        if not blocks:
-            return cls(0, 0)
-        cols = blocks[0].cols
-        ent = {}
-        off = 0
-        for b in blocks:
-            if b.cols != cols:
-                raise ValueError("vstack: column count mismatch")
-            for (i, j), v in b.entries.items():
-                ent[(off + i, j)] = v
-            off += b.rows
-        return cls(off, cols, ent)
-
-    @classmethod
-    def hstack(cls, blocks: Sequence[RatMatrix]) -> RatMatrix:
-        if not blocks:
-            return cls(0, 0)
-        rows = blocks[0].rows
-        ent = {}
-        off = 0
-        for b in blocks:
-            if b.rows != rows:
-                raise ValueError("hstack: row count mismatch")
-            for (i, j), v in b.entries.items():
-                ent[(i, off + j)] = v
-            off += b.cols
-        return cls(rows, off, ent)
-
     # -- accessors ---------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
@@ -230,20 +185,6 @@ class RatMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
         return self.entries.get((i, j), _ZERO)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        """Nonzero entries in sorted (row, col) order."""
-        for key in sorted(self.entries):
-            yield key, self.entries[key]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries.get((i, j), _ZERO) for j in range(self.cols))
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries.get((i, j), _ZERO) for i in range(self.rows))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
@@ -255,56 +196,6 @@ class RatMatrix:
         return "RatMatrix(%d, %d, %d nonzero)" % (
             self.rows, self.cols, len(self.entries))
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: RatMatrix) -> RatMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in +")
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = ent.get(k, _ZERO) + v
-            if s:
-                ent[k] = s
-            else:
-                ent.pop(k, None)
-        return RatMatrix(self.rows, self.cols, ent)
-
-    def __neg__(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols,
-                         {k: -v for k, v in self.entries.items()})
-
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        return self + (-other)
-
-    def scale(self, c) -> RatMatrix:
-        fc = _frac(c)
-        if not fc:
-            return RatMatrix(self.rows, self.cols)
-        return RatMatrix(self.rows, self.cols,
-                         {k: fc * v for k, v in self.entries.items()})
-
-    def __matmul__(self, other: RatMatrix) -> RatMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in @: %dx%d @ %dx%d" % (
-                self.rows, self.cols, other.rows, other.cols))
-        # group the right factor by row once, then sweep the left entries
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, k), a in self.entries.items():
-            hits = by_row.get(k)
-            if not hits:
-                continue
-            for j, b in hits:
-                key = (i, j)
-                s = acc.get(key, _ZERO) + a * b
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return RatMatrix(self.rows, other.cols, acc)
-
     def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product, returning a dense tuple."""
         if len(v) != self.cols:
@@ -315,10 +206,6 @@ class RatMatrix:
             if x:
                 out[i] += a * _frac(x)
         return tuple(out)
-
-    def transpose(self) -> RatMatrix:
-        return RatMatrix(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.entries.items()})
 
 
 # -- echelon forms and derived data ---------------------------------------
@@ -518,8 +405,10 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = RatMatrix.hstack([m, RatMatrix.identity(n)])
-    red, pivots = rref(aug)
+    aug = dict(m.entries)
+    for i in range(n):
+        aug[(i, n + i)] = _ONE
+    red, pivots = rref(RatMatrix(n, 2 * n, aug))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     ent = {}

@@ -9,14 +9,16 @@ their norm under the invariant form.  Conventions:
 * ``(alpha_i, alpha_j) = A_ij / epsilon_i`` and the coroot is
   ``alpha_i^vee = epsilon_i alpha_i``, so ``(alpha_i^vee, alpha_j) = A_ij``;
 * a weight ``mu`` has root coordinates ``c = A^{-1} m`` for its label
-  vector ``m``, and ``(mu, nu) = m^T A^{-T} D^{-1} n``.
+  vector ``m``, and ``(mu, nu) = m^T A^{-T} D^{-1} n = sum_i c_i n_i /
+  epsilon_i``.
 
 ``CartanData`` owns the facts derived from one datum.  ``validate_cartan``
 is the one gate for a datum: it checks its seven rules, each worded for
 a user, and types each component; ``cartan_failures`` lists what keeps a
 datum from finite type, for the command line's spec errors and for the
-positive roots.  These are a cached property: the validation and the
-reflection closure run once per datum, and ``enumerate_roots``,
+positive roots.  The validation (``CartanData.validation``) and the
+positive roots are cached properties: the validation and the reflection
+closure run once per datum, and ``enumerate_roots``,
 ``weyl_dimension``, ``highest_roots``, ``pseudo_minuscule_failure`` and
 ``chevalley_realization`` all read them.
 ``extended_entry(i, j)`` is the one copy of the matrix extended by an odd
@@ -38,7 +40,6 @@ from typing import Sequence
 
 from .linalg import (
     RatMatrix,
-    dot,
     inverse,
     mat_compose,
     mat_scale,
@@ -126,13 +127,6 @@ class CartanData:
     def a_inv(self) -> RatMatrix:
         return inverse(self.a_mat)
 
-    @cached_property
-    def weight_form(self) -> RatMatrix:
-        """Matrix of (mu, nu) on label vectors: A^{-T} D^{-1}."""
-        dinv = RatMatrix(self.r, self.r,
-                         {(i, i): 1 / self.epsilon[i] for i in range(self.r)})
-        return self.a_inv.transpose() @ dinv
-
     # -- weight arithmetic ----------------------------------------------
 
     def fundamental(self, i: int) -> tuple[Fraction, ...]:
@@ -148,7 +142,11 @@ class CartanData:
         return self.weight(self.lam)
 
     def bilinear(self, mu: Sequence, nu: Sequence) -> Fraction:
-        return dot(self.weight_form.mul_vec(self.weight(nu)), self.weight(mu))
+        """(mu, nu) = sum c_i nu_i / epsilon_i with c = A^{-1} m."""
+        nu = self.weight(nu)
+        return sum((c * n / e for c, n, e in
+                    zip(self.root_coords(mu), nu, self.epsilon) if c and n),
+                   _ZERO)
 
     def root_coords(self, mu: Sequence) -> tuple[Fraction, ...]:
         """Coordinates of mu in the simple-root basis: A^{-1} m."""
@@ -214,6 +212,11 @@ class CartanData:
         return Fraction(self.a[i][j])
 
     # -- root system ----------------------------------------------------
+
+    @cached_property
+    def validation(self) -> dict:
+        """``validate_cartan``'s report on this datum, made once."""
+        return validate_cartan(self)
 
     @cached_property
     def positive_roots(self) -> tuple[Root, ...]:
@@ -348,7 +351,7 @@ def cartan_failures(data: CartanData) -> list[str]:
     """Why ``data`` is not a finite-type Cartan datum, one line per cause:
     the detail of each failed check or, when none fails, each component
     that is not of finite type.  Empty for a good datum."""
-    report = validate_cartan(data)
+    report = data.validation
     return [c["detail"] for c in report["checks"] if not c["passed"]] or [
         "component %s of the Cartan matrix has %s type; finite type "
         "required" % (comp["nodes"], comp["type"])

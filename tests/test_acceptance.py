@@ -20,6 +20,7 @@ import pytest
 
 from fixtures_gl import gl2form_local, glvec_local, sl_block
 from oracles import levi_civita, s_model_dims, w_model_dims
+import structure
 from wordmodel import LocAlgebra
 
 from gradedlie import iso, tha
@@ -316,7 +317,7 @@ def test_criterion_5_relations_model_isomorphic_to_cartanification():
         verdict = _verdict(name)
         assert verdict.verdict == "isomorphic", name
         assert verdict.homomorphism["passed"], name
-        tags = set(tha.presentation(_DATA[name](), "W").tags)
+        tags = set(structure.tags(tha.presentation(_DATA[name](), "W")))
         assert {c["name"] for c in verdict.homomorphism["checks"]} == tags
         for check in verdict.homomorphism["checks"]:
             assert check["violations"] == [], (name, check["name"])
@@ -330,7 +331,7 @@ def test_criterion_5_e6_first_fundamental_isomorphic():
     assert verdict.verdict == "isomorphic"
     assert verdict.sides["relations_model"]["dim"] == 378
     assert verdict.sides["cartanification"]["minus1_dim"] == 378
-    expected = sorted(tha.expected_minus1_decomposition(data, "W"))
+    expected = sorted(structure.expected_minus1_decomposition(data, "W"))
     assert sorted(d for _, _, d in expected) == [27, 351]
     for side in ("relations_model", "cartanification"):
         assert verdict.sides[side]["decomposition"] == expected, side
@@ -457,30 +458,30 @@ def test_criterion_7_property_suites_zero_failures():
     roots = 0
     for name in ("a2", "a3", "a4", "a4l2", "d4"):
         mod = _mod(name)
-        g = mod.realization()
+        g = structure.realization(mod.data)
         sub = mod.data.restrict(mod.k_nodes)
         funds = [sub.fundamental(l) for l in range(sub.r)]
-        for p in tha._k_supported_roots(mod):
-            labels_k = tha._k_labels(mod, g.pos_roots[p].labels)
+        for p in structure._k_supported_roots(mod):
+            labels_k = structure._k_labels(mod, g.pos_roots[p].labels)
             kap = g.kappa(g.index[("e", p)], g.index[("f", p)])
             for kind, sign in (("e", 1), ("f", -1)):
-                op = mod.root_op(kind, p)
-                opp = mod.root_op("f" if kind == "e" else "e", p)
+                op = structure.root_op(mod, kind, p)
+                opp = structure.root_op(mod, "f" if kind == "e" else "e", p)
                 for mu in funds:
-                    f0mu = tha.f0_weight_combination(mod, mu)
+                    f0mu = structure.f0_weight_combination(mod, mu)
                     assert mat_apply(op, mat_apply(op, f0mu)) == {}
                     roots += 1
                     lhs = mat_apply(op, mat_apply(opp, f0mu))
                     pairing = sign * sub.bilinear(mu, labels_k)
                     avee = tuple(sign * kap * x for x in labels_k)
-                    rhs = tha.f0_weight_combination(mod, avee)
+                    rhs = structure.f0_weight_combination(mod, avee)
                     assert vadd(lhs, vscale(rhs, pairing), -F1) == {}
                     roots += 1
                     for nu in funds:
                         pm = sign * sub.bilinear(mu, labels_k)
                         pn = sign * sub.bilinear(nu, labels_k)
                         l2 = mat_apply(
-                            op, tha.f0_weight_combination(mod, nu))
+                            op, structure.f0_weight_combination(mod, nu))
                         r2 = mat_apply(op, f0mu)
                         assert vadd(vscale(l2, pm), vscale(r2, pn),
                                     -F1) == {}
@@ -490,8 +491,8 @@ def test_criterion_7_property_suites_zero_failures():
                 if not mod.data.lam[j] or rt.labels[j] not in (-1, 0, 1):
                     continue
                 for mu in funds:
-                    v = mat_apply(mod.root_op("e", p),
-                                  tha.f0_weight_combination(mod, mu))
+                    v = mat_apply(structure.root_op(mod, "e", p),
+                                  structure.f0_weight_combination(mod, mu))
                     assert mod.apply("e", j, v) == {}
                     roots += 1
     counts["root-identities"] = roots
@@ -500,13 +501,13 @@ def test_criterion_7_property_suites_zero_failures():
     sharp = 0
     for name in ("a2", "a4", "a4l2", "d4"):
         mod = _mod(name)
-        g = mod.realization()
-        img = tha.sharp_image(mod)
+        g = structure.realization(mod.data)
+        img = structure.sharp_image(mod)
         basis = sorted(img.entries)
         for xi in basis:
             x = {xi: F1}
             for yi in basis:
-                lhs = mod.apply_element(x, img.entries[yi])
+                lhs = structure.apply_element(mod, x, img.entries[yi])
                 rhs = img.sharp(dict(g.bracket_vec(x, {yi: F1})))
                 assert vadd(lhs, rhs, -F1) == {}, (name, xi, yi)
                 sharp += 1
@@ -537,8 +538,8 @@ def test_criterion_7_property_suites_zero_failures():
         for k in range(data.r):
             alpha_k = tuple(Fraction(data.a[t][k]) for t in range(data.r))
             for mu in mus:
-                h = tha.coroot_combination(g, tuple(range(data.r)), mu)
-                out = tha.weyl_automorphism(g, k, h)
+                h = structure.coroot_combination(g, tuple(range(data.r)), mu)
+                out = structure.weyl_automorphism(g, k, h)
                 c = data.bilinear(alpha_k, mu)
                 expect = vadd(h, {g.index[("h", k)]: F1}, -c)
                 assert vadd(out, expect, -F1) == {}, (data.a, k, mu)

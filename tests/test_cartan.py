@@ -25,7 +25,7 @@ from gradedlie.linalg import vadd, vadd_into
 from gradedlie.rootsys import CartanData, jk_partition
 
 from fixtures_gl import gl2form_local, glvec_local, glvec_super_local, sl_block
-from oracles import s_model_dims, w_model_dims
+from oracles import s_model_dims, w_model_dims, w_super_dims
 from wordmodel import LocAlgebra
 
 A1 = [[2]]
@@ -188,6 +188,17 @@ def test_weak_from_tensor_local(n):
     res = cartanify(glvec_local(n), degree_range=(-n, 1))
     dims = {d: v for d, v in res.graded.dims().items() if v}
     assert dims == w_model_dims(n)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+def test_weak_super_matches_w_super(m, n):
+    """gl(m|n) with its vector wing, degree 0 with odd letters, gives
+    W(m|n): a wing letter with even index is odd, so its variable is
+    Grassmann."""
+    res = cartanify(glvec_super_local(m, n), degree_range=(-3, 1))
+    assert res.graded.dims() == w_super_dims(m, n, -3)
+    rep = check_local_axioms(res.local)
+    assert rep["passed"], rep["checks"]
 
 
 def test_weak_quotient_local_axioms():
@@ -418,28 +429,19 @@ def test_weighted_solver_positions_follow_basis():
     assert solver.express({}, (2,)) == {}
 
 
-# The open FOUND line of CHANGES.md on odd degree-0 letters.
-ODD_DEGREE0_FOUND = (
-    "cartan.Cartanification.action_coords and the word engine LocAlgebra "
-    "disagree as soon as degree 0 has odd letters: on "
-    "glvec_super_local(1, 1) 3 of the 8 candidates x_p u_j differ, all "
-    "with odd u_j, and local_cartanification raises \"peripheral kernel "
-    "is not invariant under degree-0 brackets\"")
-
-
 @pytest.mark.parametrize("make", [
     lambda: build_local(CartanData(A2, lam=[1, 0])),
     lambda: build_local(CartanData(C2, epsilon=[1, 2], lam=[1, 0])),
     lambda: build_local(CartanData(D4, lam=[1, 0, 0, 0])),
     lambda: glvec_local(3),
     lambda: gl2form_local(5),
-    pytest.param(lambda: glvec_super_local(1, 1), marks=pytest.mark.xfail(
-        strict=True, raises=ValueError, reason=ODD_DEGREE0_FOUND)),
+    lambda: glvec_super_local(1, 1),
 ], ids=["A2w1", "C2w1", "D4w1", "glvec3", "two-form5", "glvec-super11"])
 def test_candidate_action_matches_word_engine(make):
     """The closed-form action of x_p u_j is the word engine's commutator
     action, on every candidate.  Only gl(1|1) has odd degree-0 letters,
-    the one case that exercises the sign (-1)^{|u||z|}, and it fails."""
+    the one case that exercises the sign (-1)^{|u||z|} and even wing
+    letters."""
     loc = make()
     res = local_cartanification(loc)
     eng = LocAlgebra(loc)
@@ -464,7 +466,11 @@ def _strong_a3():
         CartanData([[2, -1], [-2, 2]], epsilon=[1, 2], lam=[1, 0])), None),
     _strong_a3,
     lambda: (gl2form_local(5), sl_block(5, (2, 3, 4))),
-], ids=["weak-A2w1", "weak-C2w1", "strong-A3w1", "two-form-restricted"])
+    lambda: (glvec_super_local(1, 1), None),
+    lambda: (glvec_super_local(2, 1), None),
+    lambda: (glvec_super_local(1, 2), None),
+], ids=["weak-A2w1", "weak-C2w1", "strong-A3w1", "two-form-restricted",
+        "weak-glvec-super11", "weak-glvec-super21", "weak-glvec-super12"])
 def test_degree0_action_matches_word_engine(make):
     """The quotient's [u_s, w_t], taken from the derivation rule on
     classes, moves each element as the word engine's commutator does: the

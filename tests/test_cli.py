@@ -15,7 +15,7 @@ import pytest
 from referencing import Registry, Resource
 
 import gradedlie
-from gradedlie import cli
+from gradedlie import cli, rootsys
 
 A2_SPEC = '{"cartan_matrix": [[2, -1], [-1, 2]], "lambda": [1, 0]}'
 E6 = [
@@ -59,8 +59,8 @@ class TestParseSpec:
         spec = cli.parse_spec('{"cartan_matrix": [[2]]}')
         assert spec.degree_range == (-4, 1)
         assert spec.variant == "W"
-        assert spec.epsilon == (Fraction(1),)
-        assert spec.lam == (0,)
+        assert spec.data.epsilon == (Fraction(1),)
+        assert spec.data.lam == (0,)
         assert spec.restriction is None
 
     def test_zero_symmetrizer(self):
@@ -95,7 +95,7 @@ class TestParseSpec:
         with pytest.raises(cli.SpecError, match="do not symmetrize"):
             cli.parse_spec(json.dumps({**g2, "epsilon": ["1", "1"]}))
         spec = cli.parse_spec(json.dumps({**g2, "epsilon": ["1", "3"]}))
-        assert spec.epsilon == (Fraction(1), Fraction(3))
+        assert spec.data.epsilon == (Fraction(1), Fraction(3))
 
     @pytest.mark.parametrize("window", [[0, 1], [-1, 0], [-1], [1, -1]])
     def test_degree_range_must_contain_unit_window(self, window):
@@ -274,6 +274,23 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["spec"]["degree_range"] == [-2, 1]
         assert report["spec"]["restriction"] == [1]
+
+    @pytest.mark.parametrize("command", ["roots", "check-iso", "check-all"])
+    def test_cold_run_validates_the_datum_once(
+            self, cache_env, capsys, monkeypatch, command):
+        # the gate's datum is the one every model is built from, so the
+        # positive roots reuse its validation
+        calls = []
+        original = rootsys.validate_cartan
+
+        def counted(data):
+            calls.append(data)
+            return original(data)
+
+        monkeypatch.setattr(rootsys, "validate_cartan", counted)
+        assert cli.main([command, "--spec", A2_SPEC, "--degrees=-2..1"]) == 0
+        datum = rootsys.CartanData([[2, -1], [-1, 2]], lam=(1, 0))
+        assert calls.count(datum) == 1
 
     def test_degrees_and_variant_overrides(self, cache_env, capsys):
         assert cli.main(

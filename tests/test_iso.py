@@ -14,6 +14,8 @@ from gradedlie.contragredient import build_local
 from gradedlie.linalg import vadd
 from gradedlie.rootsys import CartanData, chevalley_realization, jk_partition
 
+import structure
+
 F1 = Fraction(1)
 
 
@@ -236,7 +238,7 @@ class TestPhiCheck:
         report = _verdict("a2").homomorphism
         assert report["passed"]
         names = {check["name"] for check in report["checks"]}
-        assert names == set(pres.tags)
+        assert names == set(structure.tags(pres))
 
     def test_returns_assignment(self):
         data = _DATA["a1"]()

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import gradedlie
+from gradedlie import tha
 
 PACKAGE = Path(gradedlie.__file__).parent
 
@@ -46,6 +48,7 @@ _KEPT_FOR_TRACERS = {
     ("cartan.py", "rref"),
     ("cartan.py", "kernel_basis"),
     ("iso.py", "chevalley_realization"),
+    ("tha.py", "chevalley_realization"),
 }
 
 
@@ -69,3 +72,20 @@ def test_every_import_is_used():
                    if name not in used
                    and (path.name, name) not in _KEPT_FOR_TRACERS]
     assert not unused, "imported but unused: %s" % unused
+
+
+def test_structure_oracles_stay_out_of_the_package():
+    """The structure theorem is proved in the tests: no package module
+    defines a function or class of ``tests/structure.py``, and the
+    degree -1 module carries none of the oracles' memos."""
+    oracle = ast.parse((Path(__file__).parent / "structure.py")
+                       .read_text(encoding="utf-8"))
+    moved = {node.name for node in oracle.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"sharp_image", "weyl_automorphism", "root_op",
+            "expected_minus1_decomposition", "tags"} <= moved
+    found = _nodes(lambda node: isinstance(
+        node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved)
+    assert not found, "structure oracles defined in the package: %s" % found
+    fields = {f.name for f in dataclasses.fields(tha.MinusOneModule)}
+    assert not fields & {"g", "_root_ops", "_sharp"}

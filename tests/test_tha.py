@@ -18,6 +18,8 @@ from gradedlie.rootsys import (CartanData, chevalley_realization,
                                weyl_dimension, weyl_reflect)
 from gradedlie.tha import EXT
 
+import structure
+
 A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
 A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
@@ -92,10 +94,10 @@ def test_presentation_generators_and_family():
     names = [g.name for g in pres.generators]
     assert ("e0",) in names and ("h0",) in names
     assert ("f0", EXT) in names and ("f0", 1) in names
-    e0 = pres.generator(("e0",))
+    e0 = structure.generator(pres, ("e0",))
     assert (e0.degree, e0.parity) == (1, 1)
     for i in pres.family:
-        f0 = pres.generator(("f0", i))
+        f0 = structure.generator(pres, ("f0", i))
         assert (f0.degree, f0.parity) == (-1, 1)
         assert f0.labels == (1, 0)  # every family member carries lambda
 
@@ -103,14 +105,14 @@ def test_presentation_generators_and_family():
 def test_presentation_relation_counts():
     pres = tha.presentation(CartanData(A2, lam=(1, 0)), "W")
     # raise-lower instances: |K|^2 family members each
-    assert len(pres.relations_tagged("f0-raise-lower")) == 2
+    assert len(structure.relations_tagged(pres, "f0-raise-lower")) == 2
     # the isotropic square [e0, e0] = 0 is an explicit instance
-    squares = [r for r in pres.relations_tagged("serre-e")
+    squares = [r for r in structure.relations_tagged(pres, "serre-e")
                if r.indices == (EXT, EXT)]
     assert len(squares) == 1
     assert (squares[0].ops, squares[0].target) == ((("e0",),), ("e0",))
     # lowering by a J node iterates 1 + lambda_j times
-    low = pres.relations_tagged("f0-lower-j")[0]
+    low = structure.relations_tagged(pres, "f0-lower-j")[0]
     assert (low.ops, low.target) == ((("f", 0),) * 2, ("f0", EXT))
 
 
@@ -223,7 +225,7 @@ def test_minus1_matches_structure_prediction():
         mod = _mod(name)
         assert mod.status == "complete"
         assert mod.dim == dim
-        assert mod.decompose() == tha.expected_minus1_decomposition(
+        assert mod.decompose() == structure.expected_minus1_decomposition(
             mod.data, "W")
 
 
@@ -242,7 +244,7 @@ def test_minus1_s_variant_omits_lambda_module():
     assert _mod("d4", "S").decompose() == [((0, 0, 1, 1), 1, 56)]
     for name in ("a2", "a4", "d4"):
         assert _mod(name, "S").decompose() == \
-            tha.expected_minus1_decomposition(_DATA[name](), "S")
+            structure.expected_minus1_decomposition(_DATA[name](), "S")
 
 
 def test_minus1_k_empty_is_the_lambda_module():
@@ -314,7 +316,7 @@ def test_minus1_e6_omega1_completes_under_defaults():
     assert mod.status == "complete"
     assert mod.certificate["cells_created"] <= 6000
     assert mod.dim == 378
-    expected = tha.expected_minus1_decomposition(mod.data, "W")
+    expected = structure.expected_minus1_decomposition(mod.data, "W")
     assert mod.decompose() == expected
     # L(omega_1) + L(theta_K + omega_1), dimensions by the Weyl formula
     assert [(m, d) for _, m, d in expected] == [(1, 27), (1, 351)]
@@ -324,7 +326,7 @@ def test_minus1_d5_spinor_matches_weyl_formula():
     for variant in ("W", "S"):
         mod = _mod("d5", variant)
         assert mod.status == "complete"
-        assert mod.decompose() == tha.expected_minus1_decomposition(
+        assert mod.decompose() == structure.expected_minus1_decomposition(
             mod.data, variant)
     assert (_mod("d5").dim, _mod("d5", "S").dim) == (160, 144)
 
@@ -411,7 +413,8 @@ def test_minus1_generated_data_matches_the_structure_theorem(data):
     mod = tha.build_minus1(tha.presentation(data, "W"))
     assert mod.status == "complete"
     assert mod.dim == _structure_dimension(data)
-    assert mod.decompose() == tha.expected_minus1_decomposition(data, "W")
+    assert mod.decompose() == structure.expected_minus1_decomposition(
+        data, "W")
 
 
 def test_serre_instances_once_per_commuting_pair():
@@ -509,7 +512,7 @@ def test_certificate_digests(case):
     name, variant, *kw = case
     kw = dict(zip(kw[::2], kw[1::2]))
     if variant == "squares dropped":
-        pres = tha.reduced_presentation(
+        pres = structure.reduced_presentation(
             tha.presentation(_DATA[name](), "W"),
             drop=("f0-raise-kk", "f0-lower-kk"))
         mod = tha.build_minus1(pres, **kw)
@@ -585,68 +588,69 @@ def _sub_and_funds(mod):
 def test_root_square_annihilates_the_family_span():
     mod = _mod("a4")
     _, funds = _sub_and_funds(mod)
-    for p in tha._k_supported_roots(mod):
+    for p in structure._k_supported_roots(mod):
         for kind in ("e", "f"):
-            op = mod.root_op(kind, p)
+            op = structure.root_op(mod, kind, p)
             for mu in funds:
-                v = tha.f0_weight_combination(mod, mu)
+                v = structure.f0_weight_combination(mod, mu)
                 assert mat_apply(op, mat_apply(op, v)) == {}
 
 
 def test_opposite_root_action_recovers_the_family():
     # [e_a, [e_-a, f0_{mu}]] = (mu, a) f0_{a vee} for every root a
     mod = _mod("a4")
-    g = mod.realization()
+    g = structure.realization(mod.data)
     sub, funds = _sub_and_funds(mod)
-    for p in tha._k_supported_roots(mod):
-        labels_k = tha._k_labels(mod, g.pos_roots[p].labels)
+    for p in structure._k_supported_roots(mod):
+        labels_k = structure._k_labels(mod, g.pos_roots[p].labels)
         kap = g.kappa(g.index[("e", p)], g.index[("f", p)])
         for kind, sign in (("e", 1), ("f", -1)):
-            op = mod.root_op(kind, p)
-            opp = mod.root_op("f" if kind == "e" else "e", p)
+            op = structure.root_op(mod, kind, p)
+            opp = structure.root_op(mod, "f" if kind == "e" else "e", p)
             for mu in funds:
-                f0mu = tha.f0_weight_combination(mod, mu)
+                f0mu = structure.f0_weight_combination(mod, mu)
                 lhs = mat_apply(op, mat_apply(opp, f0mu))
                 pairing = sign * sub.bilinear(mu, labels_k)
                 avee = tuple(sign * kap * x for x in labels_k)
-                rhs = vscale(tha.f0_weight_combination(mod, avee), pairing)
+                rhs = vscale(structure.f0_weight_combination(mod, avee),
+                             pairing)
                 assert vadd(lhs, rhs, -F1) == {}
 
 
 def test_weight_exchange_identity():
     # (mu, a) [e_a, f0_{nu}] == (nu, a) [e_a, f0_{mu}]
     mod = _mod("a4")
-    g = mod.realization()
+    g = structure.realization(mod.data)
     sub, funds = _sub_and_funds(mod)
-    for p in tha._k_supported_roots(mod):
-        labels_k = tha._k_labels(mod, g.pos_roots[p].labels)
+    for p in structure._k_supported_roots(mod):
+        labels_k = structure._k_labels(mod, g.pos_roots[p].labels)
         for kind, sign in (("e", 1), ("f", -1)):
-            op = mod.root_op(kind, p)
+            op = structure.root_op(mod, kind, p)
             for mu in funds:
                 for nu in funds:
                     pm = sign * sub.bilinear(mu, labels_k)
                     pn = sign * sub.bilinear(nu, labels_k)
                     lhs = vscale(mat_apply(
-                        op, tha.f0_weight_combination(mod, nu)), pm)
+                        op, structure.f0_weight_combination(mod, nu)), pm)
                     rhs = vscale(mat_apply(
-                        op, tha.f0_weight_combination(mod, mu)), pn)
+                        op, structure.f0_weight_combination(mod, mu)), pn)
                     assert vadd(lhs, rhs, -F1) == {}
 
 
 def test_raising_annihilates_small_pairings():
     # j in J and (alpha_j vee, alpha) in {0, +-1} kill [e_alpha, f0_mu]
     mod = _mod("a4")
-    g = mod.realization()
+    g = structure.realization(mod.data)
     sub, funds = _sub_and_funds(mod)
     checked = 0
-    for p in tha._k_supported_roots(mod):
+    for p in structure._k_supported_roots(mod):
         rt = g.pos_roots[p]
         for j in range(mod.data.r):
             if not mod.data.lam[j] or rt.labels[j] not in (-1, 0, 1):
                 continue
             for mu in funds:
-                v = mat_apply(mod.root_op("e", p),
-                              tha.f0_weight_combination(mod, mu))
+                v = mat_apply(structure.root_op(mod, "e", p),
+                              structure.f0_weight_combination(mod, mu))
                 assert mod.apply("e", j, v) == {}
                 checked += 1
     assert checked >= 4
@@ -655,18 +659,19 @@ def test_raising_annihilates_small_pairings():
 def test_highest_root_bracket_recovers_its_coroot_member():
     # [f_theta, [e_theta, f0_mu]] = (mu, theta) f0_{theta vee}
     mod = _mod("a4")
-    g = mod.realization()
+    g = structure.realization(mod.data)
     sub, funds = _sub_and_funds(mod)
     # theta of the two-node component: coords (0, 0, 1, 1)
     p = next(p for p in range(len(g.pos_roots))
              if g.pos_roots[p].coords == (0, 0, 1, 1))
-    labels_k = tha._k_labels(mod, g.pos_roots[p].labels)
+    labels_k = structure._k_labels(mod, g.pos_roots[p].labels)
     mu = funds[1]  # fundamental of the component's first node
     pairing = sub.bilinear(mu, labels_k)
     assert pairing != 0
-    lhs = mat_apply(mod.root_op("f", p), mat_apply(
-        mod.root_op("e", p), tha.f0_weight_combination(mod, mu)))
-    rhs = vscale(tha.f0_weight_combination(mod, labels_k), pairing)
+    lhs = mat_apply(structure.root_op(mod, "f", p), mat_apply(
+        structure.root_op(mod, "e", p),
+        structure.f0_weight_combination(mod, mu)))
+    rhs = vscale(structure.f0_weight_combination(mod, labels_k), pairing)
     assert vadd(lhs, rhs, -F1) == {}
 
 
@@ -675,9 +680,9 @@ def test_highest_root_bracket_recovers_its_coroot_member():
 
 def test_sharp_entries_cover_the_subalgebra():
     mod = _mod("a4")
-    g = mod.realization()
-    img = tha.sharp_image(mod)
-    kroots = tha._k_supported_roots(mod)
+    g = structure.realization(mod.data)
+    img = structure.sharp_image(mod)
+    kroots = structure._k_supported_roots(mod)
     assert len(img.entries) == 2 * len(kroots) + len(mod.k_nodes)
     for t in mod.k_nodes:
         assert img.entries[g.index[("h", t)]] == vscale(
@@ -687,21 +692,21 @@ def test_sharp_entries_cover_the_subalgebra():
 def test_sharp_is_equivariant():
     for name in ("a2", "a4"):
         mod = _mod(name)
-        g = mod.realization()
-        img = tha.sharp_image(mod)
+        g = structure.realization(mod.data)
+        img = structure.sharp_image(mod)
         basis = sorted(img.entries)
         for xi in basis:
             x = {xi: F1}
             for yi in basis:
-                lhs = mod.apply_element(x, img.entries[yi])
+                lhs = structure.apply_element(mod, x, img.entries[yi])
                 rhs = img.sharp(dict(g.bracket_vec(x, {yi: F1})))
                 assert vadd(lhs, rhs, -F1) == {}
 
 
 def test_sharp_rejects_unsupported_elements():
     mod = _mod("a2")
-    g = mod.realization()
-    img = tha.sharp_image(mod)
+    g = structure.realization(mod.data)
+    img = structure.sharp_image(mod)
     outside = g.index[("h", 0)]  # node 0 carries lambda, not in K
     with pytest.raises(ValueError, match="not supported"):
         img.sharp({outside: F1})
@@ -710,7 +715,7 @@ def test_sharp_rejects_unsupported_elements():
 def test_sharp_requires_a_complete_module():
     mod = _mod("a4", cell_cap=50)
     with pytest.raises(ValueError, match="did not stabilize"):
-        tha.sharp_image(mod)
+        structure.sharp_image(mod)
 
 
 # -- weight combinations and reflections ----------------------------------
@@ -719,43 +724,44 @@ def test_sharp_requires_a_complete_module():
 def test_f0_combination_coefficients():
     data = _DATA["a4"]()
     # theta vee of the two-node component: sub-labels (0, 1, 1)
-    coeffs = tha.f0_combination_coeffs(data, (0, 2, 3), (0, 1, 1))
+    coeffs = structure.f0_combination_coeffs(data, (0, 2, 3), (0, 1, 1))
     assert coeffs == {2: F1, 3: F1}
     # simple coroot alpha_0 vee: sub-labels = its Cartan column (2, 0, 0)
-    assert tha.f0_combination_coeffs(data, (0, 2, 3), (2, 0, 0)) == {0: F1}
+    assert structure.f0_combination_coeffs(
+        data, (0, 2, 3), (2, 0, 0)) == {0: F1}
 
 
 def test_f0_combination_rejects_bad_input():
     data = _DATA["a4"]()
     with pytest.raises(ValueError, match="expected 3"):
-        tha.f0_combination_coeffs(data, (0, 2, 3), (1, 0))
+        structure.f0_combination_coeffs(data, (0, 2, 3), (1, 0))
     # a singular zero-label block: affine 2x2 inside a 3-node diagram
     aff = CartanData([[2, -2, 0], [-2, 2, 0], [0, 0, 2]], lam=(0, 0, 1))
     with pytest.raises(ValueError, match="singular"):
-        tha.f0_combination_coeffs(aff, (0, 1), (1, 0))
+        structure.f0_combination_coeffs(aff, (0, 1), (1, 0))
 
 
 def test_coroot_combination_matches_simple_coroots():
     data = _DATA["a4"]()
     g = chevalley_realization(data)
-    h = tha.coroot_combination(g, (0, 2, 3), (2, 0, 0))
+    h = structure.coroot_combination(g, (0, 2, 3), (2, 0, 0))
     assert h == {g.index[("h", 0)]: F1}
 
 
 def test_weyl_reflection_on_cartan_elements():
     mod = _mod("a4")
-    g = mod.realization()
+    g = structure.realization(mod.data)
     sub, funds = _sub_and_funds(mod)
     for kpos, knode in enumerate(mod.k_nodes):
         alpha_k = tuple(Fraction(sub.a[t][kpos]) for t in range(sub.r))
         for mu in funds:
-            h = tha.coroot_combination(g, mod.k_nodes, mu)
-            out = tha.weyl_automorphism(g, knode, h)
+            h = structure.coroot_combination(g, mod.k_nodes, mu)
+            out = structure.weyl_automorphism(g, knode, h)
             c = sub.bilinear(alpha_k, mu)
             expect = vadd(h, {g.index[("h", knode)]: F1}, -c)
             assert vadd(out, expect, -F1) == {}
         si = g.simple_root_index(knode)
-        out = tha.weyl_automorphism(g, knode, {g.index[("e", si)]: F1})
+        out = structure.weyl_automorphism(g, knode, {g.index[("e", si)]: F1})
         assert out == {g.index[("f", si)]: -F1}
 
 
@@ -765,21 +771,21 @@ def test_weyl_reflection_transports_the_family():
         sub, funds = _sub_and_funds(mod)
         for kpos, knode in enumerate(mod.k_nodes):
             for mu in funds:
-                lhs = tha.weyl_automorphism(
-                    mod, knode, tha.f0_weight_combination(mod, mu))
-                rhs = tha.f0_weight_combination(
+                lhs = structure.weyl_automorphism(
+                    mod, knode, structure.f0_weight_combination(mod, mu))
+                rhs = structure.f0_weight_combination(
                     mod, weyl_reflect(sub, kpos, mu))
                 assert vadd(lhs, rhs, -F1) == {}
 
 
 def test_weyl_automorphism_rejects_other_targets():
     with pytest.raises(TypeError, match="target"):
-        tha.weyl_automorphism("nope", 0, {})
+        structure.weyl_automorphism("nope", 0, {})
 
 
 def test_exp_nilpotent_bound():
     with pytest.raises(ValueError, match="nilpotency bound"):
-        tha._exp_nilpotent(lambda v: v, {0: F1})
+        structure._exp_nilpotent(lambda v: v, {0: F1})
 
 
 # -- reduced relation sets -------------------------------------------------
@@ -788,12 +794,12 @@ def test_exp_nilpotent_bound():
 def test_mixed_raising_relations_are_redundant_simply_laced():
     for name in ("a2", "a4"):
         pres = tha.presentation(_DATA[name](), "W")
-        red = tha.reduced_presentation(pres)
+        red = structure.reduced_presentation(pres)
         mod = tha.build_minus1(red)
         assert mod.status == "complete"
         assert mod.decompose() == _mod(name).decompose()
         # the dropped instances already evaluate to zero
-        for rel in pres.relations_tagged("f0-raise-jk"):
+        for rel in structure.relations_tagged(pres, "f0-raise-jk"):
             vec = dict(mod.seed_vecs[rel.target])
             for op in reversed(rel.ops):
                 vec = mod.apply(op[0], op[1], vec)
@@ -803,7 +809,7 @@ def test_mixed_raising_relations_are_redundant_simply_laced():
 def test_square_relations_are_independent_at_module_level():
     # without them the span closure grows without bound
     pres = tha.presentation(_DATA["a2"](), "W")
-    red = tha.reduced_presentation(pres,
+    red = structure.reduced_presentation(pres,
                                    drop=("f0-raise-kk", "f0-lower-kk"))
     mod = tha.build_minus1(red, cell_cap=300)
     assert mod.status == "inconclusive"
@@ -814,7 +820,7 @@ def test_square_relations_are_independent_at_module_level():
 def test_reduced_presentation_requires_simply_laced():
     pres = tha.presentation(CartanData(G2, epsilon=(3, 1), lam=(0, 1)), "W")
     with pytest.raises(ValueError, match="simply-laced"):
-        tha.reduced_presentation(pres)
+        structure.reduced_presentation(pres)
 
 
 # -- structure hypotheses ---------------------------------------------------
@@ -822,30 +828,30 @@ def test_reduced_presentation_requires_simply_laced():
 
 def test_structure_hypotheses_met_on_examples():
     for name in ("a2", "a4", "d4"):
-        gate = tha.structure_hypotheses(_DATA[name]())
+        gate = structure.structure_hypotheses(_DATA[name]())
         assert gate["hypotheses_met"]
 
 
 def test_structure_hypotheses_flag_large_labels():
-    gate = tha.structure_hypotheses(CartanData(A1, lam=(2,)))
+    gate = structure.structure_hypotheses(CartanData(A1, lam=(2,)))
     assert not gate["hypotheses_met"]
     assert not gate["labels_ok"]
 
 
 def test_structure_hypotheses_flag_deep_pairings():
     data = CartanData(G2, epsilon=(3, 1), lam=(0, 1))
-    gate = tha.structure_hypotheses(data)
+    gate = structure.structure_hypotheses(data)
     assert not gate["hypotheses_met"]
     assert gate["labels_ok"]
     assert any(w.get("pairing", 0) < -1 for w in gate["witnesses"])
     with pytest.raises(ValueError, match="hypotheses fail"):
-        tha.expected_minus1_decomposition(data, "W")
+        structure.expected_minus1_decomposition(data, "W")
 
 
 def test_expected_decomposition_counts_components():
     data = _DATA["a4"]()
-    exp = tha.expected_minus1_decomposition(data, "W")
+    exp = structure.expected_minus1_decomposition(data, "W")
     assert [d for _, _, d in exp] == [10, 15, 40]
     assert sum(m * d for _, m, d in exp) == 65
-    exp_s = tha.expected_minus1_decomposition(data, "S")
+    exp_s = structure.expected_minus1_decomposition(data, "S")
     assert sum(m * d for _, m, d in exp_s) == 55

@@ -8,10 +8,13 @@ carries a product: words of one sign multiply by concatenation (with the
 enveloping-algebra reordering of degree-0 letters), and a product of
 opposite wings reduces pairwise through
 
-    x_{-1} y_{1} = -[[y_1, x_-1]] + <x_-1|y_1> L ,
-    x_{1} y_{-1} =  [[y_-1, x_1]] + <x_1|y_-1> L + <x_1|y_-1> ,
+    x_{-1} y_{1} = -[[x_-1, y_1]] + <x_-1|y_1> L ,
+    x_{1} y_{-1} =  [[x_1, y_-1]] + <x_1|y_-1> L + <x_1|y_-1> ,
 
 where [[-,-]] is the bracket of the local part, applied innermost first.
+For two odd letters [[x, y]] = [[y, x]]; written with x first, the rules
+hold for letters of either parity, which is what makes the product
+associative on x_{-1} u_0 z_1 when degree 0 has odd letters.
 The pairing changes sign under swapping its arguments when both are odd and
 keeps it when both are even.  The product is associative for X z Y with X a
 left-canonical word, Y right-canonical of the opposite wing and z a single
@@ -145,12 +148,12 @@ class LocAlgebra:
         (dx, ix), (_, iy) = x, y
         out: dict = {}
         if dx == -1:
-            br = self.local.bracket(1, iy, -1, ix)
+            br = self.local.bracket(-1, ix, 1, iy)
             for k, c in br.items():
                 vadd_into(out, {((0, k),): -c})
             pv = self._pair_np(ix, iy)
         else:
-            br = self.local.bracket(-1, iy, 1, ix)
+            br = self.local.bracket(1, ix, -1, iy)
             for k, c in br.items():
                 vadd_into(out, {((0, k),): c})
             pv = self._pair_pn(ix, iy)
