@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 # rref and kernel_basis stay bound here for tracers that wrap them by name.
-from .linalg import Span, kernel_basis, rref, vadd, vadd_into
+from .linalg import Span, kernel_basis, qnorm, rref, vadd, vadd_into
 from .graded import (
     GradedSuperalgebra,
     LocalSuperalgebra,
@@ -49,8 +48,6 @@ from .graded import (
     weight_block_quotient,
     wsum,
 )
-
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +115,11 @@ def root_subalgebra(data, local: LocalSuperalgebra, nodes) -> list:
     out = []
     for i, name in enumerate(local.zero_names):
         if name[0] == "h" and len(name) == 2 and name[1] in nodes:
-            out.append({i: _ONE})
+            out.append({i: 1})
         elif name[0] in ("e", "f") and len(name) == 2:
             coords = data.root_coords(local.zero_weights[i])
             if all(c == 0 for j, c in enumerate(coords) if j not in nodes):
-                out.append({i: _ONE})
+                out.append({i: 1})
     return out
 
 
@@ -140,7 +137,7 @@ def _vec_weight(local: LocalSuperalgebra, vec: dict) -> tuple:
 def products(xvec: dict, uvec: dict) -> dict:
     """Candidate coordinates ``{(p, j): c}`` of x u for a degree -1 vector
     x and a degree-0 vector u, meaning the sum of c x_p u_j."""
-    return {(p, j): Fraction(a) * b for p, a in xvec.items() if a
+    return {(p, j): qnorm(a * b) for p, a in xvec.items() if a
             for j, b in uvec.items() if b}
 
 
@@ -223,7 +220,7 @@ class Cartanification:
 
     def _zero_coords(self, vec: dict) -> dict | None:
         """As ``zero_class``, but None for a vector outside the span."""
-        vec = {i: Fraction(c) for i, c in vec.items() if c}
+        vec = {i: qnorm(c) for i, c in vec.items() if c}
         if not vec:
             return {}
         return self._zero_solver.express(vec, _vec_weight(self.source, vec))
@@ -244,7 +241,7 @@ def local_cartanification(local: LocalSuperalgebra,
 
     rbasis = None
     if restriction is not None:
-        rbasis = [{i: Fraction(c) for i, c in v.items() if c}
+        rbasis = [{i: qnorm(c) for i, c in v.items() if c}
                   for v in restriction]
         rsolver = WeightedSolver()
         for v in rbasis:
@@ -282,8 +279,7 @@ def local_cartanification(local: LocalSuperalgebra,
         out: dict = {}
         for k, a in local.bracket(0, u, -1, p).items():
             vadd_into(out, classes[(k, j)], a)
-        sign = -_ONE if local.zero_parities[u] and local.neg_parities[p] \
-            else _ONE
+        sign = -1 if local.zero_parities[u] and local.neg_parities[p] else 1
         for m, a in local.bracket(0, u, 0, j).items():
             vadd_into(out, classes[(p, m)], sign * a)
         return out
@@ -301,7 +297,7 @@ def local_cartanification(local: LocalSuperalgebra,
     # quotient to close, so each candidate must move as its class does.
     for c, cls in classes.items():
         for u in range(nzero):
-            if vadd(moved(u, c), move({u: _ONE}, cls), -_ONE):
+            if vadd(moved(u, c), move({u: 1}, cls), -1):
                 raise ValueError("peripheral kernel is not invariant "
                                  "under degree-0 brackets")
 
@@ -309,19 +305,19 @@ def local_cartanification(local: LocalSuperalgebra,
     minus_solver = WeightedSolver()
     if rbasis is None:
         for t, (w, _) in enumerate(kept):
-            minus_solver.add({t: _ONE}, w)
+            minus_solver.add({t: 1}, w)
     else:
         # Seed with f_0 y_0 and close under the degree-0 action inside the
         # weak quotient.
         queue = []
         for y in rbasis:
-            cls, w = result._pivot_class(products({0: _ONE}, y))
+            cls, w = result._pivot_class(products({0: 1}, y))
             if cls and minus_solver.add(cls, w):
                 queue.append((w, cls))
         while queue:
             w, cls = queue.pop()
             for u in range(nzero):
-                mcls = move({u: _ONE}, cls)
+                mcls = move({u: 1}, cls)
                 if not mcls:
                     continue
                 mw = wsum(local.zero_weights[u], w)
@@ -386,7 +382,7 @@ def local_cartanification(local: LocalSuperalgebra,
     b0p = {}
     for s, us in enumerate(zero_basis):
         for q in range(npos):
-            br = local.bracket_vec(0, us, 1, {q: _ONE})
+            br = local.bracket_vec(0, us, 1, {q: 1})
             if br:
                 b0p[(s, q)] = br
     b0m = {}
@@ -408,8 +404,8 @@ def local_cartanification(local: LocalSuperalgebra,
         for q, vec in per_q.items():
             cls = in_zero(vec, _vec_weight(local, vec))
             if cls:
-                sign = -_ONE if (local.pos_parities[q]
-                                 and neg_parities[t]) else _ONE
+                sign = -1 if (local.pos_parities[q]
+                              and neg_parities[t]) else 1
                 bpm[(q, t)] = {k: -sign * c for k, c in cls.items()}
 
     result.zero_basis = zero_basis

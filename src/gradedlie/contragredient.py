@@ -28,24 +28,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import GradedSuperalgebra, LocalSuperalgebra, minimal_extension
-from .linalg import RatMatrix, inverse
+from .linalg import RatMatrix, inverse, qnorm
 from .rootsys import EXT, CartanData, chevalley_realization
 from . import graded
 
 __all__ = ["build_local", "build_graded"]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-def _h0_eigenvalue(data: CartanData, mu) -> Fraction:
+def _h0_eigenvalue(data: CartanData, mu) -> int | Fraction:
     """h_0 eigenvalue on a vector whose g-weight is nu = mu - lambda.
 
     mu = nu + lambda is a sum of simple roots, mu = sum c_j alpha_j, and
     each raising step along alpha_j contributes B_0j = -lambda_j/eps_j.
     """
-    return sum((c * data.extended_entry(EXT, j)
-                for j, c in enumerate(data.root_coords(mu))), _ZERO)
+    return qnorm(sum(c * data.extended_entry(EXT, j)
+                     for j, c in enumerate(data.root_coords(mu))))
 
 
 def build_local(data: CartanData) -> LocalSuperalgebra:
@@ -65,10 +62,9 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
     nm = mod.dim
 
     zero_names = list(g.names) + [("h0",)]
-    zero_weights = list(g.weights) + [tuple(_ZERO for _ in range(r))]
+    zero_weights = list(g.weights) + [(0,) * r]
     pos_weights = [tuple(w) for w in mod.weights]
-    lam_w = data.lam_weight
-    h0_eig = [_h0_eigenvalue(data, tuple(w + l for w, l in zip(nu, lam_w)))
+    h0_eig = [_h0_eigenvalue(data, tuple(w + l for w, l in zip(nu, data.lam)))
               for nu in pos_weights]
 
     b00: dict = {}
@@ -87,7 +83,7 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
             b0p[(a, src)] = dict(vec)
             for tgt, c in vec.items():
                 cur = b0m.setdefault((a, tgt), {})
-                cur[src] = cur.get(src, _ZERO) - c
+                cur[src] = cur.get(src, 0) - c
     for p in range(nm):
         if h0_eig[p]:
             b0p[(h0, p)] = {p: h0_eig[p]}
@@ -119,7 +115,7 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
     for q in range(nm):
         col_acts = [(y, b0p.get((y, q), {})) for y in range(n0)]
         for p in range(nm):
-            rhs = [_ZERO] * n0
+            rhs = [0] * n0
             for y, vec in col_acts:
                 c = vec.get(p)
                 if c:
@@ -129,12 +125,12 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
             if vec:
                 bpm[(q, p)] = vec
 
-    embedding = {("h0",): {h0: _ONE}}
+    embedding = {("h0",): {h0: 1}}
     for i in range(r):
         si = g.simple_root_index(i)
-        embedding[("e", i)] = {g.index[("e", si)]: _ONE}
-        embedding[("f", i)] = {g.index[("f", si)]: _ONE}
-        embedding[("h", i)] = {g.index[("h", i)]: _ONE}
+        embedding[("e", i)] = {g.index[("e", si)]: 1}
+        embedding[("f", i)] = {g.index[("f", si)]: 1}
+        embedding[("h", i)] = {g.index[("h", i)]: 1}
 
     grading = {}
     for k in [h0] + [g.index[("h", i)] for i in range(r)]:
@@ -153,7 +149,7 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
         pos_weights=pos_weights,
         pos_parities=[1] * nm,
         b00=b00, b0m=b0m, b0p=b0p, bpm=bpm,
-        pairing={(p, p): _ONE for p in range(nm)},
+        pairing={(p, p): 1 for p in range(nm)},
         grading=grading,
         embedding=embedding,
     )

@@ -34,10 +34,10 @@ per u, each with a flag: whether it enters T negated, which with the sign
 (-1)^{|z||u|} depends only on |u|, |a| and |z|.  A term then adds the
 image scaled by c or by -c, so a sign costs no multiplication.  Only the
 z with [z, u] != 0 or [z, x] != 0 are visited, and zero T-values are not
-stored.  The weight blocks are keyed by integer tuples, the weights scaled
-once by the lcm of all their denominators, which keeps the sorted block
-order; the ``Fraction`` weight of a new basis element is summed only for
-the kept candidates.
+stored.  The weight blocks are keyed by the summed weights, integer tuples
+on Cartan data (every weight entry is in ``linalg``'s normal form); the
+weight of a new basis element is brought to normal form only for the kept
+candidates.
 
 That quotient step -- candidates modulo the kernel of their T-values, one
 weight block at a time -- is the one function ``weight_block_quotient``.
@@ -54,13 +54,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .linalg import (
     kernel_basis,
     mat_apply,
+    qnorm,
     rref,
     stack_columns,
     vadd,
@@ -81,14 +81,24 @@ __all__ = [
     "lowest_weight_module",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-Vec = dict  # sparse coefficient vector: index -> Fraction
+# sparse coefficient vector: index -> value, in linalg's normal form (an
+# ``int`` when integral, a ``Fraction`` otherwise; ``linalg.qnorm``), and
+# divided only through ``linalg.qdiv``
+Vec = dict
 
 
 def wsum(wa: tuple, wb: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(wa, wb))
+    """The sum of two weights, in normal form."""
+    return tuple(map(qnorm, map(add, wa, wb)))
+
+
+def _normalize(vecs: Iterable[Vec]) -> None:
+    """Bring every value of the given sparse vectors to normal form, in
+    place."""
+    for vec in vecs:
+        for k, c in vec.items():
+            if type(c) is not int:
+                vec[k] = qnorm(c)
 
 
 @dataclass
@@ -106,6 +116,8 @@ class LocalSuperalgebra:
     * ``grading`` = degree-0 coordinates of the grading element (optional);
     * ``embedding`` optionally records degree-0 coordinates of named
       elements when the degree-0 basis is synthetic (cartanifications).
+
+    Construction brings every weight entry and table value to normal form.
     """
 
     neg_names: list
@@ -124,6 +136,16 @@ class LocalSuperalgebra:
     pairing: dict | None = None
     grading: Vec | None = None
     embedding: dict | None = None
+
+    def __post_init__(self):
+        self.neg_weights = [tuple(map(qnorm, w)) for w in self.neg_weights]
+        self.zero_weights = [tuple(map(qnorm, w)) for w in self.zero_weights]
+        self.pos_weights = [tuple(map(qnorm, w)) for w in self.pos_weights]
+        _normalize([*self.b00.values(), *self.b0m.values(),
+                    *self.b0p.values(), *self.bpm.values(),
+                    *(self.embedding or {}).values(),
+                    *(v for v in (self.pairing, self.grading)
+                      if v is not None)])
 
     @property
     def nneg(self) -> int:
@@ -151,7 +173,7 @@ class LocalSuperalgebra:
         if self.embedding is not None and name in self.embedding:
             return dict(self.embedding[name])
         if name in self.zero_names:
-            return {self.zero_names.index(name): _ONE}
+            return {self.zero_names.index(name): 1}
         return None
 
     # -- local brackets ----------------------------------------------------
@@ -170,8 +192,8 @@ class LocalSuperalgebra:
         if da + db > 1 or da + db < -1:
             raise ValueError("bracket of degrees %d and %d leaves the slice"
                              % (da, db))
-        sign = -_ONE if (self.parities_at(da)[a] and self.parities_at(db)[b]) \
-            else _ONE
+        sign = -1 if (self.parities_at(da)[a] and self.parities_at(db)[b]) \
+            else 1
         return vscale(self.bracket(db, b, da, a), -sign)
 
     def bracket_vec(self, da: int, va: Vec, db: int, vb: Vec) -> Vec:
@@ -181,8 +203,8 @@ class LocalSuperalgebra:
                 vadd_into(out, self.bracket(da, a, db, b), ca * cb)
         return out
 
-    def pair(self, x: int, z: int) -> Fraction:
-        return self.pairing.get((x, z), _ZERO)
+    def pair(self, x: int, z: int) -> int | Fraction:
+        return self.pairing.get((x, z), 0)
 
 
 def check_local_axioms(local: LocalSuperalgebra) -> dict:
@@ -216,14 +238,14 @@ def check_local_axioms(local: LocalSuperalgebra) -> dict:
                 for k in range(n3):
                     # [[x,y],z] = [x,[y,z]] - (-1)^{|x||y|} [y,[x,z]]
                     lhs = local.bracket_vec(
-                        d1 + d2, local.bracket(d1, i, d2, j), d3, {k: _ONE})
+                        d1 + d2, local.bracket(d1, i, d2, j), d3, {k: 1})
                     rhs = local.bracket_vec(
-                        d1, {i: _ONE}, d2 + d3, local.bracket(d2, j, d3, k))
-                    sgn = -_ONE if (p1[i] and p2[j]) else _ONE
+                        d1, {i: 1}, d2 + d3, local.bracket(d2, j, d3, k))
+                    sgn = -1 if (p1[i] and p2[j]) else 1
                     rhs = vadd(rhs, local.bracket_vec(
-                        d2, {j: _ONE}, d1 + d3, local.bracket(d1, i, d3, k)),
+                        d2, {j: 1}, d1 + d3, local.bracket(d1, i, d3, k)),
                         -sgn)
-                    if vadd(lhs, rhs, -_ONE):
+                    if vadd(lhs, rhs, -1):
                         failures.append({"degrees": list(pat),
                                          "indices": [i, j, k]})
     record("jacobi_in_range", failures,
@@ -233,9 +255,9 @@ def check_local_axioms(local: LocalSuperalgebra) -> dict:
         failures = []
         for d in (-1, 0, 1):
             for k in range(len(local.names_at(d))):
-                got = local.bracket_vec(0, local.grading, d, {k: _ONE})
-                want = {k: Fraction(d)} if d else {}
-                if vadd(got, want, -_ONE):
+                got = local.bracket_vec(0, local.grading, d, {k: 1})
+                want = {k: d} if d else {}
+                if vadd(got, want, -1):
                     failures.append({"degree": d, "index": k})
         record("grading_element", failures, "[L, x_k] = k x_k")
 
@@ -254,11 +276,9 @@ def check_local_axioms(local: LocalSuperalgebra) -> dict:
             for x in range(local.nneg):
                 xy = local.bracket(-1, x, 0, a)
                 for z in range(local.npos):
-                    lhs = sum((c * local.pair(x2, z) for x2, c in xy.items()),
-                              _ZERO)
+                    lhs = sum(c * local.pair(x2, z) for x2, c in xy.items())
                     yz = local.bracket(0, a, 1, z)
-                    rhs = sum((c * local.pair(x, z2) for z2, c in yz.items()),
-                              _ZERO)
+                    rhs = sum(c * local.pair(x, z2) for z2, c in yz.items())
                     if lhs != rhs:
                         failures.append({"zero": a, "neg": x, "pos": z})
         record("pairing_invariance", failures,
@@ -334,7 +354,7 @@ class GradedSuperalgebra:
         return da + db, out
 
     def _anti(self, da: int, i: int, db: int, j: int) -> Vec:
-        sign = -_ONE if (self.parity(da, i) and self.parity(db, j)) else _ONE
+        sign = -1 if (self.parity(da, i) and self.parity(db, j)) else 1
         return vscale(self._bb(db, j, da, i), -sign)
 
     def _bb(self, da: int, i: int, db: int, j: int) -> Vec:
@@ -363,16 +383,16 @@ class GradedSuperalgebra:
                 return dict(self.layers[db].opp_map[i].get(j, {}))
             if db == -1:
                 # positive layers store [x_{-1}, u] directly
-                sign = -_ONE if (self.parity(da, i)
-                                 and self.parity(-1, j)) else _ONE
+                sign = -1 if (self.parity(da, i)
+                              and self.parity(-1, j)) else 1
                 return vscale(self.layers[da].opp_map[j].get(i, {}), -sign)
         else:
             if da == s:
                 if db == s:
                     return dict(self.layers[2 * s].reduce[(i, j)])
                 # [x_s, v_q] = -(-1)^{|x||v|} [v_q, x_s]
-                sign = -_ONE if (self.parity(s, i)
-                                 and self.parity(db, j)) else _ONE
+                sign = -1 if (self.parity(s, i)
+                              and self.parity(db, j)) else 1
                 return vscale(self.layers[db + s].reduce[(j, i)], -sign)
             if db == s:
                 # [u, x_s] is the tensor definition of the next layer
@@ -385,7 +405,7 @@ class GradedSuperalgebra:
         out = self._bracket_vec_left(da - s, u, db + s, self._bb(s, x, db, j))
         out2 = self._bracket_vec_left(s, x, da - s + db,
                                       self._bb(da - s, u, db, j))
-        sgn = -_ONE if (pu and px) else _ONE
+        sgn = -1 if (pu and px) else 1
         return vadd_into(out, out2, -sgn)
 
     def _bracket_vec_left(self, da: int, i: int, db: int, vb: Vec) -> Vec:
@@ -418,8 +438,8 @@ def _local_layers(local: LocalSuperalgebra) -> dict[int, Layer]:
             opp_m[z][x] = dict(vec)
     opp_p = [dict() for _ in range(nneg)]   # [x, z] for z at degree +1
     for (z, x), vec in local.bpm.items():
-        sign = -_ONE if (local.pos_parities[z]
-                         and local.neg_parities[x]) else _ONE
+        sign = -1 if (local.pos_parities[z]
+                      and local.neg_parities[x]) else 1
         w = vscale(vec, -sign)
         if w:
             opp_p[x][z] = w
@@ -526,14 +546,9 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
                         vadd_into(out, hit[0], -c if hit[1] else c)
             t_vals[cand] = {z: vec for z, vec in vals.items() if vec}
 
-    # block keys: the weights over one common denominator, as integers;
-    # scaling by a positive integer keeps the sorted block order
-    den = lcm(*(Fraction(c).denominator
-                for w in (*prev.weights, *unit.weights) for c in w))
-    prev_key, unit_key = ([tuple(int(c * den) for c in w) for w in weights]
-                          for weights in (prev.weights, unit.weights))
     kept, reduce_map = weight_block_quotient(
-        cands, (tuple(map(add, prev_key[u], unit_key[x])) for u, x in cands),
+        cands, (tuple(map(add, prev.weights[u], unit.weights[x]))
+                for u, x in cands),
         (t_vals[cand] for cand in cands))
     if k == 1:
         for u in range(prev.dim):
@@ -755,7 +770,7 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
         for src in range(dim):
             c = weights[src][i]
             if c:
-                hmat[src] = {src: Fraction(c)}
+                hmat[src] = {src: c}
         act[g.index[("h", i)]] = hmat
     simple = {"e": raise_m, "f": lower_m}
     memo: dict = {}

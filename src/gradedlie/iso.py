@@ -57,7 +57,6 @@ the cartanification against the contragredient construction directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import tha
 from .cartan import Cartanification, cartanify, products
@@ -71,8 +70,6 @@ from .rootsys import (
     jk_partition,
     pseudo_minuscule_failure,
 )
-
-_ONE = Fraction(1)
 
 
 def require_pseudo_minuscule(data: CartanData) -> None:
@@ -136,9 +133,9 @@ def phi_assignment(
             assignment[(kind, i)] = (
                 0, cart.zero_class(local.zero_coords_of((kind, i))))
     assignment[("h0",)] = (0, cart.zero_class(local.zero_coords_of(("h0",))))
-    assignment[("e0",)] = (1, {0: _ONE})
+    assignment[("e0",)] = (1, {0: 1})
 
-    f0 = {0: -_ONE}
+    f0 = {0: -1}
     family_images: dict = {}
     for i in pres.family:
         h_i = local.zero_coords_of(("h0",) if i == tha.EXT else ("h", i))
@@ -164,7 +161,7 @@ def pseudo_minuscule_identities(
       for every node j with lambda_j != 0.
     """
     local = cart.source
-    f0 = {0: -_ONE}
+    f0 = {0: -1}
     checks = []
 
     h0_plus_l = vadd(local.zero_coords_of(("h0",)), local.grading)
@@ -181,7 +178,7 @@ def pseudo_minuscule_identities(
                 data.lam, local.zero_weights[k]) != 1:
             continue
         instances += 1
-        residual = cart.minus1_class(products(f0, {k: _ONE}))
+        residual = cart.minus1_class(products(f0, {k: 1}))
         if residual:
             raise_violations.append(
                 {"root": tuple(int(c) for c in
@@ -202,7 +199,7 @@ def pseudo_minuscule_identities(
             diff = vadd(
                 products(f0, f_j),
                 products(local.bracket_vec(-1, f0, 0, f_j), h_j),
-                Fraction(-1),
+                -1,
             )
             residual = cart.minus1_class(diff)
             if residual:

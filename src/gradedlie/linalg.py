@@ -1,23 +1,29 @@
 """Exact rational sparse linear algebra shared by every engine.
 
-A ``RatMatrix`` is a mapping ``(row, col) -> Fraction`` with no
-explicit zeros.  What is derived from it (echelon forms, kernel bases,
-inverses) is read off the unique reduced row-echelon form, so it depends
-on the entries alone and is reproducible run to run.  All arithmetic is
-exact: values are ``fractions.Fraction`` throughout, reduced by
-construction, and no floating-point path exists anywhere in the package.
-The one elimination kernel behind ``rref``, ``rank``, ``kernel_basis``
-and ``inverse`` clears denominators and works on integer rows, returning
-``Fraction``s.
+Every scalar the package stores is an exact rational in one normal form:
+an ``int`` when it is integral, and otherwise a ``fractions.Fraction``
+with denominator greater than 1.  ``qnorm`` brings a value to that form
+and ``qdiv`` is the package's one division, exact and in normal form
+(``int / int`` would be a float).  On Cartan data almost every structure
+constant, class coefficient and weight is a small integer, so the
+arithmetic runs on ``int`` and a ``Fraction`` appears only where a value
+is not integral.  No floating-point path exists anywhere in the package.
+
+A ``RatMatrix`` is a mapping ``(row, col) -> value`` with no explicit
+zeros.  What is derived from it (echelon forms, kernel bases, inverses)
+is read off the unique reduced row-echelon form, so it depends on the
+entries alone and is reproducible run to run.  The one elimination
+kernel behind ``rref``, ``rank``, ``kernel_basis`` and ``inverse`` clears
+denominators and works on integer rows.
 
 The engines also share the helpers below on sparse objects without a
-fixed shape: sparse vectors ``{index: Fraction}`` (``vadd_into``,
-``vadd``, ``vscale``), column-sparse matrices ``{src: {tgt: Fraction}}``
+fixed shape: sparse vectors ``{index: value}`` (``vadd_into``, ``vadd``,
+``vscale``), column-sparse matrices ``{src: {tgt: value}}``
 (``mat_apply``, ``mat_compose``, ``mat_sub``, ``mat_scale``), the
 incremental ``Span`` of sparse vectors, which also gives a vector's
 coordinates over its basis, and ``stack_columns``, which
 turns one weight block of sparse columns into a ``RatMatrix``.  None of
-them stores a zero.
+them stores a zero, and each stores only normal-form values.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 __all__ = [
+    "qnorm",
+    "qdiv",
     "RatMatrix",
     "rref",
     "rank",
@@ -43,21 +51,37 @@ __all__ = [
     "stack_columns",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# -- exact scalars ---------------------------------------------------------
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def qnorm(x) -> int | Fraction:
+    """The normal form of an exact rational: an ``int`` when it is
+    integral, a ``Fraction`` otherwise.  Accepts what ``Fraction`` does,
+    so a ``bool`` or a "p/q" string comes back as a number."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-# -- sparse vectors {index: Fraction} -----------------------------------------
+def qdiv(a, b) -> int | Fraction:
+    """a / b, exact and in normal form."""
+    if type(a) is Fraction or type(b) is Fraction:
+        q = a / b
+        return q.numerator if q.denominator == 1 else q
+    q, rem = divmod(a, b)
+    return Fraction(a, b) if rem else q
 
 
-def vadd_into(out: dict, b: Mapping, scale=_ONE) -> dict:
+# -- sparse vectors {index: value} --------------------------------------------
+
+
+def vadd_into(out: dict, b: Mapping, scale=1) -> dict:
     """out += scale * b, in place, dropping entries that cancel; returns out.
 
-    A scale of 1 or -1 adds ``b`` or ``-b`` without a multiplication."""
+    A scale of 1 or -1 adds ``b`` or ``-b`` without a multiplication.
+    Each stored value is brought to normal form."""
     unit = scale == 1
     negate = not unit and scale == -1
     for k, v in b.items():
@@ -66,31 +90,37 @@ def vadd_into(out: dict, b: Mapping, scale=_ONE) -> dict:
         elif not unit:
             v = scale * v
         s = out.get(k)
-        if s is None:
-            if v:
-                out[k] = _frac(v)
-        else:
-            s += v
-            if s:
-                out[k] = s
-            else:
+        if s is not None:
+            v += s
+            if not v:
                 del out[k]
+                continue
+        elif not v:
+            continue
+        if type(v) is Fraction and v.denominator == 1:
+            v = v.numerator
+        out[k] = v
     return out
 
 
-def vadd(a: Mapping, b: Mapping, scale=_ONE) -> dict:
+def vadd(a: Mapping, b: Mapping, scale=1) -> dict:
     """a + scale * b as a new vector."""
     return vadd_into(dict(a), b, scale)
 
 
 def vscale(a: Mapping, c) -> dict:
-    """c * a as a new vector."""
+    """c * a as a new vector; a scale of 1 or -1 copies or negates ``a``
+    without a multiplication."""
+    if c == 1:
+        return dict(a)
+    if c == -1:
+        return {k: -v for k, v in a.items()}
     if not c:
         return {}
-    return {k: c * v for k, v in a.items()}
+    return {k: qnorm(c * v) for k, v in a.items()}
 
 
-# -- column-sparse matrices {src: {tgt: Fraction}} ----------------------------
+# -- column-sparse matrices {src: {tgt: value}} -------------------------------
 
 
 def mat_apply(mat: Mapping, vec: Mapping) -> dict:
@@ -117,7 +147,7 @@ def mat_sub(ma: Mapping, mb: Mapping) -> dict:
     """ma - mb."""
     out = {src: dict(vec) for src, vec in ma.items()}
     for src, vec in mb.items():
-        if not vadd_into(out.setdefault(src, {}), vec, -_ONE):
+        if not vadd_into(out.setdefault(src, {}), vec, -1):
             del out[src]
     return out
 
@@ -126,8 +156,7 @@ def mat_scale(mat: Mapping, c) -> dict:
     """c * mat."""
     if not c:
         return {}
-    return {src: {tgt: v * c for tgt, v in vec.items()}
-            for src, vec in mat.items()}
+    return {src: vscale(vec, c) for src, vec in mat.items()}
 
 
 class RatMatrix:
@@ -148,15 +177,14 @@ class RatMatrix:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], int | Fraction] = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError("entry (%d,%d) outside %dx%d matrix"
                                      % (i, j, rows, cols))
-                fv = _frac(v)
-                if fv:
-                    clean[(i, j)] = fv
+                if v:
+                    clean[(i, j)] = qnorm(v)
         self.entries = clean
 
     # -- constructors ------------------------------------------------------
@@ -170,21 +198,20 @@ class RatMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                if v:
-                    ent[(i, j)] = _frac(v)
+                ent[(i, j)] = v
         return cls(rows, cols, ent)
 
     @classmethod
     def identity(cls, n: int) -> RatMatrix:
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     # -- accessors ---------------------------------------------------------
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
+    def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
-        return self.entries.get((i, j), _ZERO)
+        return self.entries.get((i, j), 0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix) and self.rows == other.rows
@@ -196,29 +223,29 @@ class RatMatrix:
         return "RatMatrix(%d, %d, %d nonzero)" % (
             self.rows, self.cols, len(self.entries))
 
-    def mul_vec(self, v: Sequence) -> tuple[Fraction, ...]:
+    def mul_vec(self, v: Sequence) -> tuple[int | Fraction, ...]:
         """Matrix-vector product, returning a dense tuple."""
         if len(v) != self.cols:
             raise ValueError("mul_vec: length %d != cols %d" % (len(v), self.cols))
-        out = [_ZERO] * self.rows
+        out = [0] * self.rows
         for (i, j), a in self.entries.items():
             x = v[j]
             if x:
-                out[i] += a * _frac(x)
-        return tuple(out)
+                out[i] += a * x
+        return tuple(map(qnorm, out))
 
 
 # -- echelon forms and derived data ---------------------------------------
 
 
-def _row_dicts(m: RatMatrix) -> list[dict[int, Fraction]]:
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(m.rows)]
+def _row_dicts(m: RatMatrix) -> list[dict]:
+    rows: list[dict] = [dict() for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
     return rows
 
 
-def _reduce(rows: list[dict[int, Fraction]], cols: int) -> list[int]:
+def _reduce(rows: list[dict], cols: int) -> list[int]:
     """In-place Gauss-Jordan reduction; returns the pivot column list.
 
     Pivot selection is deterministic: scan columns left to right, take the
@@ -231,8 +258,8 @@ def _reduce(rows: list[dict[int, Fraction]], cols: int) -> list[int]:
     unchanged.  A row with entry ``f`` in the column of a pivot ``p``
     becomes ``(p * row - f * pivot_row) / gcd(p, f)`` and is then divided
     by the gcd of its entries, so every row stays primitive and its
-    integers stay small.  Only the returned rows are turned back into
-    ``Fraction``s, each divided by its pivot entry.
+    integers stay small.  Only the returned rows are divided by their
+    pivot entries, back to normal-form rationals.
     """
     nrows = len(rows)
     irows: list[dict[int, int]] = []
@@ -279,7 +306,8 @@ def _reduce(rows: list[dict[int, Fraction]], cols: int) -> list[int]:
     for i, row in enumerate(irows):
         if i < r:
             pc = row[pivots[i]]
-            rows[i] = {k: Fraction(v, pc) for k, v in row.items()}
+            rows[i] = row if pc == 1 else {k: qdiv(v, pc)
+                                            for k, v in row.items()}
         else:
             rows[i] = {}
     return pivots
@@ -309,7 +337,7 @@ def rank(m: RatMatrix) -> int:
     return len(_reduce(rows, m.cols))
 
 
-def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+def kernel_basis(m: RatMatrix) -> list[tuple[int | Fraction, ...]]:
     """Basis of the right null space {v : M v = 0}.
 
     One vector per free column, in increasing free-column order, with a 1 in
@@ -324,8 +352,8 @@ def kernel_basis(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     for fc in range(m.cols):
         if fc in pivot_set:
             continue
-        v = [_ZERO] * m.cols
-        v[fc] = _ONE
+        v = [0] * m.cols
+        v[fc] = 1
         for c in pivots:
             val = rows[prow[c]].get(fc)
             if val:
@@ -367,7 +395,7 @@ class Span:
         for b in self.rows:
             lead = min(b)
             if v.get(lead):
-                vadd_into(v, b, -(v[lead] / b[lead]))
+                vadd_into(v, b, -qdiv(v[lead], b[lead]))
         if not v:
             return False
         self.rows.append(v)
@@ -387,7 +415,7 @@ class Span:
             lead = min(b)
             c = v.get(lead)
             if c:
-                vadd_into(v, b, -(c / b[lead]))
+                vadd_into(v, b, -qdiv(c, b[lead]))
                 out[k] = c
         return None if v else out
 
@@ -396,7 +424,7 @@ class Span:
         out = []
         for v in self.rows:
             lead = v[min(v)]
-            out.append({i: c / lead for i, c in v.items()})
+            out.append({i: qdiv(c, lead) for i, c in v.items()})
         return out
 
 
@@ -407,7 +435,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
     n = m.rows
     aug = dict(m.entries)
     for i in range(n):
-        aug[(i, n + i)] = _ONE
+        aug[(i, n + i)] = 1
     red, pivots = rref(RatMatrix(n, 2 * n, aug))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -1,7 +1,8 @@
 """Cartan matrices, bilinear forms, root systems, and Chevalley realizations.
 
 Weights are plain tuples of rationals in the fundamental-weight basis
-(Dynkin labels); roots carry their simple-root coordinates together with
+(Dynkin labels), each entry in ``linalg``'s normal form (an ``int`` when
+integral); roots carry their simple-root coordinates together with
 their norm under the invariant form.  Conventions:
 
 * ``A`` is the Cartan matrix, ``epsilon`` the symmetrizer making
@@ -44,6 +45,8 @@ from .linalg import (
     mat_compose,
     mat_scale,
     mat_sub,
+    qdiv,
+    qnorm,
     rank,
     vadd_into,
 )
@@ -65,9 +68,6 @@ __all__ = [
     "root_action",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 EXT = -1  # index of the odd node in ``CartanData.extended_entry``
 
 
@@ -76,8 +76,8 @@ class Root:
     """A root: simple-root coordinates plus norm data under the form."""
 
     coords: tuple[int, ...]
-    labels: tuple[Fraction, ...]
-    norm: Fraction
+    labels: tuple[int | Fraction, ...]
+    norm: int | Fraction
 
     @property
     def height(self) -> int:
@@ -100,7 +100,7 @@ class CartanData:
             raise ValueError("Cartan matrix must be square")
         if epsilon is None:
             epsilon = [1] * self.r
-        self.epsilon = tuple(Fraction(e) for e in epsilon)
+        self.epsilon = tuple(qnorm(e) for e in epsilon)
         if lam is None:
             lam = [0] * self.r
         self.lam = tuple(int(x) for x in lam)
@@ -129,47 +129,43 @@ class CartanData:
 
     # -- weight arithmetic ----------------------------------------------
 
-    def fundamental(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(_ONE if j == i else _ZERO for j in range(self.r))
+    def fundamental(self, i: int) -> tuple[int, ...]:
+        return tuple(1 if j == i else 0 for j in range(self.r))
 
-    def weight(self, labels: Sequence) -> tuple[Fraction, ...]:
+    def weight(self, labels: Sequence) -> tuple[int | Fraction, ...]:
         if len(labels) != self.r:
             raise ValueError("label vector has wrong length")
-        return tuple(Fraction(x) for x in labels)
+        return tuple(map(qnorm, labels))
 
-    @property
-    def lam_weight(self) -> tuple[Fraction, ...]:
-        return self.weight(self.lam)
-
-    def bilinear(self, mu: Sequence, nu: Sequence) -> Fraction:
+    def bilinear(self, mu: Sequence, nu: Sequence) -> int | Fraction:
         """(mu, nu) = sum c_i nu_i / epsilon_i with c = A^{-1} m."""
         nu = self.weight(nu)
-        return sum((c * n / e for c, n, e in
-                    zip(self.root_coords(mu), nu, self.epsilon) if c and n),
-                   _ZERO)
+        return qnorm(sum(qdiv(c * n, e) for c, n, e in
+                         zip(self.root_coords(mu), nu, self.epsilon)
+                         if c and n))
 
-    def root_coords(self, mu: Sequence) -> tuple[Fraction, ...]:
+    def root_coords(self, mu: Sequence) -> tuple[int | Fraction, ...]:
         """Coordinates of mu in the simple-root basis: A^{-1} m."""
         return self.a_inv.mul_vec(self.weight(mu))
 
-    def labels_of_root(self, coords: Sequence) -> tuple[Fraction, ...]:
+    def labels_of_root(self, coords: Sequence) -> tuple[int | Fraction, ...]:
         """Label vector of sum c_i alpha_i: m = A c."""
-        return self.a_mat.mul_vec([Fraction(c) for c in coords])
+        return self.a_mat.mul_vec(coords)
 
-    def wedge(self, mu: Sequence) -> tuple[Fraction, ...]:
+    def wedge(self, mu: Sequence) -> tuple[int | Fraction, ...]:
         """mu^wedge = sum (mu_i / epsilon_i) Lambda_i."""
-        return tuple(Fraction(m) / e for m, e in zip(mu, self.epsilon))
+        return tuple(qdiv(m, e) for m, e in zip(mu, self.epsilon))
 
-    def vee(self, mu: Sequence) -> tuple[Fraction, ...]:
+    def vee(self, mu: Sequence) -> tuple[int | Fraction, ...]:
         """mu^veecheck = sum (epsilon_i mu_i) Lambda_i."""
-        return tuple(Fraction(m) * e for m, e in zip(mu, self.epsilon))
+        return tuple(qnorm(m * e) for m, e in zip(mu, self.epsilon))
 
     def is_dominant_integral(self, mu: Sequence) -> bool:
-        return all(Fraction(m).denominator == 1 and m >= 0 for m in mu)
+        return all(type(m) is int and m >= 0 for m in map(qnorm, mu))
 
-    def root_pairing(self, mu: Sequence, root: Root) -> Fraction:
+    def root_pairing(self, mu: Sequence, root: Root) -> int | Fraction:
         """(mu^veecheck, alpha) = sum_k c_k mu_k for a root alpha."""
-        return sum((Fraction(m) * c for m, c in zip(mu, root.coords)), _ZERO)
+        return qnorm(sum(m * c for m, c in zip(map(qnorm, mu), root.coords)))
 
     # -- diagram structure ------------------------------------------------
 
@@ -200,16 +196,16 @@ class CartanData:
         return CartanData(sub, [self.epsilon[i] for i in nodes],
                           [self.lam[i] for i in nodes])
 
-    def extended_entry(self, i: int, j: int) -> Fraction:
+    def extended_entry(self, i: int, j: int) -> int | Fraction:
         """Entry B_ij of the matrix extended by one odd node; EXT = -1
         addresses the new row and column."""
         if i == EXT and j == EXT:
-            return _ZERO
+            return 0
         if i == EXT:
-            return -Fraction(self.lam[j]) / self.epsilon[j]
+            return -qdiv(self.lam[j], self.epsilon[j])
         if j == EXT:
-            return -Fraction(self.lam[i])
-        return Fraction(self.a[i][j])
+            return -self.lam[i]
+        return self.a[i][j]
 
     # -- root system ----------------------------------------------------
 
@@ -250,10 +246,10 @@ class CartanData:
 # -- validation ------------------------------------------------------------
 
 
-def _canonical_symmetrizer(a, nodes) -> list[Fraction] | None:
+def _canonical_symmetrizer(a, nodes) -> list[int | Fraction] | None:
     """Positive d with d_i A_ij = d_j A_ji on the component, or None;
     None also when A_ij = 0 but A_ji != 0 for some pair."""
-    d = {nodes[0]: _ONE}
+    d = {nodes[0]: 1}
     queue = [nodes[0]]
     while queue:
         i = queue.pop()
@@ -262,7 +258,7 @@ def _canonical_symmetrizer(a, nodes) -> list[Fraction] | None:
                 continue
             if not (a[i][j] and a[j][i]):
                 return None
-            val = d[i] * a[i][j] / a[j][i]
+            val = qdiv(d[i] * a[i][j], a[j][i])
             if j in d:
                 if d[j] != val:
                     return None
@@ -279,26 +275,33 @@ def _canonical_symmetrizer(a, nodes) -> list[Fraction] | None:
 def _component_type(a, nodes) -> str:
     """'finite' / 'affine' / 'indefinite' for one indecomposable block.
 
-    Sylvester's test on the symmetrized matrix: elimination without row
-    exchanges has pivots whose first k multiply to the k-th leading
-    principal minor, so the block is finite when every pivot is positive,
-    and affine (positive semidefinite of corank 1, being indecomposable)
-    when all but the last are positive and the last is zero.
+    Sylvester's test on the symmetrized matrix: the block is finite when
+    every leading principal minor is positive, and affine (positive
+    semidefinite of corank 1, being indecomposable) when all but the last
+    are positive and the last is zero.  Row p of the symmetrized matrix,
+    d_p A, is scaled by the denominator of d_p, a positive integer, which
+    keeps the sign of every leading minor and leaves integer rows.  The
+    fraction-free (Bareiss) elimination without row exchanges then has
+    the k-th leading minor as its k-th pivot, each step dividing exactly
+    by the previous pivot.
     """
     d = _canonical_symmetrizer(a, nodes)
     if d is None:
         return "indefinite"
     n = len(nodes)
-    rows = [[d[p] * a[i][j] for j in nodes] for p, i in enumerate(nodes)]
+    rows = [[d[p].numerator * a[i][j] for j in nodes]
+            for p, i in enumerate(nodes)]
+    prev = 1
     for k in range(n):
         piv = rows[k][k]
         if piv <= 0:
             return "affine" if piv == 0 and k == n - 1 else "indefinite"
+        top = rows[k]
         for row in rows[k + 1:]:
-            f = row[k] / piv
-            if f:
-                for c in range(k, n):
-                    row[c] -= f * rows[k][c]
+            f = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * piv - f * top[c]) // prev
+        prev = piv
     return "finite"
 
 
@@ -374,12 +377,13 @@ def enumerate_roots(data: CartanData) -> list[Root]:
     return list(pos) + [-root for root in pos]
 
 
-def weyl_reflect(data: CartanData, k: int, mu: Sequence) -> tuple[Fraction, ...]:
+def weyl_reflect(data: CartanData, k: int,
+                 mu: Sequence) -> tuple[int | Fraction, ...]:
     """Simple reflection on Dynkin labels: (r_k mu)_j = mu_j - mu_k A_jk."""
     if not 0 <= k < data.r:
         raise IndexError("node index %d out of range" % k)
     m = data.weight(mu)
-    return tuple(m[j] - m[k] * data.a[j][k] for j in range(data.r))
+    return tuple(qnorm(m[j] - m[k] * data.a[j][k]) for j in range(data.r))
 
 
 def highest_roots(data: CartanData, nodes: Sequence[int] | None = None) -> list[Root]:
@@ -415,7 +419,8 @@ def highest_roots(data: CartanData, nodes: Sequence[int] | None = None) -> list[
     return result
 
 
-def pseudo_minuscule_failure(data: CartanData, mu: Sequence) -> tuple[Root, Fraction] | None:
+def pseudo_minuscule_failure(data: CartanData,
+                             mu: Sequence) -> tuple[Root, int | Fraction] | None:
     """First root alpha with (mu^veecheck, alpha) outside {0, 1}, if any.
 
     Non-dominant or non-integral mu is reported against the first positive
@@ -438,21 +443,17 @@ def weyl_dimension(data: CartanData, mu: Sequence) -> int:
     m = data.weight(mu)
     if not data.is_dominant_integral(m):
         raise ValueError("weight %s is not dominant integral" % (list(mu),))
-    num = _ONE
-    den = _ONE
+    num = den = 1
     for rt in positives:
         # (nu, alpha) = sum_k c_k nu_k / epsilon_k
-        top = sum((c * (mk + 1) / e for c, mk, e in
-                   zip(rt.coords, m, data.epsilon)), _ZERO)
-        bot = sum((c / e for c, e in zip(rt.coords, data.epsilon)
-                   if c), _ZERO)
-        num *= top
-        den *= bot
-    val = num / den
-    if val.denominator != 1 or val <= 0:
+        num *= sum(qdiv(c * (mk + 1), e) for c, mk, e in
+                   zip(rt.coords, m, data.epsilon))
+        den *= sum(qdiv(c, e) for c, e in zip(rt.coords, data.epsilon) if c)
+    val = qdiv(num, den)
+    if type(val) is not int or val <= 0:
         raise ValueError("Weyl dimension formula gives %s, not a positive "
                          "integer" % val)
-    return int(val)
+    return val
 
 
 def jk_partition(data: CartanData) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -475,7 +476,7 @@ class ChevalleyAlgebra:
     """
 
     def __init__(self, data: CartanData, pos_roots: list[Root],
-                 table: dict, kappa_ef: list[Fraction]):
+                 table: dict, kappa_ef: list):
         self.data = data
         self.pos_roots = pos_roots
         self.names: list[tuple] = (
@@ -484,8 +485,8 @@ class ChevalleyAlgebra:
             + [("e", i) for i in range(len(pos_roots))])
         self.index = {name: k for k, name in enumerate(self.names)}
         self.dim = len(self.names)
-        zero = tuple(_ZERO for _ in range(data.r))
-        self.weights: list[tuple[Fraction, ...]] = (
+        zero = (0,) * data.r
+        self.weights: list[tuple] = (
             [tuple(-l for l in rt.labels) for rt in pos_roots]
             + [zero for _ in range(data.r)]
             + [rt.labels for rt in pos_roots])
@@ -502,34 +503,35 @@ class ChevalleyAlgebra:
                 return k
         raise KeyError(i)
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict:
         return self._table.get((i, j), {})
 
-    def bracket_vec(self, va: dict[int, Fraction],
-                    vb: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def bracket_vec(self, va: dict, vb: dict) -> dict:
+        out: dict = {}
         for i, ca in va.items():
             for j, cb in vb.items():
                 vadd_into(out, self._table.get((i, j), {}), ca * cb)
         return out
 
-    def kappa(self, i: int, j: int) -> Fraction:
+    def kappa(self, i: int, j: int) -> int | Fraction:
         """Invariant form with kappa(e_i, f_i) = epsilon_i."""
         na, nb = self.names[i], self.names[j]
         if na[0] == "h" and nb[0] == "h":
             # kappa(h_a, h_b) = epsilon_a A_ba (= epsilon_b A_ab)
-            return self.data.epsilon[na[1]] * self.data.a[nb[1]][na[1]]
+            return qnorm(self.data.epsilon[na[1]] * self.data.a[nb[1]][na[1]])
         if {na[0], nb[0]} == {"e", "f"} and na[1] == nb[1]:
             return self._kappa_ef[na[1]]
-        return _ZERO
+        return 0
 
-    def coroot_coords(self, rt: Root) -> dict[int, Fraction]:
+    def coroot_coords(self, rt: Root) -> dict:
         """h_alpha = (2/(alpha,alpha)) sum c_i h_i / epsilon_i, as coords."""
-        out = {}
-        for i, c in enumerate(rt.coords):
-            if c:
-                out[self.index[("h", i)]] = (2 / rt.norm) * c / self.data.epsilon[i]
-        return out
+        return {self.index[("h", i)]: _coroot_entry(rt, i, self.data)
+                for i, c in enumerate(rt.coords) if c}
+
+
+def _coroot_entry(rt: Root, i: int, data: CartanData) -> int | Fraction:
+    """Coefficient of h_i in h_alpha: 2 c_i / ((alpha, alpha) epsilon_i)."""
+    return qdiv(2 * rt.coords[i], rt.norm * data.epsilon[i])
 
 
 def root_action(g: ChevalleyAlgebra, simple: dict, kind: str,
@@ -572,7 +574,7 @@ def root_action(g: ChevalleyAlgebra, simple: dict, kind: str,
         x = simple[kind][node]
         y = root_action(g, simple, kind, bidx, memo)
         op = mat_scale(mat_sub(mat_compose(x, y), mat_compose(y, x)),
-                       _ONE / prod[tgt])
+                       qdiv(1, prod[tgt]))
     memo[key] = op
     return op
 
@@ -616,8 +618,8 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
     root_set = {rt.coords for rt in positives}
     max_h = max(rt.height for rt in positives)
 
-    zero_w = tuple(_ZERO for _ in range(r))
-    simple_labels = [tuple(Fraction(data.a[j][i]) for j in range(r))
+    zero_w = (0,) * r
+    simple_labels = [tuple(data.a[j][i] for j in range(r))
                      for i in range(r)]
     local = graded.LocalSuperalgebra(
         neg_names=[("f", i) for i in range(r)],
@@ -630,11 +632,11 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
         pos_weights=simple_labels,
         pos_parities=[0] * r,
         b00={},
-        b0m={(i, j): {j: Fraction(-data.a[i][j])} for i in range(r)
+        b0m={(i, j): {j: -data.a[i][j]} for i in range(r)
              for j in range(r) if data.a[i][j]},
-        b0p={(i, j): {j: Fraction(data.a[i][j])} for i in range(r)
+        b0p={(i, j): {j: data.a[i][j]} for i in range(r)
              for j in range(r) if data.a[i][j]},
-        bpm={(i, i): {i: _ONE} for i in range(r)},
+        bpm={(i, i): {i: 1} for i in range(r)},
         pairing={(i, i): data.epsilon[i] for i in range(r)},
     )
     ext = graded.minimal_extension(local, (-max_h, max_h))
@@ -653,59 +655,59 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
 
     # engine coordinates of the normalized e_gamma / f_gamma
     pr_index = {rt.coords: k for k, rt in enumerate(positives)}
-    e_vec: list[dict[int, Fraction]] = [None] * len(positives)
-    f_vec: list[dict[int, Fraction]] = [None] * len(positives)
+    e_vec: list[dict] = [None] * len(positives)
+    f_vec: list[dict] = [None] * len(positives)
     for k, rt in enumerate(positives):
         h = rt.height
         if h == 1:
             i = rt.coords.index(1)
-            e_vec[k] = {i: _ONE}
-            f_vec[k] = {i: _ONE}
+            e_vec[k] = {i: 1}
+            f_vec[k] = {i: 1}
             continue
         i, beta, n_const = _extraspecial_pair(root_set, rt.coords, r)
         ei = e_vec[pr_index[tuple(1 if j == i else 0 for j in range(r))]]
         eb = e_vec[pr_index[beta]]
         _, vec = ext.bracket((1, ei), (h - 1, eb))
-        e_vec[k] = {p: c / n_const for p, c in vec.items()}
+        e_vec[k] = {p: qdiv(c, n_const) for p, c in vec.items()}
         # f_gamma: normalize the 1-dim weight space so [e_g, f_g] = h_g
         layer = ext.layer(-h)
         target_w = tuple(-x for x in rt.labels)
-        cand = {p: _ONE for p, w in enumerate(layer.weights) if w == target_w}
+        cand = {p: 1 for p, w in enumerate(layer.weights) if w == target_w}
         if len(cand) != 1:
             raise ValueError("root space of %s is not one-dimensional"
                              % (rt.coords,))
         _, hv = ext.bracket((h, e_vec[k]), (-h, cand))
-        h_g = {i2: (2 / rt.norm) * c / data.epsilon[i2]
+        h_g = {i2: _coroot_entry(rt, i2, data)
                for i2, c in enumerate(rt.coords) if c}
-        ratios = {i2: hv[i2] / v for i2, v in h_g.items()}
+        ratios = {i2: qdiv(hv[i2], v) for i2, v in h_g.items()}
         t = next(iter(ratios.values()))
         if any(v != t for v in ratios.values()) or set(hv) != set(h_g):
             raise ValueError("[e, f] of root %s is not a multiple of its "
                              "coroot" % (rt.coords,))
-        f_vec[k] = {p: c / t for p, c in cand.items()}
+        f_vec[k] = {p: qdiv(c, t) for p, c in cand.items()}
 
     # assemble the full structure-constant table in the Chevalley basis
     npos = len(positives)
     dim = 2 * npos + r
 
-    def basis_vec(idx: int) -> tuple[int, dict[int, Fraction]]:
+    def basis_vec(idx: int) -> tuple[int, dict]:
         if idx < npos:
             return -positives[idx].height, f_vec[idx]
         if idx < npos + r:
-            return 0, {idx - npos: _ONE}
+            return 0, {idx - npos: 1}
         return positives[idx - npos - r].height, e_vec[idx - npos - r]
 
     # per-layer inverse: engine coordinate p at degree d -> (basis idx, scale)
-    convert: dict[int, dict[int, tuple[int, Fraction]]] = {}
+    convert: dict[int, dict[int, tuple]] = {}
     for k, rt in enumerate(positives):
         h = rt.height
         for deg, vec, bidx in ((h, e_vec[k], npos + r + k),
                                (-h, f_vec[k], k)):
             (p, c), = vec.items()
             convert.setdefault(deg, {})[p] = (bidx, c)
-    convert[0] = {i: (npos + i, _ONE) for i in range(r)}
+    convert[0] = {i: (npos + i, 1) for i in range(r)}
 
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict] = {}
     for i in range(dim):
         di, vi = basis_vec(i)
         for j in range(dim):
@@ -718,8 +720,8 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
             out = {}
             for p, c in vec.items():
                 bidx, scale = convert[d][p]
-                out[bidx] = c / scale
+                out[bidx] = qdiv(c, scale)
             table[(i, j)] = out
 
-    kappa_ef = [2 / rt.norm for rt in positives]
+    kappa_ef = [qdiv(2, rt.norm) for rt in positives]
     return ChevalleyAlgebra(data, positives, table, kappa_ef)

@@ -80,12 +80,9 @@ from math import comb
 
 from .graded import GradedSuperalgebra, Vec
 from .graded import decompose_module
-from .linalg import mat_apply, vadd, vadd_into
+from .linalg import mat_apply, qdiv, vadd, vadd_into, vscale
 # chevalley_realization stays bound here for tracers that wrap it by name.
 from .rootsys import EXT, CartanData, chevalley_realization, jk_partition
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # -- presentation ------------------------------------------------------------
@@ -103,7 +100,7 @@ class GenInfo:
     degree: int
     parity: int
     labels: tuple
-    h0: Fraction
+    h0: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -161,12 +158,12 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
         b = data.extended_entry(EXT, i)
         gens.append(GenInfo(("e", i), 0, 0, col, b))
         gens.append(GenInfo(("f", i), 0, 0, tuple(-c for c in col), -b))
-        gens.append(GenInfo(("h", i), 0, 0, zero, _ZERO))
-    gens.append(GenInfo(("e0",), 1, 1, tuple(-l for l in lam), _ZERO))
+        gens.append(GenInfo(("h", i), 0, 0, zero, 0))
+    gens.append(GenInfo(("e0",), 1, 1, tuple(-l for l in lam), 0))
     if has_h0:
-        gens.append(GenInfo(("h0",), 0, 0, zero, _ZERO))
+        gens.append(GenInfo(("h0",), 0, 0, zero, 0))
     for i in family:
-        gens.append(GenInfo(("f0", i), -1, 1, lam, _ZERO))
+        gens.append(GenInfo(("f0", i), -1, 1, lam, 0))
 
     h_range = ([EXT] if has_h0 else []) + list(range(r))
     e_range = [EXT] + list(range(r))
@@ -174,7 +171,7 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
 
     for i in e_range:
         for j in range(r):
-            rhs = ((_ONE, h_name(j)),) if i == j else ()
+            rhs = ((1, h_name(j)),) if i == j else ()
             rels.append(Relation("chevalley-ef", (i, j), (e_name(i),),
                                  ("f", j), rhs))
     for i in h_range:
@@ -190,7 +187,7 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
                                  ("f", j), rhs))
     for i in family:
         rels.append(Relation("e0-f0", (i,), (("e0",),), ("f0", i),
-                             ((_ONE, h_name(i)),)))
+                             ((1, h_name(i)),)))
     for i in h_range:
         for j in family:
             b = data.extended_entry(i, EXT)
@@ -378,7 +375,7 @@ class _Enumeration:
                 shift = self.alpha[i]
                 sign = 1 if kind == "e" else -1
                 w2 = tuple(a + sign * b for a, b in zip(self.wt[c], shift))
-                ent = {self.new_cell(w2): _ONE}
+                ent = {self.new_cell(w2): 1}
                 table[c] = ent
                 self.touch(c)
             vadd_into(out, ent, co)
@@ -406,8 +403,8 @@ class _Enumeration:
             raise ValueError("certifying pass imposed a new relation: "
                              "instance %s" % (instance,))
         piv = max(vec)
-        inv = -_ONE / vec[piv]
-        new = {c: co * inv for c, co in vec.items() if c != piv}
+        new = vscale(vec, -qdiv(1, vec[piv]))
+        del new[piv]
         users = self.users
         for y in users.pop(piv, ()):
             old = self.rw[y]
@@ -568,7 +565,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
                 if enum.alive(c):
                     for op in enum.ops:
                         if c not in enum.tab[op]:
-                            enum.act(op, {c: _ONE}, True)
+                            enum.act(op, {c: 1}, True)
             _drain(enum, seeds, seed_rels, plan)
             dims: dict = {}
             for c in range(len(enum.wt)):
@@ -599,7 +596,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
             img = compact(vec)
             if img:
                 mats[i][index[c]] = img
-    seed_vecs = {name: compact({cell: _ONE}) for name, cell in seeds.items()}
+    seed_vecs = {name: compact({cell: 1}) for name, cell in seeds.items()}
     certificate = {"complete": status == "complete", "reason": reason,
                    "cell_cap": cell_cap, "depth_used": depth_used,
                    "cells_created": len(enum.wt),
@@ -643,11 +640,11 @@ def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,
 def _seed_instances(enum: _Enumeration, seeds: dict,
                     seed_rels: list) -> None:
     for rel in seed_rels:
-        vec = enum.word(rel.ops, {seeds[rel.target]: _ONE}, False)
+        vec = enum.word(rel.ops, {seeds[rel.target]: 1}, False)
         if vec is None:
             continue
         for c, name in rel.rhs:
-            vec = vadd(vec, {seeds[name]: _ONE}, -c)
+            vec = vadd(vec, {seeds[name]: 1}, -c)
         enum.impose(vec, (rel.tag, rel.indices))
 
 
@@ -657,7 +654,7 @@ def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
     as its reads.  Each word of the plan is applied to c at most once,
     when an instance first needs it."""
     enum.running, enum.reads = c, set()
-    unit = {c: _ONE}
+    unit = {c: 1}
     steps, commutators, serres = plan
     images = [unit] + [_UNSET] * (len(steps) - 1)
     wt = enum.wt[c]

@@ -133,7 +133,7 @@ def f0_combination_coeffs(data: CartanData, k_nodes, mu) -> dict:
     except ValueError:
         raise ValueError("the Cartan matrix of the zero-label subdiagram "
                          "is singular") from None
-    return {k_nodes[l]: c / sub.epsilon[l]
+    return {k_nodes[l]: Fraction(c, sub.epsilon[l])
             for l, c in enumerate(coords) if c}
 
 
@@ -238,7 +238,7 @@ def _exp_nilpotent(apply_fn, vec: dict, scale: Fraction = _ONE) -> dict:
         n += 1
         if n > 64:
             raise ValueError("nilpotency bound of 64 iterations exceeded")
-        term = vscale(apply_fn(term), scale / n)
+        term = vscale(apply_fn(term), Fraction(scale, n))
         out = vadd(out, term)
     return out
 

@@ -1,6 +1,5 @@
 """Local superalgebras, minimal graded extensions, modules, decompositions."""
 
-import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canonical
 from fixtures_gl import glvec_local, glvec_super_local, graded_gl_local
 from gradedlie import graded
 from gradedlie.cartan import cartanify
@@ -385,26 +385,10 @@ def test_degree_two_candidates_are_super_antisymmetric(make_local, parities,
                 {t: sign * c for t, c in layer.reduce[(x, u)].items()}
 
 
-def _canon(obj):
-    """Tables as plain nested lists: dict items sorted by key, Fractions as
-    strings, so that equal values give equal text."""
-    if isinstance(obj, dict):
-        return [(k, _canon(obj[k])) for k in sorted(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [_canon(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    return obj
-
-
 def _tables(ext):
     return [[d, lay.names, lay.weights, lay.parities, lay.tensor_parent,
              lay.reduce, lay.opp_map, lay.act0]
             for d, lay in sorted(ext.layers.items())]
-
-
-def _table_digest(ext):
-    return hashlib.sha256(repr(_canon(_tables(ext))).encode()).hexdigest()
 
 
 _TABLE_CASES = {
@@ -420,12 +404,12 @@ _TABLE_CASES = {
 }
 
 _TABLE_DIGESTS = {
-    "glvec4": "a09d5a75bdaeedda2673473db7475a849de8574f5b8403b90e65586f0d4b9cad",
-    "osp14": "efa573341a66215cd76ad06291cbc396d0bb493875fc43ee279c2c1bd828abcb",
-    "G2": "a85bcdb92b2b46ef5f02ed09f03de3e6084ac3c75390c1f5ceabe5ea8e41569f",
-    "A3w1": "b5872230091241259e8ee106035a79d164c74da073c6a2f69665628c0e6dffb9",
-    "gl21": "f7d7057fa9b651d98ad328652123cb8e9a0afcd5679a1ebb0b09f70c9834de48",
-    "pgl32": "1e9a5a2475b18839f9c471035dff5c9145bc53567e83db555803f10bba78f074",
+    "glvec4": "a4968c3088b759bbb66c7c94a0ee35fc56f6f55ad4e44a72587087c75a91b13b",
+    "osp14": "d1382638e9bc632554a9a28a5c2eb226b4391aaaa2160934c37290d9ae616f6f",
+    "G2": "4f31f09662821c87e3269ea1f71d2c4d782f26402cf80227dd9e4d6b85cf7113",
+    "A3w1": "9e83f8a7e95a29429d6177b5c6a29a6946431ece6545c61082e6fc8c95fdb951",
+    "gl21": "46a2730c1035956d0aa667d99591ba2f4565291d15ecc468819d5b2427495cc7",
+    "pgl32": "0d7c779d635380c9cf1aaedcc45775a89ac52da7a59537a8347791edfef1bbc1",
 }
 
 
@@ -433,8 +417,11 @@ _TABLE_DIGESTS = {
 def test_extension_table_digests(name):
     """Every layer table of the extension -- names, weights, parities,
     tensor definitions and the reduce, opposite and degree-0 action maps --
-    pinned by value, so that no class moves unnoticed."""
-    assert _table_digest(_TABLE_CASES[name]()) == _TABLE_DIGESTS[name]
+    pinned by value, so that no class moves unnoticed, and every number in
+    them in the package's normal form."""
+    tables = _tables(_TABLE_CASES[name]())
+    assert canonical.digest(tables) == _TABLE_DIGESTS[name]
+    canonical.assert_normal_form(tables)
 
 
 @pytest.mark.parametrize("make_local", [
@@ -461,7 +448,7 @@ def test_non_integral_weights(make_local):
         lay3 = ext3.layer(d)
         assert lay3.weights == scaled(lay.weights)
         lay3 = replace(lay3, weights=lay.weights)
-        assert _canon(lay3.__dict__) == _canon(lay.__dict__)
+        assert canonical.render(lay3.__dict__) == canonical.render(lay.__dict__)
 
 
 # -- modules and decompositions ---------------------------------------------

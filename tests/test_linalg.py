@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canonical
 from gradedlie.linalg import (
     RatMatrix,
     Span,
@@ -14,6 +15,8 @@ from gradedlie.linalg import (
     mat_compose,
     mat_scale,
     mat_sub,
+    qdiv,
+    qnorm,
     rank,
     rref,
     stack_columns,
@@ -255,12 +258,31 @@ def test_vadd_and_vscale_match_dense(m, c):
 
 
 @pytest.mark.parametrize("scale", [1, -1, Fraction(-1), Fraction(-2, 3)])
-def test_vadd_into_unit_scales_store_fractions(scale):
+def test_vadd_into_stores_normal_form(scale):
     out = vadd_into({0: Fraction(1), 1: Fraction(2)},
                     {0: 1, 1: Fraction(-2), 2: 3}, scale)
     assert out == {k: v for k, v in {0: 1 + scale, 1: 2 - 2 * scale,
                                      2: 3 * scale}.items() if v}
-    assert all(type(v) is Fraction and v for v in out.values())
+    assert all(out.values())
+    canonical.assert_normal_form(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RATIONALS, _RATIONALS.filter(bool),
+       st.dictionaries(st.integers(0, 3), _RATIONALS.filter(bool)))
+def test_scalar_helpers_return_normal_form(a, b, vec):
+    """qnorm and qdiv agree with Fraction arithmetic, in normal form, on
+    both representations of an integral value; vscale and mat_scale keep
+    a normal-form vector so, also through the copy and negation shortcuts."""
+    vec = {k: qnorm(v) for k, v in vec.items()}
+    for x in (a, qnorm(a)):
+        for y in (b, qnorm(b)):
+            assert qdiv(x, y) == a / b
+            canonical.assert_normal_form([qnorm(x), qdiv(x, y)])
+    assert qnorm(True) == 1 and type(qnorm(True)) is int
+    for c in (a, b, 1, -1, Fraction(-1)):
+        assert vscale(vec, c) == {k: c * v for k, v in vec.items() if c}
+        canonical.assert_normal_form([vscale(vec, c), mat_scale({0: vec}, c)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -373,7 +395,7 @@ def test_elimination_matches_dense_fraction_oracle(m):
     red, got_pivots = rref(m)
     assert got_pivots == pivots
     assert _rows(red) == want
-    assert all(type(v) is Fraction for v in red.entries.values())
+    canonical.assert_normal_form(red.entries)
 
     kernel = []
     for fc in range(m.cols):
@@ -385,3 +407,4 @@ def test_elimination_matches_dense_fraction_oracle(m):
             v[c] = -want[i][fc]
         kernel.append(tuple(v))
     assert kernel_basis(m) == kernel
+    canonical.assert_normal_form(kernel_basis(m))

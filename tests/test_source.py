@@ -89,3 +89,22 @@ def test_structure_oracles_stay_out_of_the_package():
     assert not found, "structure oracles defined in the package: %s" % found
     fields = {f.name for f in dataclasses.fields(tha.MinusOneModule)}
     assert not fields & {"g", "_root_ops", "_sharp"}
+
+
+def _is_division(node) -> bool:
+    return isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+        node.op, ast.Div)
+
+
+def test_one_true_division_in_linalg_qdiv():
+    """``int / int`` is a float, so the package divides in one place:
+    ``linalg.qdiv``, exact and in normal form, for ints and Fractions."""
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    qdiv, = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "qdiv"]
+    inside = ["linalg.py:%d" % node.lineno
+              for node in ast.walk(qdiv) if _is_division(node)]
+    assert len(inside) == 1
+    found = _nodes(_is_division)
+    assert found == inside, "true division outside linalg.qdiv: %s" % [
+        site for site in found if site not in inside]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 from fractions import Fraction
 
@@ -18,6 +16,7 @@ from gradedlie.rootsys import (CartanData, chevalley_realization,
                                weyl_dimension, weyl_reflect)
 from gradedlie.tha import EXT
 
+import canonical
 import structure
 
 A1 = [[2]]
@@ -66,7 +65,7 @@ class _Span:
                 return False
             piv = max(row)
             if piv in work:
-                c = work[piv] / row[piv]
+                c = Fraction(work[piv], row[piv])
                 for t, v in row.items():
                     s = work.get(t, Fraction(0)) - c * v
                     if s:
@@ -415,6 +414,9 @@ def test_minus1_generated_data_matches_the_structure_theorem(data):
     assert mod.dim == _structure_dimension(data)
     assert mod.decompose() == structure.expected_minus1_decomposition(
         data, "W")
+    g = chevalley_realization(data)
+    canonical.assert_normal_form([mod.weights, mod.e_act, mod.f_act,
+                                  mod.seed_vecs, g.weights, g._table])
 
 
 def test_serre_instances_once_per_commuting_pair():
@@ -461,48 +463,36 @@ def test_minus1_dimension_history_stabilizes():
     assert sum(hist[-1].values()) == mod.dim
 
 
-def _plain(x):
-    """JSON-ready copy with dict entries in key order."""
-    if isinstance(x, dict):
-        return [[_plain(k), _plain(v)]
-                for k, v in sorted(x.items(), key=lambda kv: repr(kv[0]))]
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
 # sha256 of the certificate, weights, action tables and seed vectors.  On
 # the complete cases everything but the certificate's budget key is as the
 # enumeration by full sweeps produced it; the inconclusive cases stop on
 # the cell budget, which is never overrun.
 _DIGESTS = {
-    ("d4w4", "W"): "6dfdd000a58395935b5ba0d4694664cd"
-                   "b381e59bb8598953a964cdd070a8484b",
-    ("d4w4", "S"): "7ae4e6f52c13af09812cc5ab6fce9e7f"
-                   "bd8cb33421c52034d24bfcc49e4a4f4b",
-    ("a4", "W"): "b6e6a3d15c2ec59554a7a13cffc39e24"
-                 "910cae9429b5e0b1a919572126eeea34",
-    ("d4", "W"): "b58c637b71d9d712eb7bee6fb0603f76"
-                 "4c1bcf5369ccf95927979b47f6b40bf6",
-    ("d4", "S"): "33e32f67cd3e70aa247bcb9d75da8ccc"
-                 "6abf3c14691c2efea1970dae5eee8266",
-    ("c3", "W"): "48e33a1f7798ddc0bc239a60bca5c6f8"
-                 "f64b01de57d92a7988d7c4d7e7742772",
-    ("g2", "W"): "fe7d43b4e509b32575644c1a50402452"
-                 "1a9433774fc95b029af6dca711b785b9",
-    ("d5", "W"): "cc6113b80a317ce20051865cc698c994"
-                 "071baf7b20a3a5ccf47b70fe3898b61d",
-    ("d5", "S"): "7f1f911fbd1b2081b40f70e82f946918"
-                 "3f733246dbb0bdebedc13187c3c1d82c",
-    ("a4", "W", "cell_cap", 50): "24bd2b60ba0f63e2b441fe9591631bf8"
-                                 "85dd48054dbb7b711e4e706ccb6cdfaa",
-    ("a4", "W", "cell_cap", 300): "d4cc3fc6c1572fe13b939c3e15de741b"
-                                  "923e3bd0be0cad87fc8bd61ba6b39a2a",
+    ("d4w4", "W"): "05a0c9c64ca8f0fdcf341e7660131a0f"
+                   "870c00219ae672f8f21264f1ba64fd2e",
+    ("d4w4", "S"): "6ae2e67690c64d0201be0829ba9383a9"
+                   "896bc1b715beeb244d25178ee2a5041b",
+    ("a4", "W"): "7a2c2716f32ff0d6ba580c27de4d8847"
+                 "a1376672cce04ac50ca0102e53acb42c",
+    ("d4", "W"): "1a4cdf89438980e1f96e31acba8df6a2"
+                 "b2b01afaec598ab582be74f38328e340",
+    ("d4", "S"): "075bdd0771a58dd5f1fe3e5d9a88134f"
+                 "6c7469d1d99972b0046012c0d0a31855",
+    ("c3", "W"): "b4fc298b5578459f94899d8705c423ed"
+                 "40ba638c4815e3adbb7268f50dfbe551",
+    ("g2", "W"): "f9d3fb6e60d6e62d26a2226890ba1fa8"
+                 "2ba9def3538a3e204c77247da8ead32e",
+    ("d5", "W"): "5bfdbd7274372449012c31e50e523e88"
+                 "1a0b40107963a54e6921868f0b90b8f8",
+    ("d5", "S"): "0e93c87fa213241f277b1633125c8953"
+                 "627d6c02fd20990b24fa481bd6b424d5",
+    ("a4", "W", "cell_cap", 50): "5761c19b87d0e67bcb069b6be1aab9e7"
+                                 "aa537c9d6000a28745a81888785eaf11",
+    ("a4", "W", "cell_cap", 300): "085fb12e5a8bf5b78e6a4623ff946d2e"
+                                  "1d55d4da348ad03acd2fe815536674ce",
     ("a2", "squares dropped", "cell_cap", 300):
-        "ab4087965886db3e8a9691b00385c8cf"
-        "e26c4ce20d633cd7388d025196f4f749",
+        "4dc75b93aea80bfcf0c7e13190f546e2"
+        "2410b45d89e665a8fbce1d840925c2ec",
 }
 
 
@@ -518,11 +508,11 @@ def test_certificate_digests(case):
         mod = tha.build_minus1(pres, **kw)
     else:
         mod = _mod(name, variant, **kw)
-    payload = {"certificate": mod.certificate, "weights": mod.weights,
-               "e_act": mod.e_act, "f_act": mod.f_act,
-               "seed_vecs": mod.seed_vecs}
-    text = json.dumps(_plain(payload))
-    assert hashlib.sha256(text.encode()).hexdigest() == _DIGESTS[case]
+    tables = {"weights": mod.weights, "e_act": mod.e_act, "f_act": mod.f_act,
+              "seed_vecs": mod.seed_vecs}
+    assert canonical.digest({"certificate": mod.certificate, **tables}) \
+        == _DIGESTS[case]
+    canonical.assert_normal_form(tables)
 
 
 def test_queue_without_requeueing_never_completes(monkeypatch):
