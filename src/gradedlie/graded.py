@@ -40,11 +40,14 @@ weight of a new basis element is brought to normal form only for the kept
 candidates.
 
 That quotient step -- candidates modulo the kernel of their T-values, one
-weight block at a time -- is the one function ``weight_block_quotient``.
-It also builds the irreducible module R(-lambda) level by level
-(``lowest_weight_module``) and the degree -1 part of the cartanification
-(``cartan.local_cartanification``).  The extension reads only the
-``Layer`` tables; ``_local_layers`` turns the local brackets into them.
+weight block at a time -- is the one function ``weight_block_quotient``,
+which hands each block's T-values straight to ``linalg.reduce_columns``
+and reads every class off the reduced pivot rows.  It also builds the
+irreducible module R(-lambda) level by level (``lowest_weight_module``),
+the degree -1 part of the cartanification
+(``cartan.local_cartanification``) and the multiplicities of
+``decompose_module``.  The extension reads only the ``Layer`` tables;
+``_local_layers`` turns the local brackets into them.
 
 A zero layer stops the side: further layers are generated by bracketing
 the zero layer with degree -+1, hence zero as well.
@@ -57,12 +60,13 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence
 
+# rref and kernel_basis stay bound here for tracers that wrap them by name.
 from .linalg import (
     kernel_basis,
     mat_apply,
     qnorm,
+    reduce_columns,
     rref,
-    stack_columns,
     vadd,
     vadd_into,
     vscale,
@@ -335,9 +339,6 @@ class GradedSuperalgebra:
     def parity(self, d: int, i: int) -> int:
         return self.layers[d].parities[i]
 
-    def weight(self, d: int, i: int) -> tuple:
-        return self.layers[d].weights[i]
-
     def zero_coords_of(self, name) -> Vec | None:
         return self.local.zero_coords_of(name)
 
@@ -462,11 +463,12 @@ def weight_block_quotient(cands: Iterable, weights: Iterable,
     ``weights`` and ``t_vals`` run parallel to ``cands``: each candidate's
     weight, any hashable ordered key, and its T-values, one sparse vector
     per acting element, as a list or as a dict that may leave out the zero
-    vectors.  Returns
-    the kept ``(weight, candidate)`` pairs, the rref pivots of each weight
-    block in sorted weight order, and the class of every candidate over
-    them, ``{kept position: coefficient}``, read off the unique RREF, so a
-    kept candidate's class is its unit vector.
+    vectors.  Returns the kept ``(weight, candidate)`` pairs, the pivots of
+    each weight block in sorted weight order, and the class of every
+    candidate over them, ``{kept position: coefficient}``, read off the
+    block's reduced pivot rows (``linalg.reduce_columns``), so a kept
+    candidate's class is its unit vector.  A block whose T-values are all
+    zero keeps nothing, and each of its candidates has the class ``{}``.
     """
     blocks: dict = {}
     for cand, w, vals in zip(cands, weights, t_vals):
@@ -475,12 +477,16 @@ def weight_block_quotient(cands: Iterable, weights: Iterable,
     classes: dict = {}
     for w in sorted(blocks):
         blk = blocks[w]
-        red, piv = rref(stack_columns([_flatten(v) for _, v in blk])[0])
-        base = len(kept)
+        # one column per candidate, keyed (acting element, index)
+        piv, red = reduce_columns([
+            {(z, t): c for z, vec in (vals.items() if type(vals) is dict
+                                      else enumerate(vals))
+             for t, c in vec.items()} for _, vals in blk])
+        cls = [classes.setdefault(cand, {}) for cand, _ in blk]
+        for r, row in enumerate(red, len(kept)):
+            for col, c in row.items():
+                cls[col][r] = c
         kept.extend((w, blk[col][0]) for col in piv)
-        for col, (cand, _) in enumerate(blk):
-            classes[cand] = {base + r: red[r, col] for r in range(len(piv))
-                             if red[r, col]}
     return kept, classes
 
 
@@ -607,13 +613,6 @@ def _by_source(action: list, dim: int) -> list[list]:
     return out
 
 
-def _flatten(vecs) -> dict:
-    """The vectors of a list, or of a dict keyed by acting element, as one
-    column keyed (list position or key, index)."""
-    items = vecs.items() if isinstance(vecs, dict) else enumerate(vecs)
-    return {(n, tgt): c for n, vec in items for tgt, c in vec.items()}
-
-
 def minimal_extension(local: LocalSuperalgebra,
                       degree_range: tuple[int, int]) -> GradedSuperalgebra:
     """Minimal Z-graded extension of a local part over the given degrees."""
@@ -639,20 +638,18 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     dimensions from the Weyl formula; their weighted sum must equal the
     module dimension (checked).
     """
-    blocks: dict[tuple, list[int]] = {}
-    for idx, w in enumerate(weights):
-        blocks.setdefault(tuple(w), []).append(idx)
-
-    found = []
-    for w in sorted(blocks):
-        blk = blocks[w]
-        mat, _ = stack_columns(
-            [_flatten([raiser.get(src, {}) for raiser in raisers])
-             for src in blk])
-        mult = len(kernel_basis(mat))
-        if mult:
-            dim = weyl_dimension(data, w)
-            found.append((w, mult, dim))
+    weights = [tuple(w) for w in weights]
+    kept, _ = weight_block_quotient(
+        range(len(weights)), weights,
+        ([raiser.get(src, {}) for raiser in raisers]
+         for src in range(len(weights))))
+    # highest-weight vectors of weight w: the raisers' kernel on its block
+    mults: dict = {}
+    for w in weights:
+        mults[w] = mults.get(w, 0) + 1
+    for w, _ in kept:
+        mults[w] -= 1
+    found = [(w, m, weyl_dimension(data, w)) for w, m in mults.items() if m]
     total = sum(m * d for _, m, d in found)
     if total != len(weights):
         raise ValueError(

@@ -13,17 +13,19 @@ A ``RatMatrix`` is a mapping ``(row, col) -> value`` with no explicit
 zeros.  What is derived from it (echelon forms, kernel bases, inverses)
 is read off the unique reduced row-echelon form, so it depends on the
 entries alone and is reproducible run to run.  The one elimination
-kernel behind ``rref``, ``rank``, ``kernel_basis`` and ``inverse`` clears
-denominators and works on integer rows.
+kernel behind ``rref``, ``rank``, ``kernel_basis``, ``inverse`` and
+``reduce_columns`` clears denominators, works on integer rows and takes
+the sparsest candidate row as each pivot row.
 
 The engines also share the helpers below on sparse objects without a
 fixed shape: sparse vectors ``{index: value}`` (``vadd_into``, ``vadd``,
 ``vscale``), column-sparse matrices ``{src: {tgt: value}}``
 (``mat_apply``, ``mat_compose``, ``mat_sub``, ``mat_scale``), the
 incremental ``Span`` of sparse vectors, which also gives a vector's
-coordinates over its basis, and ``stack_columns``, which
-turns one weight block of sparse columns into a ``RatMatrix``.  None of
-them stores a zero, and each stores only normal-form values.
+coordinates over its basis, and ``reduce_columns``, which reduces one
+weight block of sparse columns straight to its pivot rows, with no
+``RatMatrix`` in between.  None of them stores a zero, and each stores
+only normal-form values.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ __all__ = [
     "mat_sub",
     "mat_scale",
     "Span",
-    "stack_columns",
+    "reduce_columns",
 ]
 
 # -- exact scalars ---------------------------------------------------------
@@ -163,7 +165,7 @@ class RatMatrix:
     """Sparse matrix over the rationals.  Immutable after construction.
 
     Entries are held in a dict keyed by (row, col); zeros are never stored.
-    A matrix is built (``from_rows``, ``identity``, ``stack_columns``),
+    A matrix is built (``from_rows``, ``identity``),
     read by entry (``m[i, j]``), applied to a dense vector (``mul_vec``)
     and reduced (``rref``, ``rank``, ``kernel_basis``, ``inverse``); no
     engine needs matrix arithmetic beyond that.
@@ -238,55 +240,53 @@ class RatMatrix:
 # -- echelon forms and derived data ---------------------------------------
 
 
-def _row_dicts(m: RatMatrix) -> list[dict]:
+def _reduced(m: RatMatrix) -> tuple[list[int], list[dict]]:
     rows: list[dict] = [dict() for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
-    return rows
+    return _reduce(rows, m.cols), rows
 
 
 def _reduce(rows: list[dict], cols: int) -> list[int]:
     """In-place Gauss-Jordan reduction; returns the pivot column list.
 
-    Pivot selection is deterministic: scan columns left to right, take the
-    first not-yet-used row with a nonzero entry.  Rows are fully reduced
-    (eliminated above and below, pivots scaled to 1), so the result is the
-    unique RREF of the row space.
+    Scan columns left to right; the pivot row of a column is the sparsest
+    not-yet-used row holding it (the first on a tie), which brings the
+    least fill to the rows it clears.  Rows are fully reduced (eliminated
+    above and below, pivots scaled to 1), so the result is the unique RREF
+    of the row space whichever row is taken: its nonzero rows in pivot
+    order, then ``{}``.
 
-    The elimination runs over ``int``.  Each row is first scaled by the
-    lcm of its denominators, which leaves the row space and hence the RREF
-    unchanged.  A row with entry ``f`` in the column of a pivot ``p``
-    becomes ``(p * row - f * pivot_row) / gcd(p, f)`` and is then divided
-    by the gcd of its entries, so every row stays primitive and its
+    The elimination runs over ``int``.  A row with an entry that is not an
+    ``int`` is first scaled by the lcm of its denominators, which leaves
+    the row space and hence the RREF unchanged.  A row with entry ``f`` in
+    the column of a pivot ``p`` becomes ``(p * row - f * pivot_row) /
+    gcd(p, f)`` and is then divided by the gcd of its entries, so its
     integers stay small.  Only the returned rows are divided by their
     pivot entries, back to normal-form rationals.
     """
     nrows = len(rows)
     irows: list[dict[int, int]] = []
     for row in rows:
-        den = lcm(*[v.denominator for v in row.values()])
-        irows.append(_primitive(
-            {k: v.numerator * (den // v.denominator) for k, v in row.items()}))
+        if any(type(v) is not int for v in row.values()):
+            den = lcm(*[v.denominator for v in row.values()])
+            row = {k: v.numerator * (den // v.denominator)
+                   for k, v in row.items()}
+        irows.append(row)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        sel = -1
-        for i in range(r, nrows):
-            if c in irows[i]:
-                sel = i
-                break
-        if sel < 0:
+        hits = [i for i, row in enumerate(irows) if c in row]
+        if not hits or hits[-1] < r:
             continue
-        irows[r], irows[sel] = irows[sel], irows[r]
-        piv = irows[r]
+        sel = min((i for i in hits if i >= r), key=lambda i: len(irows[i]))
+        piv = irows[sel]
         pc = piv[c]
-        for i in range(nrows):
-            if i == r:
+        for i in hits:
+            if i == sel:
                 continue
             row = irows[i]
-            f = row.get(c)
-            if f is None:
-                continue
+            f = row[c]
             g = gcd(pc, f)
             a, b = pc // g, f // g
             if a != 1:
@@ -299,6 +299,7 @@ def _reduce(rows: list[dict], cols: int) -> list[int]:
                 else:
                     del row[k]
             irows[i] = _primitive(row)
+        irows[r], irows[sel] = piv, irows[r]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -323,18 +324,13 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, list[int]]:
     """Reduced row-echelon form and the (strictly increasing) pivot columns."""
-    rows = _row_dicts(m)
-    pivots = _reduce(rows, m.cols)
-    ent = {}
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            ent[(i, j)] = v
-    return RatMatrix(m.rows, m.cols, ent), pivots
+    pivots, rows = _reduced(m)
+    return RatMatrix(m.rows, m.cols, {(i, j): v for i, row in enumerate(rows)
+                                      for j, v in row.items()}), pivots
 
 
 def rank(m: RatMatrix) -> int:
-    rows = _row_dicts(m)
-    return len(_reduce(rows, m.cols))
+    return len(_reduced(m)[0])
 
 
 def kernel_basis(m: RatMatrix) -> list[tuple[int | Fraction, ...]]:
@@ -344,13 +340,11 @@ def kernel_basis(m: RatMatrix) -> list[tuple[int | Fraction, ...]]:
     the free coordinate — the standard back-substitution basis off the RREF,
     hence canonical for a given matrix.
     """
-    rows = _row_dicts(m)
-    pivots = _reduce(rows, m.cols)
-    pivot_set = set(pivots)
+    pivots, rows = _reduced(m)
     prow = {c: i for i, c in enumerate(pivots)}
     basis = []
     for fc in range(m.cols):
-        if fc in pivot_set:
+        if fc in prow:
             continue
         v = [0] * m.cols
         v[fc] = 1
@@ -362,21 +356,30 @@ def kernel_basis(m: RatMatrix) -> list[tuple[int | Fraction, ...]]:
     return basis
 
 
-def stack_columns(columns: Sequence[Mapping]) -> tuple[RatMatrix, dict]:
-    """One weight block of sparse columns ``{row key: value}`` as a matrix.
+def reduce_columns(columns: Sequence[Mapping]) -> tuple[list[int], list[dict]]:
+    """The pivot columns and the nonzero rows ``{column: value}`` of the
+    RREF of sparse columns ``{row key: value}`` set side by side.
 
-    Returns the matrix and the row index ``{row key: row}``, rows numbered
-    in first-seen order.  The matrix has at least one row, so a block of
-    zero columns keeps its columns.  Row order changes no result read off
-    the unique RREF: pivots, reduced columns, kernel bases and solutions.
+    The rows are built straight from the columns, numbered in first-seen
+    order of their keys, which changes nothing returned since the RREF is
+    unique.  When every column is zero, nothing is eliminated.
     """
     row_index: dict = {}
-    entries = {}
+    rows: list[dict] = []
     for col, vec in enumerate(columns):
         for key, c in vec.items():
-            entries[(row_index.setdefault(key, len(row_index)), col)] = c
-    return (RatMatrix(max(len(row_index), 1), len(columns), entries),
-            row_index)
+            if not c:
+                continue
+            i = row_index.get(key)
+            if i is None:
+                row_index[key] = len(rows)
+                rows.append({col: c})
+            else:
+                rows[i][col] = c
+    if not rows:
+        return [], []
+    pivots = _reduce(rows, len(columns))
+    return pivots, rows[:len(pivots)]
 
 
 class Span:
@@ -436,11 +439,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
     aug = dict(m.entries)
     for i in range(n):
         aug[(i, n + i)] = 1
-    red, pivots = rref(RatMatrix(n, 2 * n, aug))
+    pivots, rows = _reduced(RatMatrix(n, 2 * n, aug))
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    ent = {}
-    for (i, j), v in red.entries.items():
-        if j >= n:
-            ent[(i, j - n)] = v
-    return RatMatrix(n, n, ent)
+    return RatMatrix(n, n, {(i, j - n): v for i, row in enumerate(rows)
+                            for j, v in row.items() if j >= n})

@@ -50,6 +50,10 @@ def _a(n):
 _D4 = [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]
 _E6 = [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0], [-1, 0, 2, -1, 0, 0],
        [0, -1, -1, 2, -1, 0], [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]
+_E7 = [[2, 0, -1, 0, 0, 0, 0], [0, 2, 0, -1, 0, 0, 0],
+       [-1, 0, 2, -1, 0, 0, 0], [0, -1, -1, 2, -1, 0, 0],
+       [0, 0, 0, -1, 2, -1, 0], [0, 0, 0, 0, -1, 2, -1],
+       [0, 0, 0, 0, 0, -1, 2]]
 
 _DATA = {
     "a1": lambda: CartanData(_a(1), lam=(1,)),
@@ -333,6 +337,23 @@ def test_criterion_5_e6_first_fundamental_isomorphic():
     assert verdict.sides["cartanification"]["minus1_dim"] == 378
     expected = sorted(structure.expected_minus1_decomposition(data, "W"))
     assert sorted(d for _, _, d in expected) == [27, 351]
+    for side in ("relations_model", "cartanification"):
+        assert verdict.sides[side]["decomposition"] == expected, side
+
+
+@pytest.mark.slow
+def test_criterion_5_e7_seventh_fundamental_isomorphic():
+    # minuscule, 56-dimensional; the relations model needs 14,595 cells, past
+    # the default budget, so it is built here with a larger one
+    data = CartanData(_E7, lam=(0, 0, 0, 0, 0, 0, 1))
+    module = tha.build_minus1(tha.presentation(data, "W"), cell_cap=30000)
+    verdict = iso.check_isomorphism(data, module=module)
+    assert verdict.verdict == "isomorphic"
+    assert verdict.sides["relations_model"]["status"] == "complete"
+    assert verdict.sides["relations_model"]["dim"] == 968
+    assert verdict.sides["cartanification"]["minus1_dim"] == 968
+    expected = sorted(structure.expected_minus1_decomposition(data, "W"))
+    assert sorted(d for _, _, d in expected) == [56, 912]
     for side in ("relations_model", "cartanification"):
         assert verdict.sides[side]["decomposition"] == expected, side
 

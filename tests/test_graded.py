@@ -1,5 +1,6 @@
 """Local superalgebras, minimal graded extensions, modules, decompositions."""
 
+import functools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -14,7 +15,7 @@ from gradedlie import graded
 from gradedlie.cartan import cartanify
 from gradedlie.contragredient import build_local
 from gradedlie.linalg import (
-    RatMatrix, kernel_basis, rref, stack_columns, vadd_into)
+    RatMatrix, kernel_basis, mat_compose, rank, rref, vadd_into)
 from gradedlie.rootsys import CartanData, chevalley_realization, weyl_dimension
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -564,46 +565,74 @@ def test_decompose_module_mismatch_raises():
 
 # -- the weight-block quotient on random sparse T-values ---------------------
 
-# small rationals, half of them zero, so that blocks are often dependent
+# small rationals, half of them zero, so that blocks are often dependent;
+# the nonzero ones are ints and Fractions, some of them Fraction(n, 1)
 _RATIONALS = st.one_of(
-    st.just(F0), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    st.just(0), st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
 
 
 @st.composite
 def _weight_blocks(draw):
     """Candidates ("c", n), each with a weight in {(0,), (1,), (2,)} and
-    T-values under two acting elements, sparse over the keys 0..2."""
+    T-values under two acting elements, sparse over the keys 0..2.  The
+    candidates of one weight may have only zero T-values, and the T-values
+    may come as a dict that leaves out the zero vectors."""
     n = draw(st.integers(1, 8))
     cands = [("c", i) for i in range(n)]
     weights = [(draw(st.integers(0, 2)),) for _ in cands]
+    zero_weight = draw(st.sampled_from([None, (0,), (1,), (2,)]))
+    as_dict = draw(st.booleans())
     t_vals = []
-    for _ in cands:
+    for w in weights:
         vals = []
         for _ in range(2):
-            entries = [draw(_RATIONALS) for _ in range(3)]
+            entries = [] if w == zero_weight else \
+                [draw(_RATIONALS) for _ in range(3)]
             vals.append({k: v for k, v in enumerate(entries) if v})
+        if as_dict:
+            vals = {z: vec for z, vec in enumerate(vals) if vec}
         t_vals.append(vals)
     return cands, weights, t_vals
 
 
 def _column(vals):
-    return {(z, k): c for z, vec in enumerate(vals) for k, c in vec.items()}
+    items = vals.items() if isinstance(vals, dict) else enumerate(vals)
+    return {(z, k): c for z, vec in items for k, c in vec.items()}
 
 
-@settings(max_examples=80, deadline=None)
+def _dense_block(columns):
+    """The elimination's former input: one weight block as a RatMatrix,
+    rows keyed in first-seen order, at least one row."""
+    row_index: dict = {}
+    entries = {}
+    for col, vec in enumerate(columns):
+        for key, c in vec.items():
+            entries[(row_index.setdefault(key, len(row_index)), col)] = c
+    return RatMatrix(max(len(row_index), 1), len(columns), entries)
+
+
+@settings(max_examples=120, deadline=None)
 @given(_weight_blocks())
 def test_weight_block_quotient(case):
     cands, weights, t_vals = case
     kept, classes = graded.weight_block_quotient(cands, weights, t_vals)
+    canonical.assert_normal_form(classes)
     t_of = {c: _column(vals) for c, vals in zip(cands, t_vals)}
     kept_cands = {c for _, c in kept}
 
     expected_kept = []
     for w in sorted(set(weights)):
         blk = [c for c, cw in zip(cands, weights) if cw == w]
-        mat, _ = stack_columns([t_of[c] for c in blk])
-        _, piv = rref(mat)
+        mat = _dense_block([t_of[c] for c in blk])
+        red, piv = rref(mat)
         expected_kept += [(w, blk[p]) for p in piv]
+        # each class is its column of the dense RREF, over the block's kept
+        # candidates in pivot order
+        base = len([k for k in expected_kept if k[0] < w])
+        for col, c in enumerate(blk):
+            assert classes[c] == {base + r: red[r, col]
+                                  for r in range(len(piv)) if red[r, col]}
         # the kernel vector of each free column is the candidate minus its
         # class over the kept candidates, written over the block
         pos = {c: i for i, c in enumerate(blk)}
@@ -619,10 +648,84 @@ def test_weight_block_quotient(case):
         assert got == kernel_basis(mat)
     assert kept == expected_kept
 
-    # each class reproduces its candidate's T-values from the kept ones
-    assert set(classes) == set(cands)
+    # each class reproduces its candidate's T-values from the kept ones;
+    # a candidate with zero T-values has the zero class
+    assert list(classes) == [c for w in sorted(set(weights))
+                             for c, cw in zip(cands, weights) if cw == w]
     for c in cands:
         rebuilt: dict = {}
         for t, coeff in classes[c].items():
             vadd_into(rebuilt, t_of[kept[t][1]], coeff)
         assert rebuilt == t_of[c]
+        if not t_of[c]:
+            assert classes[c] == {}
+
+
+# -- decomposition multiplicities on generated modules -----------------------
+
+_A2_DATA = CartanData(A2)
+_A2_ALGEBRA = chevalley_realization(_A2_DATA)
+_A2_LABELS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+# positions of the simple raising operators e_0, e_1 in the A2 basis
+_A2_E = [_A2_ALGEBRA.index[("e", _A2_ALGEBRA.simple_root_index(i))]
+         for i in range(2)]
+
+
+@functools.cache
+def _a2_module(lam):
+    return graded.lowest_weight_module(_A2_ALGEBRA, lam)
+
+
+@st.composite
+def _raised_modules(draw):
+    """A direct sum of one to three irreducible A2-modules, its basis
+    changed inside weight blocks by a few elementary moves v_i += c v_j, so
+    that its raising matrices no longer split along the summands.
+    Returns the weights, the raising matrices and the summands' labels."""
+    labels = draw(st.lists(st.sampled_from(_A2_LABELS),
+                           min_size=1, max_size=3))
+    weights: list = []
+    raisers = [dict() for _ in range(2)]
+    for lam in labels:
+        m = _a2_module(lam)
+        base = len(weights)
+        weights += m.weights
+        for i, e in enumerate(_A2_E):
+            for src, vec in m.act[e].items():
+                raisers[i][base + src] = {base + t: c for t, c in vec.items()}
+    n = len(weights)
+    same = [(i, j) for i in range(n) for j in range(n)
+            if i != j and weights[i] == weights[j]]
+    for _ in range(draw(st.integers(0, 4)) if same else 0):
+        i, j = draw(st.sampled_from(same))
+        c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        # new basis in old coordinates (to) and old basis in new (back)
+        to = {k: {k: 1} for k in range(n)}
+        back = {k: {k: 1} for k in range(n)}
+        to[i], back[i] = {i: 1, j: c}, {i: 1, j: -c}
+        raisers = [mat_compose(back, mat_compose(r, to)) for r in raisers]
+    return weights, raisers, labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(_raised_modules())
+def test_decompose_module_multiplicity_is_block_size_minus_rank(case):
+    """Each highest weight's multiplicity is its weight block's size minus
+    the rank of the raising matrices stacked on that block, and the
+    summands are those of the direct sum."""
+    weights, raisers, labels = case
+    found = graded.decompose_module(weights, raisers, _A2_DATA)
+    mults = {w: mult for w, mult, _ in found}
+    for w in set(weights):
+        blk = [s for s, sw in enumerate(weights) if sw == w]
+        mat = _dense_block([{(i, t): c for i, r in enumerate(raisers)
+                             for t, c in r.get(s, {}).items()} for s in blk])
+        assert mults.get(w, 0) == len(blk) - rank(mat)
+    expected: dict = {}
+    for lam in labels:
+        m = _a2_module(lam)
+        for w, mult, dim in graded.decompose_module(
+                m.weights, [m.act[e] for e in _A2_E], _A2_DATA):
+            expected[(w, dim)] = expected.get((w, dim), 0) + mult
+    assert found == sorted(((w, m, d) for (w, d), m in expected.items()),
+                           key=lambda t: (t[2], t[0]))
