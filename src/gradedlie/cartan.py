@@ -21,8 +21,10 @@ builds no words.  The quotient keeps pivot candidates and writes every
 degree -1 element as a class over them.  Degree 0 moves classes by the
 derivation rule [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j],
 which needs only the local brackets and the candidates' classes.  The
-degree-0 part of the quotient is the bracket closure of the image of the
-action map; the grading element survives exactly when it lies in that span.
+degree-0 part of the quotient is the span of the image of the action map,
+which the Jacobi identity makes a subalgebra (the quotient's degree-0
+brackets check that it is closed); the grading element survives exactly
+when it lies in that span.
 
 A restriction to a degree-0 subalgebra keeps, in place of all classes, only
 the submodule generated by the classes of the words f_0 y_0 with y_0 in the
@@ -333,9 +335,13 @@ def local_cartanification(local: LocalSuperalgebra,
         neg_parities.append(
             (local.neg_parities[p] + local.zero_parities[j]) % 2)
 
-    # Degree-0 part: bracket closure of the action image, [w_t, z_q] being
+    # Degree-0 part: the span of the action image, [w_t, z_q] being
     # images[t][q] over the original degree-0 basis; w_t acts as the same
-    # combination of the pivots' actions.
+    # combination of the pivots' actions.  The span is already a
+    # subalgebra: for a = [x, z], Jacobi gives [a, [x', z']] = [[a, x'], z']
+    # +- [x', [a, z']], with [a, x'] in degree -1 (the kernel is invariant,
+    # checked above) and [a, z'] in degree 1.  b00 below brackets every pair
+    # of basis vectors and raises if that ever fails.
     images = []
     for v, _ in minus_basis:
         act: dict = {}
@@ -346,22 +352,9 @@ def local_cartanification(local: LocalSuperalgebra,
             per_q.setdefault(q, {})[k - 1] = c
         images.append(per_q)
     zero_solver = WeightedSolver()
-    zqueue = []
     for per_q in images:
         for vec in per_q.values():
-            w = _vec_weight(local, vec)
-            if zero_solver.add(vec, w):
-                zqueue.append((w, dict(vec)))
-    while zqueue:
-        w, vec = zqueue.pop()
-        others = [v for sp in zero_solver.by_weight.values()
-                  for v in sp.rows]
-        for vec2 in others:
-            br = local.bracket_vec(0, vec, 0, vec2)
-            if br:
-                bw = _vec_weight(local, br)
-                if zero_solver.add(br, bw):
-                    zqueue.append((bw, dict(br)))
+            zero_solver.add(vec, _vec_weight(local, vec))
     zero_pairs = zero_solver.basis()
     zero_basis = [v for _, v in zero_pairs]
     zero_wts = [tuple(w) for w, _ in zero_pairs]

@@ -541,16 +541,7 @@ def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
         verdict = iso.check_isomorphism(
             models.data, degree_range=window,
             module=models.built_module("W"))
-        return {entry: _jsonable({
-            "verdict": verdict.verdict,
-            "surjective": verdict.surjective,
-            "injective": verdict.injective,
-            "hypotheses": verdict.hypotheses,
-            "homomorphism": verdict.homomorphism,
-            "identities": verdict.identities,
-            "sides": verdict.sides,
-            "certificate": verdict.certificate,
-        })}
+        return {entry: _jsonable(verdict)}
 
     return cache.fetch([entry], compute)[entry]
 

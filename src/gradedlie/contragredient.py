@@ -19,8 +19,10 @@ elements is recovered from invariance of the (super-symmetric) form:
 B([x,z], y_0) = -<x|[y_0,z]> for all y_0, with the degree-0 Gram block
 assembled from <h_i|h_j> = B_ji eps_i (eps_0 = 1) and kappa(e_beta,
 f_beta) = 2/(beta,beta).  The Gram block is invertible exactly when B
-is, and its inverse also gives the grading element L = sum (B^-1)_0i
-h_i: <L|h_j> = delta_0j, so L is the h_0 column of the inverse.
+is, and [z_q, x_p] is read off the sparse columns of its inverse in one
+pass over the degree-0 action: each entry c of [y_0, z_q] at z_p adds
+-c times column y_0.  The inverse also gives the grading element
+L = sum (B^-1)_0i h_i: <L|h_j> = delta_0j, so L is the h_0 column.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import GradedSuperalgebra, LocalSuperalgebra, minimal_extension
-from .linalg import RatMatrix, inverse, qnorm
+from .linalg import RatMatrix, inverse, qnorm, vadd_into
 from .rootsys import EXT, CartanData, chevalley_realization
 from . import graded
 
@@ -82,14 +84,11 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
         for src, vec in mod.act[a].items():
             b0p[(a, src)] = dict(vec)
             for tgt, c in vec.items():
-                cur = b0m.setdefault((a, tgt), {})
-                cur[src] = cur.get(src, 0) - c
+                b0m.setdefault((a, tgt), {})[src] = -c
     for p in range(nm):
         if h0_eig[p]:
             b0p[(h0, p)] = {p: h0_eig[p]}
             b0m[(h0, p)] = {p: -h0_eig[p]}
-    b0m = {k: {q: c for q, c in v.items() if c} for k, v in b0m.items()}
-    b0m = {k: v for k, v in b0m.items() if v}
 
     # Gram matrix of the invariant form on degree 0
     gram_ent = {}
@@ -110,20 +109,16 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
         raise ValueError("extended matrix is singular; lambda does not "
                          "extend this Cartan matrix") from None
 
-    # [z_q, x_p] via invariance: B([x_p, z_q], y) = -<x_p|[y, z_q]>
+    inv_cols: dict = {}
+    for (i, j), c in gram_inv.entries.items():
+        inv_cols.setdefault(j, {})[i] = c
+
+    # [z_q, x_p] via invariance: B([x_p, z_q], y) = -<x_p|[y, z_q]>, so
+    # each entry c of [y, z_q] at z_p adds -c times column y of the inverse
     bpm: dict = {}
-    for q in range(nm):
-        col_acts = [(y, b0p.get((y, q), {})) for y in range(n0)]
-        for p in range(nm):
-            rhs = [0] * n0
-            for y, vec in col_acts:
-                c = vec.get(p)
-                if c:
-                    rhs[y] = -c
-            u = gram_inv.mul_vec(rhs)
-            vec = {t: c for t, c in enumerate(u) if c}
-            if vec:
-                bpm[(q, p)] = vec
+    for (y, q), vec in b0p.items():
+        for p, c in vec.items():
+            vadd_into(bpm.setdefault((q, p), {}), inv_cols[y], -c)
 
     embedding = {("h0",): {h0: 1}}
     for i in range(r):
@@ -131,12 +126,6 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
         embedding[("e", i)] = {g.index[("e", si)]: 1}
         embedding[("f", i)] = {g.index[("f", si)]: 1}
         embedding[("h", i)] = {g.index[("h", i)]: 1}
-
-    grading = {}
-    for k in [h0] + [g.index[("h", i)] for i in range(r)]:
-        c = gram_inv[k, h0]
-        if c:
-            grading[k] = c
 
     return LocalSuperalgebra(
         neg_names=[("x", p) for p in range(nm)],
@@ -150,7 +139,7 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
         pos_parities=[1] * nm,
         b00=b00, b0m=b0m, b0p=b0p, bpm=bpm,
         pairing={(p, p): 1 for p in range(nm)},
-        grading=grading,
+        grading=inv_cols[h0],
         embedding=embedding,
     )
 

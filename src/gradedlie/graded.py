@@ -728,8 +728,6 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
     # per simple node: raising/lowering as {src: {tgt: c}}
     raise_m: list[dict] = [dict() for _ in range(r)]
     lower_m: list[dict] = [dict() for _ in range(r)]
-    alpha = [data.labels_of_root([1 if j == i else 0 for j in range(r)])
-             for i in range(r)]
 
     level = [0]
     while level:
@@ -746,7 +744,8 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
             t_vals[(i, u)] = vals
 
         kept, classes = weight_block_quotient(
-            cands, (wsum(weights[u], alpha[i]) for i, u in cands),
+            cands, (wsum(weights[u], data.simple_labels[i])
+                    for i, u in cands),
             (t_vals[cand] for cand in cands))
         base = len(weights)
         for (i, u), cls in classes.items():

@@ -341,53 +341,44 @@ def check_isomorphism(
         module = tha.build_minus1(phi.presentation)
     if module.status != "complete":
         sides["relations_model"] = {"status": module.status}
-        return IsoVerdict(
-            verdict="inconclusive",
-            homomorphism=homomorphism,
-            identities=identities,
-            surjective=surjective,
-            injective=None,
-            hypotheses=hypotheses,
-            sides=sides,
-            certificate=dict(module.certificate),
+        verdict, injective = "inconclusive", None
+    else:
+        module_decomposition = _normalize_decomposition(module.decompose())
+        sides["relations_model"] = {
+            "status": module.status,
+            "dim": module.dim,
+            "decomposition": module_decomposition,
+        }
+        injective = (
+            module.dim == minus1_dim
+            and module_decomposition == cart_decomposition
         )
 
-    module_decomposition = _normalize_decomposition(module.decompose())
-    sides["relations_model"] = {
-        "status": module.status,
-        "dim": module.dim,
-        "decomposition": module_decomposition,
-    }
-    injective = (
-        module.dim == minus1_dim
-        and module_decomposition == cart_decomposition
-    )
+        direct = True
+        if phi.presentation.k_empty:
+            contragredient_dims = minimal_extension(
+                cart.source, degree_range).dims()
+            sides["contragredient"] = {"dims": dict(contragredient_dims)}
+            direct = contragredient_dims == cart_dims
 
-    direct = True
-    if phi.presentation.k_empty:
-        contragredient_dims = minimal_extension(
-            cart.source, degree_range).dims()
-        sides["contragredient"] = {"dims": dict(contragredient_dims)}
-        direct = contragredient_dims == cart_dims
-
-    passed = (
-        homomorphism["passed"]
-        and identities["passed"]
-        and surjective
-        and injective
-        and direct
-    )
-    hypotheses_met = (
-        hypotheses["simple"]
-        and hypotheses["lambda_pseudo_minuscule"]
-        and hypotheses["lambda_equals_wedge"]
-    )
-    if not hypotheses_met:
-        verdict = "hypotheses not met"
-    elif passed:
-        verdict = "isomorphic"
-    else:
-        verdict = "mismatch"
+        passed = (
+            homomorphism["passed"]
+            and identities["passed"]
+            and surjective
+            and injective
+            and direct
+        )
+        hypotheses_met = (
+            hypotheses["simple"]
+            and hypotheses["lambda_pseudo_minuscule"]
+            and hypotheses["lambda_equals_wedge"]
+        )
+        if not hypotheses_met:
+            verdict = "hypotheses not met"
+        elif passed:
+            verdict = "isomorphic"
+        else:
+            verdict = "mismatch"
     return IsoVerdict(
         verdict=verdict,
         homomorphism=homomorphism,

@@ -127,6 +127,11 @@ class CartanData:
     def a_inv(self) -> RatMatrix:
         return inverse(self.a_mat)
 
+    @cached_property
+    def simple_labels(self) -> tuple[tuple[int, ...], ...]:
+        """Label vector of each simple root alpha_i: column i of A."""
+        return tuple(tuple(row[i] for row in self.a) for i in range(self.r))
+
     # -- weight arithmetic ----------------------------------------------
 
     def fundamental(self, i: int) -> tuple[int, ...]:
@@ -619,17 +624,15 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
     max_h = max(rt.height for rt in positives)
 
     zero_w = (0,) * r
-    simple_labels = [tuple(data.a[j][i] for j in range(r))
-                     for i in range(r)]
     local = graded.LocalSuperalgebra(
         neg_names=[("f", i) for i in range(r)],
-        neg_weights=[tuple(-x for x in simple_labels[i]) for i in range(r)],
+        neg_weights=[tuple(-x for x in w) for w in data.simple_labels],
         neg_parities=[0] * r,
         zero_names=[("h", i) for i in range(r)],
         zero_weights=[zero_w] * r,
         zero_parities=[0] * r,
         pos_names=[("e", i) for i in range(r)],
-        pos_weights=simple_labels,
+        pos_weights=data.simple_labels,
         pos_parities=[0] * r,
         b00={},
         b0m={(i, j): {j: -data.a[i][j]} for i in range(r)

@@ -151,19 +151,18 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
         return ("h0",) if i == EXT else ("h", i)
 
     zero = tuple(0 for _ in range(r))
-    lam = tuple(int(x) for x in data.lam)
     gens: list[GenInfo] = []
     for i in range(r):
-        col = tuple(data.a[t][i] for t in range(r))
+        col = data.simple_labels[i]
         b = data.extended_entry(EXT, i)
         gens.append(GenInfo(("e", i), 0, 0, col, b))
         gens.append(GenInfo(("f", i), 0, 0, tuple(-c for c in col), -b))
         gens.append(GenInfo(("h", i), 0, 0, zero, 0))
-    gens.append(GenInfo(("e0",), 1, 1, tuple(-l for l in lam), 0))
+    gens.append(GenInfo(("e0",), 1, 1, tuple(-l for l in data.lam), 0))
     if has_h0:
         gens.append(GenInfo(("h0",), 0, 0, zero, 0))
     for i in family:
-        gens.append(GenInfo(("f0", i), -1, 1, lam, 0))
+        gens.append(GenInfo(("f0", i), -1, 1, data.lam, 0))
 
     h_range = ([EXT] if has_h0 else []) + list(range(r))
     e_range = [EXT] + list(range(r))
@@ -311,9 +310,6 @@ class _Enumeration:
         self.data = data
         self.r = data.r
         self.cell_cap = cell_cap
-        # labels of alpha_j as an integer tuple (column j of A)
-        self.alpha = [tuple(data.a[t][j] for t in range(data.r))
-                      for j in range(data.r)]
         self.wt: list[tuple] = []
         self.ops = ([("e", i) for i in range(data.r)]
                     + [("f", i) for i in range(data.r)])
@@ -372,7 +368,7 @@ class _Enumeration:
                 if not create:
                     return None
                 kind, i = op
-                shift = self.alpha[i]
+                shift = self.data.simple_labels[i]
                 sign = 1 if kind == "e" else -1
                 w2 = tuple(a + sign * b for a, b in zip(self.wt[c], shift))
                 ent = {self.new_cell(w2): 1}
@@ -548,8 +544,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
         raise ValueError("cell budget %d is smaller than the %d family seeds"
                          % (cell_cap, len(pres.family)))
     enum = _Enumeration(data, cell_cap)
-    lam = tuple(int(x) for x in data.lam)
-    seeds = {("f0", i): enum.new_cell(lam) for i in pres.family}
+    seeds = {("f0", i): enum.new_cell(data.lam) for i in pres.family}
     seed_rels = [rel for rel in pres.relations if rel.tag in _MODULE_TAGS]
     plan = _word_plan(data.r, _serre_instances(data))
     history = []

@@ -21,7 +21,7 @@ from gradedlie.cartan import (
 )
 from gradedlie.contragredient import build_local
 from gradedlie.graded import check_local_axioms, decompose_at_degree
-from gradedlie.linalg import vadd, vadd_into
+from gradedlie.linalg import Span, vadd, vadd_into
 from gradedlie.rootsys import CartanData, jk_partition
 
 from fixtures_gl import gl2form_local, glvec_local, glvec_super_local, sl_block
@@ -207,6 +207,34 @@ def test_weak_quotient_local_axioms():
     rep = check_local_axioms(res.local)
     assert rep["passed"], rep["checks"]
     assert res.local.grading is not None
+
+
+_SPAN_DATA = {
+    "A2w1": CartanData(A2, lam=[1, 0]),
+    "B3w3": CartanData([[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+                       epsilon=[2, 2, 1], lam=[0, 0, 1]),
+    "C3w1": CartanData([[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+                       epsilon=[1, 1, 2], lam=[1, 0, 0]),
+    "A4w1": CartanData(series_a(5), lam=[1, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("name, variant", [
+    *((name, v) for name in _SPAN_DATA for v in ("weak", "strong")),
+    ("glvec-super21", "weak"),
+])
+def test_action_images_span_degree0(name, variant):
+    """Degree 0 of the quotient is the span of the action images [w_t, z_q]
+    alone: no bracket of two images leaves it."""
+    data = _SPAN_DATA.get(name)
+    loc = glvec_super_local(2, 1) if data is None else build_local(data)
+    restr = (root_subalgebra(data, loc, jk_partition(data)[1])
+             if variant == "strong" else None)
+    res = local_cartanification(loc, restriction=restr)
+    span = Span()
+    for vec in res.local.bpm.values():
+        span.add(vec)
+    assert span.rank == res.local.nzero > 0
 
 
 def test_weak_minus1_decomposition_a2():
