@@ -49,6 +49,15 @@ the degree -1 part of the cartanification
 ``decompose_module``.  The extension reads only the ``Layer`` tables;
 ``_local_layers`` turns the local brackets into them.
 
+``count_next_layer`` gives the dimension of the layer one step beyond
+the outermost stored one without building it.  On Cartan data that
+layer is a finite-dimensional module of the diagram's algebra, so its
+weight multiplicities are invariant under the Weyl group: the candidates
+of dominant summed weight alone get T-values, and each dominant block's
+rank is multiplied by the size of its weight's orbit
+(``CartanData.orbit_size``).  The extension and the count share one
+loop over the candidates, ``_tensor_quotient``.
+
 A zero layer stops the side: further layers are generated by bracketing
 the zero layer with degree -+1, hence zero as well.
 """
@@ -80,6 +89,7 @@ __all__ = [
     "ModuleRep",
     "check_local_axioms",
     "minimal_extension",
+    "count_next_layer",
     "decompose_module",
     "decompose_at_degree",
     "lowest_weight_module",
@@ -490,11 +500,18 @@ def weight_block_quotient(cands: Iterable, weights: Iterable,
     return kept, classes
 
 
-def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
-    """Build the layer at degree side*(k+1) from the one at side*k."""
+def _tensor_quotient(layers: dict[int, Layer], side: int, k: int,
+                     admit=None) -> tuple[dict, list, dict]:
+    """The tensor candidates (u, x) for degree side*(k+1) modulo the
+    kernel of their T-values.
+
+    Returns the T-values, ``{(u, x): {z: vec}}`` in candidate order with
+    the zero vectors left out, and ``weight_block_quotient``'s kept pairs
+    and classes.  ``admit``, given, is a test on a candidate's summed
+    weight, and only the candidates it passes are valued.
+    """
     prev = layers[side * k]
     unit = layers[side]         # degree +-1: [z, x] and [a, x] for its x
-    acting = layers[-side]
     zero = layers[0]
 
     # [v, x] for v one step inside the previous layer, per x and v
@@ -510,15 +527,20 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
     # the acting z with [z, u] != 0, per u, and with [z, x] != 0, per x
     opp_u = _by_source(prev.opp_map, prev.dim)
     opp_x = _by_source(unit.opp_map, unit.dim)
-    z_odd = acting.parities
-    # the degree-0 a with [a, u] != 0, per u, and with [a, x] != 0, per x
+    z_odd = layers[-side].parities
+    # the degree-0 a with [a, u] != 0, per u
     act_u = _by_source(prev.act0, prev.dim)
-    act_x = _by_source(unit.act0, unit.dim)
 
     # at k = 1, [u, x] with u > x is a multiple of [x, u]: never a pivot
-    cands = []
     t_vals: dict[tuple, dict] = {}
     for u in range(prev.dim):
+        xs = range(u if k == 1 else 0, unit.dim)
+        if admit is not None:
+            wu = prev.weights[u]
+            xs = [x for x in xs
+                  if admit(tuple(map(add, wu, unit.weights[x])))]
+            if not xs:
+                continue
         # [u, a] = -(-1)^{|u||a|} [a, u]; with the sign (-1)^{|z||u|} of
         # T the image enters negated unless |u| = 1 and |a| != |z|
         pu = prev.parities[u]
@@ -527,9 +549,7 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
             pa = zero.parities[a]
             images[0][a] = (vec, not pu or not pa)
             images[1][a] = (vec, not pu or bool(pa))
-        for x in range(u if k == 1 else 0, unit.dim):
-            cand = (u, x)
-            cands.append(cand)
+        for x in xs:
             ix = inner[x]
             vals: dict = {}
             # [[z, u], x]
@@ -550,12 +570,20 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
                     hit = imgs.get(a)
                     if hit:
                         vadd_into(out, hit[0], -c if hit[1] else c)
-            t_vals[cand] = {z: vec for z, vec in vals.items() if vec}
+            t_vals[(u, x)] = {z: vec for z, vec in vals.items() if vec}
+    return (t_vals, *weight_block_quotient(
+        t_vals, (tuple(map(add, prev.weights[u], unit.weights[x]))
+                 for u, x in t_vals), t_vals.values()))
 
-    kept, reduce_map = weight_block_quotient(
-        cands, (tuple(map(add, prev.weights[u], unit.weights[x]))
-                for u, x in cands),
-        (t_vals[cand] for cand in cands))
+
+def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
+    """Build the layer at degree side*(k+1) from the one at side*k."""
+    prev = layers[side * k]
+    unit = layers[side]
+    acting = layers[-side]
+    zero = layers[0]
+
+    t_vals, kept, reduce_map = _tensor_quotient(layers, side, k)
     if k == 1:
         for u in range(prev.dim):
             for x in range(u):
@@ -580,6 +608,8 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
     layer.opp_map = opp
 
     # degree-0 action: [a, [u,x]] = [[a,u],x] + (-1)^{|a||u|}[u,[a,x]]
+    act_u = _by_source(prev.act0, prev.dim)
+    act_x = _by_source(unit.act0, unit.dim)
     act0 = [dict() for _ in range(zero.dim)]
     for idx, (u, x) in enumerate(tensor_parent):
         pu = prev.parities[u]
@@ -624,6 +654,40 @@ def minimal_extension(local: LocalSuperalgebra,
         for k in range(1, stop):
             layers[side * (k + 1)] = _extend_one(layers, side, k)
     return GradedSuperalgebra(local, layers)
+
+
+def count_next_layer(g_alg: GradedSuperalgebra, side: int, data) -> int:
+    """Dimension of the layer one step beyond the outermost stored layer on
+    ``side`` (+1 or -1), counted and not built.
+
+    The layer is a finite-dimensional module over the diagram's algebra,
+    whose simple root vectors degree 0 must hold under the names ("e", i)
+    and ("f", i), so its weight multiplicities are invariant under the
+    Weyl group: the dimension is the sum over dominant weights mu of
+    mult(mu) |W mu|.  Only the candidates whose summed weight is dominant
+    get T-values, and the quotient of the block of mu keeps mult(mu) of
+    them.  ``data`` is the CartanData the stored weights refer to.  A
+    missing root vector raises ``ValueError`` naming its node, and a
+    weight that is not integral raises naming the weight.
+    """
+    for node in range(data.r):
+        for kind in ("e", "f"):
+            if g_alg.zero_coords_of((kind, node)) is None:
+                raise ValueError(
+                    "root vector %s for node %d not defined on the degree-0 "
+                    "part; the layer cannot be counted by Weyl orbits"
+                    % (kind, node))
+    k = max(side * d for d in g_alg.layers)
+    # weights are in normal form, so an integral one holds only ints
+    for d in (side * k, side):
+        for w in g_alg.layers[d].weights:
+            if any(type(m) is not int for m in w):
+                raise ValueError(
+                    "weight %s at degree %d is not integral, so it is no "
+                    "weight of a finite-dimensional module" % (list(w), d))
+    _, kept, _ = _tensor_quotient(g_alg.layers, side, k,
+                                  admit=lambda w: min(w) >= 0)
+    return sum(data.orbit_size(w) for w, _ in kept)
 
 
 # -- decomposition ----------------------------------------------------------

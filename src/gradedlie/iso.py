@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from . import tha
 from .cartan import Cartanification, cartanify, products
 from .contragredient import build_local
-from .graded import decompose_at_degree, minimal_extension
+from .graded import count_next_layer, decompose_at_degree, minimal_extension
 from .linalg import Span, vadd
 # chevalley_realization stays bound here for tracers that wrap it by name.
 from .rootsys import (
@@ -241,6 +241,16 @@ def _normalize_decomposition(entries) -> list:
     )
 
 
+def _dims_down_to(g_alg, lo: int, data: CartanData) -> dict:
+    """The stored dimensions of ``g_alg``, in ascending degree, preceded
+    by the counted one of degree ``lo`` when that is one step below the
+    lowest stored degree."""
+    dims = g_alg.dims()
+    if lo < min(dims):
+        dims = {lo: count_next_layer(g_alg, -1, data), **dims}
+    return dims
+
+
 def _generation_rank(phi: PhiAssignment) -> int:
     """Rank of the span of the family images under the degree-0 action."""
     cart = phi.cartanification
@@ -298,7 +308,10 @@ def check_isomorphism(
     enumerated relations model, and aggregates them into a verdict.  The
     degree range defaults to the smallest window containing every defining
     relation and the compared layer; widening it only adds layers to the
-    cartanification.
+    reported dimensions.  Of the window's lowest layer only the dimension
+    is read, so when that degree is -2 or below the models are built from
+    one degree above it and that layer is counted
+    (``graded.count_next_layer``), not built.
 
     ``module`` hands in the relations module of
     ``tha.presentation(data, "W")`` when it is already built; omitted, it
@@ -315,14 +328,16 @@ def check_isomorphism(
                 "module was built for other Cartan data than the data "
                 "being compared")
     hypotheses = hypothesis_record(data)
-    phi = phi_assignment(data, degree_range=degree_range)
+    lo, hi = degree_range
+    built = (lo + 1, hi) if lo <= -2 else degree_range
+    phi = phi_assignment(data, degree_range=built)
     cart = phi.cartanification
     homomorphism = tha.check_relations(
         phi.presentation, cart.graded, phi.assignment
     )
     identities = pseudo_minuscule_identities(data, cart)
 
-    cart_dims = cart.graded.dims()
+    cart_dims = _dims_down_to(cart.graded, lo, data)
     minus1_dim = cart_dims[-1]
     surjective = _generation_rank(phi) == minus1_dim
 
@@ -356,8 +371,8 @@ def check_isomorphism(
 
         direct = True
         if phi.presentation.k_empty:
-            contragredient_dims = minimal_extension(
-                cart.source, degree_range).dims()
+            contragredient_dims = _dims_down_to(
+                minimal_extension(cart.source, built), lo, data)
             sides["contragredient"] = {"dims": dict(contragredient_dims)}
             direct = contragredient_dims == cart_dims
 

@@ -21,7 +21,10 @@ positive roots.  The validation (``CartanData.validation``) and the
 positive roots are cached properties: the validation and the reflection
 closure run once per datum, and ``enumerate_roots``,
 ``weyl_dimension``, ``highest_roots``, ``pseudo_minuscule_failure`` and
-``chevalley_realization`` all read them.
+``chevalley_realization`` all read them.  So does ``weyl_order``, the
+order of a parabolic subgroup of the Weyl group from the exponents,
+memoised per node set, which gives ``orbit_size``, |W mu| of a dominant
+weight, without enumerating the group.
 ``extended_entry(i, j)`` is the one copy of the matrix extended by an odd
 node, index ``EXT = -1``: B_EXT,j = -lambda_j/epsilon_j, B_i,EXT =
 -lambda_i, B_EXT,EXT = 0 and B_ij = A_ij otherwise.
@@ -106,6 +109,7 @@ class CartanData:
         self.lam = tuple(int(x) for x in lam)
         if len(self.epsilon) != self.r or len(self.lam) != self.r:
             raise ValueError("epsilon/lambda length must match the rank")
+        self._weyl_orders: dict = {}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CartanData) and self.a == other.a
@@ -171,6 +175,42 @@ class CartanData:
     def root_pairing(self, mu: Sequence, root: Root) -> int | Fraction:
         """(mu^veecheck, alpha) = sum_k c_k mu_k for a root alpha."""
         return qnorm(sum(m * c for m, c in zip(map(qnorm, mu), root.coords)))
+
+    # -- Weyl group -----------------------------------------------------
+
+    def weyl_order(self, nodes: Sequence[int] | None = None) -> int:
+        """Order of the Weyl group of the subdiagram on ``nodes`` (all
+        nodes by default), memoised per node set.
+
+        The order is the product of m + 1 over the exponents m, and the
+        exponents are the partition dual to the height counts of the
+        positive roots supported on the nodes: as many exponents are at
+        least i as there are heights with at least i such roots.  Both
+        sides add over components, so a reducible node set needs no
+        split.  No group element is enumerated.
+        """
+        key = frozenset(range(self.r) if nodes is None else nodes)
+        order = self._weyl_orders.get(key)
+        if order is None:
+            counts: dict = {}       # height -> roots of that height
+            for rt in self.positive_roots:
+                if all(j in key for j, c in enumerate(rt.coords) if c):
+                    counts[rt.height] = counts.get(rt.height, 0) + 1
+            order = 1
+            for i in range(1, len(key) + 1):
+                order *= 1 + sum(1 for n in counts.values() if n >= i)
+            self._weyl_orders[key] = order
+        return order
+
+    def orbit_size(self, mu: Sequence) -> int:
+        """Size of the Weyl orbit of a dominant weight: |W| / |W_mu|, the
+        stabilizer W_mu being the parabolic subgroup on the nodes where
+        mu's label is 0."""
+        m = self.weight(mu)
+        if any(x < 0 for x in m):
+            raise ValueError("weight %s is not dominant" % (list(mu),))
+        return self.weyl_order() // self.weyl_order(
+            [i for i, x in enumerate(m) if x == 0])
 
     # -- diagram structure ------------------------------------------------
 

@@ -10,6 +10,10 @@ W(m|n) is the superalgebra of derivations of the polynomial algebra in
 m Grassmann and n polynomial variables (Kac, Lie superalgebras, Adv.
 Math. 26 (1977), section 3); with n > 0 it has no lowest degree, so it
 is counted on a window.
+
+``weyl_orbit`` enumerates the Weyl orbit of a weight by closing it under
+the simple reflections, the brute-force count behind
+``CartanData.orbit_size``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from itertools import combinations
 from math import comb
 
 from gradedlie.linalg import RatMatrix, rank
+from gradedlie.rootsys import weyl_reflect
 
 
 def w_model_dims(n):
@@ -91,3 +96,20 @@ def levi_civita(n):
                     s = -s
         table[p] = s
     return table
+
+
+def weyl_orbit(data, mu):
+    """The Weyl orbit of ``mu``: the closure of {mu} under the simple
+    reflections ``rootsys.weyl_reflect``."""
+    orbit = {tuple(mu)}
+    frontier = list(orbit)
+    while frontier:
+        new = []
+        for w in frontier:
+            for k in range(data.r):
+                image = weyl_reflect(data, k, w)
+                if image not in orbit:
+                    orbit.add(image)
+                    new.append(image)
+        frontier = new
+    return orbit

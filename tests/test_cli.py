@@ -395,7 +395,8 @@ class TestSharedModels:
     def test_check_all_builds_each_model_once(self, cache_env, capsys,
                                               builds):
         assert cli.main(["check-all", "--spec", C2_SPEC, "--no-cache"]) == 0
-        assert sorted(builds["windows"]) == [(-4, 1), (-2, 1)]
+        # check-iso builds degrees -1..1 and counts degree -2
+        assert sorted(builds["windows"]) == [(-4, 1), (-1, 1)]
         assert builds["variants"] == ["W"]
 
     def test_strong_variant_builds_both_modules(self, cache_env, capsys,
@@ -410,8 +411,9 @@ class TestSharedModels:
                 "--no-cache"]
         assert cli.main(args) == 0
         assert cli.main(args) == 0
-        # Per report: one for cartanify and decompose, one inside check-iso.
-        assert builds["windows"] == [(-2, 1)] * 4
+        # Per report: one for cartanify and decompose, one inside check-iso,
+        # which counts degree -2 instead of building it.
+        assert builds["windows"] == [(-2, 1), (-1, 1)] * 2
         assert builds["variants"] == ["W"] * 2
 
     @staticmethod
@@ -463,8 +465,11 @@ class TestGoldenReports:
                       '[0, -1, 2]], "epsilon": ["2", "2", "1"], '
                       '"lambda": [0, 0, 1]}',
          "367b5ef1f91e88576ab0de859394dda614b23890e435affc0b3e8ed5adc256ae"),
+        # K is empty, so check-iso also counts the contragredient's degree -2
+        ("check-iso", '{"cartan_matrix": [[2]], "lambda": [1]}',
+         "1aefda2df8af4138246c350b19c4e5254999b15b4cddd787dd85bf912b7c3cf1"),
     ], ids=["check-all-A2w1", "check-all-C2w1", "check-iso-B2w2",
-            "check-iso-B3w3"])
+            "check-iso-B3w3", "check-iso-A1w1"])
     def test_report_digest(self, cache_env, capsys, command, spec, digest):
         assert cli.main([command, "--spec", spec, "--no-cache"]) == 0
         text = _strip_timing(capsys.readouterr().out)

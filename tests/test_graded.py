@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import canonical
@@ -729,3 +729,75 @@ def test_decompose_module_multiplicity_is_block_size_minus_rank(case):
             expected[(w, dim)] = expected.get((w, dim), 0) + mult
     assert found == sorted(((w, m, d) for (w, d), m in expected.items()),
                            key=lambda t: (t[2], t[0]))
+
+
+# -- the layer beyond the outermost, counted by Weyl orbits ------------------
+
+# finite types with their canonical symmetrizers, named as in test_rootsys
+_FINITE_TYPES = [
+    ([[2]], None), (A2, None), (A3, None), (A4, None),
+    ([[2, -2], [-1, 2]], [2, 1]),
+    ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [2, 2, 1]),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [1, 1, 2]),
+    (D4, None), (G2, [1, 3]),
+]
+
+
+def _window(g_alg, lo, hi):
+    """The stored layers of degrees lo..hi as an algebra of their own."""
+    return graded.GradedSuperalgebra(
+        g_alg.local, {d: g_alg.layers[d] for d in range(lo, hi + 1)})
+
+
+@st.composite
+def _cartan_data(draw):
+    """A finite-type datum with labels 0 or 1, not all 0.  Its degree +1
+    part has at most 10 dimensions, which keeps the full builds to
+    compare against quick."""
+    a, eps = draw(st.sampled_from(_FINITE_TYPES))
+    lam = draw(st.lists(st.integers(0, 1), min_size=len(a),
+                        max_size=len(a)).filter(any))
+    data = CartanData(a, eps, lam)
+    assume(weyl_dimension(data, lam) <= 10)
+    return data
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_cartan_data())
+def test_counted_layer_is_the_built_one(data):
+    local = build_local(data)
+    cart = cartanify(local, degree_range=(-2, 1)).graded
+    assert (graded.count_next_layer(_window(cart, -1, 1), -1, data)
+            == cart.layer(-2).dim)
+    contragredient = graded.minimal_extension(local, (-3, 3))
+    for lo, hi in ((-1, 1), (-2, 2)):
+        window = _window(contragredient, lo, hi)
+        assert (graded.count_next_layer(window, -1, data)
+                == contragredient.layer(lo - 1).dim)
+        assert (graded.count_next_layer(window, 1, data)
+                == contragredient.layer(hi + 1).dim)
+
+
+def test_count_needs_every_simple_root_vector():
+    data = CartanData(A2, lam=(1, 0))
+    cart = cartanify(build_local(data), degree_range=(-1, 1)).graded
+    local = cart.local
+    embedding = {name: vec for name, vec in local.embedding.items()
+                 if name != ("f", 0)}
+    broken = graded.GradedSuperalgebra(
+        replace(local, embedding=embedding), cart.layers)
+    with pytest.raises(ValueError, match="root vector f for node 0 "):
+        graded.count_next_layer(broken, -1, data)
+    assert graded.count_next_layer(cart, -1, data) == 3
+
+
+def test_count_rejects_a_non_integral_weight():
+    data = CartanData(A2, lam=(1, 0))
+    cart = cartanify(build_local(data), degree_range=(-1, 1)).graded
+    minus = cart.layer(-1)
+    layers = dict(cart.layers)
+    layers[-1] = replace(minus, weights=[
+        (Fraction(1, 2),) + minus.weights[0][1:], *minus.weights[1:]])
+    with pytest.raises(ValueError, match="not integral"):
+        graded.count_next_layer(
+            graded.GradedSuperalgebra(cart.local, layers), -1, data)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gradedlie import iso, tha
-from gradedlie.cartan import local_cartanification, products
+from gradedlie.cartan import cartanify, local_cartanification, products
 from gradedlie.contragredient import build_local
 from gradedlie.linalg import vadd
 from gradedlie.rootsys import CartanData, chevalley_realization, jk_partition
@@ -247,6 +247,16 @@ class TestPhiCheck:
         report = tha.check_relations(
             phi.presentation, phi.cartanification.graded, phi.assignment)
         assert report == _verdict("a1").homomorphism
+
+
+class TestWindow:
+    def test_counted_layer_matches_the_built_one(self):
+        # check-iso builds degrees -2..1 and counts degree -3
+        data = _DATA["c3"]()
+        verdict = iso.check_isomorphism(data, (-3, 1))
+        built = cartanify(build_local(data), degree_range=(-3, 1))
+        dims = verdict.sides["cartanification"]["dims"]
+        assert list(dims.items()) == list(built.graded.dims().items())
 
 
 class TestOutsideHypotheses:

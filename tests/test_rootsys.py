@@ -1,8 +1,11 @@
 """Cartan data, root systems, weight arithmetic, and Chevalley tables."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+
+import oracles
 
 from gradedlie import rootsys
 from gradedlie.rootsys import (
@@ -194,6 +197,38 @@ def test_weyl_reflect():
     assert weyl_reflect(d, 1, (1, 0)) == (1, 0)
     # involution
     assert weyl_reflect(d, 0, weyl_reflect(d, 0, (2, 5))) == (2, 5)
+
+
+_B3 = [[2, -1, 0], [-1, 2, -2], [0, -1, 2]]
+_B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
+_C3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
+_F4 = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+@pytest.mark.parametrize("a, eps", [
+    (A1, None), (A2, None), (A3, None), (A4, None), (B2, [2, 1]),
+    (_B3, [2, 2, 1]), (_B4, [2, 2, 2, 1]), (_C3, [1, 1, 2]), (D4, None),
+    (G2, [1, 3]),
+], ids=["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"])
+def test_orbit_size_matches_enumeration(a, eps):
+    data = CartanData(a, eps)
+    for mu in itertools.product(range(3), repeat=data.r):
+        assert data.orbit_size(mu) == len(oracles.weyl_orbit(data, mu)), mu
+
+
+@pytest.mark.parametrize("a, eps, order", [
+    (_F4, [2, 2, 1, 1], 1152),
+    (e_mat(6), None, 51840),
+    (e_mat(7), None, 2903040),
+    (e_mat(8), None, 696729600),
+], ids=["F4", "E6", "E7", "E8"])
+def test_weyl_group_order(a, eps, order):
+    assert CartanData(a, eps).weyl_order() == order
+
+
+def test_orbit_size_needs_a_dominant_weight():
+    with pytest.raises(ValueError, match="not dominant"):
+        CartanData(A2).orbit_size((1, -1))
 
 
 def test_pseudo_minuscule():
