@@ -46,14 +46,19 @@ actions, and relation instances -- the presentation's own at the seeds,
 the commutator axioms [e_i, f_j] = delta_ij h_j on every cell, and the
 Serre operators of g as operator identities on every cell -- are imposed
 as exact linear algebra, each new consequence rewriting the newest cell
-involved into older ones.  Rewrites are kept fully reduced, so a normal
-form is one substitution pass.  Deductions are driven by a queue, as in
-Felsch-style coset enumeration (Havas, ISSAC 1991): a cell's instance
-group records the cells whose table entries it looked up, and runs again
-only when one of them is rewritten or gains an entry; the seed relations
-and the transfer of entries off rewritten cells are re-imposed on every
-pass until a pass changes nothing.  The fixpoint at each depth depends
-only on the span of the imposed relations, not on their order.
+involved into older ones.  Rewrites and table entries are kept fully
+reduced, so a normal form is one substitution pass and an action is a
+sum of entries.  Deductions are driven by a queue, as in Felsch-style
+coset enumeration (Havas, ISSAC 1991) and vector enumeration (Linton,
+1993): an instance of a cell's group is evaluated until it has been
+imposed once.  A group with an instance waiting on a missing entry
+records the cells it looked up and runs again when one of them is
+rewritten or gains an entry.  An imposed instance's value can later
+change only by images of span elements under the actions, and the
+transfer of entries off rewritten cells imposes those; that transfer and
+the seed relations are re-imposed on every pass until a pass changes
+nothing.  The fixpoint at each depth depends only on the span of the
+imposed relations, not on their order.
 
 When every action is defined on every surviving cell, one certifying
 pass runs every seed relation and every cell's group; if it imposes
@@ -300,10 +305,12 @@ class _Enumeration:
     """Cells, partial action tables, fully reduced rewrites, and the queue
     of instance groups that a new deduction can affect.
 
-    Every rewrite names alive cells only: ``impose`` substitutes each new
-    rewrite into the older ones that name its pivot, found through
-    ``users``.  ``readers`` maps a cell to the cells whose instance group
-    looked its table entries up; ``touch`` puts them back on ``queue``.
+    Every rewrite and every table entry names alive cells only: ``impose``
+    substitutes each new rewrite into the vectors that name its pivot,
+    found through ``users`` (cell -> {id: vector}).  ``done[c]`` is the
+    bitmask of cell c's group instances already imposed.  ``readers``
+    maps a cell to the groups that wait on a missing entry and looked it
+    up; ``touch`` puts them back on ``queue``.
     """
 
     def __init__(self, data: CartanData, cell_cap: int):
@@ -311,11 +318,12 @@ class _Enumeration:
         self.r = data.r
         self.cell_cap = cell_cap
         self.wt: list[tuple] = []
+        self.done: list[int] = []
         self.ops = ([("e", i) for i in range(data.r)]
                     + [("f", i) for i in range(data.r)])
         self.tab: dict[tuple, dict[int, Vec]] = {op: {} for op in self.ops}
         self.rw: dict[int, Vec] = {}
-        self.users: dict[int, set] = {}
+        self.users: dict[int, dict] = {}
         self.readers: dict[int, set] = {}
         self.queue: set = set()
         self.running: int | None = None   # cell whose group is running
@@ -327,8 +335,9 @@ class _Enumeration:
         if len(self.wt) == self.cell_cap:
             raise _CellBudgetExhausted
         self.wt.append(weight)
+        self.done.append(0)
         cell = len(self.wt) - 1
-        self.queue.add(cell)
+        self.readers[cell] = {cell}    # its group waits on its entries
         return cell
 
     def alive(self, c: int) -> bool:
@@ -345,14 +354,24 @@ class _Enumeration:
             vadd_into(out, rw[c], vec[c])
         return out
 
+    def use(self, vec: Vec, cells) -> None:
+        """Record that ``vec`` names each of ``cells``."""
+        for c in cells:
+            self.users.setdefault(c, {})[id(vec)] = vec
+
     def touch(self, c: int) -> None:
-        """Queue the groups that looked cell c up: it died or gained an
-        entry."""
+        """Queue the groups waiting on cell c: it died or gained an entry."""
         group = self.readers.pop(c, None)
         if group:
             self.queue.update(group)
         if self.reads is not None and c in self.reads:
             self.queue.add(self.running)
+
+    def wait(self) -> None:
+        """The running group waits on an entry: register it as a reader of
+        every cell it looked up."""
+        for x in self.reads:
+            self.readers.setdefault(x, set()).add(self.running)
 
     def act(self, op: tuple, vec: Vec, create: bool) -> Vec | None:
         if not vec:
@@ -372,10 +391,11 @@ class _Enumeration:
                 sign = 1 if kind == "e" else -1
                 w2 = tuple(a + sign * b for a, b in zip(self.wt[c], shift))
                 ent = {self.new_cell(w2): 1}
+                self.use(ent, ent)
                 table[c] = ent
                 self.touch(c)
             vadd_into(out, ent, co)
-        return self.nf(out)
+        return out
 
     def word(self, ops: tuple, vec: Vec, create: bool) -> Vec | None:
         for op in reversed(ops):
@@ -401,18 +421,13 @@ class _Enumeration:
         piv = max(vec)
         new = vscale(vec, -qdiv(1, vec[piv]))
         del new[piv]
-        users = self.users
-        for y in users.pop(piv, ()):
-            old = self.rw[y]
+        for old in self.users.pop(piv, {}).values():
             co = old.pop(piv, None)
-            if co is None:
-                continue
-            vadd_into(old, new, co)
-            for c in new:
-                users.setdefault(c, set()).add(y)
+            if co is not None:
+                vadd_into(old, new, co)
+                self.use(old, new)
         self.rw[piv] = new
-        for c in new:
-            users.setdefault(c, set()).add(piv)
+        self.use(new, new)
         self.changed = True
         self.touch(piv)
         return True
@@ -443,11 +458,11 @@ _UNSET = object()    # a word of the plan not yet applied to the cell
 def _word_plan(r: int, serres: list) -> tuple:
     """The words of a cell's instance group, each distinct word once.
 
-    Returns (steps, commutators, serres).  Word 0 is the cell itself;
-    word w >= 1 is ``steps[w]`` = (op, s), the letter op applied to word
-    s, where s < w.  ``commutators`` holds (i, j, id of e_i f_j, id of
-    f_j e_i) and ``serres`` (tag, i, j, ((coeff, id), ...)), in the order
-    the group imposes them.
+    Returns (steps, instances).  Word 0 is the cell itself; word w >= 1
+    is ``steps[w]`` = (op, s), the letter op applied to word s, where
+    s < w.  ``instances`` holds (tag, i, j, ((coeff, id), ...)) in the
+    order the group imposes them: the commutators e_i f_j - f_j e_i
+    first, then the Serre operators.
     """
     ids: dict = {}
     steps: list = [None]
@@ -463,7 +478,8 @@ def _word_plan(r: int, serres: list) -> tuple:
         return w
 
     commutators = tuple(
-        (i, j, word_id((("e", i), ("f", j))), word_id((("f", j), ("e", i))))
+        ("commutator", i, j, ((1, word_id((("e", i), ("f", j)))),
+                              (-1, word_id((("f", j), ("e", i))))))
         for i in range(r) for j in range(r))
     groups = tuple(
         ("serre-" + kind, i, j,
@@ -471,7 +487,7 @@ def _word_plan(r: int, serres: list) -> tuple:
                                 + ((kind, i),) * right))
                for coeff, left, right in terms))
         for kind, i, j, terms in serres)
-    return tuple(steps), commutators, groups
+    return tuple(steps), commutators + groups
 
 
 @dataclass
@@ -528,16 +544,18 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
 
     Words of simple raising/lowering actions applied to the family seeds
     are enumerated breadth-first, one letter longer per round.  After each
-    round the deduction queue is drained: the instance group of a cell
-    runs again only when a cell it looked up was rewritten or gained a
-    table entry, and the seed relations and the transfer of entries off
-    rewritten cells are re-imposed on every pass until nothing changes.
-    When the tables are total, one certifying pass runs every seed
-    relation and every alive cell's group; if it imposes anything it
-    raises ``ValueError`` naming the instance.  The result is marked
-    "complete" only after that pass came out clean.  If a round would
-    create a cell beyond ``cell_cap`` the run stops there, "inconclusive",
-    never a guess, with at most ``cell_cap`` cells created.
+    round the deduction queue is drained: each instance of a cell's group
+    is evaluated until it has been imposed once, a group waiting on a
+    missing entry runs again when a cell it looked up was rewritten or
+    gained an entry, and the seed relations and the transfer of entries
+    off rewritten cells are re-imposed on every pass until nothing
+    changes.  When the tables are total, one certifying pass runs every
+    seed relation and every instance of every alive cell's group; if it
+    imposes anything it raises ``ValueError`` naming the instance.  The
+    result is marked "complete" only after that pass came out clean.  If
+    a round would create a cell beyond ``cell_cap`` the run stops there,
+    "inconclusive", never a guess, with at most ``cell_cap`` cells
+    created.
     """
     data = pres.data
     if cell_cap < len(pres.family):
@@ -604,9 +622,10 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
 
 def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
            plan: tuple) -> None:
-    """Run queued instance groups, then the seed relations and the dead
-    entries, until a pass of the latter two imposes nothing (only an
-    imposition queues a group, so the queue is then empty)."""
+    """Run the queued groups' instances not yet imposed, then the seed
+    relations and the dead entries, until a pass of the latter two
+    imposes nothing (only an imposition queues a group, so the queue is
+    then empty)."""
     while True:
         while enum.queue:
             batch = sorted(enum.queue)
@@ -645,37 +664,36 @@ def _seed_instances(enum: _Enumeration, seeds: dict,
 
 def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
     """Impose the commutator axioms [e_i, f_j] = delta_ij h_j and the
-    Serre operators on cell c, recording the cells the group looked up
-    as its reads.  Each word of the plan is applied to c at most once,
-    when an instance first needs it."""
+    Serre operators on cell c, each until it has been imposed once (all
+    of them in the certifying pass).  While one waits on a missing entry
+    the group registers as a reader of the cells it looked up.  Each word
+    of the plan is applied to c at most once, when an instance first
+    needs it."""
+    steps, instances = plan
+    done = 0 if enum.certifying else enum.done[c]
     enum.running, enum.reads = c, set()
     unit = {c: 1}
-    steps, commutators, serres = plan
     images = [unit] + [_UNSET] * (len(steps) - 1)
     wt = enum.wt[c]
-    for i, j, ef, fe in commutators:
-        a = _word_image(enum, steps, images, ef)
-        if a is None:
+    waiting = False
+    for bit, (tag, i, j, terms) in enumerate(instances):
+        if done >> bit & 1:
             continue
-        b = _word_image(enum, steps, images, fe)
-        if b is None:
-            continue
-        res = vadd(a, b, -1)
-        if i == j and wt[i]:
-            vadd_into(res, unit, -wt[i])
-        enum.impose(res, ("commutator", c, i, j))
-    for tag, i, j, terms in serres:
         acc: Vec = {}
         for coeff, w in terms:
             vec = _word_image(enum, steps, images, w)
             if vec is None:
+                waiting = True
                 break
             vadd_into(acc, vec, coeff)
         else:
+            if i == j and tag == "commutator" and wt[i]:
+                vadd_into(acc, unit, -wt[i])
             enum.impose(acc, (tag, c, i, j))
-    readers = enum.readers
-    for x in enum.reads:
-        readers.setdefault(x, set()).add(c)
+            done |= 1 << bit
+    if waiting:
+        enum.wait()
+    enum.done[c] = done
     enum.running = enum.reads = None
 
 
@@ -702,7 +720,7 @@ def _dead_entry_consequences(enum: _Enumeration) -> None:
             target = enum.act(op, enum.rw[c], False)
             if target is None:
                 continue
-            enum.impose(vadd(enum.nf(table.pop(c)), target, -1),
+            enum.impose(vadd(table.pop(c), target, -1),
                         ("dead entry", op, c))
 
 

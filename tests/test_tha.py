@@ -330,15 +330,21 @@ def test_minus1_d5_spinor_matches_weyl_formula():
     assert (_mod("d5").dim, _mod("d5", "S").dim) == (160, 144)
 
 
-# finite types of rank <= 3 with their canonical symmetrizers, in the
+# finite types of rank <= 4 with their canonical symmetrizers, in the
 # package's convention a[i][j] = <alpha_i^vee, alpha_j>
 _FINITE = {
     "A1": ([[2]], (1,)),
     "A2": (A2, (1, 1)),
     "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], (1, 1, 1)),
+    "A4": (A4, (1, 1, 1, 1)),
     "B2": ([[2, -2], [-1, 2]], (2, 1)),
     "B3": ([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], (2, 2, 1)),
+    "B4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+           (2, 2, 2, 1)),
     "C3": (C3, (1, 1, 2)),
+    "C4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+           (1, 1, 1, 2)),
+    "D4": (D4, (1, 1, 1, 1)),
     "G2": (G2, (1, 3)),
 }
 
@@ -404,7 +410,7 @@ def _assert_relations_well_formed(pres):
             assert all(name[0] == "f0" for name in rhs_names)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(_GENERATED)
 def test_minus1_generated_data_matches_the_structure_theorem(data):
     for variant in ("W", "S"):
@@ -439,17 +445,19 @@ def test_serre_instances_once_per_commuting_pair():
 def test_word_plan_stores_each_word_once():
     data = CartanData(G2, epsilon=(1, 3))
     instances = tha._serre_instances(data)
-    steps, commutators, serres = tha._word_plan(data.r, instances)
+    steps, plan = tha._word_plan(data.r, instances)
     words = [()]
     for op, suffix in steps[1:]:
         assert suffix < len(words)
         words.append((op,) + words[suffix])
     assert len(set(words)) == len(words)
-    assert [(i, j, words[ef], words[fe]) for i, j, ef, fe in commutators] \
-        == [(i, j, (("e", i), ("f", j)), (("f", j), ("e", i)))
-            for i in range(2) for j in range(2)]
-    assert [(tag, i, j, [(c, words[w]) for c, w in terms])
-            for tag, i, j, terms in serres] == [
+    spelled = [(tag, i, j, [(c, words[w]) for c, w in terms])
+               for tag, i, j, terms in plan]
+    assert spelled[:4] == [
+        ("commutator", i, j, [(1, (("e", i), ("f", j))),
+                              (-1, (("f", j), ("e", i)))])
+        for i in range(2) for j in range(2)]
+    assert spelled[4:] == [
         ("serre-" + kind, i, j,
          [(c, ((kind, i),) * left + ((kind, j),) + ((kind, i),) * right)
           for c, left, right in terms])
@@ -515,12 +523,9 @@ def test_certificate_digests(case):
     canonical.assert_normal_form(tables)
 
 
-def test_queue_without_requeueing_never_completes(monkeypatch):
-    # negative control: with rewritten cells and new table entries not
-    # sending their readers back to the queue, deductions are missed; the
-    # run must then stay inconclusive or fail its certifying pass
-    monkeypatch.setattr(tha._Enumeration, "touch", lambda self, c: None)
-    for name in ("a2", "d4"):
+def _assert_never_completes(names):
+    """The run stays inconclusive or fails its certifying pass."""
+    for name in names:
         try:
             mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
         except ValueError as exc:
@@ -528,6 +533,41 @@ def test_queue_without_requeueing_never_completes(monkeypatch):
         else:
             assert mod.status == "inconclusive"
             assert mod.certificate["cells_created"] <= 6000
+
+
+def test_queue_without_requeueing_never_completes(monkeypatch):
+    # negative control: with rewritten cells and new table entries not
+    # sending their readers back to the queue, deductions are missed
+    monkeypatch.setattr(tha._Enumeration, "touch", lambda self, c: None)
+    _assert_never_completes(("a2", "d4"))
+
+
+def test_waiting_groups_without_readers_never_complete(monkeypatch):
+    # negative control for retired instances: a group still waiting on a
+    # missing entry that registers no readers never runs again, and the
+    # certifying pass must catch the deductions it misses
+    monkeypatch.setattr(tha._Enumeration, "wait", lambda self: None)
+    _assert_never_completes(("a2", "d4"))
+
+
+@pytest.mark.parametrize("name", ["d4w4", "c3"])
+def test_drain_imposes_each_instance_once(monkeypatch, name):
+    # an instance of a cell's group is evaluated until it is imposed once;
+    # only the certifying pass imposes it again
+    imposed = []
+    impose = tha._Enumeration.impose
+
+    def record(self, vec, instance):
+        if vec is not None and not self.certifying:
+            imposed.append(instance)
+        return impose(self, vec, instance)
+
+    monkeypatch.setattr(tha._Enumeration, "impose", record)
+    mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
+    assert mod.status == "complete"
+    group = [inst for inst in imposed if inst[0] == "commutator"
+             or inst[0].startswith("serre-")]
+    assert group and len(set(group)) == len(group)
 
 
 def test_certifying_pass_catches_a_missed_deduction(monkeypatch):
