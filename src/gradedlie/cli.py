@@ -169,7 +169,7 @@ def _spec_from_dict(obj) -> AlgebraSpec:
         for k, entry in enumerate(epsilon_raw):
             try:
                 value = Fraction(entry) if isinstance(entry, (str, int)) \
-                    else None
+                    and not isinstance(entry, bool) else None
                 if value is None:
                     raise ValueError
             except (ValueError, ZeroDivisionError):
@@ -518,7 +518,6 @@ def _run_decompose(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
             dim = int(dims.get(d, 0))
             modules = _module_entries(
                 decompose_at_degree(graded, d, models.data) if dim else ())
-            modules.sort(key=lambda m: (m["dim"], m["highest_weight"]))
             payloads["deg%d" % d] = {"dim": dim, "modules": modules}
         return payloads
 

@@ -50,27 +50,28 @@ involved into older ones.  Rewrites and table entries are kept fully
 reduced, so a normal form is one substitution pass and an action is a
 sum of entries.  Deductions are driven by a queue, as in Felsch-style
 coset enumeration (Havas, ISSAC 1991) and vector enumeration (Linton,
-1993): an instance of a cell's group is evaluated until it has been
-imposed once.  A group with an instance waiting on a missing entry
-records the cells it looked up and runs again when one of them is
-rewritten or gains an entry.  An imposed instance's value can later
-change only by images of span elements under the actions, and the
-transfer of entries off rewritten cells imposes those; that transfer and
-the seed relations are re-imposed on every pass until a pass changes
-nothing.  The fixpoint at each depth depends only on the span of the
-imposed relations, not on their order.
+1993): each round defines the actions on the frontier, the cells the
+round before made that are still alive, and every relation instance is
+imposed once, when it can first be evaluated.  A group with an instance
+waiting on a missing entry records the cells it looked up and runs again
+when one of them is rewritten or gains an entry; a waiting seed relation
+or transfer of an entry off a rewritten cell is tried again on the next
+pass.  An imposed instance's value can later change only by images of
+span elements under the actions, and those transfers impose them.  The
+fixpoint at each depth depends only on the span of the imposed
+relations, not on their order.
 
-When every action is defined on every surviving cell, one certifying
-pass runs every seed relation and every cell's group; if it imposes
-anything the queue missed a deduction and ``ValueError`` names the
-instance.  After a clean pass the span *is* the presented module: any
-module generated by the seeds in which the seed relations hold is a
-quotient of it, and every rewrite performed lies in the relation
-submodule, so nothing was collapsed beyond it.  That state is the
-stabilization certificate, and the enumeration stops on it.  The only
-budget is the number of cells: the next cell past ``cell_cap`` is never
-created, and the result is then explicitly marked inconclusive --
-dimensions are reported, but nothing is certified.
+When the frontier comes out empty every action is defined on every
+surviving cell, and one certifying pass runs every seed relation and
+every cell's group; if it imposes anything the queue missed a deduction
+and ``ValueError`` names the instance.  After a clean pass the span *is*
+the presented module: any module generated by the seeds in which the
+seed relations hold is a quotient of it, and every rewrite performed
+lies in the relation submodule, so nothing was collapsed beyond it.
+That state is the stabilization certificate, and the enumeration stops
+on it.  The only budget is the number of cells: the next cell past
+``cell_cap`` is never created, and the result is then explicitly marked
+inconclusive -- dimensions are reported, but nothing is certified.
 
 What the paper proves about this module -- the structure theorem's
 decomposition, the sharp assignment and the reflection automorphisms --
@@ -310,32 +311,35 @@ class _Enumeration:
     found through ``users`` (cell -> {id: vector}).  ``done[c]`` is the
     bitmask of cell c's group instances already imposed.  ``readers``
     maps a cell to the groups that wait on a missing entry and looked it
-    up; ``touch`` puts them back on ``queue``.
+    up; ``touch`` puts them back on ``queue``.  ``orphans`` lists the
+    (op, cell) entries that rewritten cells still hold, and ``alive_by_wt``
+    counts the alive cells of each weight.
     """
 
     def __init__(self, data: CartanData, cell_cap: int):
         self.data = data
-        self.r = data.r
         self.cell_cap = cell_cap
         self.wt: list[tuple] = []
         self.done: list[int] = []
+        self.alive_by_wt: dict[tuple, int] = {}
         self.ops = ([("e", i) for i in range(data.r)]
                     + [("f", i) for i in range(data.r)])
         self.tab: dict[tuple, dict[int, Vec]] = {op: {} for op in self.ops}
         self.rw: dict[int, Vec] = {}
         self.users: dict[int, dict] = {}
         self.readers: dict[int, set] = {}
+        self.orphans: list = []
         self.queue: set = set()
         self.running: int | None = None   # cell whose group is running
         self.reads: set | None = None     # cells that group looked up
         self.certifying = False
-        self.changed = False
 
     def new_cell(self, weight: tuple) -> int:
         if len(self.wt) == self.cell_cap:
             raise _CellBudgetExhausted
         self.wt.append(weight)
         self.done.append(0)
+        self.alive_by_wt[weight] = self.alive_by_wt.get(weight, 0) + 1
         cell = len(self.wt) - 1
         self.readers[cell] = {cell}    # its group waits on its entries
         return cell
@@ -373,7 +377,19 @@ class _Enumeration:
         for x in self.reads:
             self.readers.setdefault(x, set()).add(self.running)
 
-    def act(self, op: tuple, vec: Vec, create: bool) -> Vec | None:
+    def define(self, op: tuple, c: int) -> None:
+        """Define op on cell c as a new cell of the shifted weight."""
+        kind, i = op
+        shift = self.data.simple_labels[i]
+        sign = 1 if kind == "e" else -1
+        ent = {self.new_cell(tuple(a + sign * b
+                                   for a, b in zip(self.wt[c], shift))): 1}
+        self.use(ent, ent)
+        self.tab[op][c] = ent
+        self.touch(c)
+
+    def act(self, op: tuple, vec: Vec) -> Vec | None:
+        """op applied to vec, or None when an entry is missing."""
         if not vec:
             return {}
         vec = self.nf(vec)
@@ -384,22 +400,13 @@ class _Enumeration:
         for c, co in vec.items():
             ent = table.get(c)
             if ent is None:
-                if not create:
-                    return None
-                kind, i = op
-                shift = self.data.simple_labels[i]
-                sign = 1 if kind == "e" else -1
-                w2 = tuple(a + sign * b for a, b in zip(self.wt[c], shift))
-                ent = {self.new_cell(w2): 1}
-                self.use(ent, ent)
-                table[c] = ent
-                self.touch(c)
+                return None
             vadd_into(out, ent, co)
         return out
 
-    def word(self, ops: tuple, vec: Vec, create: bool) -> Vec | None:
+    def word(self, ops: tuple, vec: Vec) -> Vec | None:
         for op in reversed(ops):
-            vec = self.act(op, vec, create)
+            vec = self.act(op, vec)
             if vec is None:
                 return None
         return vec
@@ -428,7 +435,8 @@ class _Enumeration:
                 self.use(old, new)
         self.rw[piv] = new
         self.use(new, new)
-        self.changed = True
+        self.alive_by_wt[self.wt[piv]] -= 1
+        self.orphans += [(op, piv) for op in self.ops if piv in self.tab[op]]
         self.touch(piv)
         return True
 
@@ -543,17 +551,13 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     """Realize the degree -1 component of the presented algebra.
 
     Words of simple raising/lowering actions applied to the family seeds
-    are enumerated breadth-first, one letter longer per round.  After each
-    round the deduction queue is drained: each instance of a cell's group
-    is evaluated until it has been imposed once, a group waiting on a
-    missing entry runs again when a cell it looked up was rewritten or
-    gained an entry, and the seed relations and the transfer of entries
-    off rewritten cells are re-imposed on every pass until nothing
-    changes.  When the tables are total, one certifying pass runs every
-    seed relation and every instance of every alive cell's group; if it
-    imposes anything it raises ``ValueError`` naming the instance.  The
-    result is marked "complete" only after that pass came out clean.  If
-    a round would create a cell beyond ``cell_cap`` the run stops there,
+    are enumerated breadth-first: a round applies every action to each
+    frontier cell, then drains the deduction queue, imposing each
+    relation instance once (see the module docstring).  An empty
+    frontier means the tables are total; the result is "complete" only
+    after the certifying pass then came out clean, and it raises
+    ``ValueError`` naming any instance that pass imposes.  If a round
+    would create a cell beyond ``cell_cap`` the run stops there,
     "inconclusive", never a guess, with at most ``cell_cap`` cells
     created.
     """
@@ -566,34 +570,31 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     seed_rels = [rel for rel in pres.relations if rel.tag in _MODULE_TAGS]
     plan = _word_plan(data.r, _serre_instances(data))
     history = []
-    status = "inconclusive"
-    reason = "cell budget %d exhausted" % cell_cap
+    frontier = list(seeds.values())
+    waiting = seed_rels
     depth_used = 0
 
     try:
-        while True:
+        while frontier:
             depth_used += 1
-            # the range is fixed here: this round's new cells wait for the next
-            for c in range(len(enum.wt)):
-                if enum.alive(c):
-                    for op in enum.ops:
-                        if c not in enum.tab[op]:
-                            enum.act(op, {c: 1}, True)
-            _drain(enum, seeds, seed_rels, plan)
-            dims: dict = {}
-            for c in range(len(enum.wt)):
-                if enum.alive(c):
-                    dims[enum.wt[c]] = dims.get(enum.wt[c], 0) + 1
-            history.append(dims)
-            if _tables_total(enum):
-                _certify(enum, seeds, seed_rels, plan)
-                status = "complete"
-                reason = "action tables total and every instance clean"
-                break
+            made = len(enum.wt)
+            for c in frontier:
+                for op in enum.ops:
+                    enum.define(op, c)
+            waiting = _drain(enum, seeds, waiting, plan)
+            history.append({w: n for w, n in enum.alive_by_wt.items() if n})
+            frontier = [c for c in range(made, len(enum.wt))
+                        if enum.alive(c)]
     except _CellBudgetExhausted:
         pass
 
     alive = [c for c in range(len(enum.wt)) if enum.alive(c)]
+    if frontier:
+        status, reason = "inconclusive", "cell budget %d exhausted" % cell_cap
+    else:
+        _certify(enum, seeds, seed_rels, plan, alive)
+        status = "complete"
+        reason = "action tables total and every instance clean"
     index = {c: t for t, c in enumerate(alive)}
 
     def compact(vec: Vec) -> Vec:
@@ -621,11 +622,12 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
 
 
 def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
-           plan: tuple) -> None:
-    """Run the queued groups' instances not yet imposed, then the seed
-    relations and the dead entries, until a pass of the latter two
-    imposes nothing (only an imposition queues a group, so the queue is
-    then empty)."""
+           plan: tuple) -> list:
+    """Run the queued groups' instances not yet imposed, then the waiting
+    seed relations and entry transfers, until a pass of the latter two
+    rewrites nothing (only a rewrite queues a group or lets a waiting
+    relation or transfer be evaluated).  Returns the seed relations still
+    waiting."""
     while True:
         while enum.queue:
             batch = sorted(enum.queue)
@@ -633,33 +635,37 @@ def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
             for c in batch:
                 if enum.alive(c):
                     _cell_instances(enum, c, plan)
-        enum.changed = False
-        _seed_instances(enum, seeds, seed_rels)
+        rewrites = len(enum.rw)
+        seed_rels = _seed_instances(enum, seeds, seed_rels)
         _dead_entry_consequences(enum)
-        if not enum.changed:
-            return
+        if len(enum.rw) == rewrites:
+            return seed_rels
 
 
 def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,
-             plan: tuple) -> None:
+             plan: tuple, alive: list) -> None:
     """One full pass of every instance; raises if it imposes anything."""
     enum.certifying = True
     _seed_instances(enum, seeds, seed_rels)
-    for c in range(len(enum.wt)):
-        if enum.alive(c):
-            _cell_instances(enum, c, plan)
+    for c in alive:
+        _cell_instances(enum, c, plan)
     _dead_entry_consequences(enum)
 
 
 def _seed_instances(enum: _Enumeration, seeds: dict,
-                    seed_rels: list) -> None:
+                    seed_rels: list) -> list:
+    """Impose each seed relation that can be evaluated; return the ones
+    waiting on a missing entry."""
+    waiting = []
     for rel in seed_rels:
-        vec = enum.word(rel.ops, {seeds[rel.target]: 1}, False)
+        vec = enum.word(rel.ops, {seeds[rel.target]: 1})
         if vec is None:
+            waiting.append(rel)
             continue
         for c, name in rel.rhs:
             vec = vadd(vec, {seeds[name]: 1}, -c)
         enum.impose(vec, (rel.tag, rel.indices))
+    return waiting
 
 
 def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
@@ -706,29 +712,20 @@ def _word_image(enum: _Enumeration, steps: tuple, images: list,
         op, suffix = steps[w]
         vec = _word_image(enum, steps, images, suffix)
         if vec is not None:
-            vec = enum.act(op, vec, False)
+            vec = enum.act(op, vec)
         images[w] = vec
     return vec
 
 
 def _dead_entry_consequences(enum: _Enumeration) -> None:
-    """Transfer action knowledge recorded on cells that were rewritten."""
-    for op, table in enum.tab.items():
-        for c in list(table):
-            if enum.alive(c):
-                continue
-            target = enum.act(op, enum.rw[c], False)
-            if target is None:
-                continue
-            enum.impose(vadd(table.pop(c), target, -1),
+    """Transfer the entries that rewritten cells still hold; one whose
+    image under the rewrite needs a missing entry waits for the next
+    pass."""
+    pending, enum.orphans = enum.orphans, []
+    for op, c in pending:
+        target = enum.act(op, enum.rw[c])
+        if target is None:
+            enum.orphans.append((op, c))
+        else:
+            enum.impose(vadd(enum.tab[op].pop(c), target, -1),
                         ("dead entry", op, c))
-
-
-def _tables_total(enum: _Enumeration) -> bool:
-    for c in range(len(enum.wt)):
-        if not enum.alive(c):
-            continue
-        for op in enum.ops:
-            if enum.tab[op].get(c) is None:
-                return False
-    return True

@@ -97,6 +97,19 @@ class TestParseSpec:
         spec = cli.parse_spec(json.dumps({**g2, "epsilon": ["1", "3"]}))
         assert spec.data.epsilon == (Fraction(1), Fraction(3))
 
+    def test_boolean_epsilon_is_rejected(self, capsys):
+        spec = json.dumps({"cartan_matrix": [[2, -1], [-1, 2]],
+                           "epsilon": [True, True]})
+        with pytest.raises(cli.SpecError) as err:
+            cli.parse_spec(spec)
+        assert list(err.value.diagnostics) == [
+            'epsilon[0]: expected a rational "p/q"',
+            'epsilon[1]: expected a rational "p/q"']
+        assert cli.main(["roots", "--spec", spec, "--no-cache"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            'spec error: epsilon[0]: expected a rational "p/q"',
+            'spec error: epsilon[1]: expected a rational "p/q"']
+
     @pytest.mark.parametrize("window", [[0, 1], [-1, 0], [-1], [1, -1]])
     def test_degree_range_must_contain_unit_window(self, window):
         spec = {"cartan_matrix": [[2]], "degree_range": window}

@@ -552,8 +552,8 @@ def test_waiting_groups_without_readers_never_complete(monkeypatch):
 
 @pytest.mark.parametrize("name", ["d4w4", "c3"])
 def test_drain_imposes_each_instance_once(monkeypatch, name):
-    # an instance of a cell's group is evaluated until it is imposed once;
-    # only the certifying pass imposes it again
+    # an instance of a cell's group or a seed relation is evaluated until
+    # it is imposed once; only the certifying pass imposes it again
     imposed = []
     impose = tha._Enumeration.impose
 
@@ -568,6 +568,30 @@ def test_drain_imposes_each_instance_once(monkeypatch, name):
     group = [inst for inst in imposed if inst[0] == "commutator"
              or inst[0].startswith("serre-")]
     assert group and len(set(group)) == len(group)
+    seeded = [inst for inst in imposed if inst[0] in tha._MODULE_TAGS]
+    assert seeded and len(set(seeded)) == len(seeded)
+
+
+@pytest.mark.parametrize("name", ["d4w4", "c3", "a4"])
+def test_certified_tables_are_total_and_clean(monkeypatch, name):
+    # when the frontier comes out empty, every alive cell has an entry for
+    # each action and no rewritten cell still holds one
+    seen = []
+    certify = tha._certify
+
+    def inspect(enum, *args):
+        seen.append(enum)
+        return certify(enum, *args)
+
+    monkeypatch.setattr(tha, "_certify", inspect)
+    mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
+    assert mod.status == "complete" and len(seen) == 1
+    enum = seen[0]
+    alive = [c for c in range(len(enum.wt)) if enum.alive(c)]
+    assert len(alive) == mod.dim
+    for op in enum.ops:
+        assert all(c in enum.tab[op] for c in alive)
+        assert not any(c in enum.rw for c in enum.tab[op])
 
 
 def test_certifying_pass_catches_a_missed_deduction(monkeypatch):
