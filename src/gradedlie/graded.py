@@ -47,7 +47,9 @@ irreducible module R(-lambda) level by level (``lowest_weight_module``),
 the degree -1 part of the cartanification
 (``cartan.local_cartanification``) and the multiplicities of
 ``decompose_module``.  The extension reads only the ``Layer`` tables;
-``_local_layers`` turns the local brackets into them.
+``_local_layers`` turns the local brackets into them, once per local
+part, and the local part answers its own brackets from those three
+layers through the same evaluator, ``GradedSuperalgebra``.
 
 ``count_next_layer`` gives the dimension of the layer one step beyond
 the outermost stored one without building it.  On Cartan data that
@@ -132,6 +134,9 @@ class LocalSuperalgebra:
       elements when the degree-0 basis is synthetic (cartanifications).
 
     Construction brings every weight entry and table value to normal form.
+    On first use (``brackets``) the tables become three ``Layer``s, once,
+    and every bracket is evaluated over them as in any graded algebra; a
+    table changed after that is not seen, so build a new local part.
     """
 
     neg_names: list
@@ -160,6 +165,15 @@ class LocalSuperalgebra:
                     *(self.embedding or {}).values(),
                     *(v for v in (self.pairing, self.grading)
                       if v is not None)])
+        self._brackets: GradedSuperalgebra | None = None
+
+    def brackets(self) -> GradedSuperalgebra:
+        """The three local layers and the bracket evaluator over them,
+        built on first use; the evaluator holds no reference back to this
+        local part."""
+        if self._brackets is None:
+            self._brackets = GradedSuperalgebra(None, _local_layers(self))
+        return self._brackets
 
     @property
     def nneg(self) -> int:
@@ -194,21 +208,10 @@ class LocalSuperalgebra:
 
     def bracket(self, da: int, a: int, db: int, b: int) -> Vec:
         """[basis_a at degree da, basis_b at degree db]; |da + db| <= 1."""
-        key = (da, db)
-        if key == (0, 0):
-            return dict(self.b00.get((a, b), {}))
-        if key == (0, -1):
-            return dict(self.b0m.get((a, b), {}))
-        if key == (0, 1):
-            return dict(self.b0p.get((a, b), {}))
-        if key == (1, -1):
-            return dict(self.bpm.get((a, b), {}))
-        if da + db > 1 or da + db < -1:
+        if not -1 <= da + db <= 1:
             raise ValueError("bracket of degrees %d and %d leaves the slice"
                              % (da, db))
-        sign = -1 if (self.parities_at(da)[a] and self.parities_at(db)[b]) \
-            else 1
-        return vscale(self.bracket(db, b, da, a), -sign)
+        return self.brackets()._bb(da, a, db, b)
 
     def bracket_vec(self, da: int, va: Vec, db: int, vb: Vec) -> Vec:
         out: Vec = {}
@@ -327,10 +330,13 @@ class GradedSuperalgebra:
 
     Brackets between arbitrary stored degrees are evaluated recursively
     from the stored layer data (tensor definitions, degree +-1 actions,
-    degree-0 actions) and memoized per basis pair.
+    degree-0 actions) and memoized per basis pair.  ``local`` is the
+    local part the algebra extends; the evaluator a local part holds over
+    its own three layers has None there.
     """
 
-    def __init__(self, local: LocalSuperalgebra, layers: dict[int, Layer]):
+    def __init__(self, local: LocalSuperalgebra | None,
+                 layers: dict[int, Layer]):
         self.local = local
         self.layers = layers
         self._memo: dict[tuple, Vec] = {}
@@ -369,10 +375,13 @@ class GradedSuperalgebra:
         return vscale(self._bb(db, j, da, i), -sign)
 
     def _bb(self, da: int, i: int, db: int, j: int) -> Vec:
-        """Basis bracket, memoized; raises if the result degree is unstored."""
+        """Basis bracket, memoized unless it is a stored degree-0 action
+        entry; raises if the result degree is unstored."""
         d = da + db
         if d not in self.layers:
             raise ValueError("bracket lands at unstored degree %d" % d)
+        if da == 0:
+            return dict(self.layers[db].act0[i].get(j, {}))
         key = (da, i, db, j)
         hit = self._memo.get(key)
         if hit is not None:
@@ -382,8 +391,6 @@ class GradedSuperalgebra:
         return dict(val)
 
     def _bb_raw(self, da: int, i: int, db: int, j: int) -> Vec:
-        if da == 0:
-            return dict(self.layers[db].act0[i].get(j, {}))
         if db == 0 or da < 0 < db:
             return self._anti(da, i, db, j)
 
@@ -427,27 +434,21 @@ class GradedSuperalgebra:
 
 
 def _local_layers(local: LocalSuperalgebra) -> dict[int, Layer]:
-    """Wrap the three local degrees in the uniform Layer shape."""
-    nneg, nzero, npos = local.nneg, local.nzero, local.npos
+    """Wrap the three local degrees in the uniform Layer shape, sharing
+    the tables' vectors: nothing changes a stored vector in place."""
+    def columns(table: dict, n: int) -> list:
+        """table[(a, x)] as cols[a][x], the empty vectors left out."""
+        cols = [dict() for _ in range(n)]
+        for (a, x), vec in table.items():
+            if vec:
+                cols[a][x] = vec
+        return cols
 
-    act0_m = [dict() for _ in range(nzero)]
-    act0_p = [dict() for _ in range(nzero)]
-    for (a, x), vec in local.b0m.items():
-        if vec:
-            act0_m[a][x] = dict(vec)
-    for (a, z), vec in local.b0p.items():
-        if vec:
-            act0_p[a][z] = dict(vec)
-    act0_0 = [dict() for _ in range(nzero)]
-    for (a, b), vec in local.b00.items():
-        if vec:
-            act0_0[a][b] = dict(vec)
-
-    opp_m = [dict() for _ in range(npos)]   # [z, x] for x at degree -1
-    for (z, x), vec in local.bpm.items():
-        if vec:
-            opp_m[z][x] = dict(vec)
-    opp_p = [dict() for _ in range(nneg)]   # [x, z] for z at degree +1
+    act0_m = columns(local.b0m, local.nzero)
+    act0_p = columns(local.b0p, local.nzero)
+    act0_0 = columns(local.b00, local.nzero)
+    opp_m = columns(local.bpm, local.npos)   # [z, x] for x at degree -1
+    opp_p = [dict() for _ in range(local.nneg)]   # [x, z], z at degree +1
     for (z, x), vec in local.bpm.items():
         sign = -1 if (local.pos_parities[z]
                       and local.neg_parities[x]) else 1
@@ -649,7 +650,7 @@ def minimal_extension(local: LocalSuperalgebra,
     d_min, d_max = degree_range
     if d_min > -1 or d_max < 1:
         raise ValueError("degree_range must contain [-1, 1]")
-    layers = _local_layers(local)
+    layers = dict(local.brackets().layers)
     for side, stop in ((-1, -d_min), (1, d_max)):
         for k in range(1, stop):
             layers[side * (k + 1)] = _extend_one(layers, side, k)

@@ -657,7 +657,7 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
     [e_gamma, e_{-gamma}] = h_gamma with positive extraspecial constants.
     """
     positives = list(data.positive_roots)
-    from . import graded  # deferred: graded imports rootsys lazily too
+    from . import graded  # deferred: graded imports rootsys at module level
 
     r = data.r
     root_set = {rt.coords for rt in positives}

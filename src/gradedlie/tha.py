@@ -42,24 +42,26 @@ generated by the family f0_i subject to the degree -1 relations above
 (the h-f0 relations fix the weight of every family member to lambda).
 ``build_minus1`` realizes it by vector enumeration: cells name candidate
 basis vectors, partial tables hold the simple raising and lowering
-actions, and relation instances -- the presentation's own at the seeds,
-the commutator axioms [e_i, f_j] = delta_ij h_j on every cell, and the
-Serre operators of g as operator identities on every cell -- are imposed
-as exact linear algebra, each new consequence rewriting the newest cell
-involved into older ones.  Rewrites and table entries are kept fully
-reduced, so a normal form is one substitution pass and an action is a
-sum of entries.  Deductions are driven by a queue, as in Felsch-style
-coset enumeration (Havas, ISSAC 1991) and vector enumeration (Linton,
-1993): each round defines the actions on the frontier, the cells the
-round before made that are still alive, and every relation instance is
-imposed once, when it can first be evaluated.  A group with an instance
-waiting on a missing entry records the cells it looked up and runs again
-when one of them is rewritten or gains an entry; a waiting seed relation
-or transfer of an entry off a rewritten cell is tried again on the next
-pass.  An imposed instance's value can later change only by images of
-span elements under the actions, and those transfers impose them.  The
-fixpoint at each depth depends only on the span of the imposed
-relations, not on their order.
+actions, and relation instances are imposed as exact linear algebra,
+each new consequence rewriting the newest cell involved into older ones.
+Every instance is one of the presentation's relations whose letters are
+all simple root vectors of g: its relations on the f0 family at the
+seeds, and its relations among g's root vectors -- the commutators
+[e_i, f_j] = delta_ij h_j and the Serre relations -- as operator
+identities on every cell (the others name h_i, h0 or e0).  Rewrites
+and table entries are kept fully reduced, so a normal form is one
+substitution pass and an action is a sum of entries.  Deductions are
+driven by a queue, as in Felsch-style coset enumeration (Havas, ISSAC
+1991) and vector enumeration (Linton, 1993): each round defines the
+actions on the frontier, the cells the round before made that are still
+alive, and every relation instance is imposed once, when it can first be
+evaluated.  A group with an instance waiting on a missing entry records
+the cells it looked up and runs again when one of them is rewritten or
+gains an entry; a waiting seed relation or transfer of an entry off a
+rewritten cell is tried again on the next pass.  An imposed instance's
+value can later change only by images of span elements under the
+actions, and those transfers impose them.  The fixpoint at each depth
+depends only on the span of the imposed relations, not on their order.
 
 When the frontier comes out empty every action is defined on every
 surviving cell, and one certifying pass runs every seed relation and
@@ -82,7 +84,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .graded import GradedSuperalgebra, Vec
 from .graded import decompose_module
@@ -441,36 +442,24 @@ class _Enumeration:
         return True
 
 
-def _serre_instances(data: CartanData) -> list:
-    """(kind, i, j, terms) with terms = [(coeff, a, b)]: X_i^a X_j X_i^b.
-
-    A pair with a_ij = 0 appears once, as i < j: its (j, i) operator is
-    the negation of the (i, j) one on the same words.
-    """
-    out = []
-    for i in range(data.r):
-        for j in range(data.r):
-            if i == j or (i > j and data.a[i][j] == 0):
-                continue
-            n = 1 - data.a[i][j]
-            terms = [((-1) ** t * comb(n, t), n - t, t)
-                     for t in range(n + 1)]
-            out.append(("e", i, j, terms))
-            out.append(("f", i, j, terms))
-    return out
-
-
 _UNSET = object()    # a word of the plan not yet applied to the cell
 
 
-def _word_plan(r: int, serres: list) -> tuple:
-    """The words of a cell's instance group, each distinct word once.
+def _word_plan(rels: list) -> tuple:
+    """The words and instances of a cell's group, each distinct word once.
+
+    ``rels`` are relations among g's simple root vectors, (ad x_1 ... ad
+    x_n)(y) = sum c h_k.  Each holds on the module as an operator
+    identity: expanded by [x, T] = xT - Tx its left side is a sum of coeff
+    * word, and h_k acts on a cell of weight mu as mu_k.  An identity equal
+    to one already planned or to its negation -- the (j, i) Serre relation
+    of a commuting pair gives minus the (i, j) operator -- is planned once.
 
     Returns (steps, instances).  Word 0 is the cell itself; word w >= 1
     is ``steps[w]`` = (op, s), the letter op applied to word s, where
-    s < w.  ``instances`` holds (tag, i, j, ((coeff, id), ...)) in the
-    order the group imposes them: the commutators e_i f_j - f_j e_i
-    first, then the Serre operators.
+    s < w.  ``instances`` holds (rel, ((coeff, id), ...)) in the order the
+    group imposes them: the commutators [e_i, f_j] first, then each pair's
+    e and f Serre operators.
     """
     ids: dict = {}
     steps: list = [None]
@@ -485,17 +474,24 @@ def _word_plan(r: int, serres: list) -> tuple:
             w = ids[step]
         return w
 
-    commutators = tuple(
-        ("commutator", i, j, ((1, word_id((("e", i), ("f", j)))),
-                              (-1, word_id((("f", j), ("e", i))))))
-        for i in range(r) for j in range(r))
-    groups = tuple(
-        ("serre-" + kind, i, j,
-         tuple((coeff, word_id(((kind, i),) * left + ((kind, j),)
-                                + ((kind, i),) * right))
-               for coeff, left, right in terms))
-        for kind, i, j, terms in serres)
-    return tuple(steps), commutators + groups
+    seen: set = set()
+    instances = []
+    for rel in sorted(rels, key=lambda rel: (rel.tag != "chevalley-ef",
+                                             rel.indices)):
+        terms = {(rel.target,): 1}
+        for op in reversed(rel.ops):
+            expanded: dict = {}
+            for word, c in terms.items():
+                expanded[(op,) + word] = expanded.get((op,) + word, 0) + c
+                expanded[word + (op,)] = expanded.get(word + (op,), 0) - c
+            terms = {word: c for word, c in expanded.items() if c}
+        words = tuple((c, word_id(word)) for word, c in terms.items())
+        identity = frozenset(words + tuple((-c, h) for c, h in rel.rhs))
+        if identity in seen:
+            continue
+        seen.update((identity, frozenset((-c, x) for c, x in identity)))
+        instances.append((rel, words))
+    return tuple(steps), tuple(instances)
 
 
 @dataclass
@@ -541,12 +537,6 @@ class MinusOneModule:
         return mat_apply((self.e_act if kind == "e" else self.f_act)[i], vec)
 
 
-# the relations among the family seeds: every one is a word of simple
-# raisings and lowerings applied to a seed, equal to a sum of seeds
-_MODULE_TAGS = frozenset({"f0-raise-lower", "f0-lower-j", "f0-raise-j",
-                          "f0-raise-kk", "f0-lower-kk", "f0-raise-jk"})
-
-
 def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     """Realize the degree -1 component of the presented algebra.
 
@@ -567,8 +557,13 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
                          % (cell_cap, len(pres.family)))
     enum = _Enumeration(data, cell_cap)
     seeds = {("f0", i): enum.new_cell(data.lam) for i in pres.family}
-    seed_rels = [rel for rel in pres.relations if rel.tag in _MODULE_TAGS]
-    plan = _word_plan(data.r, _serre_instances(data))
+    # the relations whose ops are all simple root vectors of g: on a family
+    # member they are the seed relations, among g's root vectors they are
+    # operator identities on every cell
+    roots = set(enum.ops)
+    ours = [rel for rel in pres.relations if roots.issuperset(rel.ops)]
+    seed_rels = [rel for rel in ours if rel.target in seeds]
+    plan = _word_plan([rel for rel in ours if rel.target in roots])
     history = []
     frontier = list(seeds.values())
     waiting = seed_rels
@@ -669,12 +664,11 @@ def _seed_instances(enum: _Enumeration, seeds: dict,
 
 
 def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
-    """Impose the commutator axioms [e_i, f_j] = delta_ij h_j and the
-    Serre operators on cell c, each until it has been imposed once (all
-    of them in the certifying pass).  While one waits on a missing entry
-    the group registers as a reader of the cells it looked up.  Each word
-    of the plan is applied to c at most once, when an instance first
-    needs it."""
+    """Impose the plan's operator identities on cell c, each until it has
+    been imposed once (all of them in the certifying pass).  While one
+    waits on a missing entry the group registers as a reader of the cells
+    it looked up.  Each word of the plan is applied to c at most once,
+    when an instance first needs it."""
     steps, instances = plan
     done = 0 if enum.certifying else enum.done[c]
     enum.running, enum.reads = c, set()
@@ -682,7 +676,7 @@ def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
     images = [unit] + [_UNSET] * (len(steps) - 1)
     wt = enum.wt[c]
     waiting = False
-    for bit, (tag, i, j, terms) in enumerate(instances):
+    for bit, (rel, terms) in enumerate(instances):
         if done >> bit & 1:
             continue
         acc: Vec = {}
@@ -693,9 +687,10 @@ def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
                 break
             vadd_into(acc, vec, coeff)
         else:
-            if i == j and tag == "commutator" and wt[i]:
-                vadd_into(acc, unit, -wt[i])
-            enum.impose(acc, (tag, c, i, j))
+            for coeff, (_, k) in rel.rhs:     # coeff * h_k on the cell
+                if wt[k]:
+                    vadd_into(acc, unit, -coeff * wt[k])
+            enum.impose(acc, (rel.tag, c) + rel.indices)
             done |= 1 << bit
     if waiting:
         enum.wait()

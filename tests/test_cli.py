@@ -489,21 +489,31 @@ class TestGoldenReports:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+A4_SPEC = ('{"cartan_matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], '
+           '[0, -1, 2, -1], [0, 0, -1, 2]], "lambda": [0, 1, 0, 0]}')
+
+
 def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
     """Invariants hold under ``python -O``: no check of the package rests
-    on an ``assert``, so the report is the same without them."""
-    args = ["check-all", "--spec", A2_SPEC, "--degrees=-2..1", "--no-cache"]
-    assert cli.main(args) == 0
-    in_process = _strip_timing(capsys.readouterr().out)
+    on an ``assert``, so the report is the same without them, and it does
+    not depend on the hash seed either.  The tha-minus1 case is the
+    largest relations rung, whose deduction queue is driven by sets."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    done = subprocess.run([sys.executable, "-O", "-m", "gradedlie.cli"] + args,
-                          capture_output=True, text=True, env=env,
-                          timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert _strip_timing(done.stdout) == in_process
+    for args in (["check-all", "--spec", A2_SPEC, "--degrees=-2..1"],
+                 ["tha-minus1", "--spec", A4_SPEC, "--variant", "W"]):
+        args = args + ["--no-cache"]
+        assert cli.main(args) == 0
+        in_process = _strip_timing(capsys.readouterr().out)
+        for seed in ("0", "12345"):
+            env["PYTHONHASHSEED"] = seed
+            done = subprocess.run(
+                [sys.executable, "-O", "-m", "gradedlie.cli"] + args,
+                capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert _strip_timing(done.stdout) == in_process
 
 
 class TestCache:

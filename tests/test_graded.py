@@ -151,6 +151,45 @@ def test_pgl_extension_is_pgl():
     assert ext.dims() == {-3: 0, -2: 2, -1: 6, 0: 8, 1: 6, 2: 2, 3: 0}
 
 
+def _table_bracket(loc, da, a, db, b):
+    """A local bracket read off the one-sided tables, the other
+    orientation by super-antisymmetry."""
+    tables = {(0, 0): loc.b00, (0, -1): loc.b0m, (0, 1): loc.b0p,
+              (1, -1): loc.bpm}
+    if (da, db) in tables:
+        return tables[(da, db)].get((a, b), {})
+    sign = -1 if loc.parities_at(da)[a] and loc.parities_at(db)[b] else 1
+    return {k: -sign * c for k, c in tables[(db, da)].get((b, a), {}).items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gl_local(2), osp14_local,
+    lambda: build_local(CartanData(A2, lam=(1, 0)))],
+    ids=["gl2", "osp14", "a2-contragredient"])
+def test_local_brackets_are_the_tables(monkeypatch, make):
+    # one evaluator over the three layers, built once, answers every
+    # bracket the tables hold
+    built = []
+    layers = graded._local_layers
+    monkeypatch.setattr(graded, "_local_layers",
+                        lambda loc: built.append(loc) or layers(loc))
+    loc = make()
+    degrees = (-1, 0, 1)
+    for da in degrees:
+        for db in degrees:
+            for a in range(len(loc.names_at(da))):
+                for b in range(len(loc.names_at(db))):
+                    if abs(da + db) > 1:
+                        with pytest.raises(ValueError,
+                                           match="leaves the slice"):
+                            loc.bracket(da, a, db, b)
+                    else:
+                        assert loc.bracket(da, a, db, b) == \
+                            _table_bracket(loc, da, a, db, b)
+    graded.minimal_extension(loc, (-2, 2))
+    assert sum(other is loc for other in built) == 1
+
+
 def test_corrupted_local_fails():
     loc = gl_local(2)
     (key, vec) = next(iter(loc.b0m.items()))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -404,7 +405,7 @@ def _assert_relations_well_formed(pres):
                    for name in rel.ops + (rel.target,) + tuple(rhs_names))
         lhs_degree = sum(degree[op] for op in rel.ops) + degree[rel.target]
         assert all(degree[name] == lhs_degree for name in rhs_names)
-        if rel.tag in tha._MODULE_TAGS:
+        if rel.tag.startswith("f0-"):
             assert all(op[0] in ("e", "f") for op in rel.ops)
             assert rel.target[0] == "f0"
             assert all(name[0] == "f0" for name in rhs_names)
@@ -425,43 +426,108 @@ def test_minus1_generated_data_matches_the_structure_theorem(data):
                                   mod.seed_vecs, g.weights, g._table])
 
 
-def test_serre_instances_once_per_commuting_pair():
-    # for a_ij = 0 the (j, i) operator is minus the (i, j) one
-    insts = tha._serre_instances(CartanData(D4, lam=(1, 0, 0, 0)))
-    assert len(insts) == 18
-    pairs = {(kind, i, j) for kind, i, j, _ in insts}
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                kept = ("e", i, j) in pairs
-                assert kept == (D4[i][j] != 0 or i < j)
-                assert kept == (("f", i, j) in pairs)
-    insts = tha._serre_instances(CartanData(G2, epsilon=(1, 3)))
-    assert [(i, j, terms) for kind, i, j, terms in insts if kind == "e"] == [
-        (0, 1, [(1, 2, 0), (-2, 1, 1), (1, 0, 2)]),
-        (1, 0, [(1, 4, 0), (-4, 3, 1), (6, 2, 2), (-4, 1, 3), (1, 0, 4)])]
+def _cell_plan(data):
+    """The word plan of the presentation's relations among g's simple
+    root vectors."""
+    roots = {(kind, i) for kind in ("e", "f") for i in range(data.r)}
+    return tha._word_plan([
+        rel for rel in tha.presentation(data).relations
+        if roots.issuperset(rel.ops) and rel.target in roots])
 
 
-def test_word_plan_stores_each_word_once():
-    data = CartanData(G2, epsilon=(1, 3))
-    instances = tha._serre_instances(data)
-    steps, plan = tha._word_plan(data.r, instances)
+def _spelled(plan):
+    """The plan's instances as (tag, indices, [(coeff, word)])."""
+    steps, instances = plan
     words = [()]
     for op, suffix in steps[1:]:
         assert suffix < len(words)
         words.append((op,) + words[suffix])
     assert len(set(words)) == len(words)
-    spelled = [(tag, i, j, [(c, words[w]) for c, w in terms])
-               for tag, i, j, terms in plan]
+    return [(rel.tag, rel.indices, [(c, words[w]) for c, w in terms])
+            for rel, terms in instances]
+
+
+def _serre_terms(kind, i, j, n):
+    """(ad x_i)^n x_j = sum_t (-1)^t C(n, t) x_i^(n-t) x_j x_i^t."""
+    return [((-1) ** t * comb(n, t),
+             ((kind, i),) * (n - t) + ((kind, j),) + ((kind, i),) * t)
+            for t in range(n + 1)]
+
+
+def test_serre_instances_once_per_commuting_pair():
+    # for a_ij = 0 the (j, i) operator is minus the (i, j) one
+    spelled = _spelled(_cell_plan(CartanData(D4, lam=(1, 0, 0, 0))))
+    serres = [(tag, i, j) for tag, (i, j), _ in spelled
+              if tag.startswith("serre-")]
+    assert len(serres) == 18
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                kept = ("serre-e", i, j) in serres
+                assert kept == (D4[i][j] != 0 or i < j)
+                assert kept == (("serre-f", i, j) in serres)
+    spelled = _spelled(_cell_plan(CartanData(G2, epsilon=(1, 3))))
+    assert [(ij, [c for c, _ in terms]) for tag, ij, terms in spelled
+            if tag == "serre-e"] == [((0, 1), [1, -2, 1]),
+                                     ((1, 0), [1, -4, 6, -4, 1])]
+
+
+def test_word_plan_stores_each_word_once():
+    # commutators first, then each pair's e and f Serre operators
+    spelled = _spelled(_cell_plan(CartanData(G2, epsilon=(1, 3))))
     assert spelled[:4] == [
-        ("commutator", i, j, [(1, (("e", i), ("f", j))),
-                              (-1, (("f", j), ("e", i)))])
+        ("chevalley-ef", (i, j), [(1, (("e", i), ("f", j))),
+                                  (-1, (("f", j), ("e", i)))])
         for i in range(2) for j in range(2)]
     assert spelled[4:] == [
-        ("serre-" + kind, i, j,
-         [(c, ((kind, i),) * left + ((kind, j),) + ((kind, i),) * right)
-          for c, left, right in terms])
-        for kind, i, j, terms in instances]
+        ("serre-" + kind, (i, j), _serre_terms(kind, i, j, 1 - G2[i][j]))
+        for i, j in ((0, 1), (1, 0)) for kind in ("e", "f")]
+
+
+def _certified_instances(pres):
+    """build_minus1 on ``pres`` with the instances its certifying pass
+    imposes: {(tag, indices): cells}, a seed relation counting 0 cells."""
+    seen: dict = {}
+    impose = tha._Enumeration.impose
+
+    def record(self, vec, instance):
+        if self.certifying:
+            tag, *rest = instance
+            if tag != "dead entry":
+                key = (tag, rest[0]) if len(rest) == 1 \
+                    else (tag, tuple(rest[1:]))
+                seen[key] = seen.get(key, 0) + (len(rest) > 1)
+        return impose(self, vec, instance)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tha._Enumeration, "impose", record)
+        mod = tha.build_minus1(pres)
+    return mod, seen
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(_GENERATED)
+def test_minus1_imposes_the_relations_among_root_vectors(data):
+    # every relation is imposed at the seeds or on every cell, or names
+    # h_i, h0 or e0, outside g's root vectors; a commuting pair's (j, i)
+    # Serre relation is the negated (i, j) operator, imposed once
+    for variant in ("W", "S"):
+        pres = tha.presentation(data, variant)
+        mod, seen = _certified_instances(pres)
+        assert mod.status == "complete"
+        for rel in pres.relations:
+            key = (rel.tag, rel.indices)
+            if any(name[0] in ("h", "h0", "e0")
+                   for name in rel.ops + (rel.target,)):
+                assert key not in seen
+            elif rel.target[0] == "f0":
+                assert seen[key] == 0
+            else:
+                i, j = rel.indices
+                if key not in seen and rel.tag.startswith("serre-") \
+                        and data.a[i][j] == 0:
+                    key = (rel.tag, (j, i))
+                assert seen.get(key, 0) == mod.dim
 
 
 def test_minus1_dimension_history_stabilizes():
@@ -565,10 +631,10 @@ def test_drain_imposes_each_instance_once(monkeypatch, name):
     monkeypatch.setattr(tha._Enumeration, "impose", record)
     mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
     assert mod.status == "complete"
-    group = [inst for inst in imposed if inst[0] == "commutator"
+    group = [inst for inst in imposed if inst[0] == "chevalley-ef"
              or inst[0].startswith("serre-")]
     assert group and len(set(group)) == len(group)
-    seeded = [inst for inst in imposed if inst[0] in tha._MODULE_TAGS]
+    seeded = [inst for inst in imposed if inst[0].startswith("f0-")]
     assert seeded and len(set(seeded)) == len(seeded)
 
 
