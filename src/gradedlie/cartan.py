@@ -39,7 +39,7 @@ complementary to the weight labels.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # rref and kernel_basis stay bound here for tracers that wrap them by name.
 from .linalg import Span, kernel_basis, qnorm, rref, vadd, vadd_into
@@ -151,17 +151,28 @@ class Cartanification:
     coordinates (see ``products``), to its coordinates over the quotient
     minus basis; ``zero_class`` a degree-0 vector of ``source``, the
     original local part, to the quotient's degree-0 coordinates.
+    ``restricted`` says whether a restriction cut the minus part down.
+    ``graded`` is the minimal extension over a window (``over``), None
+    until one is taken.
     """
 
     local: LocalSuperalgebra | None
     candidate_count: int
     kernel_dim: int
     source: LocalSuperalgebra = field(repr=False)
+    restricted: bool = False
     graded: GradedSuperalgebra | None = None
     zero_basis: list | None = field(repr=False, default=None)
     _classes: dict | None = field(repr=False, default=None)
     _minus_solver: WeightedSolver | None = field(repr=False, default=None)
     _zero_solver: WeightedSolver | None = field(repr=False, default=None)
+
+    def over(self, degree_range) -> Cartanification:
+        """This cartanification extended over ``degree_range``: a copy
+        whose ``graded`` is that minimal extension, sharing everything
+        else, so one local cartanification serves every window."""
+        return replace(
+            self, graded=minimal_extension(self.local, degree_range))
 
     def action_coords(self, p: int, j: int) -> dict:
         """Action of the candidate x_p u_j on the plus wing, in the closed
@@ -257,7 +268,7 @@ def local_cartanification(local: LocalSuperalgebra,
 
     result = Cartanification(
         local=None, candidate_count=nneg * nzero, kernel_dim=0,
-        source=local)
+        source=local, restricted=restriction is not None)
 
     # Each candidate x_p u_j gets its action once; the action matrix, its
     # kernel and its pivots all decompose by weight because every map in
@@ -436,6 +447,5 @@ def local_cartanification(local: LocalSuperalgebra,
 def cartanify(local: LocalSuperalgebra, degree_range=(-4, 1),
               restriction=None) -> Cartanification:
     """Local cartanification followed by the minimal graded extension."""
-    result = local_cartanification(local, restriction=restriction)
-    result.graded = minimal_extension(result.local, degree_range)
-    return result
+    return local_cartanification(local, restriction=restriction).over(
+        degree_range)

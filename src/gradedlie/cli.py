@@ -38,10 +38,13 @@ Commands (``gradedlie <command> --spec <path>``):
 * ``roots``       -- root system of the Cartan matrix with norms;
 * ``check-all``   -- every command above on one spec, errors recorded
   per command.  It builds each model once and hands it to every command
-  that needs it (the cartanification of the window to ``cartanify`` and
-  ``decompose``, the relations module to ``tha-minus1`` and
-  ``check-iso``), with results byte-identical to running each command
-  alone.
+  that needs it: one contragredient local part, which ``build-b`` and
+  ``decompose --variant B`` extend over the window; one local
+  cartanification of it, the spec's weak, strong or restricted one,
+  which ``cartanify`` and ``decompose`` extend over the window and, when
+  weak, ``check-iso`` extends over its own; one relations module per
+  variant, for ``tha-minus1`` and ``check-iso``.  The results are
+  byte-identical to running each command alone.
 
 Reports are deterministic JSON (sorted keys; identical runs are
 byte-identical apart from the timing field) and conform to
@@ -82,9 +85,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, iso, tha
-from .cartan import Cartanification, cartanify, root_subalgebra
-from .contragredient import build_graded, build_local
+from . import __version__, cartan, graded, iso, tha
+from .contragredient import build_local
 from .graded import decompose_at_degree
 from .rootsys import CartanData, cartan_failures, enumerate_roots, jk_partition
 
@@ -382,29 +384,58 @@ class _Cache:
 class _Models:
     """The models built for one report, each at most once.
 
-    Holds the spec's cartanification per window and the relations module
-    per variant, so the commands of ``check-all`` share one copy of each.
-    A model is built on first request, so a command served from the disk
-    cache builds nothing; a build that raises keeps nothing, and the next
-    request retries it.
+    Every model starts from the contragredient local part of the spec's
+    datum, so the store builds that once (``build_local``), the spec's
+    local cartanification once from it, and each window's extension of
+    either once; the relations module once per variant.  So the commands
+    of ``check-all`` share one copy of each.  A model is built on first
+    request, so a command served from the disk cache builds nothing; a
+    build that raises keeps nothing, and the next request retries it.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
         self.data = spec.data
+        self._local: graded.LocalSuperalgebra | None = None
+        self._local_cart: cartan.Cartanification | None = None
+        self._contragredient: dict = {}
         self._carts: dict = {}
         self._modules: dict = {}
 
-    def cartanification(self, window) -> Cartanification:
-        """The spec's cartanification (weak, strong or restricted) over
-        ``window``."""
-        if window not in self._carts:
-            local = build_local(self.data)
+    def local(self) -> graded.LocalSuperalgebra:
+        """The contragredient local part B_-1 + B_0 + B_1."""
+        if self._local is None:
+            self._local = build_local(self.data)
+        return self._local
+
+    def contragredient(self, window) -> graded.GradedSuperalgebra:
+        """The contragredient superalgebra over ``window``."""
+        if window not in self._contragredient:
+            self._contragredient[window] = graded.minimal_extension(
+                self.local(), window)
+        return self._contragredient[window]
+
+    def local_cartanification(self) -> cartan.Cartanification:
+        """The spec's local cartanification: weak, strong or restricted."""
+        if self._local_cart is None:
+            local = self.local()
             nodes = _restriction(self.spec, self.data)[1]
-            self._carts[window] = cartanify(
-                local, degree_range=window,
-                restriction=None if nodes is None
-                else root_subalgebra(self.data, local, nodes))
+            self._local_cart = cartan.local_cartanification(
+                local, restriction=None if nodes is None
+                else cartan.root_subalgebra(self.data, local, nodes))
+        return self._local_cart
+
+    def built_weak_cartanification(self):
+        """The local cartanification if a command built it and it is the
+        weak one, else None."""
+        if self._local_cart is None or self._local_cart.restricted:
+            return None
+        return self._local_cart
+
+    def cartanification(self, window) -> cartan.Cartanification:
+        """The spec's cartanification over ``window``."""
+        if window not in self._carts:
+            self._carts[window] = self.local_cartanification().over(window)
         return self._carts[window]
 
     def module(self, variant: str) -> tha.MinusOneModule:
@@ -450,7 +481,7 @@ def _module_entries(decomposition) -> list:
 
 def _run_build_b(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     payloads = cache.fetch(_degree_entries(spec), lambda: _dim_entries(
-        spec, build_graded(models.data, spec.degree_range).dims()))
+        spec, models.contragredient(spec.degree_range).dims()))
     return _per_degree_table(spec, payloads)
 
 
@@ -509,15 +540,15 @@ def _run_decompose(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
 
     def compute():
         if spec.variant == "B":
-            graded = build_graded(models.data, (lo, hi))
+            model = models.contragredient((lo, hi))
         else:
-            graded = models.cartanification((lo, hi)).graded
-        dims = graded.dims()
+            model = models.cartanification((lo, hi)).graded
+        dims = model.dims()
         payloads = {}
         for d in range(lo, hi + 1):
             dim = int(dims.get(d, 0))
             modules = _module_entries(
-                decompose_at_degree(graded, d, models.data) if dim else ())
+                decompose_at_degree(model, d, models.data) if dim else ())
             payloads["deg%d" % d] = {"dim": dim, "modules": modules}
         return payloads
 
@@ -535,11 +566,12 @@ def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     entry = "window%d_%d" % window
 
     def compute():
-        # Only a module another command already built is handed over:
+        # Only models another command already built are handed over:
         # building one here would precede the precondition check.
         verdict = iso.check_isomorphism(
             models.data, degree_range=window,
-            module=models.built_module("W"))
+            module=models.built_module("W"),
+            cartanification=models.built_weak_cartanification())
         return {entry: _jsonable(verdict)}
 
     return cache.fetch([entry], compute)[entry]

@@ -141,6 +141,7 @@ def build_local(data: CartanData) -> LocalSuperalgebra:
         pairing={(p, p): 1 for p in range(nm)},
         grading=inv_cols[h0],
         embedding=embedding,
+        data=data,
     )
 
 

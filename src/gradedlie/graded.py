@@ -69,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 # rref and kernel_basis stay bound here for tracers that wrap them by name.
@@ -82,7 +83,7 @@ from .linalg import (
     vadd_into,
     vscale,
 )
-from .rootsys import root_action, weyl_dimension
+from .rootsys import CartanData, root_action, weyl_dimension
 
 __all__ = [
     "LocalSuperalgebra",
@@ -131,12 +132,16 @@ class LocalSuperalgebra:
     * ``pairing[(x, z)]`` = <y_x | y_z> for x at -1, z at +1 (optional);
     * ``grading`` = degree-0 coordinates of the grading element (optional);
     * ``embedding`` optionally records degree-0 coordinates of named
-      elements when the degree-0 basis is synthetic (cartanifications).
+      elements when the degree-0 basis is synthetic (cartanifications);
+    * ``data`` is the Cartan datum a contragredient local part was built
+      from (``contragredient.build_local``), None for any other.
 
-    Construction brings every weight entry and table value to normal form.
-    On first use (``brackets``) the tables become three ``Layer``s, once,
-    and every bracket is evaluated over them as in any graded algebra; a
-    table changed after that is not seen, so build a new local part.
+    Construction brings every weight entry and table value to normal form
+    and makes the four bracket tables read-only copies, so assigning an
+    entry raises ``TypeError``; ``dataclasses.replace`` builds a local
+    part with other tables.  On first use (``brackets``) the tables become
+    three ``Layer``s, once, and every bracket is evaluated over them as in
+    any graded algebra.
     """
 
     neg_names: list
@@ -155,6 +160,7 @@ class LocalSuperalgebra:
     pairing: dict | None = None
     grading: Vec | None = None
     embedding: dict | None = None
+    data: CartanData | None = None
 
     def __post_init__(self):
         self.neg_weights = [tuple(map(qnorm, w)) for w in self.neg_weights]
@@ -165,6 +171,11 @@ class LocalSuperalgebra:
                     *(self.embedding or {}).values(),
                     *(v for v in (self.pairing, self.grading)
                       if v is not None)])
+        # the layers share these tables' vectors, read once
+        self.b00 = MappingProxyType(dict(self.b00))
+        self.b0m = MappingProxyType(dict(self.b0m))
+        self.b0p = MappingProxyType(dict(self.b0p))
+        self.bpm = MappingProxyType(dict(self.bpm))
         self._brackets: GradedSuperalgebra | None = None
 
     def brackets(self) -> GradedSuperalgebra:

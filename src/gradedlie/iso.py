@@ -58,10 +58,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import tha
-from .cartan import Cartanification, cartanify, products
+from . import cartan, graded, tha
+from .cartan import Cartanification, products
 from .contragredient import build_local
-from .graded import count_next_layer, decompose_at_degree, minimal_extension
+from .graded import count_next_layer, decompose_at_degree
 from .linalg import Span, vadd
 # chevalley_realization stays bound here for tracers that wrap it by name.
 from .rootsys import (
@@ -116,15 +116,32 @@ class PhiAssignment:
 def phi_assignment(
     data: CartanData,
     degree_range: tuple[int, int] = (-2, 1),
+    *,
+    cartanification: Cartanification | None = None,
 ) -> PhiAssignment:
     """Construct the comparison assignment into the cartanification.
 
     Requires the pseudo-minuscule precondition; raises ``ValueError``
-    naming the failing root otherwise.
+    naming the failing root otherwise.  ``cartanification`` hands in the
+    weak local cartanification of ``build_local(data)`` when it is already
+    built; omitted, it is built here.  Either way it is extended here over
+    ``degree_range``.  A restricted one, or one built from other data,
+    raises ``ValueError`` naming the mismatch, before the precondition.
     """
+    if cartanification is not None:
+        if cartanification.restricted:
+            raise ValueError(
+                "cartanification is restricted; the comparison needs the "
+                "weak local cartanification")
+        if cartanification.source.data != data:
+            raise ValueError(
+                "cartanification was built from other data than the "
+                "contragredient local part of the data being compared")
     require_pseudo_minuscule(data)
     pres = tha.presentation(data, "W")
-    cart = cartanify(build_local(data), degree_range=degree_range)
+    if cartanification is None:
+        cartanification = cartan.local_cartanification(build_local(data))
+    cart = cartanification.over(degree_range)
     local = cart.source
 
     assignment: dict = {}
@@ -299,6 +316,7 @@ def check_isomorphism(
     degree_range: tuple[int, int] = (-2, 1),
     *,
     module: tha.MinusOneModule | None = None,
+    cartanification: Cartanification | None = None,
 ) -> IsoVerdict:
     """Decide whether the comparison map is an isomorphism in degree -1.
 
@@ -314,9 +332,15 @@ def check_isomorphism(
     (``graded.count_next_layer``), not built.
 
     ``module`` hands in the relations module of
-    ``tha.presentation(data, "W")`` when it is already built; omitted, it
-    is built here.  One built from other input raises ``ValueError``
-    naming the mismatch.
+    ``tha.presentation(data, "W")``, and ``cartanification`` the weak
+    local cartanification of ``build_local(data)``, when it is already
+    built; omitted, each is built here.  Hand one over only when it
+    exists already: building it for the call would come before the
+    precondition check and its error.  A handed-in cartanification is
+    extended here over the window this function builds, whatever window
+    it was extended over before, so the verdict is the same either way.
+    A module or cartanification built from other input, or a restricted
+    cartanification, raises ``ValueError`` naming the mismatch.
     """
     if module is not None:
         if module.variant != "W":
@@ -330,7 +354,8 @@ def check_isomorphism(
     hypotheses = hypothesis_record(data)
     lo, hi = degree_range
     built = (lo + 1, hi) if lo <= -2 else degree_range
-    phi = phi_assignment(data, degree_range=built)
+    phi = phi_assignment(data, degree_range=built,
+                         cartanification=cartanification)
     cart = phi.cartanification
     homomorphism = tha.check_relations(
         phi.presentation, cart.graded, phi.assignment
@@ -372,7 +397,7 @@ def check_isomorphism(
         direct = True
         if phi.presentation.k_empty:
             contragredient_dims = _dims_down_to(
-                minimal_extension(cart.source, built), lo, data)
+                graded.minimal_extension(cart.source, built), lo, data)
             sides["contragredient"] = {"dims": dict(contragredient_dims)}
             direct = contragredient_dims == cart_dims
 

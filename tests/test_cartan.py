@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gradedlie
-from gradedlie import cartan, graded
+from gradedlie import cartan, cli, graded
 from gradedlie.cartan import (
     cartanify,
     local_cartanification,
@@ -564,6 +564,41 @@ def test_kernel_invariance_catches_corrupted_degree0_action(key):
     with pytest.raises(ValueError, match="peripheral kernel is not "
                        "invariant under degree-0 brackets"):
         local_cartanification(replace(loc, b0m=bad))
+
+
+def _a2_b00_raised(key):
+    """The A2 w1 contragredient local part with one coefficient of the
+    b00 entry at ``key`` increased by 1."""
+    loc = _a2_local()
+    vec = dict(loc.b00[key])
+    vec[min(vec)] += 1
+    return replace(loc, b00={**loc.b00, key: vec})
+
+
+@pytest.mark.parametrize("key", sorted(_a2_local().b00))
+def test_kernel_invariance_catches_corrupted_degree0_bracket(key):
+    """A wrong [u, u'] moves candidates against their classes."""
+    with pytest.raises(ValueError, match="peripheral kernel is not "
+                       "invariant under degree-0 brackets"):
+        local_cartanification(_a2_b00_raised(key))
+
+
+def test_shared_local_part_is_still_checked(monkeypatch):
+    """check-all shares one local part among its commands: a corrupted
+    one fails the invariance check in every command that cartanifies it,
+    and the failed build is never handed to check-iso, which builds its
+    own from the true local part."""
+    corrupted = _a2_b00_raised(sorted(_a2_local().b00)[0])
+    monkeypatch.setattr(cli, "build_local", lambda data: corrupted)
+    spec = cli.parse_spec('{"cartan_matrix": [[2, -1], [-1, 2]], '
+                          '"lambda": [1, 0], "degree_range": [-2, 1]}')
+    commands = cli.build_report("check-all", spec, use_cache=False)[
+        "result"]["commands"]
+    for command, module in (("cartanify", "cartan"), ("decompose", "graded")):
+        assert commands[command] == {
+            "error": "peripheral kernel is not invariant under degree-0 "
+                     "brackets", "module": module}
+    assert commands["check-iso"]["verdict"] == "isomorphic"
 
 
 def test_corrupted_constant_caught_by_axioms():

@@ -15,7 +15,7 @@ import pytest
 from referencing import Registry, Resource
 
 import gradedlie
-from gradedlie import cli, rootsys
+from gradedlie import cartan, cli, graded, rootsys
 
 A2_SPEC = '{"cartan_matrix": [[2, -1], [-1, 2]], "lambda": [1, 0]}'
 E6 = [
@@ -376,13 +376,17 @@ C2_SPEC = ('{"cartan_matrix": [[2, -1], [-2, 2]], "epsilon": ["1", "2"], '
            '"lambda": [1, 0]}')
 A3_SPEC = ('{"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], '
            '"lambda": [1, 0, 0]}')
+A1_SPEC = '{"cartan_matrix": [[2]], "lambda": [1]}'
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Record the window of every cartanification built through ``cli``
-    or ``iso`` and the variant of every relations module built."""
-    log = {"windows": [], "variants": []}
+    """Record every model built through ``cli`` or ``iso``: the datum of
+    each contragredient local part, whether each local cartanification
+    is weak or restricted, each window extension, as ("B", window) for the
+    contragredient model and ("cart", window) for a cartanification, and
+    the variant of each relations module."""
+    log = {"locals": [], "local_carts": [], "windows": [], "variants": []}
 
     def counted(owner, name, record):
         original = getattr(owner, name)
@@ -394,8 +398,19 @@ def builds(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner in (cli, cli.iso):
-        counted(owner, "cartanify", lambda *args, **kwargs:
-                log["windows"].append(kwargs["degree_range"]))
+        counted(owner, "build_local", log["locals"].append)
+    counted(cartan, "local_cartanification", lambda local, restriction=None:
+            log["local_carts"].append(
+                "weak" if restriction is None else "restricted"))
+    counted(cartan.Cartanification, "over", lambda cart, window:
+            log["windows"].append(("cart", window)))
+
+    def contragredient(local, window):
+        # chevalley_realization extends g's own local part, with no datum
+        if local.data is not None:
+            log["windows"].append(("B", window))
+
+    counted(graded, "minimal_extension", contragredient)
     counted(cli.tha, "build_minus1", lambda pres, *args, **kwargs:
             log["variants"].append(pres.variant))
     return log
@@ -408,14 +423,22 @@ class TestSharedModels:
     def test_check_all_builds_each_model_once(self, cache_env, capsys,
                                               builds):
         assert cli.main(["check-all", "--spec", C2_SPEC, "--no-cache"]) == 0
-        # check-iso builds degrees -1..1 and counts degree -2
-        assert sorted(builds["windows"]) == [(-4, 1), (-1, 1)]
+        assert len(builds["locals"]) == 1
+        assert builds["local_carts"] == ["weak"]
+        # build-b and cartanify extend over the window; check-iso extends
+        # the same local cartanification over -1..1 and counts degree -2
+        assert builds["windows"] == [("B", (-4, 1)), ("cart", (-4, 1)),
+                                     ("cart", (-1, 1))]
         assert builds["variants"] == ["W"]
 
     def test_strong_variant_builds_both_modules(self, cache_env, capsys,
                                                 builds):
         assert cli.main(["check-all", "--spec", A2_SPEC, "--variant", "S",
                          "--no-cache"]) == 0
+        # the store holds the strong cartanification; check-iso compares
+        # variant W and builds its own weak one, from its own local part
+        assert builds["local_carts"] == ["restricted", "weak"]
+        assert len(builds["locals"]) == 2
         assert builds["variants"] == ["S", "W"]
 
     def test_models_do_not_outlive_a_report(self, cache_env, capsys,
@@ -424,9 +447,10 @@ class TestSharedModels:
                 "--no-cache"]
         assert cli.main(args) == 0
         assert cli.main(args) == 0
-        # Per report: one for cartanify and decompose, one inside check-iso,
-        # which counts degree -2 instead of building it.
-        assert builds["windows"] == [(-2, 1), (-1, 1)] * 2
+        assert len(builds["locals"]) == 2
+        assert builds["local_carts"] == ["weak"] * 2
+        assert builds["windows"] == [("B", (-2, 1)), ("cart", (-2, 1)),
+                                     ("cart", (-1, 1))] * 2
         assert builds["variants"] == ["W"] * 2
 
     @staticmethod
@@ -449,9 +473,12 @@ class TestSharedModels:
         (A2_SPEC, {"variant": "S"}),
         (A2_SPEC, {"variant": "B"}),
         (C2_SPEC, {}),
+        (C2_SPEC, {"degree_range": [-5, 1]}),
         (A3_SPEC, {"restriction": [1]}),
+        # K is empty, so check-iso also extends the contragredient part
+        (A1_SPEC, {}),
     ], ids=["A2w1-W-2..1", "A2w1-W-4..1", "A2w1-S", "A2w1-B", "C2w1-W-4..1",
-            "A3w1-restricted"])
+            "C2w1-W-5..1", "A3w1-restricted", "A1w1-W"])
     def test_check_all_matches_each_command_alone(self, cache_env, base,
                                                   overrides):
         spec = cli.parse_spec(json.dumps({**json.loads(base), **overrides}))
@@ -497,12 +524,15 @@ def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
     """Invariants hold under ``python -O``: no check of the package rests
     on an ``assert``, so the report is the same without them, and it does
     not depend on the hash seed either.  The tha-minus1 case is the
-    largest relations rung, whose deduction queue is driven by sets."""
+    largest relations rung, whose deduction queue is driven by sets; the
+    C2 w1 check-all shares one local part and one local cartanification
+    among its commands."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     for args in (["check-all", "--spec", A2_SPEC, "--degrees=-2..1"],
+                 ["check-all", "--spec", C2_SPEC],
                  ["tha-minus1", "--spec", A4_SPEC, "--variant", "W"]):
         args = args + ["--no-cache"]
         assert cli.main(args) == 0

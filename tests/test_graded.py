@@ -193,11 +193,24 @@ def test_local_brackets_are_the_tables(monkeypatch, make):
 def test_corrupted_local_fails():
     loc = gl_local(2)
     (key, vec) = next(iter(loc.b0m.items()))
-    loc.b0m[key] = {k: -v for k, v in vec.items()}
+    loc = replace(loc, b0m={**loc.b0m, key: {k: -v for k, v in vec.items()}})
     rep = graded.check_local_axioms(loc)
     assert not rep["passed"]
     bad = [c for c in rep["checks"] if not c["passed"]]
     assert any(c["witnesses"] for c in bad)
+
+
+def test_tables_are_read_only_after_first_use():
+    """A local part reads its tables once, so an entry assigned later
+    would be ignored: assignment raises instead."""
+    loc = gl_local(2)
+    assert graded.check_local_axioms(loc)["passed"]
+    key = next(iter(loc.b0m))
+    with pytest.raises(TypeError):
+        loc.b0m[key] = {}
+    for table in (loc.b00, loc.b0p, loc.bpm):
+        with pytest.raises(TypeError):
+            table[key] = {}
 
 
 def test_gl_extension_dims():

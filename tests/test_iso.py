@@ -9,7 +9,12 @@ from fractions import Fraction
 import pytest
 
 from gradedlie import iso, tha
-from gradedlie.cartan import cartanify, local_cartanification, products
+from gradedlie.cartan import (
+    cartanify,
+    local_cartanification,
+    products,
+    root_subalgebra,
+)
 from gradedlie.contragredient import build_local
 from gradedlie.linalg import vadd
 from gradedlie.rootsys import CartanData, chevalley_realization, jk_partition
@@ -297,6 +302,37 @@ class TestSharedModule:
         module = tha.build_minus1(make(data))
         with pytest.raises(ValueError, match=message):
             iso.check_isomorphism(data, module=module)
+
+    @pytest.mark.parametrize("name", ["a2", "a1"])
+    def test_shared_cartanification_gives_the_same_verdict(self, name):
+        """The handed-in cartanification is extended over check-iso's own
+        window, whatever window it carries; on A1 K is empty, so the
+        comparison also extends its source, the contragredient local
+        part."""
+        data = _DATA[name]()
+        cart = cartanify(build_local(data), degree_range=(-4, 1))
+        shared = iso.check_isomorphism(data, cartanification=cart)
+        assert shared == _verdict(name)
+        assert cart.graded.degrees() == [-4, -3, -2, -1, 0, 1]
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda data: local_cartanification(
+            build_local(data), restriction=root_subalgebra(
+                data, build_local(data), jk_partition(data)[1])),
+         "restricted"),
+        (lambda data: local_cartanification(build_local(_DATA["a3"]())),
+         "other data"),
+    ], ids=["strong", "other-data"])
+    def test_rejects_a_cartanification_built_from_other_input(
+            self, make, message):
+        data = _DATA["a2"]()
+        cart = make(data)
+        with pytest.raises(ValueError, match=message):
+            iso.check_isomorphism(data, cartanification=cart)
+        # the mismatch is named before the precondition is checked
+        with pytest.raises(ValueError, match=message):
+            iso.phi_assignment(CartanData(_a(2), lam=(2, 0)),
+                               cartanification=cart)
 
 
 class TestHypothesisRecord:
