@@ -21,6 +21,14 @@ builds no words.  The quotient keeps pivot candidates and writes every
 degree -1 element as a class over them.  Degree 0 moves classes by the
 derivation rule [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j],
 which needs only the local brackets and the candidates' classes.  The
+quotient is well defined only if the kernel is stable under that action,
+and this is checked under a generating set S of degree 0 alone
+(``degree0_generators``).  Generators suffice because every edge v = [s, w]
+of the tree of brackets that closes S to a basis is checked to satisfy
+ad v = [ad s, ad w] on degree -1 and on degree 0, and the generators'
+brackets to respect parity: the action on x_p u_j is then a
+representation, so v preserves the kernel when s and w do, and by
+induction along the tree, then by linearity, all of degree 0 does.  The
 degree-0 part of the quotient is the span of the image of the action map,
 which the Jacobi identity makes a subalgebra (the quotient's degree-0
 brackets check that it is closed); the grading element survives exactly
@@ -130,6 +138,104 @@ def _vec_weight(local: LocalSuperalgebra, vec: dict) -> tuple:
     if len(weights) != 1:
         raise ValueError("vector is not weight-homogeneous")
     return weights.pop()
+
+
+def degree0_generators(local: LocalSuperalgebra) -> list:
+    """A generating set S of degree 0 and the tree of brackets that closes
+    it to a basis.
+
+    A greedy pass over the degree-0 basis, vectors of nonzero weight first,
+    takes a basis vector into S when it lies outside the span built so far,
+    then closes that span under ad s for s in S.  Returns the closure
+    vectors in the order they entered, as ``(vec, s, k)``: a generator has
+    its unit vector, its basis index s and k None; any other closure vector
+    is [u_s, w] for the generator s and the earlier closure vector w at
+    position k.  The closure vectors form a basis of degree 0.  On a
+    contragredient local part S is the simple e_i and f_i and the grading
+    element h0; taking the vectors in basis order would also take every
+    Cartan vector h_i, since the f's come first.
+    """
+    solver = WeightedSolver()
+    closure: list = []
+    gens: list = []
+    pending: list = []          # (generator, closure position) to bracket
+    for u in sorted(range(local.nzero),
+                    key=lambda u: not any(local.zero_weights[u])):
+        if not solver.add({u: 1}, local.zero_weights[u]):
+            continue
+        closure.append(({u: 1}, u, None))
+        gens.append(u)
+        last = len(closure) - 1
+        pending += [(u, k) for k in range(last)] + [(s, last) for s in gens]
+        while pending:
+            s, k = pending.pop()
+            vec = local.bracket_vec(0, {s: 1}, 0, closure[k][0])
+            if vec and solver.add(vec, _vec_weight(local, vec)):
+                closure.append((vec, s, k))
+                pending += [(t, len(closure) - 1) for t in gens]
+    return closure
+
+
+def _check_representation(local: LocalSuperalgebra, closure: list) -> None:
+    """Check ad [s, w] = [ad s, ad w] on degree -1 and on degree 0 along
+    every edge of the closure tree, so that degree 0 acts on the candidates
+    x_p u_j as a representation (the derivation rule of
+    ``local_cartanification`` is the tensor product of these two actions).
+    The tensor product is one only if the generators' brackets respect
+    parity, which is checked too; the edges then carry it to the rest.
+
+    Raises ``ValueError`` naming the first bracket that breaks either.
+    """
+    basis = [(d, x) for d, n in ((-1, local.nneg), (0, local.nzero))
+             for x in range(n)]
+    parities = {-1: local.neg_parities, 0: local.zero_parities}
+    parity = []
+    # images[k][(d, x)] = [closure vector k, basis x at degree d]
+    images: list = []
+
+    def ad(k: int, d: int, vec: dict) -> dict:
+        out: dict = {}
+        for y, c in vec.items():
+            vadd_into(out, images[k][(d, y)], c)
+        return out
+
+    def word(k: int) -> str:
+        _, s, w = closure[k]
+        name = str(local.zero_names[s])
+        return name if w is None else "[%s, %s]" % (name, word(w))
+
+    def basis_name(d: int, x: int) -> str:
+        names = local.neg_names if d < 0 else local.zero_names
+        return "%s in degree %d" % (names[x], d)
+
+    position = {}
+    for k, (vec, s, w) in enumerate(closure):
+        direct = {(d, x): local.bracket_vec(0, vec, d, {x: 1})
+                  for d, x in basis}
+        if w is None:
+            position[s] = k
+            parity.append(local.zero_parities[s])
+            for (d, x), img in direct.items():
+                want = (parity[k] + parities[d][x]) % 2
+                if any(parities[d][y] != want for y in img):
+                    raise ValueError(
+                        "degree-0 brackets do not respect parity at "
+                        "s = %s, x = %s" % (local.zero_names[s],
+                                            basis_name(d, x)))
+        else:
+            g = position[s]
+            sign = -1 if parity[g] and parity[w] else 1
+            for d, x in basis:
+                expected = ad(g, d, images[w][(d, x)])
+                vadd_into(expected, ad(w, d, images[g][(d, x)]), -sign)
+                if vadd(direct[(d, x)], expected, -1):
+                    raise ValueError(
+                        "degree-0 brackets are not a representation: "
+                        "[[s, w], x] != [s, [w, x]] -+ [w, [s, x]] at "
+                        "s = %s, w = %s, x = %s"
+                        % (local.zero_names[s], word(w), basis_name(d, x)))
+            parity.append((parity[g] + parity[w]) % 2)
+        images.append(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +414,19 @@ def local_cartanification(local: LocalSuperalgebra,
     # The kernel is the peripheral ideal, spanned by each candidate minus
     # its class; it must be stable under the degree-0 action for the
     # quotient to close, so each candidate must move as its class does.
+    # Only the generators S are checked: the edge check makes the action a
+    # representation on both tensor factors, so by induction along the
+    # closure tree every closure vector preserves the kernel, and the
+    # closure vectors span degree 0.  A pivot's class is its unit vector,
+    # so a pivot moves as its class does by definition.
+    closure = degree0_generators(local)
+    _check_representation(local, closure)
+    gens = [s for _, s, k in closure if k is None]
+    pivot_set = set(pivots)
     for c, cls in classes.items():
-        for u in range(nzero):
+        if c in pivot_set:
+            continue
+        for u in gens:
             if vadd(moved(u, c), move({u: 1}, cls), -1):
                 raise ValueError("peripheral kernel is not invariant "
                                  "under degree-0 brackets")
@@ -321,7 +438,8 @@ def local_cartanification(local: LocalSuperalgebra,
             minus_solver.add({t: 1}, w)
     else:
         # Seed with f_0 y_0 and close under the degree-0 action inside the
-        # weak quotient.
+        # weak quotient; the action is a representation, so closing under
+        # the generators closes under all of degree 0.
         queue = []
         for y in rbasis:
             cls, w = result._pivot_class(products({0: 1}, y))
@@ -329,7 +447,7 @@ def local_cartanification(local: LocalSuperalgebra,
                 queue.append((w, cls))
         while queue:
             w, cls = queue.pop()
-            for u in range(nzero):
+            for u in gens:
                 mcls = move({u: 1}, cls)
                 if not mcls:
                     continue

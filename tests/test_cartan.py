@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product as iproduct
@@ -554,15 +557,22 @@ def test_production_path_builds_no_word_engine():
     assert not found, "word engine in the package: %s" % found
 
 
+# The two checks that guard the quotient: kernel invariance under the
+# generators of degree 0, and the representation identity along the tree of
+# brackets that closes them (``cartan.degree0_generators``).
+NOT_INVARIANT = "peripheral kernel is not invariant under degree-0 brackets"
+NOT_A_REPRESENTATION = "degree-0 brackets are not a representation"
+EITHER_CHECK = "%s|%s" % (NOT_INVARIANT, NOT_A_REPRESENTATION)
+
+
 @pytest.mark.parametrize("key", sorted(_a2_local().b0m))
 def test_kernel_invariance_catches_corrupted_degree0_action(key):
     """Doubling one [u, x] entry breaks the derivation rule's agreement
-    with the candidates' actions."""
+    with the candidates' actions, or the representation identity."""
     loc = _a2_local()
     bad = dict(loc.b0m)
     bad[key] = {k: 2 * c for k, c in bad[key].items()}
-    with pytest.raises(ValueError, match="peripheral kernel is not "
-                       "invariant under degree-0 brackets"):
+    with pytest.raises(ValueError, match=EITHER_CHECK):
         local_cartanification(replace(loc, b0m=bad))
 
 
@@ -577,17 +587,122 @@ def _a2_b00_raised(key):
 
 @pytest.mark.parametrize("key", sorted(_a2_local().b00))
 def test_kernel_invariance_catches_corrupted_degree0_bracket(key):
-    """A wrong [u, u'] moves candidates against their classes."""
-    with pytest.raises(ValueError, match="peripheral kernel is not "
-                       "invariant under degree-0 brackets"):
+    """A wrong [u, u'] moves candidates against their classes, or breaks
+    the representation identity."""
+    with pytest.raises(ValueError, match=EITHER_CHECK):
         local_cartanification(_a2_b00_raised(key))
+
+
+def test_generator_breaking_invariance_is_caught():
+    """[h0, f_1] raised by 1 breaks invariance under the generator h0."""
+    names = _a2_local().zero_names
+    assert (names[8], names[1]) == (("h0",), ("f", 1))
+    with pytest.raises(ValueError, match=NOT_INVARIANT):
+        local_cartanification(_a2_b00_raised((8, 1)))
+
+
+def test_non_generator_edge_breaking_the_representation_is_caught():
+    """[f_0, f_1] raised breaks the identity on the edge that makes f_2,
+    a vector outside the generators, and the message names the bracket."""
+    names = _a2_local().zero_names
+    assert (names[0], names[1]) == (("f", 0), ("f", 1))
+    with pytest.raises(ValueError, match=NOT_A_REPRESENTATION) as err:
+        local_cartanification(_a2_b00_raised((0, 1)))
+    assert str(err.value).endswith(
+        "at s = ('f', 0), w = ('f', 1), x = ('x', 0) in degree -1")
+
+
+@pytest.mark.parametrize("u", range(_a2_local().nzero))
+def test_generator_breaking_parity_is_caught(u):
+    """The representation argument needs brackets that respect parity: a
+    degree-0 basis vector made odd breaks it at some generator."""
+    loc = _a2_local()
+    parities = list(loc.zero_parities)
+    parities[u] = 1
+    with pytest.raises(ValueError, match="degree-0 brackets do not respect "
+                       "parity"):
+        local_cartanification(replace(loc, zero_parities=parities))
+
+
+def test_representation_check_survives_optimized_interpreter():
+    """No check of the quotient rests on an ``assert``: under
+    ``python -O`` the corrupted part still raises the named error."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    script = (
+        "from dataclasses import replace\n"
+        "from gradedlie.cartan import local_cartanification\n"
+        "from gradedlie.contragredient import build_local\n"
+        "from gradedlie.rootsys import CartanData\n"
+        "loc = build_local(CartanData([[2, -1], [-1, 2]], lam=[1, 0]))\n"
+        "vec = dict(loc.b00[(0, 1)])\n"
+        "vec[min(vec)] += 1\n"
+        "try:\n"
+        "    local_cartanification(replace(loc, b00={**loc.b00, (0, 1): vec}))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(NOT_A_REPRESENTATION)
+
+
+@pytest.mark.parametrize("matrix, epsilon", [
+    (A2, None),
+    ([[2, -2], [-1, 2]], [2, 1]),
+    ([[2, -1], [-3, 2]], [1, 3]),
+    ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [1, 1, 2]),
+    (D4, None),
+], ids=["A2", "B2", "G2", "C3", "D4"])
+def test_degree0_generators_of_contragredient_part(matrix, epsilon):
+    """The generators are the simple e_i and f_i and h0, 2r + 1 vectors,
+    and the closure tree spans degree 0."""
+    data = CartanData(matrix, epsilon, lam=[1] + [0] * (len(matrix) - 1))
+    loc = build_local(data)
+    closure = cartan.degree0_generators(loc)
+    gens = [s for _, s, k in closure if k is None]
+    assert len(gens) == 2 * data.r + 1
+    assert loc.zero_names[gens[-1]] == ("h0",)
+    for s in gens[:-1]:
+        coords = sorted(abs(c) for c in data.root_coords(loc.zero_weights[s]))
+        assert coords == [0] * (data.r - 1) + [1]
+    span = Span()
+    assert all(span.add(vec) for vec, _, _ in closure)
+    assert span.rank == loc.nzero
+    for vec, s, k in closure:
+        if k is not None:
+            assert vec == loc.bracket_vec(0, {s: 1}, 0, closure[k][0])
+
+
+@pytest.mark.parametrize("m, n, dims, kernel_dim", [
+    (1, 1, {-1: 4, 0: 4, 1: 2}, 4),
+    (2, 1, {-1: 12, 0: 9, 1: 3}, 15),
+    (1, 2, {-1: 15, 0: 9, 1: 3}, 12),
+    (2, 2, {-1: 32, 0: 16, 1: 4}, 32),
+])
+def test_representation_check_passes_with_odd_degree0(m, n, dims,
+                                                      kernel_dim):
+    """gl(m|n) has odd degree-0 vectors and an edge [s, w] with s and w
+    both odd, so the identity's sign (-1)^{|s||w|} is exercised; the check
+    passes, and the quotient's dims and kernel are those of the check over
+    every degree-0 vector."""
+    loc = glvec_super_local(m, n)
+    closure = cartan.degree0_generators(loc)
+    parity = loc.zero_parities
+    assert any(parity[s] and parity[min(closure[k][0])]
+               for _, s, k in closure if k is not None)
+    res = local_cartanification(loc)
+    assert res.local.dims() == dims
+    assert res.kernel_dim == kernel_dim
 
 
 def test_shared_local_part_is_still_checked(monkeypatch):
     """check-all shares one local part among its commands: a corrupted
-    one fails the invariance check in every command that cartanifies it,
-    and the failed build is never handed to check-iso, which builds its
-    own from the true local part."""
+    one fails the representation check in every command that cartanifies
+    it, and the failed build is never handed to check-iso, which builds
+    its own from the true local part."""
     corrupted = _a2_b00_raised(sorted(_a2_local().b00)[0])
     monkeypatch.setattr(cli, "build_local", lambda data: corrupted)
     spec = cli.parse_spec('{"cartan_matrix": [[2, -1], [-1, 2]], '
@@ -596,8 +711,10 @@ def test_shared_local_part_is_still_checked(monkeypatch):
         "result"]["commands"]
     for command, module in (("cartanify", "cartan"), ("decompose", "graded")):
         assert commands[command] == {
-            "error": "peripheral kernel is not invariant under degree-0 "
-                     "brackets", "module": module}
+            "error": "degree-0 brackets are not a representation: "
+                     "[[s, w], x] != [s, [w, x]] -+ [w, [s, x]] at "
+                     "s = ('f', 0), w = ('f', 1), x = ('x', 0) in degree -1",
+            "module": module}
     assert commands["check-iso"]["verdict"] == "isomorphic"
 
 

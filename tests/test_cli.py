@@ -518,6 +518,8 @@ class TestGoldenReports:
 
 A4_SPEC = ('{"cartan_matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], '
            '[0, -1, 2, -1], [0, 0, -1, 2]], "lambda": [0, 1, 0, 0]}')
+C3_SPEC = ('{"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]], '
+           '"epsilon": ["1", "1", "2"], "lambda": [1, 0, 0]}')
 
 
 def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
@@ -526,13 +528,16 @@ def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
     not depend on the hash seed either.  The tha-minus1 case is the
     largest relations rung, whose deduction queue is driven by sets; the
     C2 w1 check-all shares one local part and one local cartanification
-    among its commands."""
+    among its commands; the C3 w1 check-iso checks kernel invariance over
+    the generators of degree 0 and the representation identity along the
+    tree that closes them."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     for args in (["check-all", "--spec", A2_SPEC, "--degrees=-2..1"],
                  ["check-all", "--spec", C2_SPEC],
+                 ["check-iso", "--spec", C3_SPEC],
                  ["tha-minus1", "--spec", A4_SPEC, "--variant", "W"]):
         args = args + ["--no-cache"]
         assert cli.main(args) == 0
