@@ -22,11 +22,11 @@ degree -1 element as a class over them.  Degree 0 moves classes by the
 derivation rule [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j],
 which needs only the local brackets and the candidates' classes.  The
 quotient is well defined only if the kernel is stable under that action,
-and this is checked under a generating set S of degree 0 alone
-(``degree0_generators``).  Generators suffice because every edge v = [s, w]
-of the tree of brackets that closes S to a basis is checked to satisfy
-ad v = [ad s, ad w] on degree -1 and on degree 0, and the generators'
-brackets to respect parity: the action on x_p u_j is then a
+and this is checked under a generating set S of degree 0 alone.
+``degree0_generators`` builds the one tree of brackets that closes S to a
+basis and checks each vector as it enters: the generators' brackets
+respect parity, and every edge v = [s, w] satisfies ad v = [ad s, ad w]
+on degree -1 and on degree 0.  The action on x_p u_j is then a
 representation, so v preserves the kernel when s and w do, and by
 induction along the tree, then by linearity, all of degree 0 does.  The
 degree-0 part of the quotient is the span of the image of the action map,
@@ -41,13 +41,15 @@ lowest vector of the plus wing.  This matches the presentations in which
 the single minus generator is replaced by one generator per restriction
 direction, and reproduces the divergence-free subalgebra of the
 Grassmann-derivation model when the restriction is the semisimple part
-complementary to the weight labels.
+complementary to the weight labels.  One closure of classes under S
+(``Cartanification.closure``) builds that submodule and gives check-iso
+its surjectivity rank, the span of the classes f_0 h_i closed under S.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 # rref and kernel_basis stay bound here for tracers that wrap them by name.
 from .linalg import Span, kernel_basis, qnorm, rref, vadd, vadd_into
@@ -142,56 +144,29 @@ def _vec_weight(local: LocalSuperalgebra, vec: dict) -> tuple:
 
 def degree0_generators(local: LocalSuperalgebra) -> list:
     """A generating set S of degree 0 and the tree of brackets that closes
-    it to a basis.
+    it to a basis, each vector checked as it enters (module docstring).
 
     A greedy pass over the degree-0 basis, vectors of nonzero weight first,
     takes a basis vector into S when it lies outside the span built so far,
     then closes that span under ad s for s in S.  Returns the closure
-    vectors in the order they entered, as ``(vec, s, k)``: a generator has
-    its unit vector, its basis index s and k None; any other closure vector
-    is [u_s, w] for the generator s and the earlier closure vector w at
-    position k.  The closure vectors form a basis of degree 0.  On a
-    contragredient local part S is the simple e_i and f_i and the grading
-    element h0; taking the vectors in basis order would also take every
-    Cartan vector h_i, since the f's come first.
-    """
-    solver = WeightedSolver()
-    closure: list = []
-    gens: list = []
-    pending: list = []          # (generator, closure position) to bracket
-    for u in sorted(range(local.nzero),
-                    key=lambda u: not any(local.zero_weights[u])):
-        if not solver.add({u: 1}, local.zero_weights[u]):
-            continue
-        closure.append(({u: 1}, u, None))
-        gens.append(u)
-        last = len(closure) - 1
-        pending += [(u, k) for k in range(last)] + [(s, last) for s in gens]
-        while pending:
-            s, k = pending.pop()
-            vec = local.bracket_vec(0, {s: 1}, 0, closure[k][0])
-            if vec and solver.add(vec, _vec_weight(local, vec)):
-                closure.append((vec, s, k))
-                pending += [(t, len(closure) - 1) for t in gens]
-    return closure
-
-
-def _check_representation(local: LocalSuperalgebra, closure: list) -> None:
-    """Check ad [s, w] = [ad s, ad w] on degree -1 and on degree 0 along
-    every edge of the closure tree, so that degree 0 acts on the candidates
-    x_p u_j as a representation (the derivation rule of
-    ``local_cartanification`` is the tensor product of these two actions).
-    The tensor product is one only if the generators' brackets respect
-    parity, which is checked too; the edges then carry it to the rest.
-
-    Raises ``ValueError`` naming the first bracket that breaks either.
+    vectors, a basis of degree 0, in the order they entered, as
+    ``(vec, s, k)``: a generator has its unit vector, its basis index s and
+    k None; any other vector is [u_s, w] for the generator s and the
+    earlier closure vector w at position k.  On a contragredient local part
+    S is the simple e_i and f_i and the grading element h0 (in basis order
+    every h_i would enter too).  Raises ``ValueError`` naming the first
+    bracket that breaks parity or the representation identity.
     """
     basis = [(d, x) for d, n in ((-1, local.nneg), (0, local.nzero))
              for x in range(n)]
     parities = {-1: local.neg_parities, 0: local.zero_parities}
-    parity = []
-    # images[k][(d, x)] = [closure vector k, basis x at degree d]
-    images: list = []
+    names = {-1: local.neg_names, 0: local.zero_names}
+    solver = WeightedSolver()
+    closure: list = []
+    parity: list = []
+    images: list = []           # images[k][(d, x)] = [vector k, x at d]
+    position: dict = {}         # generator -> its closure position
+    pending: list = []          # (generator, closure position) to bracket
 
     def ad(k: int, d: int, vec: dict) -> dict:
         out: dict = {}
@@ -204,24 +179,20 @@ def _check_representation(local: LocalSuperalgebra, closure: list) -> None:
         name = str(local.zero_names[s])
         return name if w is None else "[%s, %s]" % (name, word(w))
 
-    def basis_name(d: int, x: int) -> str:
-        names = local.neg_names if d < 0 else local.zero_names
-        return "%s in degree %d" % (names[x], d)
-
-    position = {}
-    for k, (vec, s, w) in enumerate(closure):
+    def enter(vec: dict, s: int, w: int | None) -> None:
         direct = {(d, x): local.bracket_vec(0, vec, d, {x: 1})
                   for d, x in basis}
         if w is None:
-            position[s] = k
+            position[s] = len(closure)
+            pending.extend((s, k) for k in range(len(closure)))
             parity.append(local.zero_parities[s])
             for (d, x), img in direct.items():
-                want = (parity[k] + parities[d][x]) % 2
+                want = (parity[-1] + parities[d][x]) % 2
                 if any(parities[d][y] != want for y in img):
                     raise ValueError(
                         "degree-0 brackets do not respect parity at "
-                        "s = %s, x = %s" % (local.zero_names[s],
-                                            basis_name(d, x)))
+                        "s = %s, x = %s in degree %d"
+                        % (local.zero_names[s], names[d][x], d))
         else:
             g = position[s]
             sign = -1 if parity[g] and parity[w] else 1
@@ -232,10 +203,24 @@ def _check_representation(local: LocalSuperalgebra, closure: list) -> None:
                     raise ValueError(
                         "degree-0 brackets are not a representation: "
                         "[[s, w], x] != [s, [w, x]] -+ [w, [s, x]] at "
-                        "s = %s, w = %s, x = %s"
-                        % (local.zero_names[s], word(w), basis_name(d, x)))
+                        "s = %s, w = %s, x = %s in degree %d"
+                        % (local.zero_names[s], word(w), names[d][x], d))
             parity.append((parity[g] + parity[w]) % 2)
+        closure.append((vec, s, w))
         images.append(direct)
+        pending.extend((t, len(closure) - 1) for t in position)
+
+    for u in sorted(range(local.nzero),
+                    key=lambda u: not any(local.zero_weights[u])):
+        if solver.add({u: 1}, local.zero_weights[u]):
+            enter({u: 1}, u, None)
+        while pending:
+            s, k = pending.pop()
+            # [u_s, w] is read off the generator's degree-0 images
+            vec = ad(position[s], 0, closure[k][0])
+            if vec and solver.add(vec, _vec_weight(local, vec)):
+                enter(vec, s, k)
+    return closure
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +241,24 @@ class Cartanification:
     ``minus1_class`` sends a degree -1 element, given by its candidate
     coordinates (see ``products``), to its coordinates over the quotient
     minus basis; ``zero_class`` a degree-0 vector of ``source``, the
-    original local part, to the quotient's degree-0 coordinates.
+    original local part, to the quotient's degree-0 coordinates; and
+    ``closure`` closes the classes of degree -1 elements under degree 0.
     ``restricted`` says whether a restriction cut the minus part down.
     ``graded`` is the minimal extension over a window (``over``), None
     until one is taken.
     """
 
-    local: LocalSuperalgebra | None
+    local: LocalSuperalgebra
     candidate_count: int
     kernel_dim: int
     source: LocalSuperalgebra = field(repr=False)
-    restricted: bool = False
+    restricted: bool
+    zero_basis: list = field(repr=False)
+    _pivot_class: Callable = field(repr=False)
+    _close: Callable = field(repr=False)
+    _minus_solver: WeightedSolver = field(repr=False)
+    _zero_solver: WeightedSolver = field(repr=False)
     graded: GradedSuperalgebra | None = None
-    zero_basis: list | None = field(repr=False, default=None)
-    _classes: dict | None = field(repr=False, default=None)
-    _minus_solver: WeightedSolver | None = field(repr=False, default=None)
-    _zero_solver: WeightedSolver | None = field(repr=False, default=None)
 
     def over(self, degree_range) -> Cartanification:
         """This cartanification extended over ``degree_range``: a copy
@@ -280,11 +267,11 @@ class Cartanification:
         return replace(
             self, graded=minimal_extension(self.local, degree_range))
 
-    def action_coords(self, p: int, j: int) -> dict:
-        """Action of the candidate x_p u_j on the plus wing, in the closed
-        form of the module docstring: keys (plus index q, 1 + k) for the
-        k-th degree-0 coordinate of [x_p u_j, z_q]."""
-        local = self.source
+    @staticmethod
+    def action_coords(local: LocalSuperalgebra, p: int, j: int) -> dict:
+        """Action of the candidate x_p u_j of ``local`` on the plus wing,
+        in the closed form of the module docstring: keys (plus index q,
+        1 + k) for the k-th degree-0 coordinate of [x_p u_j, z_q]."""
         pairing = local.pairing or {}
         out: dict = {}
         for q in range(local.npos):
@@ -302,22 +289,11 @@ class Cartanification:
                 out[(q, 1 + k)] = c
         return out
 
-    def _pivot_class(self, coords: dict) -> tuple[dict, tuple | None]:
-        """Class over the pivot candidates of an element given by its
-        candidate coordinates, and the element's weight (None for the
-        zero class); a nonzero class needs a weight-homogeneous element."""
-        local = self.source
-        cls: dict = {}
-        weights = set()
-        for (p, j), c in coords.items():
-            if c:
-                weights.add(wsum(local.neg_weights[p], local.zero_weights[j]))
-                vadd_into(cls, self._classes[(p, j)], c)
-        if not cls:
-            return {}, None
-        if len(weights) != 1:
-            raise ValueError("element is not weight-homogeneous")
-        return cls, weights.pop()
+    def closure(self, elements) -> WeightedSolver:
+        """Classes of the degree -1 ``elements`` (candidate coordinates)
+        closed under degree 0, one span per weight: its ``dim()`` is the
+        dimension of the submodule they generate."""
+        return self._close(elements)
 
     def minus1_class(self, coords: dict) -> dict:
         """Class of a degree -1 element, given by its candidate coordinates,
@@ -332,17 +308,20 @@ class Cartanification:
 
     def zero_class(self, vec: dict) -> dict:
         """Quotient degree-0 coordinates of an original degree-0 vector."""
-        sol = self._zero_coords(vec)
+        sol = _zero_coords(self.source, self._zero_solver, vec)
         if sol is None:
             raise ValueError("vector lies outside the degree-0 image span")
         return sol
 
-    def _zero_coords(self, vec: dict) -> dict | None:
-        """As ``zero_class``, but None for a vector outside the span."""
-        vec = {i: qnorm(c) for i, c in vec.items() if c}
-        if not vec:
-            return {}
-        return self._zero_solver.express(vec, _vec_weight(self.source, vec))
+
+def _zero_coords(local: LocalSuperalgebra, solver: WeightedSolver,
+                 vec: dict) -> dict | None:
+    """Coordinates of a degree-0 vector of ``local`` over the span held by
+    ``solver``, or None for a vector outside it."""
+    vec = {i: qnorm(c) for i, c in vec.items() if c}
+    if not vec:
+        return {}
+    return solver.express(vec, _vec_weight(local, vec))
 
 
 def local_cartanification(local: LocalSuperalgebra,
@@ -356,7 +335,6 @@ def local_cartanification(local: LocalSuperalgebra,
     """
     if local.grading is None:
         raise ValueError("local part has no grading element")
-    nneg, nzero, npos = local.nneg, local.nzero, local.npos
 
     rbasis = None
     if restriction is not None:
@@ -368,30 +346,25 @@ def local_cartanification(local: LocalSuperalgebra,
         for a in rbasis:
             for b in rbasis:
                 br = local.bracket_vec(0, a, 0, b)
-                if br and rsolver.express(
-                        br, _vec_weight(local, br)) is None:
+                if br and _zero_coords(local, rsolver, br) is None:
                     raise ValueError("restriction is not a subalgebra")
-
-    result = Cartanification(
-        local=None, candidate_count=nneg * nzero, kernel_dim=0,
-        source=local, restricted=restriction is not None)
 
     # Each candidate x_p u_j gets its action once; the action matrix, its
     # kernel and its pivots all decompose by weight because every map in
     # sight is weight-homogeneous.
-    cands = [(p, j) for p in range(nneg) for j in range(nzero)]
-    actions = {c: result.action_coords(*c) for c in cands}
+    cands = [(p, j) for p in range(local.nneg) for j in range(local.nzero)]
+    actions = {c: Cartanification.action_coords(local, *c) for c in cands}
     kept, classes = weight_block_quotient(
         cands, [wsum(local.neg_weights[p], local.zero_weights[j])
                 for p, j in cands], [[actions[c]] for c in cands])
     pivots = [c for _, c in kept]
-    result.kernel_dim = len(cands) - len(pivots)
-    result._classes = classes
 
     # From here on a degree -1 element is its class over the pivots, and
     # degree 0 moves classes by the derivation rule
     #   [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j].
-    @functools.cache
+    gens = [s for _, s, k in degree0_generators(local) if k is None]
+    moves: dict = {}            # u -> {t: class of [u_u, pivots[t]]}
+
     def moved(u: int, c: tuple) -> dict:
         """Class of [u_u, candidate c]."""
         p, j = c
@@ -404,24 +377,56 @@ def local_cartanification(local: LocalSuperalgebra,
         return out
 
     def move(uvec: dict, cls: dict) -> dict:
-        """Class of [u, el] for a degree-0 vector u and el of class cls."""
+        """Class of [u, el] for a degree-0 vector u and el of class cls;
+        every class is a sum of pivots, so their moves are cached."""
         out: dict = {}
         for u, a in uvec.items():
+            row = moves.setdefault(u, {})
             for t, c in cls.items():
-                vadd_into(out, moved(u, pivots[t]), a * c)
+                if t not in row:
+                    row[t] = moved(u, pivots[t])
+                vadd_into(out, row[t], a * c)
         return out
 
+    def pivot_class(coords: dict) -> tuple[dict, tuple | None]:
+        """Class of an element given by its candidate coordinates, and the
+        element's weight (None for the zero class); a nonzero class needs a
+        weight-homogeneous element."""
+        cls: dict = {}
+        weights = set()
+        for (p, j), c in coords.items():
+            if c:
+                weights.add(wsum(local.neg_weights[p], local.zero_weights[j]))
+                vadd_into(cls, classes[(p, j)], c)
+        if not cls:
+            return {}, None
+        if len(weights) != 1:
+            raise ValueError("element is not weight-homogeneous")
+        return cls, weights.pop()
+
+    def close(elements) -> WeightedSolver:
+        """The classes of ``elements`` closed under the generators S, one
+        span per weight; the action is a representation, so this closes
+        them under all of degree 0."""
+        solver = WeightedSolver()
+        queue = []
+        for coords in elements:
+            cls, w = pivot_class(coords)
+            if cls and solver.add(cls, w):
+                queue.append((w, cls))
+        while queue:
+            w, cls = queue.pop()
+            for u in gens:
+                mcls = move({u: 1}, cls)
+                mw = wsum(local.zero_weights[u], w)
+                if mcls and solver.add(mcls, mw):
+                    queue.append((mw, mcls))
+        return solver
+
     # The kernel is the peripheral ideal, spanned by each candidate minus
-    # its class; it must be stable under the degree-0 action for the
-    # quotient to close, so each candidate must move as its class does.
-    # Only the generators S are checked: the edge check makes the action a
-    # representation on both tensor factors, so by induction along the
-    # closure tree every closure vector preserves the kernel, and the
-    # closure vectors span degree 0.  A pivot's class is its unit vector,
-    # so a pivot moves as its class does by definition.
-    closure = degree0_generators(local)
-    _check_representation(local, closure)
-    gens = [s for _, s, k in closure if k is None]
+    # its class; it is stable under degree 0 when each candidate moves as
+    # its class does under each generator (module docstring).  A pivot's
+    # class is its unit vector, so a pivot moves as its class does.
     pivot_set = set(pivots)
     for c, cls in classes.items():
         if c in pivot_set:
@@ -431,38 +436,19 @@ def local_cartanification(local: LocalSuperalgebra,
                 raise ValueError("peripheral kernel is not invariant "
                                  "under degree-0 brackets")
 
-    # kept is sorted by weight, so the unit classes keep their positions
-    minus_solver = WeightedSolver()
     if rbasis is None:
+        # kept is sorted by weight, so the unit classes keep their positions
+        minus_solver = WeightedSolver()
         for t, (w, _) in enumerate(kept):
             minus_solver.add({t: 1}, w)
     else:
-        # Seed with f_0 y_0 and close under the degree-0 action inside the
-        # weak quotient; the action is a representation, so closing under
-        # the generators closes under all of degree 0.
-        queue = []
-        for y in rbasis:
-            cls, w = result._pivot_class(products({0: 1}, y))
-            if cls and minus_solver.add(cls, w):
-                queue.append((w, cls))
-        while queue:
-            w, cls = queue.pop()
-            for u in gens:
-                mcls = move({u: 1}, cls)
-                if not mcls:
-                    continue
-                mw = wsum(local.zero_weights[u], w)
-                if minus_solver.add(mcls, mw):
-                    queue.append((mw, mcls))
+        # the submodule generated by the classes of f_0 y_0
+        minus_solver = close(products({0: 1}, y) for y in rbasis)
     minus_basis = [(v, w) for w, v in minus_solver.basis()]
 
-    neg_names = [("w", t) for t in range(len(minus_basis))]
     neg_weights = [tuple(w) for _, w in minus_basis]
-    neg_parities = []
-    for v, _ in minus_basis:
-        p, j = pivots[min(v)]
-        neg_parities.append(
-            (local.neg_parities[p] + local.zero_parities[j]) % 2)
+    neg_parities = [(local.neg_parities[p] + local.zero_parities[j]) % 2
+                    for p, j in (pivots[min(v)] for v, _ in minus_basis)]
 
     # Degree-0 part: the span of the action image, [w_t, z_q] being
     # images[t][q] over the original degree-0 basis; w_t acts as the same
@@ -472,6 +458,7 @@ def local_cartanification(local: LocalSuperalgebra,
     # checked above) and [a, z'] in degree 1.  b00 below brackets every pair
     # of basis vectors and raises if that ever fails.
     images = []
+    zero_solver = WeightedSolver()
     for v, _ in minus_basis:
         act: dict = {}
         for t, c in v.items():
@@ -480,8 +467,6 @@ def local_cartanification(local: LocalSuperalgebra,
         for (q, k), c in act.items():
             per_q.setdefault(q, {})[k - 1] = c
         images.append(per_q)
-    zero_solver = WeightedSolver()
-    for per_q in images:
         for vec in per_q.values():
             zero_solver.add(vec, _vec_weight(local, vec))
     zero_pairs = zero_solver.basis()
@@ -503,18 +488,15 @@ def local_cartanification(local: LocalSuperalgebra,
                 b00[(s, t)] = in_zero(br, wsum(zero_wts[s], zero_wts[t]))
     b0p = {}
     for s, us in enumerate(zero_basis):
-        for q in range(npos):
+        for q in range(local.npos):
             br = local.bracket_vec(0, us, 1, {q: 1})
             if br:
                 b0p[(s, q)] = br
     b0m = {}
     for s, us in enumerate(zero_basis):
         for t, (v, _) in enumerate(minus_basis):
-            target = move(us, v)
-            if not target:
-                continue
             w = wsum(zero_wts[s], neg_weights[t])
-            cls = minus_solver.express(target, w)
+            cls = minus_solver.express(move(us, v), w)
             if cls is None:
                 raise ValueError("degree -1 classes are not closed under "
                                  "the degree-0 action")
@@ -530,36 +512,38 @@ def local_cartanification(local: LocalSuperalgebra,
                               and neg_parities[t]) else 1
                 bpm[(q, t)] = {k: -sign * c for k, c in cls.items()}
 
-    result.zero_basis = zero_basis
-    result._minus_solver = minus_solver
-    result._zero_solver = zero_solver
-
     # The grading element and named elements outside the degree-0 span
     # are dropped; any other fault propagates.
     grading = None
     if local.grading:
-        grading = result._zero_coords(local.grading)
+        grading = _zero_coords(local, zero_solver, local.grading)
 
     embedding = None
     if local.embedding:
-        embedding = {}
-        for name, vec in local.embedding.items():
-            coords = result._zero_coords(vec)
-            if coords is not None:
-                embedding[name] = coords
+        embedding = {name: coords for name, vec in local.embedding.items()
+                     if (coords := _zero_coords(local, zero_solver, vec))
+                     is not None}
 
-    result.local = LocalSuperalgebra(
-        neg_names=neg_names, neg_weights=neg_weights,
-        neg_parities=neg_parities,
-        zero_names=[("u", t) for t in range(len(zero_basis))],
-        zero_weights=zero_wts,
-        zero_parities=[local.zero_parities[min(v)] for v in zero_basis],
-        pos_names=list(local.pos_names),
-        pos_weights=[tuple(w) for w in local.pos_weights],
-        pos_parities=list(local.pos_parities),
-        b00=b00, b0m=b0m, b0p=b0p, bpm=bpm,
-        pairing=None, grading=grading, embedding=embedding)
-    return result
+    # The closure reads only the moves under the generators.
+    for u in set(moves).difference(gens):
+        del moves[u]
+    return Cartanification(
+        local=LocalSuperalgebra(
+            neg_names=[("w", t) for t in range(len(minus_basis))],
+            neg_weights=neg_weights,
+            neg_parities=neg_parities,
+            zero_names=[("u", t) for t in range(len(zero_basis))],
+            zero_weights=zero_wts,
+            zero_parities=[local.zero_parities[min(v)] for v in zero_basis],
+            pos_names=list(local.pos_names),
+            pos_weights=[tuple(w) for w in local.pos_weights],
+            pos_parities=list(local.pos_parities),
+            b00=b00, b0m=b0m, b0p=b0p, bpm=bpm,
+            pairing=None, grading=grading, embedding=embedding),
+        candidate_count=len(cands), kernel_dim=len(cands) - len(pivots),
+        source=local, restricted=rbasis is not None, zero_basis=zero_basis,
+        _pivot_class=pivot_class, _close=close, _minus_solver=minus_solver,
+        _zero_solver=zero_solver)
 
 
 def cartanify(local: LocalSuperalgebra, degree_range=(-4, 1),

@@ -318,7 +318,8 @@ def _cache_read(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             envelope = json.load(handle)
-        if envelope.get("engine") != engine_hash():
+        if not isinstance(envelope, dict) or \
+                envelope.get("engine") != engine_hash():
             return None
         return envelope["payload"]
     except (OSError, ValueError, KeyError):

@@ -34,8 +34,9 @@ Verification is split into independent checks:
   lambda equals its completion, ``f0 f_j - [f0, f_j] h_j = 0`` for all
   j with lambda_j != 0;
 * surjectivity -- the degree-(-1) layer of the cartanification is spanned
-  by the images ``phi(f0_i)`` together with their iterated degree-0
-  brackets with the simple root vectors;
+  by the images ``phi(f0_i)`` together with their iterated brackets with
+  the generators of degree 0 (``Cartanification.closure``, the closure
+  that also builds a restricted cartanification);
 * injectivity -- the dimension and weight decomposition of the
   independently enumerated relations-model slice agree with those of the
   cartanification's degree-(-1) layer.
@@ -62,7 +63,7 @@ from . import cartan, graded, tha
 from .cartan import Cartanification, products
 from .contragredient import build_local
 from .graded import count_next_layer, decompose_at_degree
-from .linalg import Span, vadd
+from .linalg import vadd
 # chevalley_realization stays bound here for tracers that wrap it by name.
 from .rootsys import (
     CartanData,
@@ -152,14 +153,18 @@ def phi_assignment(
     assignment[("h0",)] = (0, cart.zero_class(local.zero_coords_of(("h0",))))
     assignment[("e0",)] = (1, {0: 1})
 
-    f0 = {0: -1}
     family_images: dict = {}
-    for i in pres.family:
-        h_i = local.zero_coords_of(("h0",) if i == tha.EXT else ("h", i))
-        image = cart.minus1_class(products(f0, h_i))
-        family_images[i] = image
-        assignment[("f0", i)] = (-1, image)
+    for i, coords in _family_products(pres, local).items():
+        family_images[i] = cart.minus1_class(coords)
+        assignment[("f0", i)] = (-1, family_images[i])
     return PhiAssignment(data, pres, cart, assignment, family_images)
+
+
+def _family_products(pres: tha.Presentation,
+                     local: graded.LocalSuperalgebra) -> dict:
+    """Candidate coordinates of f0 * h_i per family member i, h_ext = h0."""
+    return {i: products({0: -1}, local.zero_coords_of(
+        ("h0",) if i == tha.EXT else ("h", i))) for i in pres.family}
 
 
 def pseudo_minuscule_identities(
@@ -268,27 +273,6 @@ def _dims_down_to(g_alg, lo: int, data: CartanData) -> dict:
     return dims
 
 
-def _generation_rank(phi: PhiAssignment) -> int:
-    """Rank of the span of the family images under the degree-0 action."""
-    cart = phi.cartanification
-    span = Span()
-    frontier = [v for v in phi.family_images.values() if span.add(v)]
-    actions = [
-        phi.assignment[(kind, i)][1]
-        for i in range(phi.data.r)
-        for kind in ("e", "f")
-    ]
-    while frontier:
-        next_frontier = []
-        for vec in frontier:
-            for action in actions:
-                _, out = cart.graded.bracket((0, action), (-1, vec))
-                if out and span.add(out):
-                    next_frontier.append(out)
-        frontier = next_frontier
-    return span.rank
-
-
 @dataclass(frozen=True)
 class IsoVerdict:
     """Outcome of the degree-(-1) comparison for one set of Cartan data.
@@ -322,7 +306,7 @@ def check_isomorphism(
 
     Raises ``ValueError`` when the pseudo-minuscule precondition fails.
     Otherwise runs the homomorphism and identity checks, the surjectivity
-    span closure, and the injectivity comparison against the independently
+    closure, and the injectivity comparison against the independently
     enumerated relations model, and aggregates them into a verdict.  The
     degree range defaults to the smallest window containing every defining
     relation and the compared layer; widening it only adds layers to the
@@ -364,7 +348,8 @@ def check_isomorphism(
 
     cart_dims = _dims_down_to(cart.graded, lo, data)
     minus1_dim = cart_dims[-1]
-    surjective = _generation_rank(phi) == minus1_dim
+    surjective = cart.closure(_family_products(
+        phi.presentation, cart.source).values()).dim() == minus1_dim
 
     cart_decomposition = _normalize_decomposition(
         decompose_at_degree(cart.graded, -1, data)

@@ -629,11 +629,14 @@ class TestCache:
         assert cli.main(args) == 0
         assert _strip_timing(capsys.readouterr().out) == clean
 
-    def test_corrupt_entry_is_recomputed(self, cache_env, capsys):
+    @pytest.mark.parametrize("text", ["{ corrupt", "[]", "null"],
+                             ids=["unparsable", "list", "null"])
+    def test_corrupt_entry_is_recomputed(self, cache_env, capsys, text):
+        """An entry that is not a JSON object reads as absent."""
         assert cli.main(["roots", "--spec", A2_SPEC]) == 0
         clean = _strip_timing(capsys.readouterr().out)
         for path in (cache_env / "cache").rglob("*.json"):
-            path.write_text("{ corrupt")
+            path.write_text(text)
         assert cli.main(["roots", "--spec", A2_SPEC]) == 0
         again = _strip_timing(capsys.readouterr().out)
         assert clean == again

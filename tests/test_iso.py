@@ -16,7 +16,7 @@ from gradedlie.cartan import (
     root_subalgebra,
 )
 from gradedlie.contragredient import build_local
-from gradedlie.linalg import vadd
+from gradedlie.linalg import Span, vadd
 from gradedlie.rootsys import CartanData, chevalley_realization, jk_partition
 
 import structure
@@ -45,6 +45,13 @@ _DATA = {
     # non-integral weight blocks in the extension to degree -2
     "b3": lambda: CartanData([[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
                              epsilon=(2, 2, 1), lam=(0, 0, 1)),
+}
+
+# lambda meets two simple components, so B^W is larger than W
+_PARTING = {
+    "a1xa1": lambda: CartanData([[2, 0], [0, 2]], lam=(1, 1)),
+    "a1xa2": lambda: CartanData([[2, 0, 0], [0, 2, -1], [0, -1, 2]],
+                                lam=(1, 1, 0)),
 }
 
 _VERDICTS: dict = {}
@@ -274,6 +281,22 @@ class TestOutsideHypotheses:
         assert verdict.sides["relations_model"]["dim"] == 8
         assert verdict.sides["cartanification"]["minus1_dim"] == 8
 
+    @pytest.mark.parametrize("name, cart_dim, module_dim, rank", [
+        ("a1xa1", 8, 4, 4),
+        ("a1xa2", 24, 18, 18),
+    ])
+    def test_surjectivity_fails_when_lambda_meets_two_components(
+            self, name, cart_dim, module_dim, rank):
+        """The images f0 h_i generate a submodule of B^W_-1 as large as
+        W_-1, and no more."""
+        data = _PARTING[name]()
+        verdict = iso.check_isomorphism(data)
+        assert verdict.verdict == "hypotheses not met"
+        assert verdict.surjective is False
+        assert verdict.sides["cartanification"]["minus1_dim"] == cart_dim
+        assert verdict.sides["relations_model"]["dim"] == module_dim
+        assert _generation_rank(iso.phi_assignment(data)) == rank
+
     def test_inconclusive_when_enumeration_capped(self, monkeypatch):
         monkeypatch.setattr(tha, "build_minus1", functools.partial(
             tha.build_minus1, cell_cap=50))
@@ -283,6 +306,47 @@ class TestOutsideHypotheses:
         assert verdict.certificate["complete"] is False
         assert verdict.certificate["cells_created"] <= 50
         assert verdict.sides["relations_model"]["status"] != "complete"
+
+
+def _generation_rank(phi):
+    """Surjectivity's rank: the classes f0 h_i closed under the generators
+    of degree 0 (``Cartanification.closure``)."""
+    cart = phi.cartanification
+    family = iso._family_products(phi.presentation, cart.source)
+    return cart.closure(family.values()).dim()
+
+
+def _rank_under_all_of_degree0(phi):
+    """The family images closed under every degree-0 basis vector of the
+    quotient, through its own brackets: the definition, kept as the
+    oracle of the closure under generators."""
+    local = phi.cartanification.local
+    span = Span()
+    queue = [v for v in phi.family_images.values() if span.add(v)]
+    while queue:
+        vec = queue.pop()
+        for u in range(local.nzero):
+            out = local.bracket_vec(0, {u: 1}, -1, vec)
+            if out and span.add(out):
+                queue.append(out)
+    return span.rank
+
+
+@pytest.mark.parametrize("data", [
+    CartanData(_a(3), lam=(0, 1, 0)),
+    CartanData([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], epsilon=(1, 1, 2),
+               lam=(1, 0, 0)),
+    CartanData([[2, -2], [-1, 2]], epsilon=(2, 1), lam=(0, 1)),
+    _PARTING["a1xa1"](),
+    _PARTING["a1xa2"](),
+], ids=["A3w2", "C3w1", "B2w2", "A1xA1", "A1xA2"])
+def test_generation_rank_matches_closure_under_all_of_degree0(data):
+    """On a weak cartanification the minus basis is the pivots and h0
+    acts diagonally on weight vectors, so closing the family under the
+    generators of degree 0 gives the rank of closing it under all of it,
+    also where surjectivity fails (A1xA1, A1xA2)."""
+    phi = iso.phi_assignment(data)
+    assert _generation_rank(phi) == _rank_under_all_of_degree0(phi)
 
 
 class TestSharedModule:
