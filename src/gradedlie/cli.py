@@ -39,12 +39,14 @@ Commands (``gradedlie <command> --spec <path>``):
 * ``check-all``   -- every command above on one spec, errors recorded
   per command.  It builds each model once and hands it to every command
   that needs it: one contragredient local part, which ``build-b`` and
-  ``decompose --variant B`` extend over the window; one local
-  cartanification of it, the spec's weak, strong or restricted one,
-  which ``cartanify`` and ``decompose`` extend over the window and, when
-  weak, ``check-iso`` extends over its own; one relations module per
-  variant, for ``tha-minus1`` and ``check-iso``.  The results are
-  byte-identical to running each command alone.
+  ``decompose --variant B`` extend over the window; the spec's local
+  cartanification of it, weak, strong or restricted, which ``cartanify``
+  and ``decompose`` extend over the window; the weak one, which
+  ``check-iso`` extends over its own window (the same object when the
+  spec is weak); one relations module per variant, for ``tha-minus1``
+  and ``check-iso``.  ``check-iso`` checks its precondition before it
+  asks for any model.  The results are byte-identical to running each
+  command alone.
 
 Reports are deterministic JSON (sorted keys; identical runs are
 byte-identical apart from the timing field) and conform to
@@ -55,13 +57,17 @@ Computed per-degree components are cached, content-addressed by the hash
 of the spec (minus the degree range) and the command, one self-describing
 JSON file per degree.  A rerun, or a window inside a cached one, is served
 from the cache; a window that reaches any degree not cached is computed
-whole, and only the degrees not cached are written.  Each file records a
-hash of the package's sources and schemas, and a file written by any
-other engine is treated as absent.  The cache directory is
-``$GRADEDLIE_CACHE_DIR`` when set, otherwise ``~/.cache/gradedlie``;
-writes are atomic (write to a temporary file in the same directory, then
-rename); ``--no-cache`` bypasses reads and writes.  A cache hit and a cold
-run produce identical reports.
+whole, and only the degrees not cached are written.  The minimal
+extension builds each degree from the one inside it, so a wider window
+rebuilds every degree whatever is cached; the only avoidable work is
+``decompose`` redoing the decompositions of degrees already cached.
+Each file records a hash of the package's sources and schemas and a
+sha256 of its payload; a file written by any other engine, or whose
+payload is not the one written, is treated as absent.  The cache
+directory is ``$GRADEDLIE_CACHE_DIR`` when set, otherwise
+``~/.cache/gradedlie``; writes are atomic (write to a temporary file in
+the same directory, then rename); ``--no-cache`` bypasses reads and
+writes.  A cache hit and a cold run produce identical reports.
 
 Exit codes: 0 success; 1 engine error (the message is printed verbatim
 with the originating module, and prefixed with the exception class for an
@@ -129,16 +135,19 @@ class AlgebraSpec:
         return out
 
     def spec_hash(self) -> str:
-        text = json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        return _digest(self.canonical())
 
     def core_hash(self) -> str:
         """Hash of the spec without the degree range, for cache addressing."""
         core = self.canonical()
         del core["degree_range"]
-        text = json.dumps(core, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        return _digest(core)
+
+
+def _digest(value) -> str:
+    """sha256 of the canonical JSON text of ``value``."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _spec_from_dict(obj) -> AlgebraSpec:
@@ -315,15 +324,18 @@ def engine_hash() -> str:
 
 
 def _cache_read(path: str):
+    """The entry's payload; None when the file is unreadable, was written
+    by another engine, or holds a payload other than the one written."""
     try:
         with open(path, encoding="utf-8") as handle:
             envelope = json.load(handle)
-        if not isinstance(envelope, dict) or \
-                envelope.get("engine") != engine_hash():
-            return None
-        return envelope["payload"]
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         return None
+    if not isinstance(envelope, dict) or \
+            envelope.get("engine") != engine_hash() or \
+            envelope.get("payload_sha256") != _digest(envelope.get("payload")):
+        return None
+    return envelope.get("payload")
 
 
 def _cache_write(path: str, payload, spec: AlgebraSpec, command: str) -> None:
@@ -333,6 +345,7 @@ def _cache_write(path: str, payload, spec: AlgebraSpec, command: str) -> None:
         "command": command,
         "spec": spec.canonical(),
         "payload": payload,
+        "payload_sha256": _digest(payload),
     }
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
@@ -386,67 +399,52 @@ class _Models:
     """The models built for one report, each at most once.
 
     Every model starts from the contragredient local part of the spec's
-    datum, so the store builds that once (``build_local``), the spec's
-    local cartanification once from it, and each window's extension of
-    either once; the relations module once per variant.  So the commands
-    of ``check-all`` share one copy of each.  A model is built on first
-    request, so a command served from the disk cache builds nothing; a
-    build that raises keeps nothing, and the next request retries it.
+    datum, built once (``build_local``); from it, each local
+    cartanification once: the spec's (weak, strong or restricted) and the
+    weak one check-iso needs, the same object when the spec is weak; each
+    window's extension once; the relations module once per variant.  A
+    model is built on first request, so a command served from the disk
+    cache builds nothing; a build that raises keeps nothing, and the next
+    request retries it.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
         self.data = spec.data
-        self._local: graded.LocalSuperalgebra | None = None
-        self._local_cart: cartan.Cartanification | None = None
-        self._contragredient: dict = {}
-        self._carts: dict = {}
-        self._modules: dict = {}
+        self._built: dict = {}
+
+    def _memo(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
 
     def local(self) -> graded.LocalSuperalgebra:
         """The contragredient local part B_-1 + B_0 + B_1."""
-        if self._local is None:
-            self._local = build_local(self.data)
-        return self._local
+        return self._memo("local", lambda: build_local(self.data))
 
     def contragredient(self, window) -> graded.GradedSuperalgebra:
         """The contragredient superalgebra over ``window``."""
-        if window not in self._contragredient:
-            self._contragredient[window] = graded.minimal_extension(
-                self.local(), window)
-        return self._contragredient[window]
+        return self._memo(("B", window), lambda: graded.minimal_extension(
+            self.local(), window))
 
-    def local_cartanification(self) -> cartan.Cartanification:
-        """The spec's local cartanification: weak, strong or restricted."""
-        if self._local_cart is None:
+    def local_cartanification(self, nodes) -> cartan.Cartanification:
+        """The local cartanification restricted to ``nodes``, or the weak
+        one when ``nodes`` is None."""
+        def build():
             local = self.local()
-            nodes = _restriction(self.spec, self.data)[1]
-            self._local_cart = cartan.local_cartanification(
+            return cartan.local_cartanification(
                 local, restriction=None if nodes is None
                 else cartan.root_subalgebra(self.data, local, nodes))
-        return self._local_cart
-
-    def built_weak_cartanification(self):
-        """The local cartanification if a command built it and it is the
-        weak one, else None."""
-        if self._local_cart is None or self._local_cart.restricted:
-            return None
-        return self._local_cart
+        return self._memo(("local cart", nodes), build)
 
     def cartanification(self, window) -> cartan.Cartanification:
         """The spec's cartanification over ``window``."""
-        if window not in self._carts:
-            self._carts[window] = self.local_cartanification().over(window)
-        return self._carts[window]
+        return self._memo(("cart", window), lambda: self.local_cartanification(
+            _restriction(self.spec, self.data)[1]).over(window))
 
     def module(self, variant: str) -> tha.MinusOneModule:
-        if variant not in self._modules:
-            self._modules[variant] = tha.build_minus1(
-                tha.presentation(self.data, variant))
-        return self._modules[variant]
-
-    def built_module(self, variant: str):
-        return self._modules.get(variant)
+        return self._memo(("module", variant), lambda: tha.build_minus1(
+            tha.presentation(self.data, variant)))
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +565,13 @@ def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     entry = "window%d_%d" % window
 
     def compute():
-        # Only models another command already built are handed over:
-        # building one here would precede the precondition check.
+        iso.require_pseudo_minuscule(models.data)
+        # cartanification before module: the order check_isomorphism
+        # builds them in, so a failing build is reported as it was
         verdict = iso.check_isomorphism(
             models.data, degree_range=window,
-            module=models.built_module("W"),
-            cartanification=models.built_weak_cartanification())
+            cartanification=models.local_cartanification(None),
+            module=models.module("W"))
         return {entry: _jsonable(verdict)}
 
     return cache.fetch([entry], compute)[entry]

@@ -317,13 +317,13 @@ def check_isomorphism(
 
     ``module`` hands in the relations module of
     ``tha.presentation(data, "W")``, and ``cartanification`` the weak
-    local cartanification of ``build_local(data)``, when it is already
-    built; omitted, each is built here.  Hand one over only when it
-    exists already: building it for the call would come before the
-    precondition check and its error.  A handed-in cartanification is
-    extended here over the window this function builds, whatever window
-    it was extended over before, so the verdict is the same either way.
-    A module or cartanification built from other input, or a restricted
+    local cartanification of ``build_local(data)``; omitted, each is
+    built here.  A caller that builds them first checks the precondition
+    first (``require_pseudo_minuscule``), so that its error still comes
+    before any build.  A handed-in cartanification is extended here over
+    the window this function builds, whatever window it was extended
+    over before, so the verdict is the same either way.  A module or
+    cartanification built from other input, or a restricted
     cartanification, raises ``ValueError`` naming the mismatch.
     """
     if module is not None:

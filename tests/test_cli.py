@@ -435,11 +435,29 @@ class TestSharedModels:
                                                 builds):
         assert cli.main(["check-all", "--spec", A2_SPEC, "--variant", "S",
                          "--no-cache"]) == 0
-        # the store holds the strong cartanification; check-iso compares
-        # variant W and builds its own weak one, from its own local part
+        # the store holds the strong cartanification and, for check-iso,
+        # which compares variant W, the weak one, both from one local part
         assert builds["local_carts"] == ["restricted", "weak"]
-        assert len(builds["locals"]) == 2
+        assert len(builds["locals"]) == 1
         assert builds["variants"] == ["S", "W"]
+
+    def test_restriction_shares_the_local_part(self, cache_env, capsys,
+                                               builds):
+        assert cli.main(["check-all", "--spec", A3_SPEC, "--restrict=1,2",
+                         "--degrees=-2..1", "--no-cache"]) == 0
+        assert len(builds["locals"]) == 1
+        assert builds["local_carts"] == ["restricted", "weak"]
+
+    def test_precondition_comes_before_any_build(self, cache_env, capsys,
+                                                 builds):
+        spec = '{"cartan_matrix": [[2]], "lambda": [2]}'
+        assert cli.main(["check-iso", "--spec", spec, "--no-cache"]) == 1
+        assert capsys.readouterr().err == (
+            "error in module iso: pseudo-minuscule precondition fails: the "
+            "completed weight pairs with root (1,) to 2, expected 0 or 1\n")
+        assert builds["locals"] == []
+        assert builds["local_carts"] == []
+        assert builds["variants"] == []
 
     def test_models_do_not_outlive_a_report(self, cache_env, capsys,
                                             builds):
@@ -508,8 +526,19 @@ class TestGoldenReports:
         # K is empty, so check-iso also counts the contragredient's degree -2
         ("check-iso", '{"cartan_matrix": [[2]], "lambda": [1]}',
          "1aefda2df8af4138246c350b19c4e5254999b15b4cddd787dd85bf912b7c3cf1"),
+        # the store's local cartanification is strong or restricted, so
+        # check-iso compares against the store's weak one beside it
+        ("check-all", '{"cartan_matrix": [[2, -1], [-1, 2]], '
+                      '"lambda": [1, 0], "variant": "S", '
+                      '"degree_range": [-2, 1]}',
+         "4170c5b4961f1feb94adc3ef8b483310c58e4a486a921ac34ac05c3831051feb"),
+        ("check-all", '{"cartan_matrix": [[2, -1, 0], [-1, 2, -1], '
+                      '[0, -1, 2]], "lambda": [1, 0, 0], '
+                      '"restriction": [1, 2], "degree_range": [-2, 1]}',
+         "9425c12674ac6c4069528d45970c766bb363b61a6d31880c73a89aef9e87889e"),
     ], ids=["check-all-A2w1", "check-all-C2w1", "check-iso-B2w2",
-            "check-iso-B3w3", "check-iso-A1w1"])
+            "check-iso-B3w3", "check-iso-A1w1", "check-all-A2w1-S",
+            "check-all-A3w1-restricted"])
     def test_report_digest(self, cache_env, capsys, command, spec, digest):
         assert cli.main([command, "--spec", spec, "--no-cache"]) == 0
         text = _strip_timing(capsys.readouterr().out)
@@ -570,8 +599,11 @@ class TestCache:
         assert files, "cache should contain entries"
         envelope = json.loads(files[0].read_text())
         assert set(envelope) == {"tool_version", "engine", "command", "spec",
-                                 "payload"}
+                                 "payload", "payload_sha256"}
         assert envelope["engine"] == cli.engine_hash()
+        assert envelope["payload_sha256"] == hashlib.sha256(json.dumps(
+            envelope["payload"], sort_keys=True,
+            separators=(",", ":")).encode()).hexdigest()
         assert envelope["command"] == "tha-minus1"
         assert envelope["spec"]["lambda"] == [1, 0]
 
@@ -640,3 +672,22 @@ class TestCache:
         assert cli.main(["roots", "--spec", A2_SPEC]) == 0
         again = _strip_timing(capsys.readouterr().out)
         assert clean == again
+
+    @pytest.mark.parametrize("payload", [{}, []], ids=["object", "list"])
+    @pytest.mark.parametrize("command", ["build-b", "check-iso"])
+    def test_entry_with_another_payload_is_recomputed(
+            self, cache_env, capsys, command, payload):
+        """A current-engine entry whose payload is not the one written
+        reads as absent, and is rewritten."""
+        args = [command, "--spec", A2_SPEC, "--degrees=-2..1"]
+        assert cli.main(args) == 0
+        clean = _strip_timing(capsys.readouterr().out)
+        paths = list((cache_env / "cache").rglob("*.json"))
+        for path in paths:
+            envelope = json.loads(path.read_text())
+            envelope["payload"] = payload
+            path.write_text(json.dumps(envelope))
+        assert cli.main(args) == 0
+        assert _strip_timing(capsys.readouterr().out) == clean
+        for path in paths:
+            assert json.loads(path.read_text())["payload"] != payload
