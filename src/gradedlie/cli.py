@@ -300,11 +300,6 @@ def cache_dir() -> str:
     )
 
 
-def _cache_path(spec: AlgebraSpec, command: str, entry: str) -> str:
-    return os.path.join(cache_dir(), spec.core_hash(), command,
-                        entry + ".json")
-
-
 @functools.cache
 def engine_hash() -> str:
     """sha256 over the package's ``*.py`` and ``schemas/*.json`` files;
@@ -363,12 +358,15 @@ def _cache_write(path: str, payload, spec: AlgebraSpec, command: str) -> None:
 
 
 class _Cache:
-    """Per-command cache view; ``use=False`` turns reads and writes off."""
+    """Per-command cache view; ``use=False`` turns reads and writes off.
+
+    Entries live in <cache_dir>/<spec core hash>/<command>/<entry>.json."""
 
     def __init__(self, spec: AlgebraSpec, command: str, use: bool):
         self.spec = spec
         self.command = command
         self.use = use
+        self.directory = os.path.join(cache_dir(), spec.core_hash(), command)
 
     def fetch(self, entries, compute) -> dict:
         """The payload of every entry, by entry name.
@@ -376,7 +374,7 @@ class _Cache:
         When every entry is cached the payloads are read; otherwise
         ``compute()`` returns them all, and only the missing entries are
         written."""
-        paths = {entry: _cache_path(self.spec, self.command, entry)
+        paths = {entry: os.path.join(self.directory, entry + ".json")
                  for entry in entries}
         found = ({entry: _cache_read(path) for entry, path in paths.items()}
                  if self.use else {})
@@ -689,27 +687,25 @@ def _apply_overrides(obj, args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", required=True,
-                        help="path to a spec JSON file, or inline JSON")
-    common.add_argument("--out", help="write the report here (default stdout)")
-    common.add_argument("--degrees", metavar="a..b",
-                        help="override the spec's degree range; write "
-                             "--degrees=-4..1 when the range starts with "
-                             "a negative degree")
-    common.add_argument("--variant", choices=_VARIANTS,
-                        help="override the spec's variant")
-    common.add_argument("--restrict", metavar="n1,n2,...",
-                        help="override the spec's restriction nodes")
-    common.add_argument("--no-cache", action="store_true",
-                        help="bypass the component cache")
+    """One parser: the command and the options, in any order."""
     parser = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact graded Lie superalgebras from Cartan data.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        sub.add_parser(command, parents=[common])
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--spec", required=True,
+                        help="path to a spec JSON file, or inline JSON")
+    parser.add_argument("--out", help="write the report here (default stdout)")
+    parser.add_argument("--degrees", metavar="a..b",
+                        help="override the spec's degree range; write "
+                             "--degrees=-4..1 when the range starts with "
+                             "a negative degree")
+    parser.add_argument("--variant", choices=_VARIANTS,
+                        help="override the spec's variant")
+    parser.add_argument("--restrict", metavar="n1,n2,...",
+                        help="override the spec's restriction nodes")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the component cache")
     return parser
 
 

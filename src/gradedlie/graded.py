@@ -742,7 +742,8 @@ def decompose_at_degree(g_alg: GradedSuperalgebra, d: int,
 
     ``data`` is the CartanData the stored weights refer to.  The simple
     raising operators are located in the degree-0 basis by their Chevalley
-    names ("e", i) via the local embedding.
+    names ("e", i) via the local embedding; a model whose degree 0 lacks
+    one of them cannot be decomposed.
     """
     raisers = []
     for node in range(data.r):
@@ -750,8 +751,10 @@ def decompose_at_degree(g_alg: GradedSuperalgebra, d: int,
         coords = g_alg.zero_coords_of(("e", node))
         if coords is None:
             raise ValueError(
-                "raising operator for node %d not defined on the degree-0 "
-                "part" % node)
+                "degree 0 of this model holds no e_%d, so degree %d cannot "
+                "be decomposed: a strong or restricted cartanification keeps "
+                "in degree 0 only the action of degree 0 on its degree -1 "
+                "part" % (node, d))
         mat: dict = {}
         for a, c in coords.items():
             for src, vec in g_alg.layers[d].act0[a].items():

@@ -102,16 +102,13 @@ class PhiAssignment:
     """The comparison assignment from relations-model generators.
 
     ``assignment`` maps each generator name to a ``(degree, vector)`` pair
-    in the cartanification's graded algebra; ``family_images`` restricts it
-    to the lowering family ``f0_i`` whose images are the degree-(-1)
-    classes of the products ``f0 * h_i``.
+    in the cartanification's graded algebra; the lowering family
+    ``f0_i`` maps to the degree-(-1) classes of the products ``f0 * h_i``.
     """
 
-    data: CartanData
     presentation: tha.Presentation
     cartanification: Cartanification
     assignment: dict
-    family_images: dict
 
 
 def phi_assignment(
@@ -153,11 +150,9 @@ def phi_assignment(
     assignment[("h0",)] = (0, cart.zero_class(local.zero_coords_of(("h0",))))
     assignment[("e0",)] = (1, {0: 1})
 
-    family_images: dict = {}
     for i, coords in _family_products(pres, local).items():
-        family_images[i] = cart.minus1_class(coords)
-        assignment[("f0", i)] = (-1, family_images[i])
-    return PhiAssignment(data, pres, cart, assignment, family_images)
+        assignment[("f0", i)] = (-1, cart.minus1_class(coords))
+    return PhiAssignment(pres, cart, assignment)
 
 
 def _family_products(pres: tha.Presentation,
@@ -380,7 +375,7 @@ def check_isomorphism(
         )
 
         direct = True
-        if phi.presentation.k_empty:
+        if not jk_partition(data)[1]:
             contragredient_dims = _dims_down_to(
                 graded.minimal_extension(cart.source, built), lo, data)
             sides["contragredient"] = {"dims": dict(contragredient_dims)}

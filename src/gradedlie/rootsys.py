@@ -17,11 +17,13 @@ their norm under the invariant form.  Conventions:
 is the one gate for a datum: it checks its seven rules, each worded for
 a user, and types each component; ``cartan_failures`` lists what keeps a
 datum from finite type, for the command line's spec errors and for the
-positive roots.  The validation (``CartanData.validation``) and the
-positive roots are cached properties: the validation and the reflection
-closure run once per datum, and ``enumerate_roots``,
-``weyl_dimension``, ``highest_roots``, ``pseudo_minuscule_failure`` and
-``chevalley_realization`` all read them.  So does ``weyl_order``, the
+positive roots.  The validation (``CartanData.validation``), the
+positive roots, their index by coordinates (``root_index``) and the
+extraspecial decomposition of each (``extraspecial``) are cached
+properties: the validation and the reflection closure run once per
+datum, and ``enumerate_roots``, ``weyl_dimension``, ``highest_roots``,
+``pseudo_minuscule_failure``, ``chevalley_realization`` and
+``root_action`` all read them.  So does ``weyl_order``, the
 order of a parabolic subgroup of the Weyl group from the exponents,
 memoised per node set, which gives ``orbit_size``, |W mu| of a dominant
 weight, without enumerating the group.
@@ -31,8 +33,11 @@ node, index ``EXT = -1``: B_EXT,j = -lambda_j/epsilon_j, B_i,EXT =
 
 The Chevalley realization normalizes ``[e_gamma, e_{-gamma}] = h_gamma``
 with ``h_gamma = (2/(gamma,gamma)) phi^{-1}(gamma)``, and fixes signs by
-a deterministic extraspecial-pair convention keyed to the (height, lex)
-order on positive roots.
+the extraspecial decomposition gamma = alpha_i + beta, i the first node
+for which beta is a positive root: [e_{alpha_i}, e_beta] = (p + 1)
+e_gamma, p the length of the alpha_i-string below beta.  ``root_action``
+builds the action of each root vector on a g-module from the same
+decomposition.
 """
 
 from __future__ import annotations
@@ -287,6 +292,38 @@ class CartanData:
             out.append(Root(c, labels, self.bilinear(labels, labels)))
         return tuple(out)
 
+    @cached_property
+    def root_index(self) -> dict[tuple[int, ...], int]:
+        """Position in ``positive_roots`` of each positive root's coords."""
+        return {rt.coords: k for k, rt in enumerate(self.positive_roots)}
+
+    @cached_property
+    def extraspecial(self) -> tuple[tuple[int, int, int] | None, ...]:
+        """The extraspecial decomposition gamma = alpha_i + beta of each
+        positive root (Carter, Simple Groups of Lie Type, 4.2): None for
+        a simple root, otherwise (i, b, n) with i the first node for which
+        gamma - alpha_i is a positive root, b that root's position and
+        n = p + 1, p the largest k with beta - k alpha_i a root."""
+        index = self.root_index
+        out = []
+        for rt in self.positive_roots:
+            if rt.height == 1:
+                out.append(None)
+                continue
+            i = next(i for i in range(self.r)
+                     if _shift(rt.coords, i, -1) in index)
+            beta = _shift(rt.coords, i, -1)
+            n = 1
+            while _shift(beta, i, -n) in index:
+                n += 1
+            out.append((i, index[beta], n))
+        return tuple(out)
+
+
+def _shift(coords: tuple[int, ...], i: int, k: int) -> tuple[int, ...]:
+    """coords + k alpha_i."""
+    return coords[:i] + (coords[i] + k,) + coords[i + 1:]
+
 
 # -- validation ------------------------------------------------------------
 
@@ -520,10 +557,9 @@ class ChevalleyAlgebra:
     element make weight-block computations downstream cheap.
     """
 
-    def __init__(self, data: CartanData, pos_roots: list[Root],
-                 table: dict, kappa_ef: list):
+    def __init__(self, data: CartanData, table: dict):
         self.data = data
-        self.pos_roots = pos_roots
+        self.pos_roots = pos_roots = data.positive_roots
         self.names: list[tuple] = (
             [("f", i) for i in range(len(pos_roots))]
             + [("h", i) for i in range(data.r)]
@@ -536,17 +572,12 @@ class ChevalleyAlgebra:
             + [zero for _ in range(data.r)]
             + [rt.labels for rt in pos_roots])
         self._table = table              # (i, j) -> {k: coeff}, all pairs
-        self._kappa_ef = kappa_ef        # kappa(e_beta, f_beta) per root
 
     def __repr__(self) -> str:
         return "ChevalleyAlgebra(dim=%d, r=%d)" % (self.dim, self.data.r)
 
     def simple_root_index(self, i: int) -> int:
-        target = tuple(1 if j == i else 0 for j in range(self.data.r))
-        for k, rt in enumerate(self.pos_roots):
-            if rt.coords == target:
-                return k
-        raise KeyError(i)
+        return self.data.root_index[_shift((0,) * self.data.r, i, 1)]
 
     def bracket(self, i: int, j: int) -> dict:
         return self._table.get((i, j), {})
@@ -565,7 +596,8 @@ class ChevalleyAlgebra:
             # kappa(h_a, h_b) = epsilon_a A_ba (= epsilon_b A_ab)
             return qnorm(self.data.epsilon[na[1]] * self.data.a[nb[1]][na[1]])
         if {na[0], nb[0]} == {"e", "f"} and na[1] == nb[1]:
-            return self._kappa_ef[na[1]]
+            # kappa(e_beta, f_beta) = 2 / (beta, beta)
+            return qdiv(2, self.pos_roots[na[1]].norm)
         return 0
 
     def coroot_coords(self, rt: Root) -> dict:
@@ -585,29 +617,21 @@ def root_action(g: ChevalleyAlgebra, simple: dict, kind: str,
     f_gamma ("f") on a g-module, gamma the positive root ``root_index``.
 
     ``simple[kind][node]`` is the action of the simple root vector of a
-    node.  A compound root gamma = alpha_node + beta, with node the first
-    for which beta is a positive root, acts by the commutator of the
-    actions of x_node and x_beta divided by the structure constant of
-    [x_node, x_beta] = c x_gamma in g.  Actions are built on demand and
-    memoized in ``memo`` under (kind, root_index).
+    node.  A compound root gamma = alpha_node + beta, its extraspecial
+    decomposition (``CartanData.extraspecial``), acts by the commutator
+    of the actions of x_node and x_beta divided by the structure constant
+    of [x_node, x_beta] = c x_gamma in g.  Actions are built on demand
+    and memoized in ``memo`` under (kind, root_index).
     """
     key = (kind, root_index)
     op = memo.get(key)
     if op is not None:
         return op
-    rt = g.pos_roots[root_index]
-    if rt.height == 1:
-        op = simple[kind][rt.coords.index(1)]
+    split = g.data.extraspecial[root_index]
+    if split is None:
+        op = simple[kind][g.pos_roots[root_index].coords.index(1)]
     else:
-        roots = {s.coords: p for p, s in enumerate(g.pos_roots)}
-        for node in range(g.data.r):
-            below = list(rt.coords)
-            below[node] -= 1
-            bidx = roots.get(tuple(below))
-            if bidx is not None:
-                break
-        else:
-            raise ValueError("root %s has no simple summand" % (rt.coords,))
+        node, bidx, _ = split
         a = g.index[(kind, g.simple_root_index(node))]
         b = g.index[(kind, bidx)]
         tgt = g.index[(kind, root_index)]
@@ -624,29 +648,6 @@ def root_action(g: ChevalleyAlgebra, simple: dict, kind: str,
     return op
 
 
-def _extraspecial_pair(root_set: set, gamma: tuple[int, ...], r: int):
-    """Minimal simple i with gamma - alpha_i a positive root, plus p+1."""
-    for i in range(r):
-        beta = list(gamma)
-        beta[i] -= 1
-        if min(beta) < 0 or sum(beta) == 0:
-            continue
-        if tuple(beta) in root_set:
-            # p = max k with beta - k alpha_i a root
-            p = 0
-            probe = list(beta)
-            while True:
-                probe[i] -= 1
-                key = tuple(probe)
-                if key in root_set or tuple(-x for x in key) in root_set:
-                    p += 1
-                else:
-                    break
-            return i, tuple(beta), p + 1
-    raise ValueError("positive non-simple root %s has no simple summand"
-                     % (gamma,))
-
-
 def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
     """Concrete structure constants for finite-type g.
 
@@ -656,11 +657,10 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
     bases are then rescaled to the Chevalley normalization
     [e_gamma, e_{-gamma}] = h_gamma with positive extraspecial constants.
     """
-    positives = list(data.positive_roots)
+    positives = data.positive_roots
     from . import graded  # deferred: graded imports rootsys at module level
 
     r = data.r
-    root_set = {rt.coords for rt in positives}
     max_h = max(rt.height for rt in positives)
 
     zero_w = (0,) * r
@@ -697,20 +697,18 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
             raise ValueError("layer/root mismatch at height %d" % h)
 
     # engine coordinates of the normalized e_gamma / f_gamma
-    pr_index = {rt.coords: k for k, rt in enumerate(positives)}
     e_vec: list[dict] = [None] * len(positives)
     f_vec: list[dict] = [None] * len(positives)
-    for k, rt in enumerate(positives):
+    for k, (rt, split) in enumerate(zip(positives, data.extraspecial)):
         h = rt.height
-        if h == 1:
+        if split is None:
             i = rt.coords.index(1)
             e_vec[k] = {i: 1}
             f_vec[k] = {i: 1}
             continue
-        i, beta, n_const = _extraspecial_pair(root_set, rt.coords, r)
-        ei = e_vec[pr_index[tuple(1 if j == i else 0 for j in range(r))]]
-        eb = e_vec[pr_index[beta]]
-        _, vec = ext.bracket((1, ei), (h - 1, eb))
+        i, b, n_const = split
+        # e_{alpha_i} is engine coordinate i of degree 1
+        _, vec = ext.bracket((1, {i: 1}), (h - 1, e_vec[b]))
         e_vec[k] = {p: qdiv(c, n_const) for p, c in vec.items()}
         # f_gamma: normalize the 1-dim weight space so [e_g, f_g] = h_g
         layer = ext.layer(-h)
@@ -766,5 +764,4 @@ def chevalley_realization(data: CartanData) -> ChevalleyAlgebra:
                 out[bidx] = qdiv(c, scale)
             table[(i, j)] = out
 
-    kappa_ef = [qdiv(2, rt.norm) for rt in positives]
-    return ChevalleyAlgebra(data, positives, table, kappa_ef)
+    return ChevalleyAlgebra(data, table)

@@ -83,7 +83,6 @@ is checked by the test oracles in ``tests/structure.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graded import GradedSuperalgebra, Vec
 from .graded import decompose_module
@@ -97,17 +96,11 @@ from .rootsys import EXT, CartanData, chevalley_realization, jk_partition
 
 @dataclass(frozen=True)
 class GenInfo:
-    """One generator: name tuple, consistent degree, parity, weight.
-
-    The weight is the tuple of g Dynkin labels; ``h0`` is the eigenvalue
-    of the extension Cartan generator.
-    """
+    """One generator: name tuple, consistent degree and parity."""
 
     name: tuple
     degree: int
     parity: int
-    labels: tuple
-    h0: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -134,10 +127,7 @@ class Presentation:
     variant: str
     generators: list
     relations: list
-    j_nodes: tuple
-    k_nodes: tuple
     family: tuple          # indices of the f0 family (EXT first when present)
-    k_empty: bool
 
 
 def presentation(data: CartanData, variant: str = "W") -> Presentation:
@@ -149,7 +139,6 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
     family = (k_nodes if variant == "S"
               else (EXT,) + k_nodes)
     has_h0 = variant == "W"
-    k_empty = not k_nodes
 
     def e_name(i):
         return ("e0",) if i == EXT else ("e", i)
@@ -157,19 +146,12 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
     def h_name(i):
         return ("h0",) if i == EXT else ("h", i)
 
-    zero = tuple(0 for _ in range(r))
-    gens: list[GenInfo] = []
-    for i in range(r):
-        col = data.simple_labels[i]
-        b = data.extended_entry(EXT, i)
-        gens.append(GenInfo(("e", i), 0, 0, col, b))
-        gens.append(GenInfo(("f", i), 0, 0, tuple(-c for c in col), -b))
-        gens.append(GenInfo(("h", i), 0, 0, zero, 0))
-    gens.append(GenInfo(("e0",), 1, 1, tuple(-l for l in data.lam), 0))
+    gens = [GenInfo((kind, i), 0, 0) for i in range(r)
+            for kind in ("e", "f", "h")]
+    gens.append(GenInfo(("e0",), 1, 1))
     if has_h0:
-        gens.append(GenInfo(("h0",), 0, 0, zero, 0))
-    for i in family:
-        gens.append(GenInfo(("f0", i), -1, 1, data.lam, 0))
+        gens.append(GenInfo(("h0",), 0, 0))
+    gens += [GenInfo(("f0", i), -1, 1) for i in family]
 
     h_range = ([EXT] if has_h0 else []) + list(range(r))
     e_range = [EXT] + list(range(r))
@@ -246,8 +228,7 @@ def presentation(data: CartanData, variant: str = "W") -> Presentation:
                                      (("e", j), ("e", k)), ("f0", i), ()))
 
     return Presentation(data=data, variant=variant, generators=gens,
-                        relations=rels, j_nodes=j_nodes, k_nodes=k_nodes,
-                        family=family, k_empty=k_empty)
+                        relations=rels, family=family)
 
 
 # -- relation checking in a realized target ----------------------------------
@@ -511,7 +492,6 @@ class MinusOneModule:
     e_act: list
     f_act: list
     seed_vecs: dict
-    k_nodes: tuple
     certificate: dict
 
     @property
@@ -613,7 +593,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     return MinusOneModule(data=data, variant=pres.variant, status=status,
                           weights=[enum.wt[c] for c in alive],
                           e_act=e_act, f_act=f_act, seed_vecs=seed_vecs,
-                          k_nodes=pres.k_nodes, certificate=certificate)
+                          certificate=certificate)
 
 
 def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,

@@ -139,7 +139,7 @@ def f0_combination_coeffs(data: CartanData, k_nodes, mu) -> dict:
 
 def f0_weight_combination(module: MinusOneModule, mu) -> dict:
     """The degree -1 element f0_{mu vee} in the realized module."""
-    coeffs = f0_combination_coeffs(module.data, module.k_nodes, mu)
+    coeffs = f0_combination_coeffs(module.data, k_nodes_of(module), mu)
     out: dict = {}
     for node, c in coeffs.items():
         vadd_into(out, module.seed_vecs[("f0", node)], c)
@@ -176,15 +176,20 @@ class SharpImage:
         return out
 
 
+def k_nodes_of(module: MinusOneModule) -> tuple:
+    """K, the nodes of the module's datum with lambda_i = 0."""
+    return jk_partition(module.data)[1]
+
+
 def _k_supported_roots(module: MinusOneModule) -> list:
     g = realization(module.data)
-    kset = set(module.k_nodes)
+    kset = set(k_nodes_of(module))
     return [p for p, rt in enumerate(g.pos_roots)
             if all(c == 0 or t in kset for t, c in enumerate(rt.coords))]
 
 
 def _k_labels(module: MinusOneModule, labels) -> tuple:
-    return tuple(Fraction(labels[t]) for t in module.k_nodes)
+    return tuple(Fraction(labels[t]) for t in k_nodes_of(module))
 
 
 def sharp_image(module: MinusOneModule) -> SharpImage:
@@ -197,9 +202,9 @@ def sharp_image(module: MinusOneModule) -> SharpImage:
     """
     module.require_complete()
     g = realization(module.data)
-    sub = module.data.restrict(module.k_nodes)
+    sub = module.data.restrict(k_nodes_of(module))
     entries: dict = {}
-    for t in module.k_nodes:
+    for t in k_nodes_of(module):
         entries[g.index[("h", t)]] = vscale(
             module.seed_vecs[("f0", t)], -_ONE)
     for p in _k_supported_roots(module):

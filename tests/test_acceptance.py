@@ -459,8 +459,8 @@ def test_criterion_7_property_suites_zero_failures():
     for name in ("a2", "a3", "a4", "a4l2", "d4"):
         mod = _mod(name)
         data = mod.data
-        fam = (tha.EXT,) + mod.k_nodes
-        for i in mod.k_nodes:
+        fam = (tha.EXT,) + structure.k_nodes_of(mod)
+        for i in structure.k_nodes_of(mod):
             for j in fam:
                 for k in fam:
                     for kind in ("e", "f"):
@@ -480,7 +480,7 @@ def test_criterion_7_property_suites_zero_failures():
     for name in ("a2", "a3", "a4", "a4l2", "d4"):
         mod = _mod(name)
         g = structure.realization(mod.data)
-        sub = mod.data.restrict(mod.k_nodes)
+        sub = mod.data.restrict(structure.k_nodes_of(mod))
         funds = [sub.fundamental(l) for l in range(sub.r)]
         for p in structure._k_supported_roots(mod):
             labels_k = structure._k_labels(mod, g.pos_roots[p].labels)

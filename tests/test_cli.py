@@ -332,6 +332,26 @@ class TestMain:
         second = capsys.readouterr().out
         assert _strip_timing(first) == _strip_timing(second)
 
+    def test_options_may_come_before_the_command(self, cache_env, capsys):
+        spec = '{"cartan_matrix": [[2]]}'
+        assert cli.main(["--no-cache", "roots", "--spec", spec]) == 0
+        first = capsys.readouterr().out
+        assert cli.main(["roots", "--spec", spec, "--no-cache"]) == 0
+        assert _strip_timing(first) == _strip_timing(capsys.readouterr().out)
+        assert not os.path.exists(cache_env / "cache")
+
+    def test_decompose_needs_every_raising_operator(self, cache_env, capsys):
+        # K is empty, so the strong cartanification of A1 w1 has nothing
+        # in degrees -1 and 0 and no e_0 to decompose degree 1 with
+        spec = '{"cartan_matrix": [[2]], "lambda": [1]}'
+        assert cli.main(["decompose", "--spec", spec, "--variant", "S",
+                         "--no-cache"]) == 1
+        assert capsys.readouterr().err == (
+            "error in module graded: degree 0 of this model holds no e_0, "
+            "so degree 1 cannot be decomposed: a strong or restricted "
+            "cartanification keeps in degree 0 only the action of degree 0 "
+            "on its degree -1 part\n")
+
     def test_check_all_records_errors_and_fails(self, cache_env, capsys):
         spec = '{"cartan_matrix": [[2]], "lambda": [1], "variant": "B"}'
         assert cli.main(["check-all", "--spec", spec]) == 1

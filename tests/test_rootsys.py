@@ -329,6 +329,58 @@ def test_chevalley_extraspecial_sign():
         g.index[("e", top)]: 1}
 
 
+def _classical(series, n):
+    """Cartan matrix and symmetrizer of A_n, B_n, C_n or D_n: B_n has
+    A_{n-2,n-1} = -2, C_n its transpose, D_n its last node on node n - 3."""
+    a = chain(n)
+    if series == "B":
+        a[n - 2][n - 1] = -2
+    elif series == "C":
+        a[n - 1][n - 2] = -2
+    elif series == "D":
+        a[n - 2][n - 1] = a[n - 1][n - 2] = 0
+        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
+    eps = {"B": [2] * (n - 1) + [1], "C": [1] * (n - 1) + [2]}
+    return a, eps.get(series)
+
+
+_GENERATED = {"%s%d" % (series, n): _classical(series, n)
+              for series, ranks in (("A", range(2, 6)), ("B", range(2, 5)),
+                                    ("C", range(3, 5)), ("D", range(4, 6)))
+              for n in ranks}
+_GENERATED.update(E6=(e_mat(6), None), F4=(_F4, [2, 2, 1, 1]),
+                  G2=(G2, [1, 3]))
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED))
+def test_extraspecial_decomposition(name):
+    """gamma = alpha_i + beta with i the first node leaving a positive
+    root, n - 1 the length of the alpha_i-string below beta, and the
+    Chevalley table has [e_{alpha_i}, e_beta] = n e_gamma."""
+    data = CartanData(*_GENERATED[name])
+    positives = data.positive_roots
+    roots = {rt.coords for rt in positives}
+    roots |= {tuple(-c for c in coords) for coords in roots}
+
+    def minus(coords, i, k):
+        return tuple(c - k * (j == i) for j, c in enumerate(coords))
+
+    g = chevalley_realization(data)
+    for k, rt in enumerate(positives):
+        split = data.extraspecial[k]
+        if rt.height == 1:
+            assert split is None
+            continue
+        i, b, n = split
+        beta = positives[b].coords
+        assert beta == minus(rt.coords, i, 1)
+        assert all(minus(rt.coords, j, 1) not in roots for j in range(i))
+        assert all(minus(beta, i, p) in roots for p in range(1, n))
+        assert minus(beta, i, n) not in roots
+        assert g.bracket(g.index[("e", g.simple_root_index(i))],
+                         g.index[("e", b)]) == {g.index[("e", k)]: n}
+
+
 def test_chevalley_corrupted_table_fails_jacobi():
     g = chevalley_realization(CartanData(A2))
     # flip one structure constant; the Jacobi scan must notice

@@ -14,7 +14,7 @@ from gradedlie import iso, tha
 from gradedlie.contragredient import build_graded
 from gradedlie.linalg import mat_apply, vadd, vscale
 from gradedlie.rootsys import (CartanData, chevalley_realization,
-                               weyl_dimension, weyl_reflect)
+                               jk_partition, weyl_dimension, weyl_reflect)
 from gradedlie.tha import EXT
 
 import canonical
@@ -88,9 +88,7 @@ class _Span:
 
 def test_presentation_generators_and_family():
     pres = tha.presentation(CartanData(A2, lam=(1, 0)), "W")
-    assert pres.j_nodes == (0,) and pres.k_nodes == (1,)
     assert pres.family == (EXT, 1)
-    assert not pres.k_empty
     names = [g.name for g in pres.generators]
     assert ("e0",) in names and ("h0",) in names
     assert ("f0", EXT) in names and ("f0", 1) in names
@@ -99,7 +97,10 @@ def test_presentation_generators_and_family():
     for i in pres.family:
         f0 = structure.generator(pres, ("f0", i))
         assert (f0.degree, f0.parity) == (-1, 1)
-        assert f0.labels == (1, 0)  # every family member carries lambda
+    # every family member carries lambda
+    mod = tha.build_minus1(pres)
+    for vec in mod.seed_vecs.values():
+        assert {mod.weights[t] for t in vec} == {(1, 0)}
 
 
 def test_presentation_relation_counts():
@@ -160,7 +161,7 @@ def _identity_assignment(data, pres):
 def test_check_relations_identity_embedding():
     data = CartanData(A1, lam=(1,))
     pres = tha.presentation(data, "W")
-    assert pres.k_empty and pres.family == (EXT,)
+    assert pres.family == (EXT,)
     target = build_graded(data, (-1, 1))
     report = tha.check_relations(pres, target,
                                  _identity_assignment(data, pres))
@@ -250,7 +251,7 @@ def test_minus1_s_variant_omits_lambda_module():
 def test_minus1_k_empty_is_the_lambda_module():
     data = CartanData(A2, lam=(1, 1))
     pres = tha.presentation(data, "W")
-    assert pres.k_empty
+    assert jk_partition(data) == ((0, 1), ())
     mod = tha.build_minus1(pres)
     assert mod.status == "complete"
     assert mod.decompose() == [((1, 1), 1, 8)]
@@ -686,8 +687,8 @@ def test_family_proportionality_relations():
     for name in ("a2", "a4", "d4"):
         mod = _mod(name)
         data = mod.data
-        fam = (EXT,) + mod.k_nodes
-        for i in mod.k_nodes:
+        fam = (EXT,) + structure.k_nodes_of(mod)
+        for i in structure.k_nodes_of(mod):
             for j in fam:
                 for k in fam:
                     for kind in ("e", "f"):
@@ -701,7 +702,7 @@ def test_family_proportionality_relations():
 
 
 def _sub_and_funds(mod):
-    sub = mod.data.restrict(mod.k_nodes)
+    sub = mod.data.restrict(structure.k_nodes_of(mod))
     return sub, [sub.fundamental(l) for l in range(sub.r)]
 
 
@@ -803,8 +804,8 @@ def test_sharp_entries_cover_the_subalgebra():
     g = structure.realization(mod.data)
     img = structure.sharp_image(mod)
     kroots = structure._k_supported_roots(mod)
-    assert len(img.entries) == 2 * len(kroots) + len(mod.k_nodes)
-    for t in mod.k_nodes:
+    assert len(img.entries) == 2 * len(kroots) + len(structure.k_nodes_of(mod))
+    for t in structure.k_nodes_of(mod):
         assert img.entries[g.index[("h", t)]] == vscale(
             mod.seed_vecs[("f0", t)], -F1)
 
@@ -872,10 +873,10 @@ def test_weyl_reflection_on_cartan_elements():
     mod = _mod("a4")
     g = structure.realization(mod.data)
     sub, funds = _sub_and_funds(mod)
-    for kpos, knode in enumerate(mod.k_nodes):
+    for kpos, knode in enumerate(structure.k_nodes_of(mod)):
         alpha_k = tuple(Fraction(sub.a[t][kpos]) for t in range(sub.r))
         for mu in funds:
-            h = structure.coroot_combination(g, mod.k_nodes, mu)
+            h = structure.coroot_combination(g, structure.k_nodes_of(mod), mu)
             out = structure.weyl_automorphism(g, knode, h)
             c = sub.bilinear(alpha_k, mu)
             expect = vadd(h, {g.index[("h", knode)]: F1}, -c)
@@ -889,7 +890,7 @@ def test_weyl_reflection_transports_the_family():
     for name in ("a2", "a4"):
         mod = _mod(name)
         sub, funds = _sub_and_funds(mod)
-        for kpos, knode in enumerate(mod.k_nodes):
+        for kpos, knode in enumerate(structure.k_nodes_of(mod)):
             for mu in funds:
                 lhs = structure.weyl_automorphism(
                     mod, knode, structure.f0_weight_combination(mod, mu))
