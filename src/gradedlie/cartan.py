@@ -18,7 +18,10 @@ two odd letters [[x, z']] = [[z', x]], and the rule holds for every
 parity, so degree 0 may have odd letters); so
 the cartanification reads only the local brackets, the pairing and L, and
 builds no words.  The quotient keeps pivot candidates and writes every
-degree -1 element as a class over them.  Degree 0 moves classes by the
+degree -1 element as a class over them.  Every map here is
+weight-homogeneous, so each span keeps one block per weight
+(``WeightedSolver``) and reads a vector's weight off its coordinates,
+degree-0 basis vectors or pivots.  Degree 0 moves classes by the
 derivation rule [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j],
 which needs only the local brackets and the candidates' classes.  The
 quotient is well defined only if the kernel is stable under that action,
@@ -70,19 +73,29 @@ class WeightedSolver:
     """Per-weight span of sparse vectors, one ``Span`` per weight, that
     also expresses vectors over its basis.
 
-    Vectors of one weight only ever involve the basis vectors of that
-    weight, so each expression reduces against one small span.
+    ``weights[i]`` is the weight of coordinate i, and a vector's weight is
+    read off its keys: vectors of one weight only ever involve the basis
+    vectors of that weight, so each expression reduces against one small
+    span.  ``add`` and ``express`` raise ``ValueError`` on a vector whose
+    keys carry more than one weight.
     """
 
-    def __init__(self):
+    def __init__(self, weights):
+        self.weights = [tuple(w) for w in weights]
         self.by_weight: dict = {}
         self._offsets: dict | None = None
 
-    def add(self, vec: dict, weight) -> bool:
+    def _weight(self, vec: dict) -> tuple:
+        weights = {self.weights[i] for i in vec}
+        if len(weights) != 1:
+            raise ValueError("vector is not weight-homogeneous")
+        return weights.pop()
+
+    def add(self, vec: dict) -> bool:
         if not vec:
             return False
         self._offsets = None
-        return self.by_weight.setdefault(tuple(weight), Span()).add(vec)
+        return self.by_weight.setdefault(self._weight(vec), Span()).add(vec)
 
     def dim(self) -> int:
         return sum(sp.rank for sp in self.by_weight.values())
@@ -93,11 +106,11 @@ class WeightedSolver:
         return [(w, v) for w in sorted(self.by_weight)
                 for v in self.by_weight[w].basis()]
 
-    def express(self, vec: dict, weight) -> dict | None:
+    def express(self, vec: dict) -> dict | None:
         """Coefficients over the positions in ``basis()``, or None."""
         if not vec:
             return {}
-        weight = tuple(weight)
+        weight = self._weight(vec)
         span = self.by_weight.get(weight)
         coords = span.express(vec) if span is not None else None
         if coords is None:
@@ -135,13 +148,6 @@ def root_subalgebra(data, local: LocalSuperalgebra, nodes) -> list:
     return out
 
 
-def _vec_weight(local: LocalSuperalgebra, vec: dict) -> tuple:
-    weights = {tuple(local.zero_weights[i]) for i in vec}
-    if len(weights) != 1:
-        raise ValueError("vector is not weight-homogeneous")
-    return weights.pop()
-
-
 def degree0_generators(local: LocalSuperalgebra) -> list:
     """A generating set S of degree 0 and the tree of brackets that closes
     it to a basis, each vector checked as it enters (module docstring).
@@ -161,7 +167,7 @@ def degree0_generators(local: LocalSuperalgebra) -> list:
              for x in range(n)]
     parities = {-1: local.neg_parities, 0: local.zero_parities}
     names = {-1: local.neg_names, 0: local.zero_names}
-    solver = WeightedSolver()
+    solver = WeightedSolver(local.zero_weights)
     closure: list = []
     parity: list = []
     images: list = []           # images[k][(d, x)] = [vector k, x at d]
@@ -212,13 +218,13 @@ def degree0_generators(local: LocalSuperalgebra) -> list:
 
     for u in sorted(range(local.nzero),
                     key=lambda u: not any(local.zero_weights[u])):
-        if solver.add({u: 1}, local.zero_weights[u]):
+        if solver.add({u: 1}):
             enter({u: 1}, u, None)
         while pending:
             s, k = pending.pop()
             # [u_s, w] is read off the generator's degree-0 images
             vec = ad(position[s], 0, closure[k][0])
-            if vec and solver.add(vec, _vec_weight(local, vec)):
+            if solver.add(vec):
                 enter(vec, s, k)
     return closure
 
@@ -298,30 +304,17 @@ class Cartanification:
     def minus1_class(self, coords: dict) -> dict:
         """Class of a degree -1 element, given by its candidate coordinates,
         over the quotient minus basis."""
-        cls, weight = self._pivot_class(coords)
-        if not cls:
-            return {}
-        sol = self._minus_solver.express(cls, weight)
+        sol = self._minus_solver.express(self._pivot_class(coords))
         if sol is None:
             raise ValueError("element acts outside the cartanification")
         return sol
 
     def zero_class(self, vec: dict) -> dict:
         """Quotient degree-0 coordinates of an original degree-0 vector."""
-        sol = _zero_coords(self.source, self._zero_solver, vec)
+        sol = self._zero_solver.express(vec)
         if sol is None:
             raise ValueError("vector lies outside the degree-0 image span")
         return sol
-
-
-def _zero_coords(local: LocalSuperalgebra, solver: WeightedSolver,
-                 vec: dict) -> dict | None:
-    """Coordinates of a degree-0 vector of ``local`` over the span held by
-    ``solver``, or None for a vector outside it."""
-    vec = {i: qnorm(c) for i, c in vec.items() if c}
-    if not vec:
-        return {}
-    return solver.express(vec, _vec_weight(local, vec))
 
 
 def local_cartanification(local: LocalSuperalgebra,
@@ -340,13 +333,12 @@ def local_cartanification(local: LocalSuperalgebra,
     if restriction is not None:
         rbasis = [{i: qnorm(c) for i, c in v.items() if c}
                   for v in restriction]
-        rsolver = WeightedSolver()
+        rsolver = WeightedSolver(local.zero_weights)
         for v in rbasis:
-            rsolver.add(v, _vec_weight(local, v))
+            rsolver.add(v)
         for a in rbasis:
             for b in rbasis:
-                br = local.bracket_vec(0, a, 0, b)
-                if br and _zero_coords(local, rsolver, br) is None:
+                if rsolver.express(local.bracket_vec(0, a, 0, b)) is None:
                     raise ValueError("restriction is not a subalgebra")
 
     # Each candidate x_p u_j gets its action once; the action matrix, its
@@ -358,6 +350,7 @@ def local_cartanification(local: LocalSuperalgebra,
         cands, [wsum(local.neg_weights[p], local.zero_weights[j])
                 for p, j in cands], [[actions[c]] for c in cands])
     pivots = [c for _, c in kept]
+    pivot_weights = [w for w, _ in kept]
 
     # From here on a degree -1 element is its class over the pivots, and
     # degree 0 moves classes by the derivation rule
@@ -388,39 +381,29 @@ def local_cartanification(local: LocalSuperalgebra,
                 vadd_into(out, row[t], a * c)
         return out
 
-    def pivot_class(coords: dict) -> tuple[dict, tuple | None]:
-        """Class of an element given by its candidate coordinates, and the
-        element's weight (None for the zero class); a nonzero class needs a
-        weight-homogeneous element."""
+    def pivot_class(coords: dict) -> dict:
+        """Class of an element given by its candidate coordinates."""
         cls: dict = {}
-        weights = set()
-        for (p, j), c in coords.items():
-            if c:
-                weights.add(wsum(local.neg_weights[p], local.zero_weights[j]))
-                vadd_into(cls, classes[(p, j)], c)
-        if not cls:
-            return {}, None
-        if len(weights) != 1:
-            raise ValueError("element is not weight-homogeneous")
-        return cls, weights.pop()
+        for c, a in coords.items():
+            vadd_into(cls, classes[c], a)
+        return cls
 
     def close(elements) -> WeightedSolver:
         """The classes of ``elements`` closed under the generators S, one
         span per weight; the action is a representation, so this closes
         them under all of degree 0."""
-        solver = WeightedSolver()
+        solver = WeightedSolver(pivot_weights)
         queue = []
         for coords in elements:
-            cls, w = pivot_class(coords)
-            if cls and solver.add(cls, w):
-                queue.append((w, cls))
+            cls = pivot_class(coords)
+            if solver.add(cls):
+                queue.append(cls)
         while queue:
-            w, cls = queue.pop()
+            cls = queue.pop()
             for u in gens:
                 mcls = move({u: 1}, cls)
-                mw = wsum(local.zero_weights[u], w)
-                if mcls and solver.add(mcls, mw):
-                    queue.append((mw, mcls))
+                if solver.add(mcls):
+                    queue.append(mcls)
         return solver
 
     # The kernel is the peripheral ideal, spanned by each candidate minus
@@ -438,15 +421,15 @@ def local_cartanification(local: LocalSuperalgebra,
 
     if rbasis is None:
         # kept is sorted by weight, so the unit classes keep their positions
-        minus_solver = WeightedSolver()
-        for t, (w, _) in enumerate(kept):
-            minus_solver.add({t: 1}, w)
+        minus_solver = WeightedSolver(pivot_weights)
+        for t in range(len(kept)):
+            minus_solver.add({t: 1})
     else:
         # the submodule generated by the classes of f_0 y_0
         minus_solver = close(products({0: 1}, y) for y in rbasis)
     minus_basis = [(v, w) for w, v in minus_solver.basis()]
 
-    neg_weights = [tuple(w) for _, w in minus_basis]
+    neg_weights = [w for _, w in minus_basis]
     neg_parities = [(local.neg_parities[p] + local.zero_parities[j]) % 2
                     for p, j in (pivots[min(v)] for v, _ in minus_basis)]
 
@@ -458,7 +441,7 @@ def local_cartanification(local: LocalSuperalgebra,
     # checked above) and [a, z'] in degree 1.  b00 below brackets every pair
     # of basis vectors and raises if that ever fails.
     images = []
-    zero_solver = WeightedSolver()
+    zero_solver = WeightedSolver(local.zero_weights)
     for v, _ in minus_basis:
         act: dict = {}
         for t, c in v.items():
@@ -468,13 +451,13 @@ def local_cartanification(local: LocalSuperalgebra,
             per_q.setdefault(q, {})[k - 1] = c
         images.append(per_q)
         for vec in per_q.values():
-            zero_solver.add(vec, _vec_weight(local, vec))
+            zero_solver.add(vec)
     zero_pairs = zero_solver.basis()
     zero_basis = [v for _, v in zero_pairs]
-    zero_wts = [tuple(w) for w, _ in zero_pairs]
+    zero_wts = [w for w, _ in zero_pairs]
 
-    def in_zero(vec: dict, weight) -> dict:
-        out = zero_solver.express(vec, weight)
+    def in_zero(vec: dict) -> dict:
+        out = zero_solver.express(vec)
         if out is None:
             raise ValueError("degree-0 image span is not closed")
         return out
@@ -485,7 +468,7 @@ def local_cartanification(local: LocalSuperalgebra,
         for t, ut in enumerate(zero_basis):
             br = local.bracket_vec(0, us, 0, ut)
             if br:
-                b00[(s, t)] = in_zero(br, wsum(zero_wts[s], zero_wts[t]))
+                b00[(s, t)] = in_zero(br)
     b0p = {}
     for s, us in enumerate(zero_basis):
         for q in range(local.npos):
@@ -495,8 +478,7 @@ def local_cartanification(local: LocalSuperalgebra,
     b0m = {}
     for s, us in enumerate(zero_basis):
         for t, (v, _) in enumerate(minus_basis):
-            w = wsum(zero_wts[s], neg_weights[t])
-            cls = minus_solver.express(move(us, v), w)
+            cls = minus_solver.express(move(us, v))
             if cls is None:
                 raise ValueError("degree -1 classes are not closed under "
                                  "the degree-0 action")
@@ -506,7 +488,7 @@ def local_cartanification(local: LocalSuperalgebra,
     bpm = {}
     for t, per_q in enumerate(images):
         for q, vec in per_q.items():
-            cls = in_zero(vec, _vec_weight(local, vec))
+            cls = in_zero(vec)
             if cls:
                 sign = -1 if (local.pos_parities[q]
                               and neg_parities[t]) else 1
@@ -516,13 +498,12 @@ def local_cartanification(local: LocalSuperalgebra,
     # are dropped; any other fault propagates.
     grading = None
     if local.grading:
-        grading = _zero_coords(local, zero_solver, local.grading)
+        grading = zero_solver.express(local.grading)
 
     embedding = None
     if local.embedding:
         embedding = {name: coords for name, vec in local.embedding.items()
-                     if (coords := _zero_coords(local, zero_solver, vec))
-                     is not None}
+                     if (coords := zero_solver.express(vec)) is not None}
 
     # The closure reads only the moves under the generators.
     for u in set(moves).difference(gens):

@@ -32,9 +32,11 @@ Commands (``gradedlie <command> --spec <path>``):
   model and decompose it;
 * ``decompose``   -- weight decomposition of every layer of the selected
   model;
-* ``check-iso``   -- verdict of the relations-model/cartanification
-  comparison.  The verdict depends only on degrees -1..1, so this command
-  computes inside the window [-2, 1] regardless of the requested range;
+* ``check-iso``   -- verdict of the comparison of the W relations model
+  with the weak cartanification; a spec naming variant "S" or a
+  restriction is a spec error.  The verdict depends only on degrees
+  -1..1, so this command computes inside the window [-2, 1] regardless
+  of the requested range;
 * ``roots``       -- root system of the Cartan matrix with norms;
 * ``check-all``   -- every command above on one spec, errors recorded
   per command.  It builds each model once and hands it to every command
@@ -709,10 +711,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require_weak(spec: AlgebraSpec) -> None:
+    """check-iso compares the W relations model with the weak
+    cartanification, so a spec naming other models is an error, not
+    ignored (``check-all`` reports the weak verdict all the same)."""
+    problems = []
+    if spec.variant == "S":
+        problems.append('variant: check-iso compares weak models, not "S"')
+    if spec.restriction is not None:
+        problems.append("restriction: check-iso compares unrestricted models")
+    if problems:
+        raise SpecError(problems)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _spec_from_dict(_apply_overrides(_load_spec(args.spec), args))
+        if args.command == "check-iso":
+            _require_weak(spec)
     except SpecError as exc:
         for line in exc.diagnostics:
             print("spec error: %s" % line, file=sys.stderr)

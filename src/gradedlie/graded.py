@@ -679,17 +679,11 @@ def count_next_layer(g_alg: GradedSuperalgebra, side: int, data) -> int:
     mult(mu) |W mu|.  Only the candidates whose summed weight is dominant
     get T-values, and the quotient of the block of mu keeps mult(mu) of
     them.  ``data`` is the CartanData the stored weights refer to.  A
-    missing root vector raises ``ValueError`` naming its node, and a
-    weight that is not integral raises naming the weight.
+    missing root vector raises ``ValueError`` naming it (``_node_raisers``),
+    and a weight that is not integral raises naming the weight.
     """
-    for node in range(data.r):
-        for kind in ("e", "f"):
-            if g_alg.zero_coords_of((kind, node)) is None:
-                raise ValueError(
-                    "root vector %s for node %d not defined on the degree-0 "
-                    "part; the layer cannot be counted by Weyl orbits"
-                    % (kind, node))
     k = max(side * d for d in g_alg.layers)
+    _node_raisers(g_alg, data, side * (k + 1), "counted")
     # weights are in normal form, so an integral one holds only ints
     for d in (side * k, side):
         for w in g_alg.layers[d].weights:
@@ -735,26 +729,32 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     return found
 
 
+def _node_raisers(g_alg: GradedSuperalgebra, data, d: int,
+                  action: str) -> list:
+    """Degree-0 coordinates of each node's e_i, named ("e", i) in the local
+    embedding, once degree 0 is seen to hold every e_i and f_i; a missing
+    one raises saying degree ``d`` cannot be ``action`` ("counted" or
+    "decomposed")."""
+    for node in range(data.r):
+        for kind in ("e", "f"):
+            if g_alg.zero_coords_of((kind, node)) is None:
+                raise ValueError(
+                    "degree 0 of this model holds no %s_%d, so degree %d "
+                    "cannot be %s: a strong or restricted cartanification "
+                    "keeps in degree 0 only the action of degree 0 on its "
+                    "degree -1 part" % (kind, node, d, action))
+    return [g_alg.zero_coords_of(("e", node)) for node in range(data.r)]
+
+
 def decompose_at_degree(g_alg: GradedSuperalgebra, d: int,
                         data) -> list[tuple]:
     """Decompose the degree-d component under the degree-0 action of the
-    diagram's algebra.
-
-    ``data`` is the CartanData the stored weights refer to.  The simple
-    raising operators are located in the degree-0 basis by their Chevalley
-    names ("e", i) via the local embedding; a model whose degree 0 lacks
-    one of them cannot be decomposed.
+    diagram's algebra, whose simple raising operators degree 0 must hold
+    (``_node_raisers``).  ``data`` is the CartanData the stored weights
+    refer to.
     """
     raisers = []
-    for node in range(data.r):
-        # simple raising operators are embedded under node-keyed names
-        coords = g_alg.zero_coords_of(("e", node))
-        if coords is None:
-            raise ValueError(
-                "degree 0 of this model holds no e_%d, so degree %d cannot "
-                "be decomposed: a strong or restricted cartanification keeps "
-                "in degree 0 only the action of degree 0 on its degree -1 "
-                "part" % (node, d))
+    for coords in _node_raisers(g_alg, data, d, "decomposed"):
         mat: dict = {}
         for a, c in coords.items():
             for src, vec in g_alg.layers[d].act0[a].items():

@@ -279,6 +279,12 @@ def test_minus1_class_roundtrip():
     (c1, *_), (c2, *_) = list(by_weight.values())[:2]
     with pytest.raises(ValueError, match="not weight-homogeneous"):
         res.minus1_class({c1: F1, c2: F1})
+    # the weight is read off the class: a candidate of another weight
+    # whose class is zero adds nothing
+    c0 = next(c for c, cls in classes.items() if not cls)
+    w0 = graded.wsum(loc.neg_weights[c0[0]], loc.zero_weights[c0[1]])
+    assert w0 not in by_weight
+    assert res.minus1_class({c1: F1, c0: F1}) == classes[c1]
 
 
 def test_minus1_class_outside_restricted_quotient():
@@ -423,12 +429,12 @@ def test_quotient_action_kernel_is_trivial():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
     res = local_cartanification(loc)
-    span = cartan.WeightedSolver()
+    span = Span()
     for t in range(res.local.nneg):
         act = _quotient_action(res, {t: F1})
         assert act, "class %d acts by zero" % t
-        assert span.add(act, res.local.neg_weights[t])
-    assert span.dim() == res.local.nneg
+        assert span.add(act)
+    assert span.rank == res.local.nneg
     for p, j in _candidates(loc):
         cls = res.minus1_class(products({p: F1}, {j: F1}))
         assert Cartanification.action_coords(loc, p, j) == \
@@ -440,26 +446,35 @@ def test_unquotiented_candidates_fail_kernel_triviality():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
     res = local_cartanification(loc)
-    span = cartan.WeightedSolver()
+    span = Span()
     count = 0
     for p, j in _candidates(loc):
-        w = graded.wsum(loc.neg_weights[p], loc.zero_weights[j])
-        span.add(Cartanification.action_coords(loc, p, j), w)
+        span.add(Cartanification.action_coords(loc, p, j))
         count += 1
-    assert span.dim() < count          # the invariant catches the defect
-    assert count - span.dim() == res.kernel_dim
+    assert span.rank < count           # the invariant catches the defect
+    assert count - span.rank == res.kernel_dim
 
 
 def test_weighted_solver_positions_follow_basis():
-    solver = cartan.WeightedSolver()
-    assert solver.add({2: F1, 3: F1}, (1,))
-    assert solver.add({0: F1}, (0,))
-    assert not solver.add({2: 2 * F1, 3: 2 * F1}, (1,))
+    # coordinate i has weight weights[i]; 2 and 3 share a weight
+    solver = cartan.WeightedSolver([(0,), (2,), (1,), [1]])
+    assert solver.add({2: F1, 3: F1})
+    assert solver.add({0: F1})
+    assert not solver.add({2: 2 * F1, 3: 2 * F1})
     assert solver.basis() == [((0,), {0: F1}), ((1,), {2: F1, 3: F1})]
-    assert solver.express({2: 3 * F1, 3: 3 * F1}, (1,)) == {1: 3 * F1}
-    assert solver.express({2: F1}, (1,)) is None
-    assert solver.express({0: F1}, (2,)) is None
-    assert solver.express({}, (2,)) == {}
+    assert solver.express({2: 3 * F1, 3: 3 * F1}) == {1: 3 * F1}
+    assert solver.express({2: F1}) is None
+    assert solver.express({1: F1}) is None
+    assert solver.express({}) == {}
+
+
+def test_weighted_solver_rejects_mixed_weights():
+    solver = cartan.WeightedSolver([(0,), (1,)])
+    assert solver.add({0: F1})
+    for call in (solver.add, solver.express):
+        with pytest.raises(ValueError, match="not weight-homogeneous"):
+            call({0: F1, 1: F1})
+    assert solver.dim() == 1
 
 
 @pytest.mark.parametrize("make", [

@@ -352,6 +352,20 @@ class TestMain:
             "cartanification keeps in degree 0 only the action of degree 0 "
             "on its degree -1 part\n")
 
+    @pytest.mark.parametrize("spec, flag, line", [
+        (A2_SPEC, "--variant=S",
+         'variant: check-iso compares weak models, not "S"'),
+        ('{"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], '
+         '"lambda": [1, 0, 0]}', "--restrict=1,2",
+         "restriction: check-iso compares unrestricted models"),
+    ], ids=["A2w1-S", "A3w1-restricted"])
+    def test_check_iso_rejects_a_model_it_does_not_compare(
+            self, cache_env, capsys, builds, spec, flag, line):
+        assert cli.main(["check-iso", "--spec", spec, flag,
+                         "--no-cache"]) == 2
+        assert capsys.readouterr() == ("", "spec error: %s\n" % line)
+        assert builds["locals"] == [] and builds["variants"] == []
+
     def test_check_all_records_errors_and_fails(self, cache_env, capsys):
         spec = '{"cartan_matrix": [[2]], "lambda": [1], "variant": "B"}'
         assert cli.main(["check-all", "--spec", spec]) == 1

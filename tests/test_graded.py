@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 import canonical
 from fixtures_gl import glvec_local, glvec_super_local, graded_gl_local
 from gradedlie import graded
-from gradedlie.cartan import cartanify
+from gradedlie.cartan import cartanify, root_subalgebra
 from gradedlie.contragredient import build_local
 from gradedlie.linalg import (
     RatMatrix, kernel_basis, mat_compose, rank, rref, vadd_into)
-from gradedlie.rootsys import CartanData, chevalley_realization, weyl_dimension
+from gradedlie.rootsys import (
+    CartanData, chevalley_realization, jk_partition, weyl_dimension)
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -838,9 +839,24 @@ def test_count_needs_every_simple_root_vector():
                  if name != ("f", 0)}
     broken = graded.GradedSuperalgebra(
         replace(local, embedding=embedding), cart.layers)
-    with pytest.raises(ValueError, match="root vector f for node 0 "):
+    with pytest.raises(ValueError, match="holds no f_0, so degree -2 "
+                                         "cannot be counted"):
         graded.count_next_layer(broken, -1, data)
     assert graded.count_next_layer(cart, -1, data) == 3
+
+
+def test_count_of_an_empty_degree_zero():
+    # K is empty, so the strong cartanification of A1 w1 is zero in
+    # degrees -1 and 0 and holds no e_0 to count degree -2 with
+    data = CartanData([[2]], lam=[1])
+    local = build_local(data)
+    strong = root_subalgebra(data, local, jk_partition(data)[1])
+    cart = cartanify(local, degree_range=(-1, 1), restriction=strong).graded
+    assert cart.dims() == {-1: 0, 0: 0, 1: 2}
+    with pytest.raises(ValueError, match=r"^degree 0 of this model holds no "
+                                         r"e_0, so degree -2 cannot be "
+                                         r"counted: "):
+        graded.count_next_layer(cart, -1, data)
 
 
 def test_count_rejects_a_non_integral_weight():
