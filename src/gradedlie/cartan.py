@@ -276,8 +276,9 @@ class Cartanification:
     @staticmethod
     def action_coords(local: LocalSuperalgebra, p: int, j: int) -> dict:
         """Action of the candidate x_p u_j of ``local`` on the plus wing,
-        in the closed form of the module docstring: keys (plus index q,
-        1 + k) for the k-th degree-0 coordinate of [x_p u_j, z_q]."""
+        in the closed form of the module docstring: ``{q: vec}`` with vec
+        the degree-0 coordinates of [x_p u_j, z_q], the zero ones left
+        out."""
         pairing = local.pairing or {}
         out: dict = {}
         for q in range(local.npos):
@@ -291,8 +292,8 @@ class Cartanification:
             if pv:
                 odd = local.zero_parities[j] and local.pos_parities[q]
                 vadd_into(val, {j: pv if odd else -pv})
-            for k, c in val.items():
-                out[(q, 1 + k)] = c
+            if val:
+                out[q] = val
         return out
 
     def closure(self, elements) -> WeightedSolver:
@@ -341,16 +342,16 @@ def local_cartanification(local: LocalSuperalgebra,
                 if rsolver.express(local.bracket_vec(0, a, 0, b)) is None:
                     raise ValueError("restriction is not a subalgebra")
 
-    # Each candidate x_p u_j gets its action once; the action matrix, its
-    # kernel and its pivots all decompose by weight because every map in
-    # sight is weight-homogeneous.
+    # Each candidate x_p u_j gets its action once, when its weight block is
+    # reduced: the action matrix, its kernel and its pivots all decompose
+    # by weight because every map in sight is weight-homogeneous.
     cands = [(p, j) for p in range(local.nneg) for j in range(local.nzero)]
-    actions = {c: Cartanification.action_coords(local, *c) for c in cands}
     kept, classes = weight_block_quotient(
-        cands, [wsum(local.neg_weights[p], local.zero_weights[j])
-                for p, j in cands], [[actions[c]] for c in cands])
-    pivots = [c for _, c in kept]
-    pivot_weights = [w for w, _ in kept]
+        cands, lambda c: wsum(local.neg_weights[c[0]],
+                              local.zero_weights[c[1]]),
+        lambda c: Cartanification.action_coords(local, *c))
+    pivots = [c for _, c, _ in kept]
+    pivot_weights = [w for w, _, _ in kept]
 
     # From here on a degree -1 element is its class over the pivots, and
     # degree 0 moves classes by the derivation rule
@@ -445,12 +446,10 @@ def local_cartanification(local: LocalSuperalgebra,
     for v, _ in minus_basis:
         act: dict = {}
         for t, c in v.items():
-            vadd_into(act, actions[pivots[t]], c)
-        per_q: dict = {}
-        for (q, k), c in act.items():
-            per_q.setdefault(q, {})[k - 1] = c
-        images.append(per_q)
-        for vec in per_q.values():
+            for q, vec in kept[t][2].items():
+                vadd_into(act.setdefault(q, {}), vec, c)
+        images.append(act)
+        for vec in act.values():
             zero_solver.add(vec)
     zero_pairs = zero_solver.basis()
     zero_basis = [v for _, v in zero_pairs]
@@ -486,8 +485,8 @@ def local_cartanification(local: LocalSuperalgebra,
                 b0m[(s, t)] = cls
     # [z_q, w_t] from the stored action [w_t, z_q] by super-antisymmetry.
     bpm = {}
-    for t, per_q in enumerate(images):
-        for q, vec in per_q.items():
+    for t, act in enumerate(images):
+        for q, vec in act.items():
             cls = in_zero(vec)
             if cls:
                 sign = -1 if (local.pos_parities[q]

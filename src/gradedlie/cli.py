@@ -621,9 +621,9 @@ def _run_check_all(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     return {"commands": results}
 
 
-# command -> (runner, module its errors are reported against).  check-all
-# runs the others in this order, so tha-minus1 builds the relations
-# module that check-iso then reuses.
+# command -> (runner, module its errors are reported against), in the
+# order check-all runs them; the report's store (``_Models``) builds each
+# model once, whichever command asks for it first.
 _COMMANDS = {
     "build-b": (_run_build_b, "contragredient"),
     "cartanify": (_run_cartanify, "cartan"),
@@ -716,8 +716,9 @@ def _require_weak(spec: AlgebraSpec) -> None:
     cartanification, so a spec naming other models is an error, not
     ignored (``check-all`` reports the weak verdict all the same)."""
     problems = []
-    if spec.variant == "S":
-        problems.append('variant: check-iso compares weak models, not "S"')
+    if spec.variant != "W":
+        problems.append('variant: check-iso compares weak models, not "%s"'
+                        % spec.variant)
     if spec.restriction is not None:
         problems.append("restriction: check-iso compares unrestricted models")
     if problems:

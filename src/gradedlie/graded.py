@@ -27,22 +27,24 @@ changes no pivot and no class.  So only u <= x are candidates there, and
 the bracket [u, x] for u > x is filled in from [x, u] with that sign.
 The diagonal u = x stays, since [x, x] need not vanish for odd x.
 
-The T-values are built per u, not per (u, x, z).  The second term needs
-[u, [z, x]], and [u, a] = -(-1)^{|u||a|} [a, u] for a at degree 0, so the
-images [a, u] of the previous layer's degree-0 action are gathered once
-per u, each with a flag: whether it enters T negated, which with the sign
-(-1)^{|z||u|} depends only on |u|, |a| and |z|.  A term then adds the
-image scaled by c or by -c, so a sign costs no multiplication.  Only the
-z with [z, u] != 0 or [z, x] != 0 are visited, and zero T-values are not
+A candidate's T-values read tables gathered once per layer, per u and
+per x.  The second term needs [u, [z, x]], and [u, a] = -(-1)^{|u||a|}
+[a, u] for a at degree 0, so the images [a, u] of the previous layer's
+degree-0 action are gathered per u; with the sign (-1)^{|z||u|} of T an
+image enters negated unless |u| = 1 and |a| != |z|, so a term adds it
+scaled by c or by -c, and a sign costs no multiplication.  Only the z
+with [z, u] != 0 or [z, x] != 0 are visited, and zero T-values are not
 stored.  The weight blocks are keyed by the summed weights, integer tuples
 on Cartan data (every weight entry is in ``linalg``'s normal form); the
 weight of a new basis element is brought to normal form only for the kept
 candidates.
 
 That quotient step -- candidates modulo the kernel of their T-values, one
-weight block at a time -- is the one function ``weight_block_quotient``,
-which hands each block's T-values straight to ``linalg.reduce_columns``
-and reads every class off the reduced pivot rows.  It also builds the
+weight block at a time -- is the one function ``weight_block_quotient``.
+It values a block only when it reduces it (``linalg.reduce_columns``),
+reads every class off the reduced pivot rows and keeps the T-values of
+the pivots alone, so at most one block's other T-values are held at any
+time.  It also builds the
 irreducible module R(-lambda) level by level (``lowest_weight_module``),
 the degree -1 part of the cartanification
 (``cartan.local_cartanification``) and the multiplicities of
@@ -57,8 +59,8 @@ layer is a finite-dimensional module of the diagram's algebra, so its
 weight multiplicities are invariant under the Weyl group: the candidates
 of dominant summed weight alone get T-values, and each dominant block's
 rank is multiplied by the size of its weight's orbit
-(``CartanData.orbit_size``).  The extension and the count share one
-loop over the candidates, ``_tensor_quotient``.
+(``CartanData.orbit_size``).  The extension and the count take their
+candidates, weights and T-values from ``_tensor_candidates``.
 
 A zero layer stops the side: further layers are generated by bracketing
 the zero layer with degree -+1, hence zero as well.
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # rref and kernel_basis stay bound here for tracers that wrap them by name.
 from .linalg import (
@@ -477,51 +479,48 @@ def _local_layers(local: LocalSuperalgebra) -> dict[int, Layer]:
     }
 
 
-def weight_block_quotient(cands: Iterable, weights: Iterable,
-                          t_vals: Iterable) -> tuple[list, dict]:
+def weight_block_quotient(cands: Iterable, weight: Callable,
+                          values: Callable) -> tuple[list, dict]:
     """Candidates modulo the kernel of their T-values, one weight block at
     a time.
 
-    ``weights`` and ``t_vals`` run parallel to ``cands``: each candidate's
-    weight, any hashable ordered key, and its T-values, one sparse vector
-    per acting element, as a list or as a dict that may leave out the zero
-    vectors.  Returns the kept ``(weight, candidate)`` pairs, the pivots of
-    each weight block in sorted weight order, and the class of every
+    ``weight(cand)`` is a candidate's weight, any hashable ordered key, and
+    ``values(cand)`` its T-values, ``{acting element: sparse vector}``.
+    The candidates are grouped by weight first; then, block by block in
+    sorted weight order, each block is valued, in candidate order, and
+    reduced (``linalg.reduce_columns``), and only its pivots' values are
+    kept.  Returns the kept ``(weight, candidate, values)`` triples, the
+    pivots of each block in sorted weight order, and the class of every
     candidate over them, ``{kept position: coefficient}``, read off the
-    block's reduced pivot rows (``linalg.reduce_columns``), so a kept
-    candidate's class is its unit vector.  A block whose T-values are all
-    zero keeps nothing, and each of its candidates has the class ``{}``.
+    block's reduced pivot rows, so a kept candidate's class is its unit
+    vector.  A block whose T-values are all zero keeps nothing, and each
+    of its candidates has the class ``{}``.
     """
     blocks: dict = {}
-    for cand, w, vals in zip(cands, weights, t_vals):
-        blocks.setdefault(w, []).append((cand, vals))
+    for cand in cands:
+        blocks.setdefault(weight(cand), []).append(cand)
     kept: list = []
     classes: dict = {}
     for w in sorted(blocks):
-        blk = blocks[w]
+        blk = blocks.pop(w)
+        vals = [values(cand) for cand in blk]
         # one column per candidate, keyed (acting element, index)
         piv, red = reduce_columns([
-            {(z, t): c for z, vec in (vals.items() if type(vals) is dict
-                                      else enumerate(vals))
-             for t, c in vec.items()} for _, vals in blk])
-        cls = [classes.setdefault(cand, {}) for cand, _ in blk]
+            {(z, t): c for z, vec in v.items() for t, c in vec.items()}
+            for v in vals])
+        cls = [classes.setdefault(cand, {}) for cand in blk]
         for r, row in enumerate(red, len(kept)):
             for col, c in row.items():
                 cls[col][r] = c
-        kept.extend((w, blk[col][0]) for col in piv)
+        kept.extend((w, blk[col], vals[col]) for col in piv)
     return kept, classes
 
 
-def _tensor_quotient(layers: dict[int, Layer], side: int, k: int,
-                     admit=None) -> tuple[dict, list, dict]:
-    """The tensor candidates (u, x) for degree side*(k+1) modulo the
-    kernel of their T-values.
-
-    Returns the T-values, ``{(u, x): {z: vec}}`` in candidate order with
-    the zero vectors left out, and ``weight_block_quotient``'s kept pairs
-    and classes.  ``admit``, given, is a test on a candidate's summed
-    weight, and only the candidates it passes are valued.
-    """
+def _tensor_candidates(layers: dict[int, Layer], side: int,
+                       k: int) -> tuple[Iterable, Callable, Callable]:
+    """The tensor candidates (u, x) for degree side*(k+1), with their
+    summed weight and their T-values, ``{z: vec}`` with the zero vectors
+    left out: ``weight_block_quotient``'s three arguments."""
     prev = layers[side * k]
     unit = layers[side]         # degree +-1: [z, x] and [a, x] for its x
     zero = layers[0]
@@ -540,52 +539,44 @@ def _tensor_quotient(layers: dict[int, Layer], side: int, k: int,
     opp_u = _by_source(prev.opp_map, prev.dim)
     opp_x = _by_source(unit.opp_map, unit.dim)
     z_odd = layers[-side].parities
-    # the degree-0 a with [a, u] != 0, per u
-    act_u = _by_source(prev.act0, prev.dim)
+    # the images [a, u] != 0 of the degree-0 a, per u
+    act_u = [dict(pairs) for pairs in _by_source(prev.act0, prev.dim)]
+
+    def weight(cand: tuple) -> tuple:
+        u, x = cand
+        return tuple(map(add, prev.weights[u], unit.weights[x]))
+
+    def values(cand: tuple) -> dict:
+        u, x = cand
+        ix = inner[x]
+        vals: dict = {}
+        # [[z, u], x]
+        for z, vec in opp_u[u]:
+            out: dict = {}
+            for p, c in vec.items():
+                t = ix.get(p)
+                if t:
+                    vadd_into(out, t, c)
+            vals[z] = out
+        # (-1)^{|z||u|} [u, [z, x]], signed as in the module docstring
+        pu = prev.parities[u]
+        imgs = act_u[u]
+        for z, vec in opp_x[x]:
+            out = vals.get(z)
+            if out is None:
+                out = vals[z] = {}
+            pz = z_odd[z]
+            for a, c in vec.items():
+                img = imgs.get(a)
+                if img:
+                    vadd_into(out, img, c if pu and zero.parities[a] != pz
+                              else -c)
+        return {z: vec for z, vec in vals.items() if vec}
 
     # at k = 1, [u, x] with u > x is a multiple of [x, u]: never a pivot
-    t_vals: dict[tuple, dict] = {}
-    for u in range(prev.dim):
-        xs = range(u if k == 1 else 0, unit.dim)
-        if admit is not None:
-            wu = prev.weights[u]
-            xs = [x for x in xs
-                  if admit(tuple(map(add, wu, unit.weights[x])))]
-            if not xs:
-                continue
-        # [u, a] = -(-1)^{|u||a|} [a, u]; with the sign (-1)^{|z||u|} of
-        # T the image enters negated unless |u| = 1 and |a| != |z|
-        pu = prev.parities[u]
-        images = [{}, {}]           # per parity of z: a -> (vec, negated)
-        for a, vec in act_u[u]:
-            pa = zero.parities[a]
-            images[0][a] = (vec, not pu or not pa)
-            images[1][a] = (vec, not pu or bool(pa))
-        for x in xs:
-            ix = inner[x]
-            vals: dict = {}
-            # [[z, u], x]
-            for z, vec in opp_u[u]:
-                out: dict = {}
-                for p, c in vec.items():
-                    t = ix.get(p)
-                    if t:
-                        vadd_into(out, t, c)
-                vals[z] = out
-            # (-1)^{|z||u|} [u, [z, x]]
-            for z, vec in opp_x[x]:
-                out = vals.get(z)
-                if out is None:
-                    out = vals[z] = {}
-                imgs = images[z_odd[z]]
-                for a, c in vec.items():
-                    hit = imgs.get(a)
-                    if hit:
-                        vadd_into(out, hit[0], -c if hit[1] else c)
-            t_vals[(u, x)] = {z: vec for z, vec in vals.items() if vec}
-    return (t_vals, *weight_block_quotient(
-        t_vals, (tuple(map(add, prev.weights[u], unit.weights[x]))
-                 for u, x in t_vals), t_vals.values()))
+    cands = ((u, x) for u in range(prev.dim)
+             for x in range(u if k == 1 else 0, unit.dim))
+    return cands, weight, values
 
 
 def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
@@ -595,7 +586,8 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
     acting = layers[-side]
     zero = layers[0]
 
-    t_vals, kept, reduce_map = _tensor_quotient(layers, side, k)
+    kept, reduce_map = weight_block_quotient(
+        *_tensor_candidates(layers, side, k))
     if k == 1:
         for u in range(prev.dim):
             for x in range(u):
@@ -604,18 +596,17 @@ def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
                     prev.parities[u] and unit.parities[x]) \
                     else {t: -c for t, c in vec.items()}
     new_deg = side * (k + 1)
-    tensor_parent = [cand for _, cand in kept]
+    tensor_parent = [cand for _, cand, _ in kept]
     layer = Layer(new_deg, [("w", new_deg, t) for t in range(len(kept))],
-                  [wsum(prev.weights[u], unit.weights[x])
-                   for u, x in tensor_parent],
+                  [tuple(map(qnorm, w)) for w, _, _ in kept],
                   [(prev.parities[u] + unit.parities[x]) % 2
                    for u, x in tensor_parent],
                   tensor_parent=tensor_parent, reduce=reduce_map)
 
-    # opposite action on the new basis: the stored T-values of the pivots
+    # opposite action on the new basis: the kept T-values of the pivots
     opp = [dict() for _ in range(acting.dim)]
-    for idx, cand in enumerate(tensor_parent):
-        for z, vec in t_vals[cand].items():
+    for idx, (_, _, vals) in enumerate(kept):
+        for z, vec in vals.items():
             opp[z][idx] = vec
     layer.opp_map = opp
 
@@ -691,9 +682,10 @@ def count_next_layer(g_alg: GradedSuperalgebra, side: int, data) -> int:
                 raise ValueError(
                     "weight %s at degree %d is not integral, so it is no "
                     "weight of a finite-dimensional module" % (list(w), d))
-    _, kept, _ = _tensor_quotient(g_alg.layers, side, k,
-                                  admit=lambda w: min(w) >= 0)
-    return sum(data.orbit_size(w) for w, _ in kept)
+    cands, weight, values = _tensor_candidates(g_alg.layers, side, k)
+    kept, _ = weight_block_quotient(
+        (c for c in cands if min(weight(c)) >= 0), weight, values)
+    return sum(data.orbit_size(w) for w, _, _ in kept)
 
 
 # -- decomposition ----------------------------------------------------------
@@ -710,14 +702,14 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     """
     weights = [tuple(w) for w in weights]
     kept, _ = weight_block_quotient(
-        range(len(weights)), weights,
-        ([raiser.get(src, {}) for raiser in raisers]
-         for src in range(len(weights))))
+        range(len(weights)), weights.__getitem__,
+        lambda src: {i: raiser[src] for i, raiser in enumerate(raisers)
+                     if src in raiser})
     # highest-weight vectors of weight w: the raisers' kernel on its block
     mults: dict = {}
     for w in weights:
         mults[w] = mults.get(w, 0) + 1
-    for w, _ in kept:
+    for w, _, _ in kept:
         mults[w] -= 1
     found = [(w, m, weyl_dimension(data, w)) for w, m in mults.items() if m]
     total = sum(m * d for _, m, d in found)
@@ -808,34 +800,36 @@ def lowest_weight_module(g, lam: Sequence) -> ModuleRep:
     raise_m: list[dict] = [dict() for _ in range(r)]
     lower_m: list[dict] = [dict() for _ in range(r)]
 
+    def weight(cand: tuple) -> tuple:
+        i, u = cand
+        return wsum(weights[u], data.simple_labels[i])
+
+    def values(cand: tuple) -> dict:
+        """f_j (e_i u) for each node j, the zero ones left out."""
+        i, u = cand
+        vals = {}
+        for j in range(r):
+            # f_j (e_i u) = e_i (f_j u) + delta_ij (alpha_i^vee, w_u) u
+            vec = mat_apply(raise_m[i], lower_m[j].get(u, {}))
+            if i == j and weights[u][i]:
+                vadd_into(vec, {u: -weights[u][i]})
+            if vec:
+                vals[j] = vec
+        return vals
+
     level = [0]
     while level:
-        cands = [(i, u) for u in level for i in range(r)]
-        t_vals: dict[tuple, list[Vec]] = {}
-        for (i, u) in cands:
-            vals = []
-            for j in range(r):
-                # f_j (e_i u) = e_i (f_j u) + delta_ij (alpha_i^vee, w_u) u
-                vec = mat_apply(raise_m[i], lower_m[j].get(u, {}))
-                if i == j and weights[u][i]:
-                    vadd_into(vec, {u: -weights[u][i]})
-                vals.append(vec)
-            t_vals[(i, u)] = vals
-
         kept, classes = weight_block_quotient(
-            cands, (wsum(weights[u], data.simple_labels[i])
-                    for i, u in cands),
-            (t_vals[cand] for cand in cands))
+            [(i, u) for u in level for i in range(r)], weight, values)
         base = len(weights)
         for (i, u), cls in classes.items():
             if cls:
                 raise_m[i][u] = {base + t: c for t, c in cls.items()}
-        for t, (w, cand) in enumerate(kept):
+        for t, (w, _, vals) in enumerate(kept):
             weights.append(w)
-            for j, vec in enumerate(t_vals[cand]):
-                if vec:
-                    lower_m[j][base + t] = vec
-        level = list(range(base, len(weights)))
+            for j, vec in vals.items():
+                lower_m[j][base + t] = vec
+        level = range(base, len(weights))
 
     dim = len(weights)
     # assemble the action of every Chevalley basis element

@@ -401,25 +401,32 @@ def test_full_restriction_recovers_weak_quotient():
 
 
 def _quotient_action(res, cls: dict) -> dict:
-    """Action on the plus wing, keys (q, 1 + k) over the original degree-0
+    """Action on the plus wing, ``{q: vec}`` over the original degree-0
     basis, of the quotient minus vector cls, read from the quotient's
     [w_t, z_q] and its degree-0 basis."""
     out: dict = {}
     for t, c in cls.items():
         for q in range(res.local.npos):
             for u, a in res.local.bracket(-1, t, 1, q).items():
-                for k, b in res.zero_basis[u].items():
-                    vadd_into(out, {(q, 1 + k): b}, c * a)
-    return out
+                vadd_into(out.setdefault(q, {}), res.zero_basis[u], c * a)
+    return {q: vec for q, vec in out.items() if vec}
+
+
+def _flat(action: dict) -> dict:
+    """An action ``{q: vec}`` as one sparse vector keyed (q, k)."""
+    return {(q, k): c for q, vec in action.items() for k, c in vec.items()}
 
 
 def _engine_action(eng, el: dict) -> dict:
-    """The word engine's action of a degree -1 element on the plus wing."""
+    """The word engine's action of a degree -1 element on the plus wing,
+    ``{q: vec}`` over the degree-0 basis; a value in the engine's scalar
+    slot 0 lands at key -1, where the closed form has none."""
     out: dict = {}
     for q in range(eng.local.npos):
         z = eng.from_vec(1, {q: F1})
-        for k, c in eng.zero_coords(eng.commutator(el, z)).items():
-            out[(q, k)] = c
+        coords = eng.zero_coords(eng.commutator(el, z))
+        if coords:
+            out[q] = {k - 1: c for k, c in coords.items()}
     return out
 
 
@@ -433,7 +440,7 @@ def test_quotient_action_kernel_is_trivial():
     for t in range(res.local.nneg):
         act = _quotient_action(res, {t: F1})
         assert act, "class %d acts by zero" % t
-        assert span.add(act)
+        assert span.add(_flat(act))
     assert span.rank == res.local.nneg
     for p, j in _candidates(loc):
         cls = res.minus1_class(products({p: F1}, {j: F1}))
@@ -449,7 +456,7 @@ def test_unquotiented_candidates_fail_kernel_triviality():
     span = Span()
     count = 0
     for p, j in _candidates(loc):
-        span.add(Cartanification.action_coords(loc, p, j))
+        span.add(_flat(Cartanification.action_coords(loc, p, j)))
         count += 1
     assert span.rank < count           # the invariant catches the defect
     assert count - span.rank == res.kernel_dim

@@ -355,10 +355,12 @@ class TestMain:
     @pytest.mark.parametrize("spec, flag, line", [
         (A2_SPEC, "--variant=S",
          'variant: check-iso compares weak models, not "S"'),
+        (A2_SPEC, "--variant=B",
+         'variant: check-iso compares weak models, not "B"'),
         ('{"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], '
          '"lambda": [1, 0, 0]}', "--restrict=1,2",
          "restriction: check-iso compares unrestricted models"),
-    ], ids=["A2w1-S", "A3w1-restricted"])
+    ], ids=["A2w1-S", "A2w1-B", "A3w1-restricted"])
     def test_check_iso_rejects_a_model_it_does_not_compare(
             self, cache_env, capsys, builds, spec, flag, line):
         assert cli.main(["check-iso", "--spec", spec, flag,

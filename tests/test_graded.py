@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import canonical
 from fixtures_gl import glvec_local, glvec_super_local, graded_gl_local
-from gradedlie import graded
+from gradedlie import cartan, graded
 from gradedlie.cartan import cartanify, root_subalgebra
 from gradedlie.contragredient import build_local
 from gradedlie.linalg import (
@@ -417,10 +417,10 @@ def test_degree_two_candidates_are_super_antisymmetric(make_local, parities,
     calls = []
     quotient = graded.weight_block_quotient
 
-    def spy(cands, weights, t_vals):
+    def spy(cands, weight, values):
         cands = list(cands)
         calls.append(cands)
-        return quotient(cands, weights, t_vals)
+        return quotient(cands, weight, values)
 
     monkeypatch.setattr(graded, "weight_block_quotient", spy)
     ext = graded.minimal_extension(loc, (-2, 1))
@@ -628,30 +628,29 @@ _RATIONALS = st.one_of(
 @st.composite
 def _weight_blocks(draw):
     """Candidates ("c", n), each with a weight in {(0,), (1,), (2,)} and
-    T-values under two acting elements, sparse over the keys 0..2.  The
-    candidates of one weight may have only zero T-values, and the T-values
-    may come as a dict that leaves out the zero vectors."""
+    T-values {z: vec} under two acting elements z, sparse over the keys
+    0..2.  The candidates of one weight may have only zero T-values, and
+    the zero vectors may be left out."""
     n = draw(st.integers(1, 8))
     cands = [("c", i) for i in range(n)]
     weights = [(draw(st.integers(0, 2)),) for _ in cands]
     zero_weight = draw(st.sampled_from([None, (0,), (1,), (2,)]))
-    as_dict = draw(st.booleans())
+    drop_zero = draw(st.booleans())
     t_vals = []
     for w in weights:
-        vals = []
-        for _ in range(2):
+        vals = {}
+        for z in range(2):
             entries = [] if w == zero_weight else \
                 [draw(_RATIONALS) for _ in range(3)]
-            vals.append({k: v for k, v in enumerate(entries) if v})
-        if as_dict:
-            vals = {z: vec for z, vec in enumerate(vals) if vec}
+            vec = {k: v for k, v in enumerate(entries) if v}
+            if vec or not drop_zero:
+                vals[z] = vec
         t_vals.append(vals)
     return cands, weights, t_vals
 
 
 def _column(vals):
-    items = vals.items() if isinstance(vals, dict) else enumerate(vals)
-    return {(z, k): c for z, vec in items for k, c in vec.items()}
+    return {(z, k): c for z, vec in vals.items() for k, c in vec.items()}
 
 
 def _dense_block(columns):
@@ -669,17 +668,19 @@ def _dense_block(columns):
 @given(_weight_blocks())
 def test_weight_block_quotient(case):
     cands, weights, t_vals = case
-    kept, classes = graded.weight_block_quotient(cands, weights, t_vals)
+    vals_of = dict(zip(cands, t_vals))
+    kept, classes = graded.weight_block_quotient(
+        cands, dict(zip(cands, weights)).__getitem__, vals_of.__getitem__)
     canonical.assert_normal_form(classes)
     t_of = {c: _column(vals) for c, vals in zip(cands, t_vals)}
-    kept_cands = {c for _, c in kept}
+    kept_cands = {c for _, c, _ in kept}
 
     expected_kept = []
     for w in sorted(set(weights)):
         blk = [c for c, cw in zip(cands, weights) if cw == w]
         mat = _dense_block([t_of[c] for c in blk])
         red, piv = rref(mat)
-        expected_kept += [(w, blk[p]) for p in piv]
+        expected_kept += [(w, blk[p], vals_of[blk[p]]) for p in piv]
         # each class is its column of the dense RREF, over the block's kept
         # candidates in pivot order
         base = len([k for k in expected_kept if k[0] < w])
@@ -712,6 +713,74 @@ def test_weight_block_quotient(case):
         assert rebuilt == t_of[c]
         if not t_of[c]:
             assert classes[c] == {}
+
+
+@pytest.fixture
+def valuations(monkeypatch):
+    """Per ``weight_block_quotient`` call, wherever it is made: its
+    candidates, its weight function and its events in order, ("value",
+    candidate) when a candidate is valued and ("reduce", column count)
+    when a block is reduced."""
+    calls = []
+    quotient, reduce = graded.weight_block_quotient, graded.reduce_columns
+
+    def spy(cands, weight, values):
+        cands, events = list(cands), []
+        calls.append((cands, weight, events))
+
+        def logged(cand):
+            events.append(("value", cand))
+            return values(cand)
+
+        return quotient(cands, weight, logged)
+
+    def reduce_spy(columns):
+        calls[-1][2].append(("reduce", len(columns)))
+        return reduce(columns)
+
+    for module in (graded, cartan):
+        monkeypatch.setattr(module, "weight_block_quotient", spy)
+    monkeypatch.setattr(graded, "reduce_columns", reduce_spy)
+    return calls
+
+
+def test_each_block_is_valued_when_it_is_reduced(valuations):
+    """Each candidate is valued once, and a block's candidates are valued
+    just before the block is reduced, block by block in weight order: the
+    lowest-weight module, the cartanification, its extension and the
+    decomposition alike."""
+    data = CartanData([[2, -2], [-1, 2]], [2, 1], lam=(0, 1))
+    g_alg = cartanify(build_local(data), degree_range=(-3, 1)).graded
+    graded.decompose_at_degree(g_alg, -2, data)
+    assert len(valuations) > 4
+    for cands, weight, events in valuations:
+        assert sorted(c for kind, c in events if kind == "value") == \
+            sorted(cands)
+        blocks, block = [], []
+        for kind, item in events:
+            if kind == "value":
+                block.append(item)
+            else:
+                assert item == len(block)
+                blocks.append(block)
+                block = []
+        assert block == []
+        weights = [{weight(c) for c in blk} for blk in blocks]
+        assert all(len(ws) == 1 for ws in weights)
+        weights = [ws.pop() for ws in weights]
+        assert weights == sorted(set(weights))
+
+
+def test_count_values_only_dominant_candidates(valuations):
+    data = CartanData(A2, lam=(1, 0))
+    cart = cartanify(build_local(data), degree_range=(-1, 1)).graded
+    valuations.clear()
+    assert graded.count_next_layer(cart, -1, data) == 3
+    (_, weight, events), = valuations
+    cands = list(graded._tensor_candidates(cart.layers, -1, 1)[0])
+    dominant = [c for c in cands if min(weight(c)) >= 0]
+    assert 0 < len(dominant) < len(cands)
+    assert sorted(c for kind, c in events if kind == "value") == dominant
 
 
 # -- decomposition multiplicities on generated modules -----------------------
