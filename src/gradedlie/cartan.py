@@ -519,7 +519,8 @@ def local_cartanification(local: LocalSuperalgebra,
             pos_weights=[tuple(w) for w in local.pos_weights],
             pos_parities=list(local.pos_parities),
             b00=b00, b0m=b0m, b0p=b0p, bpm=bpm,
-            pairing=None, grading=grading, embedding=embedding),
+            pairing=None, grading=grading, embedding=embedding,
+            data=local.data),
         candidate_count=len(cands), kernel_dim=len(cands) - len(pivots),
         source=local, restricted=rbasis is not None, zero_basis=zero_basis,
         _pivot_class=pivot_class, _close=close, _minus_solver=minus_solver,

@@ -35,9 +35,9 @@ image enters negated unless |u| = 1 and |a| != |z|, so a term adds it
 scaled by c or by -c, and a sign costs no multiplication.  Only the z
 with [z, u] != 0 or [z, x] != 0 are visited, and zero T-values are not
 stored.  The weight blocks are keyed by the summed weights, integer tuples
-on Cartan data (every weight entry is in ``linalg``'s normal form); the
-weight of a new basis element is brought to normal form only for the kept
-candidates.
+on Cartan data, each computed once per pair of distinct weights of the
+two layers; the weight of a new basis element is brought to normal form
+(``linalg.qnorm``) only for the kept candidates.
 
 That quotient step -- candidates modulo the kernel of their T-values, one
 weight block at a time -- is the one function ``weight_block_quotient``.
@@ -53,14 +53,24 @@ the degree -1 part of the cartanification
 part, and the local part answers its own brackets from those three
 layers through the same evaluator, ``GradedSuperalgebra``.
 
+On Cartan data every layer of the extension is a finite-dimensional
+module of the diagram's algebra, whose weight multiplicities -- the
+ranks of the weight blocks -- are invariant under the Weyl group.  One
+gate, ``_weyl_failure``, says when that is a theorem and not an
+assumption: degree 0 names every e_i, f_i and h_i of the local part's
+datum, the weights of degrees -1, 0 and 1 are integral, and the sl_2
+brackets hold (a failed one raises).  Past the gate the extension hands
+the datum to the quotient, which reduces the dominant blocks first and
+never values a block whose dominant conjugate
+(``CartanData.dominant_conjugate``) kept nothing; without it, every
+block is valued, and the layers are the same either way.
 ``count_next_layer`` gives the dimension of the layer one step beyond
-the outermost stored one without building it.  On Cartan data that
-layer is a finite-dimensional module of the diagram's algebra, so its
-weight multiplicities are invariant under the Weyl group: the candidates
-of dominant summed weight alone get T-values, and each dominant block's
+the outermost stored one without building it: the candidates of
+dominant summed weight alone get T-values, and each dominant block's
 rank is multiplied by the size of its weight's orbit
-(``CartanData.orbit_size``).  The extension and the count take their
-candidates, weights and T-values from ``_tensor_candidates``.
+(``CartanData.orbit_size``).  The count and ``decompose_at_degree``
+require the gate.  The extension and the count take their candidates,
+weights and T-values from ``_tensor_candidates``.
 
 A zero layer stops the side: further layers are generated by bracketing
 the zero layer with degree -+1, hence zero as well.
@@ -136,7 +146,8 @@ class LocalSuperalgebra:
     * ``embedding`` optionally records degree-0 coordinates of named
       elements when the degree-0 basis is synthetic (cartanifications);
     * ``data`` is the Cartan datum a contragredient local part was built
-      from (``contragredient.build_local``), None for any other.
+      from (``contragredient.build_local``), or that of the local part a
+      cartanification was taken of, None for any other.
 
     Construction brings every weight entry and table value to normal form
     and makes the four bracket tables read-only copies, so assigning an
@@ -345,7 +356,9 @@ class GradedSuperalgebra:
     from the stored layer data (tensor definitions, degree +-1 actions,
     degree-0 actions) and memoized per basis pair.  ``local`` is the
     local part the algebra extends; the evaluator a local part holds over
-    its own three layers has None there.
+    its own three layers has None there.  The Cartan data whose gate
+    ``_weyl_failure`` the algebra passed are kept, so that the extension,
+    the count and the decomposition of one algebra check it once.
     """
 
     def __init__(self, local: LocalSuperalgebra | None,
@@ -353,6 +366,7 @@ class GradedSuperalgebra:
         self.local = local
         self.layers = layers
         self._memo: dict[tuple, Vec] = {}
+        self._weyl_passed: set = set()
 
     def degrees(self) -> list[int]:
         return sorted(self.layers)
@@ -480,7 +494,8 @@ def _local_layers(local: LocalSuperalgebra) -> dict[int, Layer]:
 
 
 def weight_block_quotient(cands: Iterable, weight: Callable,
-                          values: Callable) -> tuple[list, dict]:
+                          values: Callable,
+                          data: CartanData | None = None) -> tuple[list, dict]:
     """Candidates modulo the kernel of their T-values, one weight block at
     a time.
 
@@ -489,30 +504,55 @@ def weight_block_quotient(cands: Iterable, weight: Callable,
     The candidates are grouped by weight first; then, block by block in
     sorted weight order, each block is valued, in candidate order, and
     reduced (``linalg.reduce_columns``), and only its pivots' values are
-    kept.  Returns the kept ``(weight, candidate, values)`` triples, the
-    pivots of each block in sorted weight order, and the class of every
-    candidate over them, ``{kept position: coefficient}``, read off the
-    block's reduced pivot rows, so a kept candidate's class is its unit
-    vector.  A block whose T-values are all zero keeps nothing, and each
-    of its candidates has the class ``{}``.
+    kept.
+    Returns the kept ``(weight, candidate, values)`` triples, the pivots of
+    each block in sorted weight order, and the class of every candidate
+    over them, ``{kept position: coefficient}``, read off the block's
+    reduced pivot rows, so a kept candidate's class is its unit vector.  A
+    block whose T-values are all zero keeps nothing, and each of its
+    candidates has the class ``{}``.
+
+    ``data`` says that the quotient is a finite-dimensional module of the
+    diagram's algebra with integral weights (``_weyl_failure``), so that
+    each block's rank, a weight multiplicity, is that of the block of its
+    dominant conjugate.  The dominant blocks are then reduced first, and a
+    block whose dominant conjugate has no candidates or rank 0 is never
+    valued: its candidates get the class ``{}``.  The triples and classes
+    are those of the quotient without ``data``.
     """
-    blocks: dict = {}
-    for cand in cands:
-        blocks.setdefault(weight(cand), []).append(cand)
-    kept: list = []
-    classes: dict = {}
-    for w in sorted(blocks):
-        blk = blocks.pop(w)
+    def reduce(blk: list) -> tuple[list, list, list]:
+        """The block's pivots, reduced pivot rows and pivots' values."""
         vals = [values(cand) for cand in blk]
         # one column per candidate, keyed (acting element, index)
         piv, red = reduce_columns([
             {(z, t): c for z, vec in v.items() for t, c in vec.items()}
             for v in vals])
+        return piv, red, [vals[col] for col in piv]
+
+    blocks: dict = {}
+    for cand in cands:
+        blocks.setdefault(weight(cand), []).append(cand)
+    order = sorted(blocks)
+    first: dict = {}        # the dominant blocks, reduced before the others
+    if data is not None:
+        dom = {w: data.dominant_conjugate(w) for w in order}
+        first = {w: reduce(blocks[w]) for w in order if dom[w] == w}
+        nonzero = {w for w, (piv, _, _) in first.items() if piv}
+    kept: list = []
+    classes: dict = {}
+    for w in order:
+        blk = blocks.pop(w)
+        if w in first:
+            piv, red, vals = first.pop(w)
+        elif data is None or dom[w] in nonzero:
+            piv, red, vals = reduce(blk)
+        else:
+            piv = red = vals = ()   # rank 0, as its dominant conjugate's
         cls = [classes.setdefault(cand, {}) for cand in blk]
         for r, row in enumerate(red, len(kept)):
             for col, c in row.items():
                 cls[col][r] = c
-        kept.extend((w, blk[col], vals[col]) for col in piv)
+        kept.extend((w, blk[col], v) for col, v in zip(piv, vals))
     return kept, classes
 
 
@@ -541,10 +581,18 @@ def _tensor_candidates(layers: dict[int, Layer], side: int,
     z_odd = layers[-side].parities
     # the images [a, u] != 0 of the degree-0 a, per u
     act_u = [dict(pairs) for pairs in _by_source(prev.act0, prev.dim)]
+    # the summed weight once per pair of distinct weights, by their ids
+    u_ids, n_u = _weight_ids(prev.weights)
+    x_ids, n_x = _weight_ids(unit.weights)
+    sums = [[None] * n_x for _ in range(n_u)]
 
     def weight(cand: tuple) -> tuple:
         u, x = cand
-        return tuple(map(add, prev.weights[u], unit.weights[x]))
+        row, j = sums[u_ids[u]], x_ids[x]
+        w = row[j]
+        if w is None:
+            w = row[j] = tuple(map(add, prev.weights[u], unit.weights[x]))
+        return w
 
     def values(cand: tuple) -> dict:
         u, x = cand
@@ -579,15 +627,24 @@ def _tensor_candidates(layers: dict[int, Layer], side: int,
     return cands, weight, values
 
 
-def _extend_one(layers: dict[int, Layer], side: int, k: int) -> Layer:
-    """Build the layer at degree side*(k+1) from the one at side*k."""
+def _weight_ids(weights: list) -> tuple[list, int]:
+    """An integer id per entry of ``weights``, shared by equal entries,
+    and the number of distinct ones."""
+    ids: dict = {}
+    return [ids.setdefault(w, len(ids)) for w in weights], len(ids)
+
+
+def _extend_one(layers: dict[int, Layer], side: int, k: int,
+                data: CartanData | None = None) -> Layer:
+    """Build the layer at degree side*(k+1) from the one at side*k;
+    ``data`` as in ``weight_block_quotient``."""
     prev = layers[side * k]
     unit = layers[side]
     acting = layers[-side]
     zero = layers[0]
 
     kept, reduce_map = weight_block_quotient(
-        *_tensor_candidates(layers, side, k))
+        *_tensor_candidates(layers, side, k), data)
     if k == 1:
         for u in range(prev.dim):
             for x in range(u):
@@ -648,40 +705,124 @@ def _by_source(action: list, dim: int) -> list[list]:
 
 def minimal_extension(local: LocalSuperalgebra,
                       degree_range: tuple[int, int]) -> GradedSuperalgebra:
-    """Minimal Z-graded extension of a local part over the given degrees."""
+    """Minimal Z-graded extension of a local part over the given degrees.
+
+    When the local part carries its Cartan datum and passes the gate
+    ``_weyl_failure``, every new layer is a finite-dimensional module of
+    the diagram's algebra, and its quotient skips the weight blocks that
+    Weyl symmetry proves empty (``weight_block_quotient``); the layers are
+    the same either way.  A failed sl_2 bracket raises ``ValueError``
+    naming it.
+    """
     d_min, d_max = degree_range
     if d_min > -1 or d_max < 1:
         raise ValueError("degree_range must contain [-1, 1]")
-    layers = dict(local.brackets().layers)
+    g_alg = GradedSuperalgebra(local, dict(local.brackets().layers))
+    data = local.data
+    if data is not None and _weyl_failure(
+            g_alg, data, "no weight block is skipped") is not None:
+        data = None
     for side, stop in ((-1, -d_min), (1, d_max)):
         for k in range(1, stop):
-            layers[side * (k + 1)] = _extend_one(layers, side, k)
-    return GradedSuperalgebra(local, layers)
+            g_alg.layers[side * (k + 1)] = _extend_one(
+                g_alg.layers, side, k, data)
+    return g_alg
+
+
+def _weyl_failure(g_alg: GradedSuperalgebra, data: CartanData,
+                  consequence: str) -> str | None:
+    """Why the layers of ``g_alg`` beyond degrees -1, 0 and 1 are not seen
+    to be finite-dimensional modules of the diagram's algebra with
+    Weyl-invariant weight multiplicities, or None when they are.
+
+    They are when degree 0 names every ("e", i), ("f", i) and ("h", i) of
+    ``data``, the weights of degrees -1, 0 and 1 are integral, and the
+    sl_2 facts hold: [e_i, f_i] = h_i, h_j acts on e_i and f_i by the
+    labels +-(alpha_i)_j and on each basis vector of degrees +-1 by its
+    j-th label.  Each layer is then spanned by brackets of degree +-1
+    vectors, on which h_j acts by the j-th label of their weight, and e_i,
+    f_i shift weights by +-alpha_i, so each alpha_i-string of weights is a
+    finite-dimensional sl_2-module and reflection s_i keeps multiplicities
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    21.2).  A missing name or a weight that is not integral is the
+    reason returned, the first worded "so ``consequence``"; a failed
+    bracket raises ``ValueError`` naming it.
+    """
+    if data in g_alg._weyl_passed:
+        return None
+    coords = {}
+    for node in range(data.r):
+        for kind in ("e", "f", "h"):
+            vec = g_alg.zero_coords_of((kind, node))
+            if vec is None:
+                return ("degree 0 of this model holds no %s_%d, so %s: a "
+                        "strong or restricted cartanification keeps in "
+                        "degree 0 only the action of degree 0 on its "
+                        "degree -1 part" % (kind, node, consequence))
+            coords[(kind, node)] = vec
+    # weights are in normal form, so an integral one holds only ints
+    for d in (-1, 0, 1):
+        for w in g_alg.layers[d].weights:
+            if any(type(m) is not int for m in w):
+                return ("weight %s at degree %d is not integral, so it is "
+                        "no weight of a finite-dimensional module"
+                        % (list(w), d))
+    for i in range(data.r):
+        e, f = coords[("e", i)], coords[("f", i)]
+        if vadd(g_alg.bracket((0, e), (0, f))[1], coords[("h", i)], -1):
+            raise ValueError("[e_%d, f_%d] is not h_%d in degree 0"
+                             % (i, i, i))
+    for j in range(data.r):
+        h_j = coords[("h", j)]
+        on_zero = _zero_action(g_alg, h_j, 0)
+        for i, labels in enumerate(data.simple_labels):
+            for kind, by in (("e", labels[j]), ("f", -labels[j])):
+                vec = coords[(kind, i)]
+                if vadd(mat_apply(on_zero, vec), vec, -by):
+                    raise ValueError("[h_%d, %s_%d] is not %d %s_%d in "
+                                     "degree 0" % (j, kind, i, by, kind, i))
+        for d in (-1, 1):
+            action = _zero_action(g_alg, h_j, d)
+            for k, w in enumerate(g_alg.layers[d].weights):
+                if action.get(k, {}) != ({k: w[j]} if w[j] else {}):
+                    raise ValueError(
+                        "h_%d does not act on basis vector %d of degree %d "
+                        "by its label %d" % (j, k, d, w[j]))
+    g_alg._weyl_passed.add(data)
+    return None
+
+
+def _zero_action(g_alg: GradedSuperalgebra, vec: Vec, d: int) -> dict:
+    """The action of the degree-0 vector ``vec`` on degree d, as a
+    column-sparse matrix {src: [vec, src]} with the zero columns left
+    out."""
+    mat: dict = {}
+    for a, c in vec.items():
+        for src, img in g_alg.layers[d].act0[a].items():
+            col = vadd_into(mat.setdefault(src, {}), img, c)
+            if not col:
+                del mat[src]
+    return mat
 
 
 def count_next_layer(g_alg: GradedSuperalgebra, side: int, data) -> int:
     """Dimension of the layer one step beyond the outermost stored layer on
     ``side`` (+1 or -1), counted and not built.
 
-    The layer is a finite-dimensional module over the diagram's algebra,
-    whose simple root vectors degree 0 must hold under the names ("e", i)
-    and ("f", i), so its weight multiplicities are invariant under the
-    Weyl group: the dimension is the sum over dominant weights mu of
-    mult(mu) |W mu|.  Only the candidates whose summed weight is dominant
-    get T-values, and the quotient of the block of mu keeps mult(mu) of
-    them.  ``data`` is the CartanData the stored weights refer to.  A
-    missing root vector raises ``ValueError`` naming it (``_node_raisers``),
-    and a weight that is not integral raises naming the weight.
+    The layer is a finite-dimensional module over the diagram's algebra
+    (``_weyl_failure``, which must pass), so its weight multiplicities are
+    invariant under the Weyl group: the dimension is the sum over dominant
+    weights mu of mult(mu) |W mu|.  Only the candidates whose summed
+    weight is dominant get T-values, and the quotient of the block of mu
+    keeps mult(mu) of them.  ``data`` is the CartanData the stored weights
+    refer to.  A missing root vector, a weight that is not integral or a
+    failed sl_2 bracket raises ``ValueError`` naming it.
     """
     k = max(side * d for d in g_alg.layers)
-    _node_raisers(g_alg, data, side * (k + 1), "counted")
-    # weights are in normal form, so an integral one holds only ints
-    for d in (side * k, side):
-        for w in g_alg.layers[d].weights:
-            if any(type(m) is not int for m in w):
-                raise ValueError(
-                    "weight %s at degree %d is not integral, so it is no "
-                    "weight of a finite-dimensional module" % (list(w), d))
+    failure = _weyl_failure(g_alg, data, "degree %d cannot be counted"
+                            % (side * (k + 1)))
+    if failure is not None:
+        raise ValueError(failure)
     cands, weight, values = _tensor_candidates(g_alg.layers, side, k)
     kept, _ = weight_block_quotient(
         (c for c in cands if min(weight(c)) >= 0), weight, values)
@@ -721,37 +862,19 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     return found
 
 
-def _node_raisers(g_alg: GradedSuperalgebra, data, d: int,
-                  action: str) -> list:
-    """Degree-0 coordinates of each node's e_i, named ("e", i) in the local
-    embedding, once degree 0 is seen to hold every e_i and f_i; a missing
-    one raises saying degree ``d`` cannot be ``action`` ("counted" or
-    "decomposed")."""
-    for node in range(data.r):
-        for kind in ("e", "f"):
-            if g_alg.zero_coords_of((kind, node)) is None:
-                raise ValueError(
-                    "degree 0 of this model holds no %s_%d, so degree %d "
-                    "cannot be %s: a strong or restricted cartanification "
-                    "keeps in degree 0 only the action of degree 0 on its "
-                    "degree -1 part" % (kind, node, d, action))
-    return [g_alg.zero_coords_of(("e", node)) for node in range(data.r)]
-
-
 def decompose_at_degree(g_alg: GradedSuperalgebra, d: int,
                         data) -> list[tuple]:
     """Decompose the degree-d component under the degree-0 action of the
-    diagram's algebra, whose simple raising operators degree 0 must hold
-    (``_node_raisers``).  ``data`` is the CartanData the stored weights
-    refer to.
+    diagram's algebra, which must pass ``_weyl_failure``: degree 0 holds
+    every simple raising operator e_i.  ``data`` is the CartanData the
+    stored weights refer to.
     """
-    raisers = []
-    for coords in _node_raisers(g_alg, data, d, "decomposed"):
-        mat: dict = {}
-        for a, c in coords.items():
-            for src, vec in g_alg.layers[d].act0[a].items():
-                vadd_into(mat.setdefault(src, {}), vec, c)
-        raisers.append(mat)
+    failure = _weyl_failure(g_alg, data, "degree %d cannot be decomposed"
+                            % d)
+    if failure is not None:
+        raise ValueError(failure)
+    raisers = [_zero_action(g_alg, g_alg.zero_coords_of(("e", node)), d)
+               for node in range(data.r)]
     return decompose_module(g_alg.layer(d).weights, raisers, data)
 
 

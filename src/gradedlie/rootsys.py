@@ -26,7 +26,8 @@ datum, and ``enumerate_roots``, ``weyl_dimension``, ``highest_roots``,
 ``root_action`` all read them.  So does ``weyl_order``, the
 order of a parabolic subgroup of the Weyl group from the exponents,
 memoised per node set, which gives ``orbit_size``, |W mu| of a dominant
-weight, without enumerating the group.
+weight, without enumerating the group; ``dominant_conjugate`` finds the
+dominant weight in the orbit of integral labels by simple reflections.
 ``extended_entry(i, j)`` is the one copy of the matrix extended by an odd
 node, index ``EXT = -1``: B_EXT,j = -lambda_j/epsilon_j, B_i,EXT =
 -lambda_i, B_EXT,EXT = 0 and B_ij = A_ij otherwise.
@@ -216,6 +217,23 @@ class CartanData:
             raise ValueError("weight %s is not dominant" % (list(mu),))
         return self.weyl_order() // self.weyl_order(
             [i for i, x in enumerate(m) if x == 0])
+
+    def dominant_conjugate(self, mu: Sequence) -> tuple[int, ...]:
+        """The dominant weight in the Weyl orbit of integral labels mu,
+        reached by simple reflections at negative labels (``weyl_reflect``'s
+        rule, r_k mu = mu - mu_k alpha_k); the datum must be of finite
+        type."""
+        m = self.weight(mu)
+        if any(type(x) is not int for x in m):
+            raise ValueError("weight %s is not integral" % (list(mu),))
+        _require_finite(self)
+        while True:
+            for k, x in enumerate(m):
+                if x < 0:
+                    break
+            else:
+                return tuple(m)
+            m = [y - x * c for y, c in zip(m, self.simple_labels[k])]
 
     # -- diagram structure ------------------------------------------------
 

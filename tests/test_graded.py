@@ -417,10 +417,10 @@ def test_degree_two_candidates_are_super_antisymmetric(make_local, parities,
     calls = []
     quotient = graded.weight_block_quotient
 
-    def spy(cands, weight, values):
+    def spy(cands, weight, values, data=None):
         cands = list(cands)
         calls.append(cands)
-        return quotient(cands, weight, values)
+        return quotient(cands, weight, values, data)
 
     monkeypatch.setattr(graded, "weight_block_quotient", spy)
     ext = graded.minimal_extension(loc, (-2, 1))
@@ -718,25 +718,27 @@ def test_weight_block_quotient(case):
 @pytest.fixture
 def valuations(monkeypatch):
     """Per ``weight_block_quotient`` call, wherever it is made: its
-    candidates, its weight function and its events in order, ("value",
-    candidate) when a candidate is valued and ("reduce", column count)
-    when a block is reduced."""
+    candidates, its weight function and its events in order: first
+    ("datum", the Cartan datum handed in or None), then ("value",
+    candidate) when a candidate is valued and ("reduce", (column count,
+    rank)) when a block is reduced."""
     calls = []
     quotient, reduce = graded.weight_block_quotient, graded.reduce_columns
 
-    def spy(cands, weight, values):
-        cands, events = list(cands), []
+    def spy(cands, weight, values, data=None):
+        cands, events = list(cands), [("datum", data)]
         calls.append((cands, weight, events))
 
         def logged(cand):
             events.append(("value", cand))
             return values(cand)
 
-        return quotient(cands, weight, logged)
+        return quotient(cands, weight, logged, data)
 
     def reduce_spy(columns):
-        calls[-1][2].append(("reduce", len(columns)))
-        return reduce(columns)
+        piv, red = reduce(columns)
+        calls[-1][2].append(("reduce", (len(columns), len(piv))))
+        return piv, red
 
     for module in (graded, cartan):
         monkeypatch.setattr(module, "weight_block_quotient", spy)
@@ -744,31 +746,69 @@ def valuations(monkeypatch):
     return calls
 
 
+def _valued_blocks(cands, weight, events):
+    """The datum of one logged quotient call and its reduced blocks in
+    order, as (weight, rank), after checking that each block is one whole
+    weight block, valued in candidate order just before it is reduced and
+    at most once."""
+    (kind, datum), *events = events
+    assert kind == "datum"
+    by_weight: dict = {}
+    for c in cands:
+        by_weight.setdefault(weight(c), []).append(c)
+    blocks, block = [], []
+    for kind, item in events:
+        if kind == "value":
+            block.append(item)
+            continue
+        count, rank_ = item
+        assert block and count == len(block)
+        w = weight(block[0])
+        assert block == by_weight[w]
+        blocks.append((w, rank_))
+        block = []
+    assert block == []
+    assert len({w for w, _ in blocks}) == len(blocks)
+    return datum, by_weight, blocks
+
+
+def _check_valuation_order(calls) -> int:
+    """Check every logged quotient call: without a datum every block is
+    valued, in weight order; with one the dominant blocks come first, then
+    those whose dominant conjugate kept something, each part in weight
+    order, and no other block is valued.  Returns the number of skipped
+    blocks."""
+    skipped = 0
+    for cands, weight, events in calls:
+        datum, by_weight, blocks = _valued_blocks(cands, weight, events)
+        order = [w for w, _ in blocks]
+        if datum is None:
+            assert order == sorted(by_weight)
+            continue
+        dom = {w: datum.dominant_conjugate(w) for w in by_weight}
+        first = sorted(w for w in by_weight if dom[w] == w)
+        assert order[:len(first)] == first
+        ranks = dict(blocks[:len(first)])
+        rest = sorted(w for w in by_weight
+                      if dom[w] != w and ranks.get(dom[w]))
+        assert order[len(first):] == rest
+        skipped += len(by_weight) - len(order)
+    return skipped
+
+
 def test_each_block_is_valued_when_it_is_reduced(valuations):
-    """Each candidate is valued once, and a block's candidates are valued
-    just before the block is reduced, block by block in weight order: the
-    lowest-weight module, the cartanification, its extension and the
-    decomposition alike."""
+    """Each block is valued at most once, just before it is reduced: every
+    block in weight order where no datum is handed in (the lowest-weight
+    module, the cartanification and the decomposition), and in the
+    extension of the cartanification the dominant blocks first, so that a
+    block Weyl symmetry proves empty is never valued."""
     data = CartanData([[2, -2], [-1, 2]], [2, 1], lam=(0, 1))
     g_alg = cartanify(build_local(data), degree_range=(-3, 1)).graded
     graded.decompose_at_degree(g_alg, -2, data)
     assert len(valuations) > 4
-    for cands, weight, events in valuations:
-        assert sorted(c for kind, c in events if kind == "value") == \
-            sorted(cands)
-        blocks, block = [], []
-        for kind, item in events:
-            if kind == "value":
-                block.append(item)
-            else:
-                assert item == len(block)
-                blocks.append(block)
-                block = []
-        assert block == []
-        weights = [{weight(c) for c in blk} for blk in blocks]
-        assert all(len(ws) == 1 for ws in weights)
-        weights = [ws.pop() for ws in weights]
-        assert weights == sorted(set(weights))
+    assert _check_valuation_order(valuations) > 0
+    datums = [events[0][1] for _, _, events in valuations]
+    assert datums.count(data) == 2      # the extension to -2 and to -3
 
 
 def test_count_values_only_dominant_candidates(valuations):
@@ -938,3 +978,118 @@ def test_count_rejects_a_non_integral_weight():
     with pytest.raises(ValueError, match="not integral"):
         graded.count_next_layer(
             graded.GradedSuperalgebra(cart.local, layers), -1, data)
+
+
+# -- weight blocks skipped by Weyl symmetry ----------------------------------
+
+
+def _weyl_gate_passes(g_alg, data):
+    return graded._weyl_failure(g_alg, data, "") is None
+
+
+def _assert_skip_changes_nothing(g_alg, data):
+    """On every layer the extension built, the quotient of the same
+    candidates keeps the same triples and classes with the datum and
+    without it."""
+    for d in g_alg.degrees():
+        if abs(d) < 2:
+            continue
+        side = 1 if d > 0 else -1
+        cands, weight, values = graded._tensor_candidates(
+            g_alg.layers, side, abs(d) - 1)
+        cands = list(cands)
+        assert graded.weight_block_quotient(cands, weight, values, data) \
+            == graded.weight_block_quotient(cands, weight, values)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_cartan_data())
+def test_weyl_skip_keeps_the_quotient_on_generated_data(data):
+    """The contragredient model over -3..3 and the cartanification over
+    -2..1: at degree -3 the latter has thousands of dimensions on some
+    of these data (A2 with labels (1, 1), B3 w1, G2 w1)."""
+    local = build_local(data)
+    for g_alg in (graded.minimal_extension(local, (-3, 3)),
+                  cartanify(local, degree_range=(-2, 1)).graded):
+        assert _weyl_gate_passes(g_alg, data)
+        _assert_skip_changes_nothing(g_alg, data)
+
+
+def _a4w1(variant):
+    """W(5) or S(5): the weak or strong cartanification of A4 w1 over
+    degrees -5..1, with its datum."""
+    data = CartanData(A4, lam=(1, 0, 0, 0))
+    local = build_local(data)
+    restriction = None if variant == "W" else \
+        root_subalgebra(data, local, jk_partition(data)[1])
+    return cartanify(local, degree_range=(-5, 1),
+                     restriction=restriction).graded, data
+
+
+@pytest.mark.parametrize("variant", ["W", "S"])
+def test_weyl_skip_keeps_the_quotient_on_w5_and_s5(variant):
+    g_alg, data = _a4w1(variant)
+    assert _weyl_gate_passes(g_alg, data)
+    _assert_skip_changes_nothing(g_alg, data)
+
+
+@pytest.mark.parametrize("variant", ["W", "S"])
+def test_weyl_skip_values_no_skipped_block(variant, valuations):
+    """On W(5) and S(5) the extension values fewer than half of its
+    candidates, never one of a skipped block, and each block at most once,
+    just before it is reduced."""
+    _a4w1(variant)
+    assert _check_valuation_order(valuations) > 0
+    extension = [(cands, events) for cands, _, events in valuations
+                 if events[0][1] is not None]
+    assert len(extension) == 4
+    valued = sum(kind == "value" for _, events in extension
+                 for kind, _ in events)
+    assert 0 < 2 * valued < sum(len(cands) for cands, _ in extension)
+
+
+@pytest.mark.parametrize("change, message", [
+    ("bracket", r"^\[e_0, f_0\] is not h_0 in degree 0$"),
+    ("weight", r"^h_0 does not act on basis vector 0 of degree -1 by its "
+               r"label"),
+])
+def test_weyl_gate_rejects_a_failed_sl2_fact(change, message):
+    """A contragredient local part whose [e_0, f_0] is not h_0, or whose
+    degree -1 weight is not its h-eigenvalue, is neither extended nor
+    counted."""
+    data = CartanData(A2, lam=(1, 0))
+    local = build_local(data)
+    if change == "bracket":
+        e, = local.embedding[("e", 0)]
+        f, = local.embedding[("f", 0)]
+        b00 = dict(local.b00)
+        key = (e, f) if (e, f) in b00 else (f, e)
+        b00[key] = {t: 2 * c for t, c in b00[key].items()}
+        broken = replace(local, b00=b00)
+    else:
+        w = local.neg_weights[0]
+        broken = replace(local, neg_weights=[
+            (w[0] + 1,) + w[1:], *local.neg_weights[1:]])
+    with pytest.raises(ValueError, match=message):
+        graded.minimal_extension(broken, (-2, 1))
+    window = graded.GradedSuperalgebra(broken, broken.brackets().layers)
+    with pytest.raises(ValueError, match=message):
+        graded.count_next_layer(window, -1, data)
+
+
+def test_no_block_is_skipped_without_the_gate(valuations):
+    """A local part with no datum (gl(4) on vectors) or whose degree 0
+    holds no e_0 (the strong cartanification of A1 w1) is extended with
+    every candidate valued."""
+    graded.minimal_extension(glvec_local(4), (-3, 1))
+    data = CartanData([[2]], lam=[1])
+    local = build_local(data)
+    strong = root_subalgebra(data, local, jk_partition(data)[1])
+    cart = cartanify(local, degree_range=(-3, 1), restriction=strong)
+    assert not _weyl_gate_passes(cart.graded, data)
+    assert len(valuations) > 2
+    assert _check_valuation_order(valuations) == 0
+    for cands, _, events in valuations:
+        assert events[0] == ("datum", None)
+        assert sorted(c for kind, c in events if kind == "value") == \
+            sorted(cands)

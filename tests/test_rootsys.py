@@ -226,6 +226,22 @@ def test_weyl_group_order(a, eps, order):
     assert CartanData(a, eps).weyl_order() == order
 
 
+@pytest.mark.parametrize("a, eps", [
+    (A1, None), (A3, None), (B2, [2, 1]), (_B3, [2, 2, 1]),
+    (_C3, [1, 1, 2]), (D4, None), (G2, [1, 3]),
+], ids=["A1", "A3", "B2", "B3", "C3", "D4", "G2"])
+def test_dominant_conjugate_is_constant_on_orbits(a, eps):
+    data = CartanData(a, eps)
+    for mu in itertools.product(range(2), repeat=data.r):
+        for nu in oracles.weyl_orbit(data, mu):
+            assert data.dominant_conjugate(nu) == mu, nu
+
+
+def test_dominant_conjugate_needs_integral_labels():
+    with pytest.raises(ValueError, match="not integral"):
+        CartanData(A2).dominant_conjugate((Fraction(1, 2), -1))
+
+
 def test_orbit_size_needs_a_dominant_weight():
     with pytest.raises(ValueError, match="not dominant"):
         CartanData(A2).orbit_size((1, -1))
