@@ -128,13 +128,14 @@ class WeightedSolver:
 # Restriction helpers
 
 
-def root_subalgebra(data, local: LocalSuperalgebra, nodes) -> list:
+def root_subalgebra(local: LocalSuperalgebra, nodes) -> list:
     """Degree-0 basis vectors of the subalgebra spanned by the Cartan
     generators of the given nodes and the root vectors of roots supported
     on them.
 
-    Expects a local part built from Cartan data, whose degree-0 names are
-    the Chevalley names followed by the extension generator.
+    Expects a local part built from Cartan data (``local.data``), whose
+    degree-0 names are the Chevalley names followed by the extension
+    generator.
     """
     nodes = set(nodes)
     out = []
@@ -142,7 +143,7 @@ def root_subalgebra(data, local: LocalSuperalgebra, nodes) -> list:
         if name[0] == "h" and len(name) == 2 and name[1] in nodes:
             out.append({i: 1})
         elif name[0] in ("e", "f") and len(name) == 2:
-            coords = data.root_coords(local.zero_weights[i])
+            coords = local.data.root_coords(local.zero_weights[i])
             if all(c == 0 for j, c in enumerate(coords) if j not in nodes):
                 out.append({i: 1})
     return out

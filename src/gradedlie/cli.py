@@ -286,7 +286,8 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if dataclasses.is_dataclass(value):
-        return _jsonable(dataclasses.asdict(value))
+        return {field.name: _jsonable(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
     raise TypeError("cannot render %r" % type(value))
 
 
@@ -410,7 +411,6 @@ class _Models:
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        self.data = spec.data
         self._built: dict = {}
 
     def _memo(self, key, build):
@@ -420,7 +420,7 @@ class _Models:
 
     def local(self) -> graded.LocalSuperalgebra:
         """The contragredient local part B_-1 + B_0 + B_1."""
-        return self._memo("local", lambda: build_local(self.data))
+        return self._memo("local", lambda: build_local(self.spec.data))
 
     def contragredient(self, window) -> graded.GradedSuperalgebra:
         """The contragredient superalgebra over ``window``."""
@@ -434,17 +434,17 @@ class _Models:
             local = self.local()
             return cartan.local_cartanification(
                 local, restriction=None if nodes is None
-                else cartan.root_subalgebra(self.data, local, nodes))
+                else cartan.root_subalgebra(local, nodes))
         return self._memo(("local cart", nodes), build)
 
     def cartanification(self, window) -> cartan.Cartanification:
         """The spec's cartanification over ``window``."""
         return self._memo(("cart", window), lambda: self.local_cartanification(
-            _restriction(self.spec, self.data)[1]).over(window))
+            _restriction(self.spec)[1]).over(window))
 
     def module(self, variant: str) -> tha.MinusOneModule:
         return self._memo(("module", variant), lambda: tha.build_minus1(
-            tha.presentation(self.data, variant)))
+            tha.presentation(self.spec.data, variant)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +484,13 @@ def _run_build_b(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     return _per_degree_table(spec, payloads)
 
 
-def _restriction(spec: AlgebraSpec, data: CartanData):
+def _restriction(spec: AlgebraSpec):
     """The cartanification the spec asks for, "weak", "strong" or
     "restricted", and the nodes of its restriction (None when weak)."""
     if spec.restriction is not None:
         return "restricted", spec.restriction
     if spec.variant == "S":
-        return "strong", jk_partition(data)[1]
+        return "strong", jk_partition(spec.data)[1]
     return "weak", None
 
 
@@ -503,7 +503,7 @@ def _run_cartanify(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
         result = models.cartanification(spec.degree_range)
         payloads = _dim_entries(spec, result.graded.dims())
         payloads["meta"] = {
-            "construction": _restriction(spec, models.data)[0],
+            "construction": _restriction(spec)[0],
             "kernel_dim": int(result.kernel_dim),
             "candidate_count": int(result.candidate_count),
         }
@@ -547,7 +547,7 @@ def _run_decompose(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
         for d in range(lo, hi + 1):
             dim = int(dims.get(d, 0))
             modules = _module_entries(
-                decompose_at_degree(model, d, models.data) if dim else ())
+                decompose_at_degree(model, d) if dim else ())
             payloads["deg%d" % d] = {"dim": dim, "modules": modules}
         return payloads
 
@@ -565,11 +565,11 @@ def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     entry = "window%d_%d" % window
 
     def compute():
-        iso.require_pseudo_minuscule(models.data)
+        iso.require_pseudo_minuscule(spec.data)
         # cartanification before module: the order check_isomorphism
         # builds them in, so a failing build is reported as it was
         verdict = iso.check_isomorphism(
-            models.data, degree_range=window,
+            spec.data, degree_range=window,
             cartanification=models.local_cartanification(None),
             module=models.module("W"))
         return {entry: _jsonable(verdict)}
@@ -580,7 +580,7 @@ def _run_check_iso(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
 def _run_roots(spec: AlgebraSpec, cache: _Cache, models: _Models) -> dict:
     def compute():
         roots = sorted(
-            enumerate_roots(models.data),
+            enumerate_roots(spec.data),
             key=lambda root: (root.height, tuple(root.coords)),
         )
         return {"result": {

@@ -56,21 +56,20 @@ layers through the same evaluator, ``GradedSuperalgebra``.
 On Cartan data every layer of the extension is a finite-dimensional
 module of the diagram's algebra, whose weight multiplicities -- the
 ranks of the weight blocks -- are invariant under the Weyl group.  One
-gate, ``_weyl_failure``, says when that is a theorem and not an
-assumption: degree 0 names every e_i, f_i and h_i of the local part's
-datum, the weights of degrees -1, 0 and 1 are integral, and the sl_2
-brackets hold (a failed one raises).  Past the gate the extension hands
-the datum to the quotient, which reduces the dominant blocks first and
-never values a block whose dominant conjugate
-(``CartanData.dominant_conjugate``) kept nothing; without it, every
-block is valued, and the layers are the same either way.
-``count_next_layer`` gives the dimension of the layer one step beyond
-the outermost stored one without building it: the candidates of
-dominant summed weight alone get T-values, and each dominant block's
-rank is multiplied by the size of its weight's orbit
-(``CartanData.orbit_size``).  The count and ``decompose_at_degree``
-require the gate.  The extension and the count take their candidates,
-weights and T-values from ``_tensor_candidates``.
+gate, ``_weyl_check``, says when that is a theorem and not an
+assumption; it reads only the three layers of a local part and the
+datum the local part carries (``LocalSuperalgebra.data``, the one home
+of a model's datum), so it is checked once per local part
+(``_weyl_gate``).  Past the gate the extension hands the datum to the
+quotient, which reduces the dominant blocks first and never values a
+block whose dominant conjugate (``CartanData.dominant_conjugate``) kept
+nothing; the layers are the same without it.  ``count_next_layer``
+gives the dimension of the layer one step beyond the outermost stored
+one without building it, from the ranks of the blocks of dominant
+summed weight and their orbit sizes (``CartanData.orbit_size``).  The
+count and ``decompose_at_degree`` require the gate.  The extension and
+the count take their candidates, weights and T-values from
+``_tensor_candidates``.
 
 A zero layer stops the side: further layers are generated by bracketing
 the zero layer with degree -+1, hence zero as well.
@@ -190,6 +189,7 @@ class LocalSuperalgebra:
         self.b0p = MappingProxyType(dict(self.b0p))
         self.bpm = MappingProxyType(dict(self.bpm))
         self._brackets: GradedSuperalgebra | None = None
+        self._weyl: tuple | None = None   # 1-tuple: _weyl_gate's outcome
 
     def brackets(self) -> GradedSuperalgebra:
         """The three local layers and the bracket evaluator over them,
@@ -355,10 +355,8 @@ class GradedSuperalgebra:
     Brackets between arbitrary stored degrees are evaluated recursively
     from the stored layer data (tensor definitions, degree +-1 actions,
     degree-0 actions) and memoized per basis pair.  ``local`` is the
-    local part the algebra extends; the evaluator a local part holds over
-    its own three layers has None there.  The Cartan data whose gate
-    ``_weyl_failure`` the algebra passed are kept, so that the extension,
-    the count and the decomposition of one algebra check it once.
+    local part the algebra extends, which carries its Cartan datum; the
+    evaluator a local part holds over its own three layers has None there.
     """
 
     def __init__(self, local: LocalSuperalgebra | None,
@@ -366,7 +364,6 @@ class GradedSuperalgebra:
         self.local = local
         self.layers = layers
         self._memo: dict[tuple, Vec] = {}
-        self._weyl_passed: set = set()
 
     def degrees(self) -> list[int]:
         return sorted(self.layers)
@@ -513,7 +510,7 @@ def weight_block_quotient(cands: Iterable, weight: Callable,
     candidates has the class ``{}``.
 
     ``data`` says that the quotient is a finite-dimensional module of the
-    diagram's algebra with integral weights (``_weyl_failure``), so that
+    diagram's algebra with integral weights (``_weyl_gate``), so that
     each block's rank, a weight multiplicity, is that of the block of its
     dominant conjugate.  The dominant blocks are then reduced first, and a
     block whose dominant conjugate has no candidates or rank 0 is never
@@ -708,7 +705,7 @@ def minimal_extension(local: LocalSuperalgebra,
     """Minimal Z-graded extension of a local part over the given degrees.
 
     When the local part carries its Cartan datum and passes the gate
-    ``_weyl_failure``, every new layer is a finite-dimensional module of
+    ``_weyl_gate``, every new layer is a finite-dimensional module of
     the diagram's algebra, and its quotient skips the weight blocks that
     Weyl symmetry proves empty (``weight_block_quotient``); the layers are
     the same either way.  A failed sl_2 bracket raises ``ValueError``
@@ -718,111 +715,117 @@ def minimal_extension(local: LocalSuperalgebra,
     if d_min > -1 or d_max < 1:
         raise ValueError("degree_range must contain [-1, 1]")
     g_alg = GradedSuperalgebra(local, dict(local.brackets().layers))
-    data = local.data
-    if data is not None and _weyl_failure(
-            g_alg, data, "no weight block is skipped") is not None:
-        data = None
+    gated = local.data is not None and _weyl_gate(local) is None
     for side, stop in ((-1, -d_min), (1, d_max)):
         for k in range(1, stop):
             g_alg.layers[side * (k + 1)] = _extend_one(
-                g_alg.layers, side, k, data)
+                g_alg.layers, side, k, local.data if gated else None)
     return g_alg
 
 
-def _weyl_failure(g_alg: GradedSuperalgebra, data: CartanData,
-                  consequence: str) -> str | None:
-    """Why the layers of ``g_alg`` beyond degrees -1, 0 and 1 are not seen
-    to be finite-dimensional modules of the diagram's algebra with
-    Weyl-invariant weight multiplicities, or None when they are.
+def _weyl_gate(local: LocalSuperalgebra) -> tuple | str | None:
+    """The outcome of ``_weyl_check`` on ``local``, kept on it once checked,
+    a failure as well as a pass; a failed bracket raises each time."""
+    if local._weyl is None:
+        local._weyl = (_weyl_check(local),)
+    return local._weyl[0]
 
-    They are when degree 0 names every ("e", i), ("f", i) and ("h", i) of
-    ``data``, the weights of degrees -1, 0 and 1 are integral, and the
-    sl_2 facts hold: [e_i, f_i] = h_i, h_j acts on e_i and f_i by the
-    labels +-(alpha_i)_j and on each basis vector of degrees +-1 by its
-    j-th label.  Each layer is then spanned by brackets of degree +-1
-    vectors, on which h_j acts by the j-th label of their weight, and e_i,
-    f_i shift weights by +-alpha_i, so each alpha_i-string of weights is a
-    finite-dimensional sl_2-module and reflection s_i keeps multiplicities
-    (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    21.2).  A missing name or a weight that is not integral is the
-    reason returned, the first worded "so ``consequence``"; a failed
-    bracket raises ``ValueError`` naming it.
-    """
-    if data in g_alg._weyl_passed:
-        return None
-    coords = {}
-    for node in range(data.r):
-        for kind in ("e", "f", "h"):
-            vec = g_alg.zero_coords_of((kind, node))
-            if vec is None:
-                return ("degree 0 of this model holds no %s_%d, so %s: a "
-                        "strong or restricted cartanification keeps in "
-                        "degree 0 only the action of degree 0 on its "
-                        "degree -1 part" % (kind, node, consequence))
-            coords[(kind, node)] = vec
+
+def _weyl_check(local: LocalSuperalgebra) -> tuple | str | None:
+    """The gate's checks on ``local``: degree 0 names every ("e", i),
+    ("f", i) and ("h", i) of ``local.data``, the weights of degrees -1, 0
+    and 1 are integral, [e_i, f_i] = h_i, and h_j acts on e_i and f_i by
+    +-(alpha_i)_j and on each basis vector of degrees +-1 by its j-th
+    label.  Each layer of an extension is then spanned by brackets of
+    degree +-1 vectors, on which h_j acts by the j-th label of their
+    weight, and e_i, f_i shift weights by +-alpha_i, so each
+    alpha_i-string of its weights is a finite-dimensional sl_2-module and
+    reflection s_i keeps multiplicities (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 21.2).  Returns None then, else
+    the (kind, node) of the first missing name or why a weight is not
+    integral; a failed bracket raises ``ValueError`` naming it."""
+    data = local.data
+    layers = local.brackets().layers
+    coords = {(kind, node): local.zero_coords_of((kind, node))
+              for node in range(data.r) for kind in ("e", "f", "h")}
+    missing = [name for name, vec in coords.items() if vec is None]
+    if missing:
+        return missing[0]
     # weights are in normal form, so an integral one holds only ints
     for d in (-1, 0, 1):
-        for w in g_alg.layers[d].weights:
+        for w in layers[d].weights:
             if any(type(m) is not int for m in w):
                 return ("weight %s at degree %d is not integral, so it is "
                         "no weight of a finite-dimensional module"
                         % (list(w), d))
     for i in range(data.r):
         e, f = coords[("e", i)], coords[("f", i)]
-        if vadd(g_alg.bracket((0, e), (0, f))[1], coords[("h", i)], -1):
+        if vadd(local.bracket_vec(0, e, 0, f), coords[("h", i)], -1):
             raise ValueError("[e_%d, f_%d] is not h_%d in degree 0"
                              % (i, i, i))
     for j in range(data.r):
         h_j = coords[("h", j)]
-        on_zero = _zero_action(g_alg, h_j, 0)
         for i, labels in enumerate(data.simple_labels):
             for kind, by in (("e", labels[j]), ("f", -labels[j])):
                 vec = coords[(kind, i)]
-                if vadd(mat_apply(on_zero, vec), vec, -by):
+                if vadd(local.bracket_vec(0, h_j, 0, vec), vec, -by):
                     raise ValueError("[h_%d, %s_%d] is not %d %s_%d in "
                                      "degree 0" % (j, kind, i, by, kind, i))
         for d in (-1, 1):
-            action = _zero_action(g_alg, h_j, d)
-            for k, w in enumerate(g_alg.layers[d].weights):
+            action = _zero_action(layers[d], h_j)
+            for k, w in enumerate(layers[d].weights):
                 if action.get(k, {}) != ({k: w[j]} if w[j] else {}):
                     raise ValueError(
                         "h_%d does not act on basis vector %d of degree %d "
                         "by its label %d" % (j, k, d, w[j]))
-    g_alg._weyl_passed.add(data)
     return None
 
 
-def _zero_action(g_alg: GradedSuperalgebra, vec: Vec, d: int) -> dict:
-    """The action of the degree-0 vector ``vec`` on degree d, as a
-    column-sparse matrix {src: [vec, src]} with the zero columns left
-    out."""
+def _zero_action(layer: Layer, vec: Vec) -> dict:
+    """The action of the degree-0 vector ``vec`` on ``layer``, column-sparse
+    {src: [vec, src]} with the zero columns left out."""
     mat: dict = {}
     for a, c in vec.items():
-        for src, img in g_alg.layers[d].act0[a].items():
+        for src, img in layer.act0[a].items():
             col = vadd_into(mat.setdefault(src, {}), img, c)
             if not col:
                 del mat[src]
     return mat
 
 
-def count_next_layer(g_alg: GradedSuperalgebra, side: int, data) -> int:
+def _gated_datum(g_alg: GradedSuperalgebra, consequence: str) -> CartanData:
+    """The Cartan datum of the local part ``g_alg`` extends, which must
+    pass the gate (``_weyl_gate``); ``ValueError`` otherwise, saying why
+    and "so ``consequence``" where the gate's reason does not."""
+    local = g_alg.local
+    failure = ("this model carries no Cartan datum, so %s" % consequence
+               if local.data is None else _weyl_gate(local))
+    if isinstance(failure, tuple):
+        failure = ("degree 0 of this model holds no %s_%d, so %s: a strong "
+                   "or restricted cartanification keeps in degree 0 only the "
+                   "action of degree 0 on its degree -1 part"
+                   % (*failure, consequence))
+    if failure is not None:
+        raise ValueError(failure)
+    return local.data
+
+
+def count_next_layer(g_alg: GradedSuperalgebra, side: int) -> int:
     """Dimension of the layer one step beyond the outermost stored layer on
     ``side`` (+1 or -1), counted and not built.
 
     The layer is a finite-dimensional module over the diagram's algebra
-    (``_weyl_failure``, which must pass), so its weight multiplicities are
+    (``_weyl_gate``, which must pass), so its weight multiplicities are
     invariant under the Weyl group: the dimension is the sum over dominant
     weights mu of mult(mu) |W mu|.  Only the candidates whose summed
     weight is dominant get T-values, and the quotient of the block of mu
-    keeps mult(mu) of them.  ``data`` is the CartanData the stored weights
-    refer to.  A missing root vector, a weight that is not integral or a
+    keeps mult(mu) of them, for the datum of the model's local part.  A
+    missing datum or root vector, a weight that is not integral or a
     failed sl_2 bracket raises ``ValueError`` naming it.
     """
     k = max(side * d for d in g_alg.layers)
-    failure = _weyl_failure(g_alg, data, "degree %d cannot be counted"
-                            % (side * (k + 1)))
-    if failure is not None:
-        raise ValueError(failure)
+    data = _gated_datum(g_alg, "degree %d cannot be counted"
+                        % (side * (k + 1)))
     cands, weight, values = _tensor_candidates(g_alg.layers, side, k)
     kept, _ = weight_block_quotient(
         (c for c in cands if min(weight(c)) >= 0), weight, values)
@@ -862,20 +865,15 @@ def decompose_module(weights: list, raisers: list, data) -> list[tuple]:
     return found
 
 
-def decompose_at_degree(g_alg: GradedSuperalgebra, d: int,
-                        data) -> list[tuple]:
+def decompose_at_degree(g_alg: GradedSuperalgebra, d: int) -> list[tuple]:
     """Decompose the degree-d component under the degree-0 action of the
-    diagram's algebra, which must pass ``_weyl_failure``: degree 0 holds
-    every simple raising operator e_i.  ``data`` is the CartanData the
-    stored weights refer to.
-    """
-    failure = _weyl_failure(g_alg, data, "degree %d cannot be decomposed"
-                            % d)
-    if failure is not None:
-        raise ValueError(failure)
-    raisers = [_zero_action(g_alg, g_alg.zero_coords_of(("e", node)), d)
+    algebra of the datum of the model's local part, which must pass
+    ``_weyl_gate``: degree 0 holds every simple raising operator e_i."""
+    data = _gated_datum(g_alg, "degree %d cannot be decomposed" % d)
+    layer = g_alg.layer(d)
+    raisers = [_zero_action(layer, g_alg.zero_coords_of(("e", node)))
                for node in range(data.r)]
-    return decompose_module(g_alg.layer(d).weights, raisers, data)
+    return decompose_module(layer.weights, raisers, data)
 
 
 # -- irreducible lowest-weight modules --------------------------------------

@@ -258,13 +258,13 @@ def _normalize_decomposition(entries) -> list:
     )
 
 
-def _dims_down_to(g_alg, lo: int, data: CartanData) -> dict:
+def _dims_down_to(g_alg, lo: int) -> dict:
     """The stored dimensions of ``g_alg``, in ascending degree, preceded
     by the counted one of degree ``lo`` when that is one step below the
     lowest stored degree."""
     dims = g_alg.dims()
     if lo < min(dims):
-        dims = {lo: count_next_layer(g_alg, -1, data), **dims}
+        dims = {lo: count_next_layer(g_alg, -1), **dims}
     return dims
 
 
@@ -341,13 +341,13 @@ def check_isomorphism(
     )
     identities = pseudo_minuscule_identities(data, cart)
 
-    cart_dims = _dims_down_to(cart.graded, lo, data)
+    cart_dims = _dims_down_to(cart.graded, lo)
     minus1_dim = cart_dims[-1]
     surjective = cart.closure(_family_products(
         phi.presentation, cart.source).values()).dim() == minus1_dim
 
     cart_decomposition = _normalize_decomposition(
-        decompose_at_degree(cart.graded, -1, data)
+        decompose_at_degree(cart.graded, -1)
     )
     sides: dict = {
         "cartanification": {
@@ -377,7 +377,7 @@ def check_isomorphism(
         direct = True
         if not jk_partition(data)[1]:
             contragredient_dims = _dims_down_to(
-                graded.minimal_extension(cart.source, built), lo, data)
+                graded.minimal_extension(cart.source, built), lo)
             sides["contragredient"] = {"dims": dict(contragredient_dims)}
             direct = contragredient_dims == cart_dims
 

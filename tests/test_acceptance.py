@@ -120,7 +120,7 @@ def test_criterion_2_strong_cartanification_matches_divergence_free_oracle():
     for n in (3, 4):
         data = CartanData(_a(n - 1), lam=(1,) + (0,) * (n - 2))
         local = build_local(data)
-        restriction = root_subalgebra(data, local, jk_partition(data)[1])
+        restriction = root_subalgebra(local, jk_partition(data)[1])
         result = cartanify(local, degree_range=(-(n - 1), 1),
                            restriction=restriction)
         assert _nonzero(result.graded.dims()) == s_model_dims(n)
@@ -136,7 +136,7 @@ def test_criterion_3_second_fundamental_minus1_decomposition():
     assert result.graded.dims()[-1] == 65
     found = {
         tuple(int(x) for x in labels): (int(mult), int(dim))
-        for labels, mult, dim in decompose_at_degree(result.graded, -1, data)
+        for labels, mult, dim in decompose_at_degree(result.graded, -1)
     }
     expected = {(0, 1, 0, 0): 10, (2, 0, 0, 0): 15, (0, 0, 1, 1): 40}
     assert found == {labels: (1, dim) for labels, dim in expected.items()}

@@ -232,7 +232,7 @@ def test_action_images_span_degree0(name, variant):
     alone: no bracket of two images leaves it."""
     data = _SPAN_DATA.get(name)
     loc = glvec_super_local(2, 1) if data is None else build_local(data)
-    restr = (root_subalgebra(data, loc, jk_partition(data)[1])
+    restr = (root_subalgebra(loc, jk_partition(data)[1])
              if variant == "strong" else None)
     res = local_cartanification(loc, restriction=restr)
     span = Span()
@@ -244,10 +244,10 @@ def test_action_images_span_degree0(name, variant):
 def test_weak_minus1_decomposition_a2():
     data = CartanData(A2, lam=[1, 0])
     res = cartanify(build_local(data), degree_range=(-2, 1))
-    dec = decompose_at_degree(res.graded, -1, data)
+    dec = decompose_at_degree(res.graded, -1)
     assert [(tuple(map(int, w)), m, dim) for w, m, dim in dec] == \
         [((1, 0), 1, 3), ((0, 2), 1, 6)]
-    dec2 = decompose_at_degree(res.graded, -2, data)
+    dec2 = decompose_at_degree(res.graded, -2)
     assert [(tuple(map(int, w)), m, dim) for w, m, dim in dec2] == \
         [((0, 1), 1, 3)]
 
@@ -291,7 +291,7 @@ def test_minus1_class_outside_restricted_quotient():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
     res = local_cartanification(
-        loc, restriction=root_subalgebra(data, loc, jk_partition(data)[1]))
+        loc, restriction=root_subalgebra(loc, jk_partition(data)[1]))
     # the weak quotient is larger than the restricted one
     with pytest.raises(ValueError, match="acts outside the cartanification"):
         for c in _candidates(loc):
@@ -315,7 +315,7 @@ def test_zero_class_roundtrip():
 def test_strong_matches_divergence_free_model(n):
     data = CartanData(series_a(n), lam=[1] + [0] * (n - 2))
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, jk_partition(data)[1])
+    restr = root_subalgebra(loc, jk_partition(data)[1])
     res = cartanify(loc, degree_range=(-n, 1), restriction=restr)
     dims = {d: v for d, v in res.graded.dims().items() if v}
     assert dims == s_model_dims(n)
@@ -324,7 +324,7 @@ def test_strong_matches_divergence_free_model(n):
 def test_strong_quotient_has_no_grading_element():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, jk_partition(data)[1])
+    restr = root_subalgebra(loc, jk_partition(data)[1])
     res = local_cartanification(loc, restriction=restr)
     assert res.local.grading is None
     rep = check_local_axioms(res.local)
@@ -336,7 +336,7 @@ def test_strong_quotient_has_no_grading_element():
 def test_embedding_carry_over_drops_outside_and_raises_on_faults():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, jk_partition(data)[1])
+    restr = root_subalgebra(loc, jk_partition(data)[1])
     res = local_cartanification(loc, restriction=restr)
     # h0 lies outside the restricted degree-0 span: dropped, not an error
     assert ("h0",) in loc.embedding
@@ -352,9 +352,9 @@ def test_embedding_carry_over_drops_outside_and_raises_on_faults():
 def test_strong_minus1_is_single_module_a2():
     data = CartanData(A2, lam=[1, 0])
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, jk_partition(data)[1])
+    restr = root_subalgebra(loc, jk_partition(data)[1])
     res = cartanify(loc, degree_range=(-2, 1), restriction=restr)
-    dec = decompose_at_degree(res.graded, -1, data)
+    dec = decompose_at_degree(res.graded, -1)
     assert [(tuple(map(int, w)), m, dim) for w, m, dim in dec] == \
         [((0, 2), 1, 6)]
 
@@ -363,7 +363,7 @@ def test_gminus_nodes_and_root_subalgebra():
     data = CartanData(series_a(4), lam=[1, 0, 0])
     assert jk_partition(data)[1] == (1, 2)
     loc = build_local(data)
-    restr = root_subalgebra(data, loc, (1, 2))
+    restr = root_subalgebra(loc, (1, 2))
     assert len(restr) == 8   # sl(3): 2 Cartan + 6 root vectors
     named = {loc.zero_names[i] for v in restr for i in v}
     assert ("h", 1) in named and ("h", 2) in named
@@ -512,7 +512,7 @@ def _a2_local():
 def _strong_a3():
     data = CartanData(A3, lam=[1, 0, 0])
     loc = build_local(data)
-    return loc, root_subalgebra(data, loc, jk_partition(data)[1])
+    return loc, root_subalgebra(loc, jk_partition(data)[1])
 
 
 @pytest.mark.parametrize("make", [

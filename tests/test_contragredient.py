@@ -117,10 +117,10 @@ def test_serre_relations_hold():
 def test_decompose_wings():
     data = CartanData(A2, lam=[1, 0])
     ext = build_graded(data, (-2, 2))
-    assert decompose_at_degree(ext, 1, data) == [
+    assert decompose_at_degree(ext, 1) == [
         ((Fraction(0), Fraction(1)), 1, 3)
     ]
-    assert decompose_at_degree(ext, -1, data) == [
+    assert decompose_at_degree(ext, -1) == [
         ((Fraction(1), Fraction(0)), 1, 3)
     ]
 
@@ -130,5 +130,5 @@ def test_decompose_degree_two():
     ext = build_graded(data, (-2, 2))
     lam4 = tuple(Fraction(x) for x in (0, 0, 0, 1))
     lam1 = tuple(Fraction(x) for x in (1, 0, 0, 0))
-    assert decompose_at_degree(ext, -2, data) == [(lam4, 1, 5)]
-    assert decompose_at_degree(ext, 2, data) == [(lam1, 1, 5)]
+    assert decompose_at_degree(ext, -2) == [(lam4, 1, 5)]
+    assert decompose_at_degree(ext, 2) == [(lam1, 1, 5)]

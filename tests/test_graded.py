@@ -804,7 +804,7 @@ def test_each_block_is_valued_when_it_is_reduced(valuations):
     block Weyl symmetry proves empty is never valued."""
     data = CartanData([[2, -2], [-1, 2]], [2, 1], lam=(0, 1))
     g_alg = cartanify(build_local(data), degree_range=(-3, 1)).graded
-    graded.decompose_at_degree(g_alg, -2, data)
+    graded.decompose_at_degree(g_alg, -2)
     assert len(valuations) > 4
     assert _check_valuation_order(valuations) > 0
     datums = [events[0][1] for _, _, events in valuations]
@@ -815,7 +815,7 @@ def test_count_values_only_dominant_candidates(valuations):
     data = CartanData(A2, lam=(1, 0))
     cart = cartanify(build_local(data), degree_range=(-1, 1)).graded
     valuations.clear()
-    assert graded.count_next_layer(cart, -1, data) == 3
+    assert graded.count_next_layer(cart, -1) == 3
     (_, weight, events), = valuations
     cands = list(graded._tensor_candidates(cart.layers, -1, 1)[0])
     dominant = [c for c in cands if min(weight(c)) >= 0]
@@ -929,14 +929,14 @@ def _cartan_data(draw):
 def test_counted_layer_is_the_built_one(data):
     local = build_local(data)
     cart = cartanify(local, degree_range=(-2, 1)).graded
-    assert (graded.count_next_layer(_window(cart, -1, 1), -1, data)
+    assert (graded.count_next_layer(_window(cart, -1, 1), -1)
             == cart.layer(-2).dim)
     contragredient = graded.minimal_extension(local, (-3, 3))
     for lo, hi in ((-1, 1), (-2, 2)):
         window = _window(contragredient, lo, hi)
-        assert (graded.count_next_layer(window, -1, data)
+        assert (graded.count_next_layer(window, -1)
                 == contragredient.layer(lo - 1).dim)
-        assert (graded.count_next_layer(window, 1, data)
+        assert (graded.count_next_layer(window, 1)
                 == contragredient.layer(hi + 1).dim)
 
 
@@ -950,8 +950,8 @@ def test_count_needs_every_simple_root_vector():
         replace(local, embedding=embedding), cart.layers)
     with pytest.raises(ValueError, match="holds no f_0, so degree -2 "
                                          "cannot be counted"):
-        graded.count_next_layer(broken, -1, data)
-    assert graded.count_next_layer(cart, -1, data) == 3
+        graded.count_next_layer(broken, -1)
+    assert graded.count_next_layer(cart, -1) == 3
 
 
 def test_count_of_an_empty_degree_zero():
@@ -959,32 +959,64 @@ def test_count_of_an_empty_degree_zero():
     # degrees -1 and 0 and holds no e_0 to count degree -2 with
     data = CartanData([[2]], lam=[1])
     local = build_local(data)
-    strong = root_subalgebra(data, local, jk_partition(data)[1])
+    strong = root_subalgebra(local, jk_partition(data)[1])
     cart = cartanify(local, degree_range=(-1, 1), restriction=strong).graded
     assert cart.dims() == {-1: 0, 0: 0, 1: 2}
     with pytest.raises(ValueError, match=r"^degree 0 of this model holds no "
                                          r"e_0, so degree -2 cannot be "
                                          r"counted: "):
-        graded.count_next_layer(cart, -1, data)
+        graded.count_next_layer(cart, -1)
 
 
 def test_count_rejects_a_non_integral_weight():
+    """The gate reads the weights of the local part's three layers."""
     data = CartanData(A2, lam=(1, 0))
     cart = cartanify(build_local(data), degree_range=(-1, 1)).graded
-    minus = cart.layer(-1)
-    layers = dict(cart.layers)
-    layers[-1] = replace(minus, weights=[
-        (Fraction(1, 2),) + minus.weights[0][1:], *minus.weights[1:]])
+    weights = cart.local.neg_weights
+    broken = replace(cart.local, neg_weights=[
+        (Fraction(1, 2),) + weights[0][1:], *weights[1:]])
     with pytest.raises(ValueError, match="not integral"):
         graded.count_next_layer(
-            graded.GradedSuperalgebra(cart.local, layers), -1, data)
+            graded.GradedSuperalgebra(broken, cart.layers), -1)
+
+
+@pytest.mark.parametrize("measure", [
+    lambda g_alg: graded.count_next_layer(g_alg, -1),
+    lambda g_alg: graded.decompose_at_degree(g_alg, -1),
+], ids=["count", "decompose"])
+def test_a_model_without_a_datum_is_neither_counted_nor_decomposed(measure):
+    g_alg = graded.minimal_extension(glvec_local(4), (-1, 1))
+    with pytest.raises(ValueError, match=r"^this model carries no Cartan "
+                                         r"datum, so degree -[12] cannot "
+                                         r"be (counted|decomposed)$"):
+        measure(g_alg)
+
+
+def test_the_gate_is_checked_once_per_local_part(monkeypatch):
+    """Two windows of one local cartanification and a count on one of
+    them read the outcome the first window's extension left on the local
+    part."""
+    checked = []
+    check = graded._weyl_check
+
+    def spy(local):
+        checked.append(local)
+        return check(local)
+
+    monkeypatch.setattr(graded, "_weyl_check", spy)
+    data = CartanData(A3, lam=(1, 0, 0))
+    cart = cartan.local_cartanification(build_local(data))
+    narrow, wide = cart.over((-2, 1)), cart.over((-3, 1))
+    assert graded.count_next_layer(narrow.graded, -1) \
+        == wide.graded.layer(-3).dim > 0
+    assert checked == [cart.local]
 
 
 # -- weight blocks skipped by Weyl symmetry ----------------------------------
 
 
-def _weyl_gate_passes(g_alg, data):
-    return graded._weyl_failure(g_alg, data, "") is None
+def _weyl_gate_passes(g_alg):
+    return graded._weyl_gate(g_alg.local) is None
 
 
 def _assert_skip_changes_nothing(g_alg, data):
@@ -1011,7 +1043,7 @@ def test_weyl_skip_keeps_the_quotient_on_generated_data(data):
     local = build_local(data)
     for g_alg in (graded.minimal_extension(local, (-3, 3)),
                   cartanify(local, degree_range=(-2, 1)).graded):
-        assert _weyl_gate_passes(g_alg, data)
+        assert _weyl_gate_passes(g_alg)
         _assert_skip_changes_nothing(g_alg, data)
 
 
@@ -1021,7 +1053,7 @@ def _a4w1(variant):
     data = CartanData(A4, lam=(1, 0, 0, 0))
     local = build_local(data)
     restriction = None if variant == "W" else \
-        root_subalgebra(data, local, jk_partition(data)[1])
+        root_subalgebra(local, jk_partition(data)[1])
     return cartanify(local, degree_range=(-5, 1),
                      restriction=restriction).graded, data
 
@@ -1029,7 +1061,7 @@ def _a4w1(variant):
 @pytest.mark.parametrize("variant", ["W", "S"])
 def test_weyl_skip_keeps_the_quotient_on_w5_and_s5(variant):
     g_alg, data = _a4w1(variant)
-    assert _weyl_gate_passes(g_alg, data)
+    assert _weyl_gate_passes(g_alg)
     _assert_skip_changes_nothing(g_alg, data)
 
 
@@ -1074,7 +1106,7 @@ def test_weyl_gate_rejects_a_failed_sl2_fact(change, message):
         graded.minimal_extension(broken, (-2, 1))
     window = graded.GradedSuperalgebra(broken, broken.brackets().layers)
     with pytest.raises(ValueError, match=message):
-        graded.count_next_layer(window, -1, data)
+        graded.count_next_layer(window, -1)
 
 
 def test_no_block_is_skipped_without_the_gate(valuations):
@@ -1084,9 +1116,9 @@ def test_no_block_is_skipped_without_the_gate(valuations):
     graded.minimal_extension(glvec_local(4), (-3, 1))
     data = CartanData([[2]], lam=[1])
     local = build_local(data)
-    strong = root_subalgebra(data, local, jk_partition(data)[1])
+    strong = root_subalgebra(local, jk_partition(data)[1])
     cart = cartanify(local, degree_range=(-3, 1), restriction=strong)
-    assert not _weyl_gate_passes(cart.graded, data)
+    assert not _weyl_gate_passes(cart.graded)
     assert len(valuations) > 2
     assert _check_valuation_order(valuations) == 0
     for cands, _, events in valuations:

@@ -381,7 +381,7 @@ class TestSharedModule:
     @pytest.mark.parametrize("make, message", [
         (lambda data: local_cartanification(
             build_local(data), restriction=root_subalgebra(
-                data, build_local(data), jk_partition(data)[1])),
+                build_local(data), jk_partition(data)[1])),
          "restricted"),
         (lambda data: local_cartanification(build_local(_DATA["a3"]())),
          "other data"),
