@@ -23,7 +23,10 @@ weight-homogeneous, so each span keeps one block per weight
 (``WeightedSolver``) and reads a vector's weight off its coordinates,
 degree-0 basis vectors or pivots.  Degree 0 moves classes by the
 derivation rule [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j],
-which needs only the local brackets and the candidates' classes.  The
+which needs only the local brackets and the candidates' classes.  A
+move lands on the pivots of the summed weight, so the quotient's degree-0
+action ``b0m`` visits the minus basis one weight class at a time and
+skips a class outright when no pivot has that sum.  The
 quotient is well defined only if the kernel is stable under that action,
 and this is checked under a generating set S of degree 0 alone.
 ``degree0_generators`` builds the one tree of brackets that closes S to a
@@ -475,15 +478,29 @@ def local_cartanification(local: LocalSuperalgebra,
             br = local.bracket_vec(0, us, 1, {q: 1})
             if br:
                 b0p[(s, q)] = br
+    # A move from weight w lands at the weight of u_s plus w, on a sum of
+    # pivots of that weight, so it is {} for a whole weight class of the
+    # minus basis when no pivot has that weight.  The weak minus basis is
+    # the pivots' unit classes in kept order, so a move is its own class
+    # there; a restricted one solves, which checks that it is closed.
+    pivot_weight_set = set(pivot_weights)
+    minus_by_weight: dict = {}
+    for t, (v, w) in enumerate(minus_basis):
+        minus_by_weight.setdefault(w, []).append((t, v))
     b0m = {}
     for s, us in enumerate(zero_basis):
-        for t, (v, _) in enumerate(minus_basis):
-            cls = minus_solver.express(move(us, v))
-            if cls is None:
-                raise ValueError("degree -1 classes are not closed under "
-                                 "the degree-0 action")
-            if cls:
-                b0m[(s, t)] = cls
+        for w, members in minus_by_weight.items():
+            if wsum(zero_wts[s], w) not in pivot_weight_set:
+                continue
+            for t, v in members:
+                cls = move(us, v)
+                if rbasis is not None:
+                    cls = minus_solver.express(cls)
+                    if cls is None:
+                        raise ValueError("degree -1 classes are not closed "
+                                         "under the degree-0 action")
+                if cls:
+                    b0m[(s, t)] = cls
     # [z_q, w_t] from the stored action [w_t, z_q] by super-antisymmetry.
     bpm = {}
     for t, act in enumerate(images):

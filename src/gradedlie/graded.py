@@ -61,15 +61,15 @@ assumption; it reads only the three layers of a local part and the
 datum the local part carries (``LocalSuperalgebra.data``, the one home
 of a model's datum), so it is checked once per local part
 (``_weyl_gate``).  Past the gate the extension hands the datum to the
-quotient, which reduces the dominant blocks first and never values a
-block whose dominant conjugate (``CartanData.dominant_conjugate``) kept
-nothing; the layers are the same without it.  ``count_next_layer``
-gives the dimension of the layer one step beyond the outermost stored
-one without building it, from the ranks of the blocks of dominant
-summed weight and their orbit sizes (``CartanData.orbit_size``).  The
-count and ``decompose_at_degree`` require the gate.  The extension and
-the count take their candidates, weights and T-values from
-``_tensor_candidates``.
+quotient, which reduces the dominant blocks first and then values only
+the blocks in the Weyl orbits (``CartanData.orbit``) of the dominant
+blocks that kept something; the layers are the same without it.
+``count_next_layer`` gives the dimension of the layer one step beyond
+the outermost stored one without building it, from the ranks of the
+blocks of dominant summed weight and their orbit sizes
+(``CartanData.orbit_size``).  The count and ``decompose_at_degree``
+require the gate.  The extension and the count take their candidates,
+weights and T-values from ``_tensor_candidates``.
 
 A zero layer stops the side: further layers are generated by bracketing
 the zero layer with degree -+1, hence zero as well.
@@ -511,11 +511,15 @@ def weight_block_quotient(cands: Iterable, weight: Callable,
 
     ``data`` says that the quotient is a finite-dimensional module of the
     diagram's algebra with integral weights (``_weyl_gate``), so that
-    each block's rank, a weight multiplicity, is that of the block of its
-    dominant conjugate.  The dominant blocks are then reduced first, and a
-    block whose dominant conjugate has no candidates or rank 0 is never
-    valued: its candidates get the class ``{}``.  The triples and classes
-    are those of the quotient without ``data``.
+    each block's rank, a weight multiplicity, is that of the dominant
+    block in its Weyl orbit.  The dominant blocks, every label >= 0, are
+    then reduced first, and a block is valued only when its weight lies
+    in the orbit (``CartanData.orbit``) of a dominant block that kept
+    something; any other block's candidates get the class ``{}``.  Every
+    weight of such an orbit is a weight of the quotient, so the orbits
+    together never hold more weights than there are blocks, and an orbit
+    weight without candidates raises ``ValueError`` naming it.  The
+    triples and classes are those of the quotient without ``data``.
     """
     def reduce(blk: list) -> tuple[list, list, list]:
         """The block's pivots, reduced pivot rows and pivots' values."""
@@ -532,19 +536,27 @@ def weight_block_quotient(cands: Iterable, weight: Callable,
     order = sorted(blocks)
     first: dict = {}        # the dominant blocks, reduced before the others
     if data is not None:
-        dom = {w: data.dominant_conjugate(w) for w in order}
-        first = {w: reduce(blocks[w]) for w in order if dom[w] == w}
-        nonzero = {w for w, (piv, _, _) in first.items() if piv}
+        first = {w: reduce(blocks[w]) for w in order if min(w) >= 0}
+        orbits = set()      # the weights of nonzero multiplicity
+        for mu, (piv, _, _) in first.items():
+            if piv:
+                orbits.update(data.orbit(mu))
+        missing = orbits.difference(blocks)
+        if missing:
+            raise ValueError(
+                "weight %s lies in the Weyl orbit of a kept dominant weight "
+                "but has no candidates, so the quotient is no module of the "
+                "diagram's algebra" % (min(missing),))
     kept: list = []
     classes: dict = {}
     for w in order:
         blk = blocks.pop(w)
         if w in first:
             piv, red, vals = first.pop(w)
-        elif data is None or dom[w] in nonzero:
+        elif data is None or w in orbits:
             piv, red, vals = reduce(blk)
         else:
-            piv = red = vals = ()   # rank 0, as its dominant conjugate's
+            piv = red = vals = ()   # rank 0: in no kept dominant orbit
         cls = [classes.setdefault(cand, {}) for cand in blk]
         for r, row in enumerate(red, len(kept)):
             for col, c in row.items():

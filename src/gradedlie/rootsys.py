@@ -26,8 +26,8 @@ datum, and ``enumerate_roots``, ``weyl_dimension``, ``highest_roots``,
 ``root_action`` all read them.  So does ``weyl_order``, the
 order of a parabolic subgroup of the Weyl group from the exponents,
 memoised per node set, which gives ``orbit_size``, |W mu| of a dominant
-weight, without enumerating the group; ``dominant_conjugate`` finds the
-dominant weight in the orbit of integral labels by simple reflections.
+weight, without enumerating the group; ``orbit`` lists the orbit of a
+dominant integral weight by simple reflections at its positive labels.
 ``extended_entry(i, j)`` is the one copy of the matrix extended by an odd
 node, index ``EXT = -1``: B_EXT,j = -lambda_j/epsilon_j, B_i,EXT =
 -lambda_i, B_EXT,EXT = 0 and B_ij = A_ij otherwise.
@@ -218,22 +218,33 @@ class CartanData:
         return self.weyl_order() // self.weyl_order(
             [i for i, x in enumerate(m) if x == 0])
 
-    def dominant_conjugate(self, mu: Sequence) -> tuple[int, ...]:
-        """The dominant weight in the Weyl orbit of integral labels mu,
-        reached by simple reflections at negative labels (``weyl_reflect``'s
-        rule, r_k mu = mu - mu_k alpha_k); the datum must be of finite
-        type."""
+    def orbit(self, mu: Sequence) -> tuple[tuple[int, ...], ...]:
+        """The Weyl orbit of a dominant integral weight mu, mu first.
+
+        Each weight reached is reflected by s_k wherever its label k is
+        positive (``weyl_reflect``'s rule, s_k nu = nu - nu_k alpha_k), so
+        every step goes down by a positive multiple of alpha_k.  Every
+        other weight of the orbit has a negative label k, and s_k takes it
+        one such step closer to mu, so the steps down from mu reach the
+        whole orbit (Humphreys, Introduction to Lie Algebras and
+        Representation Theory, 13.2).  The datum must be of finite type.
+        """
         m = self.weight(mu)
-        if any(type(x) is not int for x in m):
-            raise ValueError("weight %s is not integral" % (list(mu),))
+        if not self.is_dominant_integral(m):
+            raise ValueError("weight %s is not dominant integral"
+                             % (list(mu),))
         _require_finite(self)
-        while True:
-            for k, x in enumerate(m):
-                if x < 0:
-                    break
-            else:
-                return tuple(m)
-            m = [y - x * c for y, c in zip(m, self.simple_labels[k])]
+        seen = {m}
+        out = [m]
+        for nu in out:
+            for k, x in enumerate(nu):
+                if x > 0:
+                    image = tuple(y - x * c
+                                  for y, c in zip(nu, self.simple_labels[k]))
+                    if image not in seen:
+                        seen.add(image)
+                        out.append(image)
+        return tuple(out)
 
     # -- diagram structure ------------------------------------------------
 

@@ -13,7 +13,9 @@ is counted on a window.
 
 ``weyl_orbit`` enumerates the Weyl orbit of a weight by closing it under
 the simple reflections, the brute-force count behind
-``CartanData.orbit_size``.
+``CartanData.orbit_size`` and the set behind ``CartanData.orbit``;
+``dominant_conjugate`` finds the dominant weight in an orbit by walking
+up from the other side.
 """
 
 from __future__ import annotations
@@ -113,3 +115,18 @@ def weyl_orbit(data, mu):
                     new.append(image)
         frontier = new
     return orbit
+
+
+def dominant_conjugate(data, mu):
+    """The dominant weight in the Weyl orbit of integral labels ``mu`` on
+    finite-type ``data``, reached by simple reflections at negative
+    labels, each of which raises the weight by a multiple of a simple
+    root."""
+    m = tuple(mu)
+    if any(Fraction(x).denominator != 1 for x in m):
+        raise ValueError("weight %s is not integral" % (list(mu),))
+    while True:
+        negative = [k for k, x in enumerate(m) if x < 0]
+        if not negative:
+            return m
+        m = weyl_reflect(data, negative[0], m)

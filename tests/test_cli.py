@@ -583,6 +583,8 @@ class TestGoldenReports:
 
 A4_SPEC = ('{"cartan_matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], '
            '[0, -1, 2, -1], [0, 0, -1, 2]], "lambda": [0, 1, 0, 0]}')
+A4W1_SPEC = ('{"cartan_matrix": [[2, -1, 0, 0], [-1, 2, -1, 0], '
+             '[0, -1, 2, -1], [0, 0, -1, 2]], "lambda": [1, 0, 0, 0]}')
 C3_SPEC = ('{"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]], '
            '"epsilon": ["1", "1", "2"], "lambda": [1, 0, 0]}')
 
@@ -595,7 +597,9 @@ def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
     C2 w1 check-all shares one local part and one local cartanification
     among its commands; the C3 w1 check-iso checks kernel invariance over
     the generators of degree 0 and the representation identity along the
-    tree that closes them."""
+    tree that closes them; the extension of S(5), the strong A4 w1
+    cartanification over -5..1, values the weight blocks in the Weyl
+    orbits of the dominant ones, held as sets of weights."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gradedlie.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
@@ -603,7 +607,9 @@ def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
     for args in (["check-all", "--spec", A2_SPEC, "--degrees=-2..1"],
                  ["check-all", "--spec", C2_SPEC],
                  ["check-iso", "--spec", C3_SPEC],
-                 ["tha-minus1", "--spec", A4_SPEC, "--variant", "W"]):
+                 ["tha-minus1", "--spec", A4_SPEC, "--variant", "W"],
+                 ["cartanify", "--spec", A4W1_SPEC, "--variant", "S",
+                  "--degrees=-5..1"]):
         args = args + ["--no-cache"]
         assert cli.main(args) == 0
         in_process = _strip_timing(capsys.readouterr().out)

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import canonical
+import oracles
 from fixtures_gl import glvec_local, glvec_super_local, graded_gl_local
 from gradedlie import cartan, graded
 from gradedlie.cartan import cartanify, root_subalgebra
@@ -445,6 +446,13 @@ def _tables(ext):
             for d, lay in sorted(ext.layers.items())]
 
 
+def _strong_a3w1():
+    data = CartanData(A3, lam=[1, 0, 0])
+    local = build_local(data)
+    return cartanify(local, degree_range=(-3, 1), restriction=root_subalgebra(
+        local, jk_partition(data)[1])).graded
+
+
 _TABLE_CASES = {
     "glvec4": lambda: graded.minimal_extension(glvec_local(4), (-4, 4)),
     "osp14": lambda: graded.minimal_extension(osp14_local(), (-4, 4)),
@@ -452,6 +460,8 @@ _TABLE_CASES = {
         principal_local(CartanData(G2, [1, 3])), (-5, 5)),
     "A3w1": lambda: cartanify(build_local(CartanData(A3, lam=[1, 0, 0])),
                               degree_range=(-3, 1)).graded,
+    # the strong cartanification solves each b0m move over its minus basis
+    "A3w1-S": _strong_a3w1,
     "gl21": lambda: graded.minimal_extension(glvec_super_local(2, 1),
                                              (-3, 3)),
     "pgl32": lambda: graded.minimal_extension(pgl_local(), (-3, 3)),
@@ -462,6 +472,7 @@ _TABLE_DIGESTS = {
     "osp14": "d1382638e9bc632554a9a28a5c2eb226b4391aaaa2160934c37290d9ae616f6f",
     "G2": "4f31f09662821c87e3269ea1f71d2c4d782f26402cf80227dd9e4d6b85cf7113",
     "A3w1": "9e83f8a7e95a29429d6177b5c6a29a6946431ece6545c61082e6fc8c95fdb951",
+    "A3w1-S": "faab727d1ad440f5a6c94555ae47ceca00f5df447dff2d6e313282c9ef6010a9",
     "gl21": "46a2730c1035956d0aa667d99591ba2f4565291d15ecc468819d5b2427495cc7",
     "pgl32": "0d7c779d635380c9cf1aaedcc45775a89ac52da7a59537a8347791edfef1bbc1",
 }
@@ -785,7 +796,7 @@ def _check_valuation_order(calls) -> int:
         if datum is None:
             assert order == sorted(by_weight)
             continue
-        dom = {w: datum.dominant_conjugate(w) for w in by_weight}
+        dom = {w: oracles.dominant_conjugate(datum, w) for w in by_weight}
         first = sorted(w for w in by_weight if dom[w] == w)
         assert order[:len(first)] == first
         ranks = dict(blocks[:len(first)])
@@ -1063,6 +1074,29 @@ def test_weyl_skip_keeps_the_quotient_on_w5_and_s5(variant):
     g_alg, data = _a4w1(variant)
     assert _weyl_gate_passes(g_alg)
     _assert_skip_changes_nothing(g_alg, data)
+
+
+def test_orbit_weight_without_candidates_raises():
+    """Over A1 the weight (2,) keeps a vector, so its orbit's (-2,) is a
+    weight of the quotient too; with no candidates there the quotient is
+    no module, and the error names the weight."""
+    with pytest.raises(ValueError, match=r"weight \(-2,\) lies in the Weyl "
+                                         r"orbit"):
+        graded.weight_block_quotient(
+            ["x"], lambda cand: (2,), lambda cand: {0: {0: 1}},
+            CartanData([[2]]))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_cartan_data())
+def test_weak_b0m_stores_each_move_as_its_class(data):
+    """The weak minus basis is the pivots' unit classes in kept order, so
+    a move is its own class: the minus solver gives back every stored b0m
+    value."""
+    cart = cartan.local_cartanification(build_local(data))
+    assert not cart.restricted and cart.local.b0m
+    for vec in cart.local.b0m.values():
+        assert cart._minus_solver.express(vec) == vec
 
 
 @pytest.mark.parametrize("variant", ["W", "S"])

@@ -231,15 +231,53 @@ def test_weyl_group_order(a, eps, order):
     (_C3, [1, 1, 2]), (D4, None), (G2, [1, 3]),
 ], ids=["A1", "A3", "B2", "B3", "C3", "D4", "G2"])
 def test_dominant_conjugate_is_constant_on_orbits(a, eps):
+    """The tests' dominant conjugate, which checks which blocks the
+    extension values, against the orbits it walks up."""
     data = CartanData(a, eps)
     for mu in itertools.product(range(2), repeat=data.r):
         for nu in oracles.weyl_orbit(data, mu):
-            assert data.dominant_conjugate(nu) == mu, nu
+            assert oracles.dominant_conjugate(data, nu) == mu, nu
 
 
 def test_dominant_conjugate_needs_integral_labels():
     with pytest.raises(ValueError, match="not integral"):
-        CartanData(A2).dominant_conjugate((Fraction(1, 2), -1))
+        oracles.dominant_conjugate(CartanData(A2), (Fraction(1, 2), -1))
+
+
+def _orbit_cases():
+    """Every dominant weight with labels <= 1 on the generated data of rank
+    at most 4, and the fundamental weights of E6 and F4."""
+    for name in sorted(_GENERATED):
+        a, eps = _GENERATED[name]
+        if len(a) <= 4:
+            for mu in itertools.product(range(2), repeat=len(a)):
+                yield name, a, eps, mu
+    for name in ("E6", "F4"):
+        a, eps = _GENERATED[name]
+        for i in range(len(a)):
+            yield name, a, eps, tuple(int(j == i) for j in range(len(a)))
+
+
+def test_orbit_matches_enumeration():
+    """``CartanData.orbit`` lists each weight of the orbit once, the
+    dominant one first: the closure under all simple reflections, of
+    size ``orbit_size``."""
+    cases = list(_orbit_cases())
+    assert {name for name, *_ in cases} >= {"A4", "B4", "C4", "D4", "F4",
+                                            "G2", "E6"}
+    for name, a, eps, mu in cases:
+        data = CartanData(a, eps)
+        orbit = data.orbit(mu)
+        assert orbit[0] == mu, (name, mu)
+        assert len(set(orbit)) == len(orbit) == data.orbit_size(mu)
+        assert set(orbit) == oracles.weyl_orbit(data, mu), (name, mu)
+
+
+@pytest.mark.parametrize("mu", [(1, -1), (Fraction(1, 2), 0)],
+                         ids=["not-dominant", "not-integral"])
+def test_orbit_needs_dominant_integral_labels(mu):
+    with pytest.raises(ValueError, match="not dominant integral"):
+        CartanData(A2).orbit(mu)
 
 
 def test_orbit_size_needs_a_dominant_weight():
