@@ -50,24 +50,26 @@ seeds, and its relations among g's root vectors -- the commutators
 [e_i, f_j] = delta_ij h_j and the Serre relations -- as operator
 identities on every cell (the others name h_i, h0 or e0).  Rewrites
 and table entries are kept fully reduced, so a normal form is one
-substitution pass and an action is a sum of entries.  Deductions are
-driven by a queue, as in Felsch-style coset enumeration (Havas, ISSAC
-1991) and vector enumeration (Linton, 1993): each round defines the
-actions on the frontier, the cells the round before made that are still
-alive, and every relation instance is imposed once, when it can first be
-evaluated.  A group with an instance waiting on a missing entry records
-the cells it looked up and runs again when one of them is rewritten or
-gains an entry; a waiting seed relation or transfer of an entry off a
-rewritten cell is tried again on the next pass.  An imposed instance's
-value can later change only by images of span elements under the
-actions, and those transfers impose them.  The fixpoint at each depth
-depends only on the span of the imposed relations, not on their order.
+substitution pass and an action is a sum of entries.  Each round
+defines the actions on the frontier, the cells the round before made that
+are still alive, and then drains in passes, as in vector enumeration
+(Linton, 1993): a pass runs, in cell order, the group of every alive cell
+that has joined a frontier and still has an instance not imposed, then
+the waiting seed relations, then the transfers of entries off rewritten
+cells.  Every relation instance is imposed once, in the first pass that
+can evaluate it; one waiting on a missing entry is tried again in the
+next pass.  Entries are made only at the start of a round, so within a
+drain only a rewrite can make a waiting instance evaluable, and the drain
+stops after a pass that rewrites nothing.  An imposed instance's value
+can later change only by images of span elements under the actions, and
+those transfers impose them.  The fixpoint at each depth depends only on
+the span of the imposed relations, not on their order.
 
 When the frontier comes out empty every action is defined on every
-surviving cell, and one certifying pass runs every seed relation and
-every cell's group; if it imposes anything the queue missed a deduction
-and ``ValueError`` names the instance.  After a clean pass the span *is*
-the presented module: any module generated by the seeds in which the
+surviving cell, and one certifying pass runs every cell's group and
+every seed relation in full; if it imposes anything the drain missed a
+deduction and ``ValueError`` names the instance.  After a clean pass the
+span *is* the presented module: any module generated by the seeds in which the
 seed relations hold is a quotient of it, and every rewrite performed
 lies in the relation submodule, so nothing was collapsed beyond it.
 That state is the stabilization certificate, and the enumeration stops
@@ -285,17 +287,14 @@ class _CellBudgetExhausted(Exception):
 
 
 class _Enumeration:
-    """Cells, partial action tables, fully reduced rewrites, and the queue
-    of instance groups that a new deduction can affect.
+    """Cells, partial action tables and fully reduced rewrites.
 
     Every rewrite and every table entry names alive cells only: ``impose``
     substitutes each new rewrite into the vectors that name its pivot,
     found through ``users`` (cell -> {id: vector}).  ``done[c]`` is the
-    bitmask of cell c's group instances already imposed.  ``readers``
-    maps a cell to the groups that wait on a missing entry and looked it
-    up; ``touch`` puts them back on ``queue``.  ``orphans`` lists the
-    (op, cell) entries that rewritten cells still hold, and ``alive_by_wt``
-    counts the alive cells of each weight.
+    bitmask of cell c's group instances already imposed.  ``orphans``
+    lists the (op, cell) entries that rewritten cells still hold, and
+    ``alive_by_wt`` counts the alive cells of each weight.
     """
 
     def __init__(self, data: CartanData, cell_cap: int):
@@ -309,11 +308,7 @@ class _Enumeration:
         self.tab: dict[tuple, dict[int, Vec]] = {op: {} for op in self.ops}
         self.rw: dict[int, Vec] = {}
         self.users: dict[int, dict] = {}
-        self.readers: dict[int, set] = {}
         self.orphans: list = []
-        self.queue: set = set()
-        self.running: int | None = None   # cell whose group is running
-        self.reads: set | None = None     # cells that group looked up
         self.certifying = False
 
     def new_cell(self, weight: tuple) -> int:
@@ -322,9 +317,7 @@ class _Enumeration:
         self.wt.append(weight)
         self.done.append(0)
         self.alive_by_wt[weight] = self.alive_by_wt.get(weight, 0) + 1
-        cell = len(self.wt) - 1
-        self.readers[cell] = {cell}    # its group waits on its entries
-        return cell
+        return len(self.wt) - 1
 
     def alive(self, c: int) -> bool:
         return c not in self.rw
@@ -345,20 +338,6 @@ class _Enumeration:
         for c in cells:
             self.users.setdefault(c, {})[id(vec)] = vec
 
-    def touch(self, c: int) -> None:
-        """Queue the groups waiting on cell c: it died or gained an entry."""
-        group = self.readers.pop(c, None)
-        if group:
-            self.queue.update(group)
-        if self.reads is not None and c in self.reads:
-            self.queue.add(self.running)
-
-    def wait(self) -> None:
-        """The running group waits on an entry: register it as a reader of
-        every cell it looked up."""
-        for x in self.reads:
-            self.readers.setdefault(x, set()).add(self.running)
-
     def define(self, op: tuple, c: int) -> None:
         """Define op on cell c as a new cell of the shifted weight."""
         kind, i = op
@@ -368,15 +347,12 @@ class _Enumeration:
                                    for a, b in zip(self.wt[c], shift))): 1}
         self.use(ent, ent)
         self.tab[op][c] = ent
-        self.touch(c)
 
     def act(self, op: tuple, vec: Vec) -> Vec | None:
         """op applied to vec, or None when an entry is missing."""
         if not vec:
             return {}
         vec = self.nf(vec)
-        if self.reads is not None:
-            self.reads.update(vec)
         table = self.tab[op]
         out: Vec = {}
         for c, co in vec.items():
@@ -397,7 +373,7 @@ class _Enumeration:
         """Assert vec == 0; rewrite its newest cell when it is not.
 
         In the certifying pass a nonzero normal form is an error: the
-        queue missed the deduction ``instance`` names.
+        drain missed the deduction ``instance`` names.
         """
         if vec is None:
             return False
@@ -419,7 +395,6 @@ class _Enumeration:
         self.use(new, new)
         self.alive_by_wt[self.wt[piv]] -= 1
         self.orphans += [(op, piv) for op in self.ops if piv in self.tab[op]]
-        self.touch(piv)
         return True
 
 
@@ -522,9 +497,9 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
 
     Words of simple raising/lowering actions applied to the family seeds
     are enumerated breadth-first: a round applies every action to each
-    frontier cell, then drains the deduction queue, imposing each
-    relation instance once (see the module docstring).  An empty
-    frontier means the tables are total; the result is "complete" only
+    frontier cell, then imposes the relation instances in passes until
+    one rewrites nothing, each instance once (see the module docstring).
+    An empty frontier means the tables are total; the result is "complete" only
     after the certifying pass then came out clean, and it raises
     ``ValueError`` naming any instance that pass imposes.  If a round
     would create a cell beyond ``cell_cap`` the run stops there,
@@ -556,7 +531,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
             for c in frontier:
                 for op in enum.ops:
                     enum.define(op, c)
-            waiting = _drain(enum, seeds, waiting, plan)
+            waiting = _drain(enum, seeds, waiting, plan, range(made))
             history.append({w: n for w, n in enum.alive_by_wt.items() if n})
             frontier = [c for c in range(made, len(enum.wt))
                         if enum.alive(c)]
@@ -597,20 +572,19 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
 
 
 def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
-           plan: tuple) -> list:
-    """Run the queued groups' instances not yet imposed, then the waiting
-    seed relations and entry transfers, until a pass of the latter two
-    rewrites nothing (only a rewrite queues a group or lets a waiting
-    relation or transfer be evaluated).  Returns the seed relations still
-    waiting."""
+           plan: tuple, cells: range | list) -> list:
+    """Impose instances in passes until a pass rewrites nothing: within a
+    drain only a rewrite lets a waiting instance be evaluated.  ``cells``
+    are the cells that have joined a frontier; a pass runs the group of
+    each one that is alive and has an instance not imposed, then the
+    waiting seed relations and entry transfers.  Returns the seed
+    relations still waiting."""
+    full = (1 << len(plan[1])) - 1
     while True:
-        while enum.queue:
-            batch = sorted(enum.queue)
-            enum.queue.clear()
-            for c in batch:
-                if enum.alive(c):
-                    _cell_instances(enum, c, plan)
         rewrites = len(enum.rw)
+        for c in cells:
+            if enum.alive(c) and enum.done[c] != full:
+                _cell_instances(enum, c, plan)
         seed_rels = _seed_instances(enum, seeds, seed_rels)
         _dead_entry_consequences(enum)
         if len(enum.rw) == rewrites:
@@ -619,12 +593,11 @@ def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
 
 def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,
              plan: tuple, alive: list) -> None:
-    """One full pass of every instance; raises if it imposes anything."""
+    """One pass of every instance, every ``done`` mask cleared; raises if
+    it imposes anything, so the drain stops after that pass."""
     enum.certifying = True
-    _seed_instances(enum, seeds, seed_rels)
-    for c in alive:
-        _cell_instances(enum, c, plan)
-    _dead_entry_consequences(enum)
+    enum.done = [0] * len(enum.wt)
+    _drain(enum, seeds, seed_rels, plan, alive)
 
 
 def _seed_instances(enum: _Enumeration, seeds: dict,
@@ -644,18 +617,15 @@ def _seed_instances(enum: _Enumeration, seeds: dict,
 
 
 def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
-    """Impose the plan's operator identities on cell c, each until it has
-    been imposed once (all of them in the certifying pass).  While one
-    waits on a missing entry the group registers as a reader of the cells
-    it looked up.  Each word of the plan is applied to c at most once,
-    when an instance first needs it."""
+    """Impose the plan's operator identities on cell c that are not
+    imposed yet; one waiting on a missing entry is left for the next
+    pass.  Each word of the plan is applied to c at most once, when an
+    instance first needs it."""
     steps, instances = plan
-    done = 0 if enum.certifying else enum.done[c]
-    enum.running, enum.reads = c, set()
+    done = enum.done[c]
     unit = {c: 1}
     images = [unit] + [_UNSET] * (len(steps) - 1)
     wt = enum.wt[c]
-    waiting = False
     for bit, (rel, terms) in enumerate(instances):
         if done >> bit & 1:
             continue
@@ -663,7 +633,6 @@ def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
         for coeff, w in terms:
             vec = _word_image(enum, steps, images, w)
             if vec is None:
-                waiting = True
                 break
             vadd_into(acc, vec, coeff)
         else:
@@ -672,10 +641,7 @@ def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
                     vadd_into(acc, unit, -coeff * wt[k])
             enum.impose(acc, (rel.tag, c) + rel.indices)
             done |= 1 << bit
-    if waiting:
-        enum.wait()
     enum.done[c] = done
-    enum.running = enum.reads = None
 
 
 def _word_image(enum: _Enumeration, steps: tuple, images: list,

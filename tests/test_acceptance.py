@@ -20,6 +20,7 @@ import pytest
 
 from fixtures_gl import gl2form_local, glvec_local, sl_block
 from oracles import levi_civita, s_model_dims, w_model_dims
+import canonical
 import structure
 from wordmodel import LocAlgebra
 
@@ -333,6 +334,7 @@ def test_criterion_5_e6_first_fundamental_isomorphic():
     data = CartanData(_E6, lam=(1, 0, 0, 0, 0, 0))
     verdict = iso.check_isomorphism(data)
     assert verdict.verdict == "isomorphic"
+    assert verdict.certificate["cells_created"] == 5166
     assert verdict.sides["relations_model"]["dim"] == 378
     assert verdict.sides["cartanification"]["minus1_dim"] == 378
     expected = sorted(structure.expected_minus1_decomposition(data, "W"))
@@ -347,6 +349,9 @@ def test_criterion_5_e7_seventh_fundamental_isomorphic():
     # the default budget, so it is built here with a larger one
     data = CartanData(_E7, lam=(0, 0, 0, 0, 0, 0, 1))
     module = tha.build_minus1(tha.presentation(data, "W"), cell_cap=30000)
+    assert module.certificate["cells_created"] == 14595
+    assert canonical.digest(module.certificate) == (
+        "9ef50bccac53d00b3208a675794de64b8ead75ff9455f6d130b9818434721c63")
     verdict = iso.check_isomorphism(data, module=module)
     assert verdict.verdict == "isomorphic"
     assert verdict.sides["relations_model"]["status"] == "complete"

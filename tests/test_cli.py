@@ -593,7 +593,8 @@ def test_optimized_interpreter_gives_the_same_report(cache_env, capsys):
     """Invariants hold under ``python -O``: no check of the package rests
     on an ``assert``, so the report is the same without them, and it does
     not depend on the hash seed either.  The tha-minus1 case is the
-    largest relations rung, whose deduction queue is driven by sets; the
+    largest relations rung, whose drain runs in passes over its cells in
+    cell order; the
     C2 w1 check-all shares one local part and one local cartanification
     among its commands; the C3 w1 check-iso checks kernel invariance over
     the generators of degree 0 and the representation identity along the

@@ -602,19 +602,51 @@ def _assert_never_completes(names):
             assert mod.certificate["cells_created"] <= 6000
 
 
-def test_queue_without_requeueing_never_completes(monkeypatch):
-    # negative control: with rewritten cells and new table entries not
-    # sending their readers back to the queue, deductions are missed
-    monkeypatch.setattr(tha._Enumeration, "touch", lambda self, c: None)
+def test_groups_run_once_never_complete(monkeypatch):
+    # negative control for the passes: a cell's group that runs once and
+    # never again before the certifying pass leaves its waiting instances
+    # unimposed, and deductions are missed
+    ran: dict = {}
+    cell_instances = tha._cell_instances
+
+    def once(enum, c, plan):
+        cells = ran.setdefault(enum, set())
+        if enum.certifying or c not in cells:
+            cells.add(c)
+            cell_instances(enum, c, plan)
+
+    monkeypatch.setattr(tha, "_cell_instances", once)
     _assert_never_completes(("a2", "d4"))
 
 
-def test_waiting_groups_without_readers_never_complete(monkeypatch):
-    # negative control for retired instances: a group still waiting on a
-    # missing entry that registers no readers never runs again, and the
-    # certifying pass must catch the deductions it misses
-    monkeypatch.setattr(tha._Enumeration, "wait", lambda self: None)
-    _assert_never_completes(("a2", "d4"))
+@pytest.mark.parametrize("name, cells", [("a2", (54, 66)), ("d4", (676, 1164)),
+                                         ("c3", (315, 441))],
+                         ids=["a2", "d4", "c3"])
+def test_groups_rerun_only_next_round_take_more_cells(monkeypatch, name,
+                                                      cells):
+    # negative control for the later passes of a drain: a waiting group
+    # that runs again only in the next round still reaches the module,
+    # but its deductions come a round late and the enumeration makes more
+    # cells than with every pass
+    ran: set = set()
+    drain, cell_instances = tha._drain, tha._cell_instances
+
+    def fresh(*args):
+        ran.clear()
+        return drain(*args)
+
+    def first_pass_only(enum, c, plan):
+        if c not in ran:
+            ran.add(c)
+            cell_instances(enum, c, plan)
+
+    base = _mod(name)
+    monkeypatch.setattr(tha, "_drain", fresh)
+    monkeypatch.setattr(tha, "_cell_instances", first_pass_only)
+    late = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
+    assert late.status == "complete" and late.weights == base.weights
+    assert (base.certificate["cells_created"],
+            late.certificate["cells_created"]) == cells
 
 
 @pytest.mark.parametrize("name", ["d4w4", "c3"])
