@@ -58,16 +58,21 @@ that has joined a frontier and still has an instance not imposed, then
 the waiting seed relations, then the transfers of entries off rewritten
 cells.  Every relation instance is imposed once, in the first pass that
 can evaluate it; one waiting on a missing entry is tried again in the
-next pass.  Entries are made only at the start of a round, so within a
-drain only a rewrite can make a waiting instance evaluable, and the drain
-stops after a pass that rewrites nothing.  An imposed instance's value
-can later change only by images of span elements under the actions, and
-those transfers impose them.  The fixpoint at each depth depends only on
-the span of the imposed relations, not on their order.
+next pass.  A waiting group keeps the images of the words it has applied
+to its cell, so a later pass computes only the images that were missing,
+each by one action on its suffix's kept image; a kept image is the same
+element of the presented module, perhaps naming cells rewritten since.
+Entries are made only at the start of a round, so within a drain only a
+rewrite can make a waiting instance evaluable, and the drain stops after
+a pass that rewrites nothing.  An imposed instance's value can later
+change only by images of span elements under the actions, and those
+transfers impose them.  The fixpoint at each depth depends only on the
+span of the imposed relations, not on their order.
 
 When the frontier comes out empty every action is defined on every
 surviving cell, and one certifying pass runs every cell's group and
-every seed relation in full; if it imposes anything the drain missed a
+every seed relation in full, from no kept image: each word is applied
+to the cell itself.  If it imposes anything the drain missed a
 deduction and ``ValueError`` names the instance.  After a clean pass the
 span *is* the presented module: any module generated by the seeds in which the
 seed relations hold is a quotient of it, and every rewrite performed
@@ -292,9 +297,13 @@ class _Enumeration:
     Every rewrite and every table entry names alive cells only: ``impose``
     substitutes each new rewrite into the vectors that name its pivot,
     found through ``users`` (cell -> {id: vector}).  ``done[c]`` is the
-    bitmask of cell c's group instances already imposed.  ``orphans``
-    lists the (op, cell) entries that rewritten cells still hold, and
-    ``alive_by_wt`` counts the alive cells of each weight.
+    bitmask of cell c's group instances already imposed, and ``images[c]``
+    keeps the word images of an alive cell whose group still waits.
+    ``orphans`` lists the (op, cell) entries that rewritten cells still
+    hold, and ``alive_by_wt`` counts the alive cells of each weight.
+    A vector that ``nf`` or ``act`` returns may be a rewrite or a table
+    entry itself, which ``impose`` keeps reduced in place; callers only
+    read it.
     """
 
     def __init__(self, data: CartanData, cell_cap: int):
@@ -308,6 +317,7 @@ class _Enumeration:
         self.tab: dict[tuple, dict[int, Vec]] = {op: {} for op in self.ops}
         self.rw: dict[int, Vec] = {}
         self.users: dict[int, dict] = {}
+        self.images: dict[int, list] = {}
         self.orphans: list = []
         self.certifying = False
 
@@ -323,8 +333,14 @@ class _Enumeration:
         return c not in self.rw
 
     def nf(self, vec: Vec) -> Vec:
-        """One substitution pass; the result may be ``vec`` itself."""
+        """One substitution pass; the result may be ``vec`` itself, or the
+        rewrite of its one cell."""
         rw = self.rw
+        if len(vec) == 1:
+            (c, co), = vec.items()
+            if c not in rw:
+                return vec
+            return rw[c] if co == 1 else vscale(rw[c], co)
         dead = [c for c in vec if c in rw]
         if not dead:
             return vec
@@ -349,11 +365,18 @@ class _Enumeration:
         self.tab[op][c] = ent
 
     def act(self, op: tuple, vec: Vec) -> Vec | None:
-        """op applied to vec, or None when an entry is missing."""
+        """op applied to vec, or None when an entry is missing; the image
+        of one cell with coefficient 1 is its entry itself."""
         if not vec:
             return {}
         vec = self.nf(vec)
         table = self.tab[op]
+        if len(vec) == 1:
+            (c, co), = vec.items()
+            ent = table.get(c)
+            if ent is None or co == 1:
+                return ent
+            return vscale(ent, co)
         out: Vec = {}
         for c, co in vec.items():
             ent = table.get(c)
@@ -393,6 +416,7 @@ class _Enumeration:
                 self.use(old, new)
         self.rw[piv] = new
         self.use(new, new)
+        self.images.pop(piv, None)
         self.alive_by_wt[self.wt[piv]] -= 1
         self.orphans += [(op, piv) for op in self.ops if piv in self.tab[op]]
         return True
@@ -593,10 +617,12 @@ def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
 
 def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,
              plan: tuple, alive: list) -> None:
-    """One pass of every instance, every ``done`` mask cleared; raises if
-    it imposes anything, so the drain stops after that pass."""
+    """One pass of every instance, every ``done`` mask cleared and no word
+    image kept, so each word is applied to the cell itself; raises if it
+    imposes anything, so the drain stops after that pass."""
     enum.certifying = True
     enum.done = [0] * len(enum.wt)
+    enum.images.clear()
     _drain(enum, seeds, seed_rels, plan, alive)
 
 
@@ -619,22 +645,33 @@ def _seed_instances(enum: _Enumeration, seeds: dict,
 def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
     """Impose the plan's operator identities on cell c that are not
     imposed yet; one waiting on a missing entry is left for the next
-    pass.  Each word of the plan is applied to c at most once, when an
-    instance first needs it."""
+    pass.  Each word of the plan is applied at most once per run, when an
+    instance first needs it.  While the group waits, the cell keeps its
+    word images in ``enum.images``: the next run reuses every one that
+    was computed and retries only the missing ones, each by one action
+    on its suffix's image.  A kept image may name cells rewritten since;
+    ``act`` and ``impose`` bring it to normal form."""
     steps, instances = plan
     done = enum.done[c]
     unit = {c: 1}
-    images = [unit] + [_UNSET] * (len(steps) - 1)
+    images = enum.images.pop(c, None)
+    if images is None:
+        images = [unit] + [_UNSET] * (len(steps) - 1)
+    else:
+        images = [_UNSET if vec is None else vec for vec in images]
     wt = enum.wt[c]
     for bit, (rel, terms) in enumerate(instances):
         if done >> bit & 1:
             continue
         acc: Vec = {}
         for coeff, w in terms:
-            vec = _word_image(enum, steps, images, w)
+            vec = images[w]
+            if vec is _UNSET:
+                vec = _word_image(enum, steps, images, w)
             if vec is None:
                 break
-            vadd_into(acc, vec, coeff)
+            if vec:
+                vadd_into(acc, vec, coeff)
         else:
             for coeff, (_, k) in rel.rhs:     # coeff * h_k on the cell
                 if wt[k]:
@@ -642,19 +679,24 @@ def _cell_instances(enum: _Enumeration, c: int, plan: tuple) -> None:
             enum.impose(acc, (rel.tag, c) + rel.indices)
             done |= 1 << bit
     enum.done[c] = done
+    if done != (1 << len(instances)) - 1 and enum.alive(c):
+        enum.images[c] = images
 
 
 def _word_image(enum: _Enumeration, steps: tuple, images: list,
                 w: int) -> Vec | None:
     """Word w applied to the group's cell, or None when a table entry is
-    missing; ``images`` holds every word computed so far, by id."""
-    vec = images[w]
+    missing, stored as ``images[w]``; ``images`` holds every word
+    computed so far, by id, kept from an earlier run or made in this one,
+    and w is not among them.  A word whose suffix's image is zero is
+    zero, with no action applied."""
+    op, suffix = steps[w]
+    vec = images[suffix]
     if vec is _UNSET:
-        op, suffix = steps[w]
         vec = _word_image(enum, steps, images, suffix)
-        if vec is not None:
-            vec = enum.act(op, vec)
-        images[w] = vec
+    if vec:
+        vec = enum.act(op, vec)
+    images[w] = vec
     return vec
 
 

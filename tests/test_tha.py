@@ -693,6 +693,56 @@ def test_certified_tables_are_total_and_clean(monkeypatch, name):
         assert not any(c in enum.rw for c in enum.tab[op])
 
 
+@pytest.mark.parametrize("name", ["d4w4", "c3"])
+def test_drain_computes_each_word_image_once(monkeypatch, name):
+    # a waiting group keeps its word images: once a word's image on a cell
+    # is computed, no later pass of the drain computes it again; only the
+    # certifying pass starts every word from the cell
+    computed = []
+    word_image = tha._word_image
+
+    def spy(enum, steps, images, w):
+        unset = images[w] is tha._UNSET
+        vec = word_image(enum, steps, images, w)
+        if unset and vec is not None and not enum.certifying:
+            computed.append((next(iter(images[0])), w))
+        return vec
+
+    monkeypatch.setattr(tha, "_word_image", spy)
+    mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
+    assert mod.status == "complete"
+    assert computed and len(set(computed)) == len(computed)
+
+
+@pytest.mark.parametrize("name", ["d4w4", "c3", "a4"])
+def test_word_images_kept_only_while_a_group_waits(monkeypatch, name):
+    # after each drain only alive cells whose group still waits keep word
+    # images; the certifying pass starts with none and leaves none
+    kept, certified = [], []
+    drain, certify = tha._drain, tha._certify
+
+    def check_drain(enum, seeds, seed_rels, plan, cells):
+        waiting = drain(enum, seeds, seed_rels, plan, cells)
+        full = (1 << len(plan[1])) - 1
+        if not enum.certifying:
+            assert all(enum.alive(c) and enum.done[c] != full
+                       for c in enum.images)
+            kept.append(len(enum.images))
+        return waiting
+
+    def check_certify(enum, *args):
+        assert not enum.images
+        certify(enum, *args)
+        certified.append(enum)
+        assert not enum.images
+
+    monkeypatch.setattr(tha, "_drain", check_drain)
+    monkeypatch.setattr(tha, "_certify", check_certify)
+    mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
+    assert mod.status == "complete" and len(certified) == 1
+    assert max(kept) > 0
+
+
 def test_certifying_pass_catches_a_missed_deduction(monkeypatch):
     # the drain never imposes one seed instance; the tables still close,
     # and the full pass that certifies them must find it
