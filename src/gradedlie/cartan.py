@@ -23,10 +23,14 @@ weight-homogeneous, so each span keeps one block per weight
 (``WeightedSolver``) and reads a vector's weight off its coordinates,
 degree-0 basis vectors or pivots.  Degree 0 moves classes by the
 derivation rule [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j],
-which needs only the local brackets and the candidates' classes.  A
-move lands on the pivots of the summed weight, so the quotient's degree-0
-action ``b0m`` visits the minus basis one weight class at a time and
-skips a class outright when no pivot has that sum.  The
+which needs only the candidates' classes and the columns [u, -] of the
+local part's layers (``LocalSuperalgebra.brackets``), read in place; a
+candidate's action reads the plus layer's columns [u_j, -] and [x_p, -]
+the same way.  A move lands on the pivots of the summed weight, so the
+quotient's degree-0 action ``b0m`` visits the minus basis one weight
+class at a time and skips a class outright when no pivot has that sum;
+its ``b00`` and ``b0p`` come from one column-sparse ad u_s
+(``graded.zero_action``) per degree-0 basis vector u_s.  The
 quotient is well defined only if the kernel is stable under that action,
 and this is checked under a generating set S of degree 0 alone.
 ``degree0_generators`` builds the one tree of brackets that closes S to a
@@ -58,13 +62,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 # rref and kernel_basis stay bound here for tracers that wrap them by name.
-from .linalg import Span, kernel_basis, qnorm, rref, vadd, vadd_into
+from .linalg import Span, kernel_basis, mat_apply, qnorm, rref, vadd, vadd_into
 from .graded import (
     GradedSuperalgebra,
     LocalSuperalgebra,
     minimal_extension,
     weight_block_quotient,
     wsum,
+    zero_action,
 )
 
 
@@ -282,13 +287,19 @@ class Cartanification:
         """Action of the candidate x_p u_j of ``local`` on the plus wing,
         in the closed form of the module docstring: ``{q: vec}`` with vec
         the degree-0 coordinates of [x_p u_j, z_q], the zero ones left
-        out."""
+        out.  Reads the columns [u_j, z_q] and [x_p, z_q] of the plus
+        layer of ``local.brackets()``."""
+        plus = local.brackets().layers[1]
+        act_j = plus.act0[j]            # q -> [u_j, z_q]
+        opp_p = plus.opp_map[p]         # q -> [x_p, z_q]
         pairing = local.pairing or {}
         out: dict = {}
         for q in range(local.npos):
             val: dict = {}
-            for q2, c in local.bracket(0, j, 1, q).items():
-                vadd_into(val, local.bracket(-1, p, 1, q2), -c)
+            for q2, c in act_j.get(q, {}).items():
+                img = opp_p.get(q2)
+                if img:
+                    vadd_into(val, img, -c)
                 pv = pairing.get((p, q2))
                 if pv:
                     vadd_into(val, local.grading, c * pv)
@@ -362,22 +373,27 @@ def local_cartanification(local: LocalSuperalgebra,
     #   [u, x_p u_j] = [u, x_p] u_j + (-1)^{|u||x_p|} x_p [u, u_j].
     gens = [s for _, s, k in degree0_generators(local) if k is None]
     moves: dict = {}            # u -> {t: class of [u_u, pivots[t]]}
+    layers = local.brackets().layers
+    act_m = layers[-1].act0     # act_m[u][p] = [u_u, x_p]
+    act_0 = layers[0].act0      # act_0[u][j] = [u_u, u_j]
 
     def moved(u: int, c: tuple) -> dict:
         """Class of [u_u, candidate c]."""
         p, j = c
         out: dict = {}
-        for k, a in local.bracket(0, u, -1, p).items():
+        for k, a in act_m[u].get(p, {}).items():
             vadd_into(out, classes[(k, j)], a)
         sign = -1 if local.zero_parities[u] and local.neg_parities[p] else 1
-        for m, a in local.bracket(0, u, 0, j).items():
+        for m, a in act_0[u].get(j, {}).items():
             vadd_into(out, classes[(p, m)], sign * a)
         return out
 
-    def move(uvec: dict, cls: dict) -> dict:
-        """Class of [u, el] for a degree-0 vector u and el of class cls;
-        every class is a sum of pivots, so their moves are cached."""
-        out: dict = {}
+    def move(uvec: dict, cls: dict, out: dict | None = None) -> dict:
+        """Class of [u, el] for a degree-0 vector u and el of class cls,
+        added into ``out`` when one is given; every class is a sum of
+        pivots, so their moves are cached."""
+        if out is None:
+            out = {}
         for u, a in uvec.items():
             row = moves.setdefault(u, {})
             for t, c in cls.items():
@@ -420,7 +436,7 @@ def local_cartanification(local: LocalSuperalgebra,
         if c in pivot_set:
             continue
         for u in gens:
-            if vadd(moved(u, c), move({u: 1}, cls), -1):
+            if move({u: -1}, cls, moved(u, c)):
                 raise ValueError("peripheral kernel is not invariant "
                                  "under degree-0 brackets")
 
@@ -465,17 +481,19 @@ def local_cartanification(local: LocalSuperalgebra,
             raise ValueError("degree-0 image span is not closed")
         return out
 
-    # Structure constants of the quotient local part.
+    # Structure constants of the quotient local part, from the column-sparse
+    # ad u_s on degrees 0 and 1, once per basis vector u_s.
     b00 = {}
-    for s, us in enumerate(zero_basis):
-        for t, ut in enumerate(zero_basis):
-            br = local.bracket_vec(0, us, 0, ut)
-            if br:
-                b00[(s, t)] = in_zero(br)
     b0p = {}
     for s, us in enumerate(zero_basis):
+        ad0 = zero_action(layers[0], us)
+        for t, ut in enumerate(zero_basis):
+            br = mat_apply(ad0, ut)
+            if br:
+                b00[(s, t)] = in_zero(br)
+        ad1 = zero_action(layers[1], us)
         for q in range(local.npos):
-            br = local.bracket_vec(0, us, 1, {q: 1})
+            br = ad1.get(q)
             if br:
                 b0p[(s, q)] = br
     # A move from weight w lands at the weight of u_s plus w, on a sum of

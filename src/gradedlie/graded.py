@@ -114,6 +114,9 @@ __all__ = [
 # divided only through ``linalg.qdiv``
 Vec = dict
 
+# the bracket of a basis pair that no table holds: shared, so read-only
+_EMPTY: Vec = MappingProxyType({})
+
 
 def wsum(wa: tuple, wb: tuple) -> tuple:
     """The sum of two weights, in normal form."""
@@ -231,13 +234,22 @@ class LocalSuperalgebra:
     # -- local brackets ----------------------------------------------------
 
     def bracket(self, da: int, a: int, db: int, b: int) -> Vec:
-        """[basis_a at degree da, basis_b at degree db]; |da + db| <= 1."""
+        """[basis_a at degree da, basis_b at degree db]; |da + db| <= 1.
+        The result is the stored vector itself, a table entry, a memo
+        entry or one shared empty mapping, not a copy: read it only."""
         if not -1 <= da + db <= 1:
             raise ValueError("bracket of degrees %d and %d leaves the slice"
                              % (da, db))
         return self.brackets()._bb(da, a, db, b)
 
     def bracket_vec(self, da: int, va: Vec, db: int, vb: Vec) -> Vec:
+        """[va at degree da, vb at degree db]; for two basis vectors with
+        coefficient 1 it is ``bracket``'s stored vector, so read it only."""
+        if len(va) == 1 == len(vb):
+            (a, ca), = va.items()
+            (b, cb), = vb.items()
+            if ca * cb == 1:
+                return self.bracket(da, a, db, b)
         out: Vec = {}
         for a, ca in va.items():
             for b, cb in vb.items():
@@ -357,6 +369,12 @@ class GradedSuperalgebra:
     degree-0 actions) and memoized per basis pair.  ``local`` is the
     local part the algebra extends, which carries its Cartan datum; the
     evaluator a local part holds over its own three layers has None there.
+
+    A basis bracket (``_bb``) is a stored vector itself -- a layer's
+    entry, a memo entry, or one shared read-only empty mapping -- never a
+    copy, and every caller only reads it: ``bracket`` and the recursion
+    sum basis brackets into new vectors, and ``LocalSuperalgebra``
+    passes them on under the same contract.
     """
 
     def __init__(self, local: LocalSuperalgebra | None,
@@ -400,19 +418,18 @@ class GradedSuperalgebra:
 
     def _bb(self, da: int, i: int, db: int, j: int) -> Vec:
         """Basis bracket, memoized unless it is a stored degree-0 action
-        entry; raises if the result degree is unstored."""
+        entry; raises if the result degree is unstored.  Returns the stored
+        or memoized vector itself, read-only (class docstring)."""
         d = da + db
         if d not in self.layers:
             raise ValueError("bracket lands at unstored degree %d" % d)
         if da == 0:
-            return dict(self.layers[db].act0[i].get(j, {}))
+            return self.layers[db].act0[i].get(j, _EMPTY)
         key = (da, i, db, j)
         hit = self._memo.get(key)
-        if hit is not None:
-            return dict(hit)
-        val = self._bb_raw(da, i, db, j)
-        self._memo[key] = val
-        return dict(val)
+        if hit is None:
+            hit = self._memo[key] = self._bb_raw(da, i, db, j)
+        return hit
 
     def _bb_raw(self, da: int, i: int, db: int, j: int) -> Vec:
         if db == 0 or da < 0 < db:
@@ -422,7 +439,7 @@ class GradedSuperalgebra:
         s = 1 if da > 0 else -1
         if db < 0 < da:
             if da == 1:
-                return dict(self.layers[db].opp_map[i].get(j, {}))
+                return self.layers[db].opp_map[i].get(j, _EMPTY)
             if db == -1:
                 # positive layers store [x_{-1}, u] directly
                 sign = -1 if (self.parity(da, i)
@@ -431,14 +448,14 @@ class GradedSuperalgebra:
         else:
             if da == s:
                 if db == s:
-                    return dict(self.layers[2 * s].reduce[(i, j)])
+                    return self.layers[2 * s].reduce[(i, j)]
                 # [x_s, v_q] = -(-1)^{|x||v|} [v_q, x_s]
                 sign = -1 if (self.parity(s, i)
                               and self.parity(db, j)) else 1
                 return vscale(self.layers[db + s].reduce[(j, i)], -sign)
             if db == s:
                 # [u, x_s] is the tensor definition of the next layer
-                return dict(self.layers[da + s].reduce[(i, j)])
+                return self.layers[da + s].reduce[(i, j)]
         # expand a = [u, x] with x at degree s via its tensor definition:
         # [[u,x],b] = [u,[x,b]] - (-1)^{|u||x|} [x,[u,b]]
         u, x = self.layers[da].tensor_parent[i]
@@ -784,7 +801,7 @@ def _weyl_check(local: LocalSuperalgebra) -> tuple | str | None:
                     raise ValueError("[h_%d, %s_%d] is not %d %s_%d in "
                                      "degree 0" % (j, kind, i, by, kind, i))
         for d in (-1, 1):
-            action = _zero_action(layers[d], h_j)
+            action = zero_action(layers[d], h_j)
             for k, w in enumerate(layers[d].weights):
                 if action.get(k, {}) != ({k: w[j]} if w[j] else {}):
                     raise ValueError(
@@ -793,7 +810,7 @@ def _weyl_check(local: LocalSuperalgebra) -> tuple | str | None:
     return None
 
 
-def _zero_action(layer: Layer, vec: Vec) -> dict:
+def zero_action(layer: Layer, vec: Vec) -> dict:
     """The action of the degree-0 vector ``vec`` on ``layer``, column-sparse
     {src: [vec, src]} with the zero columns left out."""
     mat: dict = {}
@@ -883,7 +900,7 @@ def decompose_at_degree(g_alg: GradedSuperalgebra, d: int) -> list[tuple]:
     ``_weyl_gate``: degree 0 holds every simple raising operator e_i."""
     data = _gated_datum(g_alg, "degree %d cannot be decomposed" % d)
     layer = g_alg.layer(d)
-    raisers = [_zero_action(layer, g_alg.zero_coords_of(("e", node)))
+    raisers = [zero_action(layer, g_alg.zero_coords_of(("e", node)))
                for node in range(data.r)]
     return decompose_module(layer.weights, raisers, data)
 

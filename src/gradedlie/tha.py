@@ -56,12 +56,15 @@ are still alive, and then drains in passes, as in vector enumeration
 (Linton, 1993): a pass runs, in cell order, the group of every alive cell
 that has joined a frontier and still has an instance not imposed, then
 the waiting seed relations, then the transfers of entries off rewritten
-cells.  Every relation instance is imposed once, in the first pass that
-can evaluate it; one waiting on a missing entry is tried again in the
-next pass.  A waiting group keeps the images of the words it has applied
-to its cell, so a later pass computes only the images that were missing,
-each by one action on its suffix's kept image; a kept image is the same
-element of the presented module, perhaps naming cells rewritten since.
+cells.  A dead cell and a finished group stay so, so a pass visits only
+the cells that were alive with an instance left after the pass before;
+a round's first pass adds its frontier.  Every relation instance is
+imposed once, in the first pass that can evaluate it; one waiting on a
+missing entry is tried again in the next pass.  A waiting group keeps
+the images of the words it has applied to its cell, so a later pass
+computes only the images that were missing, each by one action on its
+suffix's kept image; a kept image is the same element of the presented
+module, perhaps naming cells rewritten since.
 Entries are made only at the start of a round, so within a drain only a
 rewrite can make a waiting instance evaluable, and the drain stops after
 a pass that rewrites nothing.  An imposed instance's value can later
@@ -546,6 +549,7 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
     history = []
     frontier = list(seeds.values())
     waiting = seed_rels
+    cells: list = []    # earlier frontiers' cells whose group still waits
     depth_used = 0
 
     try:
@@ -555,7 +559,8 @@ def build_minus1(pres: Presentation, cell_cap: int = 6000) -> MinusOneModule:
             for c in frontier:
                 for op in enum.ops:
                     enum.define(op, c)
-            waiting = _drain(enum, seeds, waiting, plan, range(made))
+            waiting, cells = _drain(enum, seeds, waiting, plan,
+                                    cells + frontier)
             history.append({w: n for w, n in enum.alive_by_wt.items() if n})
             frontier = [c for c in range(made, len(enum.wt))
                         if enum.alive(c)]
@@ -599,20 +604,28 @@ def _drain(enum: _Enumeration, seeds: dict, seed_rels: list,
            plan: tuple, cells: range | list) -> list:
     """Impose instances in passes until a pass rewrites nothing: within a
     drain only a rewrite lets a waiting instance be evaluated.  ``cells``
-    are the cells that have joined a frontier; a pass runs the group of
-    each one that is alive and has an instance not imposed, then the
-    waiting seed relations and entry transfers.  Returns the seed
-    relations still waiting."""
+    are the cells that have joined a frontier and may still wait, in cell
+    order; a pass runs the group of each one that is alive and has an
+    instance not imposed, then the waiting seed relations and entry
+    transfers.  A cell whose group is done, or that is dead, stays so, so
+    the next pass visits only the cells that were alive with an instance
+    left after their run in this one, still testing ``alive`` at visit
+    time.  Returns the seed relations still waiting and those cells of
+    the last pass, for the next round's drain."""
     full = (1 << len(plan[1])) - 1
     while True:
         rewrites = len(enum.rw)
+        waiting = []
         for c in cells:
             if enum.alive(c) and enum.done[c] != full:
                 _cell_instances(enum, c, plan)
+                if enum.done[c] != full and enum.alive(c):
+                    waiting.append(c)
+        cells = waiting
         seed_rels = _seed_instances(enum, seeds, seed_rels)
         _dead_entry_consequences(enum)
         if len(enum.rw) == rewrites:
-            return seed_rels
+            return seed_rels, cells
 
 
 def _certify(enum: _Enumeration, seeds: dict, seed_rels: list,

@@ -13,9 +13,11 @@ from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import canonical
 import gradedlie
-from gradedlie import cartan, cli, graded
+from gradedlie import cartan, cli, graded, iso
 from gradedlie.cartan import (
     Cartanification,
     cartanify,
@@ -29,6 +31,7 @@ from gradedlie.linalg import Span, vadd, vadd_into
 from gradedlie.rootsys import CartanData, jk_partition
 
 from fixtures_gl import gl2form_local, glvec_local, glvec_super_local, sl_block
+from test_graded import _cartan_data
 from oracles import s_model_dims, w_model_dims, w_super_dims
 from wordmodel import LocAlgebra
 
@@ -36,6 +39,7 @@ A1 = [[2]]
 A2 = [[2, -1], [-1, 2]]
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 C2 = [[2, -1], [-2, 2]]
+C3 = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 D4 = [[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]]
 F1 = Fraction(1)
 
@@ -503,6 +507,102 @@ def test_candidate_action_matches_word_engine(make):
         el = eng.product(eng.from_vec(-1, {p: F1}), eng.from_vec(0, {j: F1}))
         assert Cartanification.action_coords(loc, p, j) == \
             _engine_action(eng, el), (p, j)
+
+
+# the check-iso rungs of the benchmark ladder: A3 w2, C3 w1, B2 w2
+_ISO_RUNGS = {
+    "A3w2": lambda: CartanData(A3, lam=[0, 1, 0]),
+    "C3w1": lambda: CartanData(C3, epsilon=[1, 1, 2], lam=[1, 0, 0]),
+    "B2w2": lambda: CartanData([[2, -2], [-1, 2]], epsilon=[2, 1],
+                               lam=[0, 1]),
+}
+
+
+def _pairwise_action(loc, p, j):
+    """``action_coords`` as one ``bracket`` call per basis pair."""
+    pairing = loc.pairing or {}
+    out: dict = {}
+    for q in range(loc.npos):
+        val: dict = {}
+        for q2, c in loc.bracket(0, j, 1, q).items():
+            vadd_into(val, loc.bracket(-1, p, 1, q2), -c)
+            pv = pairing.get((p, q2))
+            if pv:
+                vadd_into(val, loc.grading, c * pv)
+        pv = pairing.get((p, q))
+        if pv:
+            odd = loc.zero_parities[j] and loc.pos_parities[q]
+            vadd_into(val, {j: pv if odd else -pv})
+        if val:
+            out[q] = val
+    return out
+
+
+def _assert_tables_match_pairwise(loc):
+    """The quotient's b00 and b0p, read off the column-sparse ad u_s, and
+    the candidates' actions, read off the plus layer's columns, equal the
+    pairwise ``bracket_vec``/``bracket`` formulas, entry order included."""
+    res = local_cartanification(loc)
+    basis = res.zero_basis
+    b00 = [((s, t), res.zero_class(br)) for s, us in enumerate(basis)
+           for t, ut in enumerate(basis)
+           if (br := loc.bracket_vec(0, us, 0, ut))]
+    b0p = [((s, q), br) for s, us in enumerate(basis)
+           for q in range(loc.npos)
+           if (br := loc.bracket_vec(0, us, 1, {q: 1}))]
+    assert list(res.local.b00.items()) == b00
+    assert list(res.local.b0p.items()) == b0p
+    for p, j in _candidates(loc):
+        assert list(Cartanification.action_coords(loc, p, j).items()) == \
+            list(_pairwise_action(loc, p, j).items()), (p, j)
+
+
+@pytest.mark.parametrize("name", sorted(_ISO_RUNGS))
+def test_column_tables_match_pairwise_on_iso_rungs(name):
+    _assert_tables_match_pairwise(build_local(_ISO_RUNGS[name]()))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_cartan_data())
+def test_column_tables_match_pairwise_on_generated_data(data):
+    _assert_tables_match_pairwise(build_local(data))
+
+
+def _local_digests(loc) -> dict:
+    """Digests of everything a local part stores: its four tables, pairing
+    and grading, and each layer of ``brackets()``."""
+    out = {name: canonical.digest(dict(getattr(loc, name)))
+           for name in ("b00", "b0m", "b0p", "bpm")}
+    out["pairing"] = canonical.digest(loc.pairing)
+    out["grading"] = canonical.digest(loc.grading)
+    for d, layer in loc.brackets().layers.items():
+        out["layer %d" % d] = canonical.digest([layer.act0, layer.opp_map])
+    return out
+
+
+@pytest.mark.parametrize("data", [
+    CartanData(A2, lam=[1, 0]),
+    CartanData(C3, epsilon=[1, 1, 2], lam=[1, 0, 0]),
+], ids=["A2w1", "C3w1"])
+def test_returned_brackets_are_only_read(data):
+    """Brackets come back as stored vectors, not copies; no caller writes
+    to one.  The stored tables and layers of the contragredient local part
+    and of its cartanification's local part are unchanged after the
+    cartanification, an extension, check-iso, a decomposition and the
+    local axioms have read them."""
+    loc = build_local(data)
+    before = _local_digests(loc)
+    cart = local_cartanification(loc)
+    cart_before = _local_digests(cart.local)
+    graded_cart = cart.over((-3, 1)).graded
+    verdict = iso.check_isomorphism(data, cartanification=cart)
+    assert verdict.verdict == "isomorphic"
+    for d in (-1, -2):
+        assert decompose_at_degree(graded_cart, d)
+    for local in (loc, cart.local):
+        assert check_local_axioms(local)["passed"]
+    assert _local_digests(loc) == before
+    assert _local_digests(cart.local) == cart_before
 
 
 def _a2_local():

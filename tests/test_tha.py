@@ -743,6 +743,29 @@ def test_word_images_kept_only_while_a_group_waits(monkeypatch, name):
     assert max(kept) > 0
 
 
+@pytest.mark.parametrize("name", ["d4w4", "c3", "a4"])
+def test_drain_gets_only_cells_that_may_still_wait(monkeypatch, name):
+    # a dead cell or a finished group stays so: each round's drain gets,
+    # in cell order, only alive cells with an instance left, and hands
+    # back the same for the next round (its last pass rewrote nothing)
+    drain = tha._drain
+    rounds = []
+
+    def check_drain(enum, seeds, seed_rels, plan, cells):
+        full = (1 << len(plan[1])) - 1
+        if not enum.certifying:
+            assert list(cells) == sorted(set(cells))
+            assert all(enum.alive(c) and enum.done[c] != full
+                       for c in cells)
+            rounds.append(len(cells))
+        return drain(enum, seeds, seed_rels, plan, cells)
+
+    monkeypatch.setattr(tha, "_drain", check_drain)
+    mod = tha.build_minus1(tha.presentation(_DATA[name](), "W"))
+    assert mod.status == "complete"
+    assert len(rounds) == mod.certificate["depth_used"]
+
+
 def test_certifying_pass_catches_a_missed_deduction(monkeypatch):
     # the drain never imposes one seed instance; the tables still close,
     # and the full pass that certifies them must find it
